@@ -95,7 +95,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .analysis.figures import figure2, figure3, figure4, figure5, midtown_scenario
 from .analysis.report import correctness_summary, describe_run, describe_sweep
@@ -104,6 +104,7 @@ from .errors import ReproError
 from .experiments import (
     ExperimentSpec,
     NetworkSpec,
+    Observer,
     ProgressObserver,
     ResultStore,
     RetryPolicy,
@@ -422,11 +423,28 @@ def _store_for(spec: ExperimentSpec, save: Optional[str]) -> Optional[ResultStor
     return ResultStore(path)
 
 
+class _KernelProbe(Observer):
+    """Records the step path a run's engine took, for the summary."""
+
+    def __init__(self) -> None:
+        self.line: Optional[str] = None
+
+    def on_run_start(self, sim: Any) -> None:
+        engine = sim.engine
+        reason = engine.kernel_fallback_reason
+        self.line = f"kernel                : {engine.kernel_backend}" + (
+            f" ({reason})" if reason is not None else ""
+        )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    probe = _KernelProbe()
     try:
         spec = _build_run_spec(args)
         store = _store_for(spec, args.save)
-        observers = [ProgressObserver()] if args.progress else []
+        observers: List[Observer] = [probe]
+        if args.progress:
+            observers.append(ProgressObserver())
         result = spec.run(
             observers=observers,
             store=store,
@@ -440,6 +458,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(json.dumps(result.as_dict(), sort_keys=True))
         else:
             print(describe_run(result))
+            if probe.line is not None:
+                print(probe.line)
             if store is not None:
                 print(f"(result stored in {store.root})")
         return 0 if result.is_exact else 1
@@ -448,6 +468,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(_sweep_record(result), sort_keys=True))
     else:
         print(describe_sweep(result))
+        if probe.line is not None:
+            print(probe.line)
         if store is not None:
             print(f"(results stored in {store.root})")
     return 0 if result.all_exact else 1

@@ -69,7 +69,7 @@ from .events import (
     TrafficEvent,
 )
 from .intersections import IntersectionPolicy, simple_policy
-from .kernels import StepKernel, load_step_kernel
+from .kernels import StepKernel, fallback_reason, load_step_kernel
 from .vehicle import MIN_GAP_M, VEHICLE_LENGTH_M, Vehicle
 
 __all__ = ["EngineStats", "TrafficEngine"]
@@ -126,12 +126,13 @@ class TrafficEngine:
         original per-vehicle reference loops; both modes produce identical
         event streams and state for the same RNG.
     compiled:
-        Opt in to the compiled inner step kernel (:mod:`repro.mobility.
-        kernels`): the whole gather→advance→scatter recurrence runs as one
-        native call (numba when importable, otherwise a small C library
-        built with the system compiler).  A *request*, not a requirement —
-        when no backend loads the engine silently runs its NumPy path, and
-        every backend is bit-for-bit identical to it (golden-trace pinned).
+        Use the compiled inner step kernel (:mod:`repro.mobility.kernels`,
+        default): the whole gather→advance→scatter recurrence runs as one
+        native call into a small C library built with the system compiler
+        on first use.  When it cannot load, the engine runs its NumPy path,
+        bit-for-bit identical and slower, and the first such fallback in a
+        process warns with the reason.  :attr:`kernel_backend` says which
+        path runs and :attr:`kernel_fallback_reason` why it is not cc.
     """
 
     def __init__(
@@ -145,7 +146,7 @@ class TrafficEngine:
         lane_change: Optional[LaneChangeModel] = None,
         allow_overtaking: bool = True,
         vectorized: bool = True,
-        compiled: bool = False,
+        compiled: bool = True,
     ) -> None:
         if dt_s <= 0:
             raise MobilityError(f"dt_s must be positive, got {dt_s!r}")
@@ -261,11 +262,10 @@ class TrafficEngine:
         #: fast gather — processed (rebuilt) up front each step so the
         #: gather's per-edge walk is two plain list comprehensions.
         self._gather_dirty: Set[int] = set()
-        #: per-edge gathered counts of the current step, aligned with
-        #: ``_occupied`` (kept for the lazy watch-span computation); None
-        #: when the pointer-table gather ran instead (the counts then live
-        #: in ``_gather_len`` and are materialized only on demand).
-        self._gather_counts: Optional[List[int]] = []
+        #: per-edge gathered counts of the NumPy path's current step,
+        #: aligned with ``_occupied`` (kept for the lazy watch-span
+        #: computation).
+        self._gather_counts: List[int] = []
         #: per-edge count of non-empty lanes and cumulative per-lane gather
         #: offsets (length ``lanes + 1``, empty lanes included), refreshed
         #: together with ``_gather_cache`` — the fast tails use them to skip
@@ -283,28 +283,27 @@ class TrafficEngine:
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
         # arrival/movement masks, the lane-change candidate mask and the
-        # overtake-scan concat targets.  The compiled kernel binds the
-        # first four once per capacity change, making each per-step native
-        # call a cached-pointer invocation with only the count varying.
+        # NumPy overtake scan's concat targets.  The compiled kernel binds
+        # the first four once per capacity change, making each per-step
+        # native call a cached-pointer invocation with only the count
+        # varying.
         self._idx_buf = np.empty(0, dtype=np.intp)
         self._newly_buf = np.empty(0, dtype=bool)
         self._moved_buf = np.empty(0, dtype=bool)
         self._cand_buf = np.empty(0, dtype=bool)
         self._rank_buf = np.empty(0, dtype=np.intp)
         self._vid_buf = np.empty(0, dtype=np.int64)
-        # Edge-count-sized (static) scratch: watched-edge ranking lengths
-        # in, per-edge inversion flags out, for the compiled ranking scan.
-        self._lens_buf = np.empty(n_edges, dtype=np.int64)
+        # Edge-count-sized (static) scratch: per-edge inversion flags out
+        # of the compiled ranking scan.
         self._flags_buf = np.empty(n_edges, dtype=bool)
-        # Pointer tables for the C backend's full-edge sweeps: per-edge
+        # Pointer tables for the compiled kernel's full-edge sweeps: per-edge
         # address + length of the cached gather slot array and of the
         # cached ranking (slot, vid) arrays, plus the occupied-edge index
         # mirror and the per-edge ranking-scan eligibility byte.  Updated
         # only where the corresponding cache entry changes (a handful of
         # edges per step), so the steady-state gather and overtake scan
-        # are each one bound native call with no per-edge Python walk.
-        # numba cannot dereference raw addresses, so that backend (and the
-        # plain NumPy path) keeps the per-edge comprehension paths.
+        # are each one bound native call with no per-edge Python walk.  The
+        # NumPy path keeps the per-edge comprehension paths.
         self._gather_ptr = np.zeros(n_edges, dtype=np.int64)
         self._gather_len = np.zeros(n_edges, dtype=np.int64)
         self._occ_buf = np.zeros(n_edges, dtype=np.int64)
@@ -335,7 +334,6 @@ class TrafficEngine:
         #: the next pointer-table scan (cache invalidated or occupied-lane
         #: count changed).
         self._rank_dirty: Set[int] = set()
-        self._use_tables = self._kernel is not None and self._kernel.has_tables
         if self._kernel is not None:
             self._bind_kernel()
         self._kinematics_stale = False
@@ -350,6 +348,24 @@ class TrafficEngine:
         self._spawned_nonpatrol = 0
         self._spawned_patrol = 0
         self.stats = EngineStats()
+
+    @property
+    def kernel_backend(self) -> str:
+        """The step path that runs: ``"cc"``, ``"numpy"`` or ``"scalar"``."""
+        if self._kernel is not None:
+            return self._kernel.backend
+        return "numpy" if self.vectorized else "scalar"
+
+    @property
+    def kernel_fallback_reason(self) -> Optional[str]:
+        """Why the engine does not run the compiled kernel (None when it does)."""
+        if self._kernel is not None:
+            return None
+        if not self.vectorized:
+            return "vectorized=False selects the scalar reference engine"
+        if not self.compiled:
+            return "compiled=False"
+        return fallback_reason()
 
     # ----------------------------------------------------------- configure
     def set_intersection_policy(self, node: object, policy: IntersectionPolicy) -> None:
@@ -475,9 +491,6 @@ class TrafficEngine:
             self._cand_buf,
             lc.blocked_distance_m,
             lc.speed_gain_threshold_mps,
-            self._rank_buf,
-            self._vid_buf,
-            self._lens_buf,
             self._flags_buf,
             occ_buf=self._occ_buf,
             gather_ptr=self._gather_ptr,
@@ -793,14 +806,14 @@ class TrafficEngine:
         self._bounds_np[ei][:] = bounds
         self._occ_lanes[ei] = occupied_lanes
         self._lane_bounds[ei] = bounds
-        if self._use_tables and self._edge_ml[ei]:
+        if self._kernel is not None and self._edge_ml[ei]:
             # The occupied-lane count gates ranking-scan eligibility;
             # re-derive it before the next pointer-table scan.
             self._rank_dirty.add(ei)
         return part
 
     def _advance_segments_batch(self, events: List[TrafficEvent]) -> None:
-        """Advance every occupied segment — fast tails, optional kernel.
+        """Advance every occupied segment — fast tails, compiled kernel.
 
         Gather and lane changes as in the legacy path (cached per-edge slot
         arrays; vectorized blocked-follower predicate; scalar-RNG-order
@@ -808,13 +821,14 @@ class TrafficEngine:
         instead of lane-list walks).  The advance itself then takes one of
         two equivalent forms:
 
-        * **compiled kernel** (``MobilityConfig.compiled`` and a backend
-          loaded): a single native call sweeps the gather order updating the
-          resident position/speed arrays *in place* — each follower
-          naturally reads its leader's already-written post-step state, so
-          the whole front-to-back recurrence runs in one pass with no
-          classify/rounds machinery, returning the arrival and movement
-          masks;
+        * **compiled kernel** (``MobilityConfig.compiled``, the default, and
+          cc loaded; lane changes take the pointer-table pass
+          :meth:`_lane_change_batch_table`): a single native call sweeps the
+          gather order updating the resident position/speed arrays *in
+          place* — each follower naturally reads its leader's
+          already-written post-step state, so the whole front-to-back
+          recurrence runs in one pass with no classify/rounds machinery,
+          returning the arrival and movement masks;
         * **NumPy**: the legacy classify / exact-rounds / scalar-tail
           resolution, with the arrival bookkeeping folded into one
           vectorized pass over the ``_wait_flag`` mirror.
@@ -846,30 +860,24 @@ class TrafficEngine:
         if kernel is not None:
             # The kernel path never gathers kinematic columns: the
             # candidate mask comes from the compiled predicate over the
-            # resident arrays, and lane-change viability spans are sliced
-            # lazily per candidate-bearing segment.
-            if watching and kernel.candidates_bound(n):
-                if self._use_tables:
-                    if self._lane_change_batch_table(idx, self._cand_buf[:n]):
-                        # Accepted moves re-ordered some lanes: rebuild
-                        # their caches and redo the whole gather with one
-                        # bound table call (values outside the patched
-                        # edges are rewritten unchanged, so the result is
-                        # identical to span patching).
-                        cache = self._gather_cache
-                        dirty = self._gather_dirty
-                        for di in dirty:
-                            if cache[di] is None:
-                                self._rebuild_gather(di)
-                        dirty.clear()
-                        kernel.gather_bound(len(self._occupied))
-                else:
-                    watch_ei, w_lo, w_hi = self._watch_spans()
-                    patched = self._lane_change_batch(
-                        idx, self._cand_buf[:n], None, watch_ei, w_lo, w_hi
-                    )
-                    for ei, s, e in patched:
-                        idx[s:e] = self._rebuild_gather(ei)
+            # resident arrays, and lane-change viability from one bound
+            # pointer-table call per candidate.
+            if (
+                watching
+                and kernel.candidates_bound(n)
+                and self._lane_change_batch_table(idx, self._cand_buf[:n])
+            ):
+                # Accepted moves re-ordered some lanes: rebuild their
+                # caches and redo the whole gather with one bound table
+                # call (values outside the patched edges are rewritten
+                # unchanged, so the result is identical to span patching).
+                cache = self._gather_cache
+                dirty = self._gather_dirty
+                for di in dirty:
+                    if cache[di] is None:
+                        self._rebuild_gather(di)
+                dirty.clear()
+                kernel.gather_bound(len(self._occupied))
             # One native call: in-place resident-array sweep in gather
             # order (the exact reference recurrence), arrival/movement
             # masks out.  The return value is the newly-arrived count, so
@@ -1177,7 +1185,8 @@ class TrafficEngine:
                 if cache[ei] is None:
                     rebuild(ei)
             dirty.clear()
-        if self._use_tables:
+        kernel = self._kernel
+        if kernel is not None:
             # One bound native call walks the pointer table; the Python
             # side only refreshes the occupied-edge mirror when membership
             # actually changed.
@@ -1186,9 +1195,6 @@ class TrafficEngine:
             if self._occ_stale:
                 self._occ_buf[:m] = occupied
                 self._occ_stale = False
-            self._gather_counts = None
-            kernel = self._kernel
-            assert kernel is not None
             return kernel.gather_bound(m)
         parts = cast("List[np.ndarray]", [cache[ei] for ei in self._occupied])
         counts = [part.shape[0] for part in parts]
@@ -1201,21 +1207,16 @@ class TrafficEngine:
     def _watch_spans(self) -> Tuple[List[int], List[int], List[int]]:
         """Gather spans of the watched (multilane, >1 vehicle) segments.
 
-        Derived on demand from the per-edge counts of the current gather —
-        only the steps with actual lane-change candidates (and the NumPy
-        tail's candidate-bearing steps) pay for the span walk.
+        Derived on demand from the per-edge counts of the current NumPy
+        gather — only the steps with actual lane-change candidates pay for
+        the span walk.
         """
         watch_ei: List[int] = []
         w_lo: List[int] = []
         w_hi: List[int] = []
         ml = self._edge_ml
-        counts = self._gather_counts
-        if counts is None:
-            # Pointer-table gather: materialize the per-edge counts from
-            # the length table (only candidate-bearing steps get here).
-            counts = self._gather_len[self._occ_buf[: len(self._occupied)]].tolist()
         base = 0
-        for ei, count in zip(self._occupied, counts):
+        for ei, count in zip(self._occupied, self._gather_counts):
             nxt = base + count
             if count > 1 and ml[ei]:
                 watch_ei.append(ei)
@@ -1228,7 +1229,7 @@ class TrafficEngine:
         self,
         idx: np.ndarray,
         cand: np.ndarray,
-        pos: Optional[np.ndarray],
+        pos: np.ndarray,
         watch_ei: List[int],
         w_lo: List[int],
         w_hi: List[int],
@@ -1239,23 +1240,18 @@ class TrafficEngine:
         (candidates visited in gather order, per-segment pending moves
         applied at the segment boundary), but driven by a precomputed
         gather-aligned candidate mask — the caller's NumPy blocked-follower
-        predicate or the compiled kernel's, bit-identical either way — and
-        each candidate's target-lane viability is evaluated on a slice of
-        the segment's position span (the per-edge ``_lane_bounds`` offsets
+        predicate — and each candidate's target-lane viability is evaluated
+        on a slice of the segment's position span (``pos``, the gathered
+        pre-advance position column; the per-edge ``_lane_bounds`` offsets
         delimit each lane's sub-span) instead of walking the lane lists.
-        ``pos`` is the gathered pre-advance position column when the caller
-        has one; on the compiled-kernel path (which gathers no columns) it
-        is None and each candidate-bearing segment's span is gathered
-        lazily from the resident array — advance has not run yet, so the
-        values are identical.  The viability comparison (``|other - own| <
-        half``) is the same float operation sequence as the scalar model,
-        so decisions are bit-for-bit the same.
+        The viability comparison (``|other - own| < half``) is the same
+        float operation sequence as the scalar model, so decisions are
+        bit-for-bit the same.
         """
         patched: List[Tuple[int, int, int]] = []
         slot_vehicle = self._slot_vehicle
         state_by_index = self._state_by_index
         lane_bounds = self._lane_bounds
-        pos_a = self._pos
         rng = self.rng
         wi = 0
         ei = watch_ei[0]
@@ -1284,11 +1280,7 @@ class TrafficEngine:
                 bounds = lane_bounds[ei]
                 span_pos = None
             if span_pos is None:
-                span_pos = (
-                    pos[span_start:span_end]
-                    if pos is not None
-                    else pos_a[idx[span_start:span_end]]
-                )
+                span_pos = pos[span_start:span_end]
             v = slot_vehicle[int(idx[i])]
             target = self._target_lane_fast(v, seg.lanes, bounds, span_pos, rng)
             if target is not None:
@@ -1299,7 +1291,7 @@ class TrafficEngine:
         return patched
 
     def _lane_change_batch_table(self, idx: np.ndarray, cand: np.ndarray) -> bool:
-        """Pointer-table lane-change pass (C backend only).
+        """Pointer-table lane-change pass (compiled kernel).
 
         Same candidate order, RNG consumption and per-segment move
         batching as :meth:`_lane_change_batch`, with two structural
@@ -1549,7 +1541,8 @@ class TrafficEngine:
         """
         occ = self._occ_lanes
         cache = self._ranked_np
-        if self._use_tables:
+        kernel = self._kernel
+        if kernel is not None:
             # Pointer-table scan: repair the dirty eligibility entries
             # (ranking cache invalidated or occupied-lane count changed —
             # a handful of edges per step), then one bound native call
@@ -1590,9 +1583,7 @@ class TrafficEngine:
                     else:
                         elig[di] = 0
                 dirty.clear()
-            kernel_t = self._kernel
-            assert kernel_t is not None
-            if not kernel_t.rank_all_bound():
+            if not kernel.rank_all_bound():
                 return
             ranked_l = self._ranked
             for ei in np.nonzero(self._flags_buf)[0].tolist():
@@ -1621,23 +1612,6 @@ class TrafficEngine:
         parts_v = [pair[1] for pair in pairs]
         lens = [part.shape[0] for part in parts_s]
         ranked = self._ranked
-        kernel = self._kernel
-        if kernel is not None:
-            # Compiled scan: positions read straight through the slot
-            # indices, one flag per edge — no gather, no boundary masking.
-            m = len(eis)
-            total = sum(lens)
-            np.concatenate(parts_s, out=self._rank_buf[:total])
-            np.concatenate(parts_v, out=self._vid_buf[:total])
-            self._lens_buf[:m] = lens
-            if not kernel.rank_bound(m):
-                return
-            for j in np.nonzero(self._flags_buf[:m])[0].tolist():
-                ei = eis[j]
-                chain = ranked[ei]
-                assert chain is not None
-                ranked[ei] = self._emit_overtakes(ei, chain, events)
-            return
         if len(eis) == 1:
             slots_all = parts_s[0]
             vids_all = parts_v[0]

@@ -1,4 +1,4 @@
-"""Opt-in compiled backend for the engine's chained car-following step.
+"""The compiled backend for the engine's chained car-following step.
 
 The vectorized engine resolves most of a step with NumPy, but the
 front-to-back recurrence inside each lane (a follower's update reads its
@@ -12,24 +12,31 @@ both the scalar and the NumPy paths (the golden-trace suites pin this).
 A second entry point evaluates the lane-change candidate predicate (the
 ``LaneChangeModel.wants_to_change`` scan) over the same gathered order.
 
-Backends, tried in order (the fallback ladder's top rungs; the engine falls
-back to the NumPy path when neither loads, and ``vectorized=False`` remains
-the scalar reference below that):
+The engine uses it by default (``MobilityConfig.compiled=True``).  The
+ladder is **cc → NumPy**, with ``vectorized=False`` the scalar reference
+below both: **cc** is a small C translation unit compiled with the system
+C compiler into a process-lifetime temporary directory and loaded through
+:mod:`ctypes`.  It is compiled with ``-ffp-contract=off`` and no
+``-ffast-math``/``-march``, so every operation is a plain IEEE-754 double
+op in source order (no FMA contraction), and with explicit ternary min/max
+that return the *first* operand on ties — mirroring Python's
+``min``/``max`` (relevant for ``max(0.0, -0.0)``).
 
-* **numba** — ``@njit`` over the pure-Python reference loops (strict IEEE:
-  ``fastmath`` stays off).  Preferred when importable; nothing here imports
-  numba at module load, so environments without it pay nothing.
-* **cc** — a small C translation unit compiled at first use with the
-  system C compiler into a process-lifetime temporary directory and loaded
-  through :mod:`ctypes`.  Compiled with ``-ffp-contract=off`` and no
-  ``-ffast-math``/``-march`` so every operation is a plain IEEE-754 double
-  op in source order (no FMA contraction), and with explicit ternary
-  min/max that return the *first* operand on ties — mirroring Python's
-  ``min``/``max`` (relevant for ``max(0.0, -0.0)``).
+Loading
+-------
+The build runs lazily, when the first engine asks for the kernel — never
+at import.  It resolves once per process: one lock is held across the
+whole build, so engines constructed concurrently on other threads wait
+for it instead of racing past a half-finished build, and the outcome is
+published only once it is final.  When cc does not load, the outcome
+records why (no compiler on ``PATH``, the compiler's exit status and the
+tail of its stderr, a temp directory that cannot hold the build, or a
+load error); :func:`fallback_reason` returns it, and the first engine
+that falls back to NumPy warns with it once per process.
 
 Bitwise-equivalence contract
 ----------------------------
-Every backend must reproduce :meth:`SimplifiedIDM.advance` /
+The C sweeps must reproduce :meth:`SimplifiedIDM.advance` /
 :meth:`SimplifiedIDM.follow_scalar` operation for operation:
 
 * head update: ``vfree = clip(free, v - decel*dt, v + accel*dt)``,
@@ -42,7 +49,7 @@ Every backend must reproduce :meth:`SimplifiedIDM.advance` /
 
 :func:`advance_chain_py` / :func:`lane_change_candidates_py` are the
 executable specifications: plain Python floats, no NumPy ufuncs, usable as
-property-test oracles against both compiled backends.
+property-test oracles against the compiled kernel.
 
 Calling conventions
 -------------------
@@ -52,31 +59,33 @@ arrays every time (used by the unit tests and oracles).  The engine instead
 *binds* its resident arrays and preallocated output buffers once per
 capacity change (:meth:`StepKernel.bind`) and then issues
 :meth:`StepKernel.advance_bound` / :meth:`StepKernel.candidates_bound` with
-just the element count — for the C backend that caches every pointer and
-scalar as a ready ``ctypes`` argument, cutting per-step FFI overhead to a
-single foreign call.
+just the element count — every pointer and scalar is cached as a ready
+``ctypes`` argument, cutting per-step FFI overhead to a single foreign
+call.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
-from typing import Any, Callable, List, Optional, Tuple
+import threading
+import warnings
+from dataclasses import dataclass
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "advance_chain_py",
     "lane_change_candidates_py",
-    "rank_scan_py",
     "gather_all_py",
     "rank_scan_all_py",
     "lane_options_py",
     "available_backends",
+    "fallback_reason",
     "load_step_kernel",
     "StepKernel",
 ]
@@ -110,11 +119,11 @@ def advance_chain_py(
     fills the *gather-aligned* ``newly`` (arrived and not yet flagged
     waiting) and ``moved`` (position changed) output masks.
 
-    This function is the specification both compiled backends are tested
-    against; it is also what numba jits.  Returns the number of ``newly``
-    bits set (saving callers a mask reduction).  Ternary ``if``/``else``
-    min/max (first operand on ties) mirror Python's builtins — keep them, or the
-    ``max(0.0, -0.0)`` sign bit diverges from the scalar engine.
+    This function is the specification the C sweep is tested against.
+    Returns the number of ``newly`` bits set (saving callers a mask
+    reduction).  Ternary ``if``/``else`` min/max (first operand on ties)
+    mirror Python's builtins — keep them, or the ``max(0.0, -0.0)`` sign bit
+    diverges from the scalar engine.
     """
     n = idx.shape[0]
     lead_pos = 0.0
@@ -211,43 +220,6 @@ def lane_change_candidates_py(
     return n_cand
 
 
-def rank_scan_py(
-    slots: Any,
-    vids: Any,
-    lens: Any,
-    pos: Any,
-    flags: Any,
-) -> int:
-    """Reference per-edge overtake-ranking monotonicity scan (pure Python).
-
-    ``slots``/``vids`` hold the watched edges' cached ascending
-    (position, vid) rankings back to back; ``lens[e]`` is edge ``e``'s
-    ranking length.  ``flags[e]`` is set when any adjacent pair within the
-    edge inverted — post-step position strictly decreasing, or a positional
-    tie whose vid order disagrees — i.e. exactly when the engine must
-    enumerate that edge's overtakes.  Positions are read straight from the
-    resident array through the slot indices, so no gather precedes the
-    call.
-    """
-    off = 0
-    m = lens.shape[0]
-    n_flagged = 0
-    for e in range(m):
-        ln = lens[e]
-        bad = False
-        for k in range(1, ln):
-            a = pos[slots[off + k - 1]]
-            b = pos[slots[off + k]]
-            if b < a or (b == a and vids[off + k - 1] > vids[off + k]):
-                bad = True
-                break
-        flags[e] = bad
-        if bad:
-            n_flagged += 1
-        off += ln
-    return n_flagged
-
-
 def _deref_i64(addr: int, n: int) -> np.ndarray:
     """View ``n`` int64 values at ``addr`` (pointer-table oracle helper)."""
     if n == 0:
@@ -268,9 +240,7 @@ def gather_all_py(
     / ``lens[e]`` give the address and length of edge ``e``'s cached slot
     array.  Copies the per-edge arrays back to back into ``out`` and returns
     the total element count — exactly what the engine's per-edge
-    ``np.concatenate`` walk produced.  Pointer tables are a C-backend
-    feature (numba cannot dereference raw addresses), so this oracle exists
-    for the unit tests rather than as jit source.
+    ``np.concatenate`` walk produced.
     """
     total = 0
     for j in range(occ.shape[0]):
@@ -296,8 +266,7 @@ def lane_options_py(
     Bit 0: ``lane + 1`` exists and is gap-clear of ``own``; bit 1: same for
     ``lane - 1``.  ``gptrs[e]`` addresses edge ``e``'s gathered slot array
     and ``bptrs[e]`` its per-lane cumulative bounds.  Same |other - own| <
-    half comparison as the scalar model's lane scan; C-backend oracle only,
-    like :func:`gather_all_py`.
+    half comparison as the scalar model's lane scan.
     """
     bounds = _deref_i64(int(bptrs[e]), int(nlanes) + 1)
     slots = _deref_i64(int(gptrs[e]), int(bounds[nlanes]))
@@ -325,14 +294,14 @@ def rank_scan_all_py(
 ) -> int:
     """Reference full-range overtake-ranking scan (Python + ctypes).
 
-    The pointer-table form of :func:`rank_scan_py`: iterates *every* edge,
-    skipping those not flagged eligible (multilane, more than one occupied
-    lane, ranking cache fresh — the engine maintains ``elig`` at
-    invalidation time), and reads each eligible edge's cached ascending
-    (slot, vid) ranking through its table pointers.  ``flags`` is written
-    for the whole edge range every call.  Same inversion predicate as
-    :func:`rank_scan_py`; C-backend oracle only, like
-    :func:`gather_all_py`.
+    Iterates *every* edge, skipping those not flagged eligible (multilane,
+    more than one occupied lane, ranking cache fresh — the engine maintains
+    ``elig`` at invalidation time), and reads each eligible edge's cached
+    ascending (position, vid) ranking — its slot and vid arrays — through
+    its table pointers.  ``flags[e]`` is set when any adjacent pair inverted
+    — post-step position strictly decreasing, or a positional tie whose vid
+    order disagrees — i.e. exactly when the engine must enumerate that
+    edge's overtakes; it is written for the whole edge range every call.
     """
     n_edges = elig.shape[0]
     n_flagged = 0
@@ -418,30 +387,6 @@ int64_t advance_chain(
         lead_speed = nv;
     }
     return n_newly;
-}
-
-int64_t rank_scan(
-    const int64_t *slots, const int64_t *vids, const int64_t *lens,
-    int64_t n_edges, const double *pos, unsigned char *flags)
-{
-    int64_t off = 0;
-    int64_t n_flagged = 0;
-    for (int64_t e = 0; e < n_edges; e++) {
-        int64_t len = lens[e];
-        unsigned char bad = 0;
-        for (int64_t k = 1; k < len; k++) {
-            double a = pos[slots[off + k - 1]];
-            double b = pos[slots[off + k]];
-            if (b < a || (b == a && vids[off + k - 1] > vids[off + k])) {
-                bad = 1;
-                break;
-            }
-        }
-        flags[e] = bad;
-        n_flagged += bad;
-        off += len;
-    }
-    return n_flagged;
 }
 
 int64_t lane_change_candidates(
@@ -566,12 +511,6 @@ _CAND_ARGTYPES = [
     ctypes.c_double, ctypes.c_double,
 ]
 
-_RANK_ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_void_p,
-]
-
 _GATHER_ALL_ARGTYPES = [
     ctypes.c_void_p, ctypes.c_int64,
     ctypes.c_void_p, ctypes.c_void_p,
@@ -591,53 +530,53 @@ _LANE_OPTIONS_ARGTYPES = [
 ]
 
 
-class StepKernel:
-    """One loaded backend's advance + candidate kernels, parameter-bound.
+#: Every C entry point with its argument types, in :class:`_CcLibrary` order.
+_SYMBOLS = (
+    ("advance_chain", _ADVANCE_ARGTYPES),
+    ("lane_change_candidates", _CAND_ARGTYPES),
+    ("gather_all", _GATHER_ALL_ARGTYPES),
+    ("rank_scan_all", _RANK_ALL_ARGTYPES),
+    ("lane_options", _LANE_OPTIONS_ARGTYPES),
+)
 
-    Wraps either the numba-jitted reference loops or the C symbols behind a
-    uniform interface; the engine holds one instance per run (the model
-    parameters never change mid-run) and re-:meth:`bind`\\ s it whenever its
-    resident arrays are reallocated.
+
+class _CcLibrary(NamedTuple):
+    """The loaded kernel library's entry points (argtypes and restype set)."""
+
+    advance_chain: Any
+    lane_change_candidates: Any
+    gather_all: Any
+    rank_scan_all: Any
+    lane_options: Any
+
+
+def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.c_void_p(arr.ctypes.data)
+
+
+class StepKernel:
+    """The loaded C kernel's entry points, parameter-bound.
+
+    The engine holds one instance per run (the model parameters never
+    change mid-run) and re-:meth:`bind`\\ s it whenever its resident arrays
+    are reallocated.
     """
+
+    #: the backend that loaded (cc is the only compiled one)
+    backend = "cc"
 
     def __init__(
         self,
-        backend: str,
-        advance_fn: Callable[..., int],
-        cand_fn: Callable[..., int],
-        rank_fn: Callable[..., int],
+        lib: _CcLibrary,
         params: Tuple[float, float, float, float, float, float, float],
-        gather_fn: Optional[Callable[..., int]] = None,
-        rank_all_fn: Optional[Callable[..., int]] = None,
-        lane_opts_fn: Optional[Callable[..., int]] = None,
     ) -> None:
-        self.backend = backend
-        self._advance_fn = advance_fn
-        self._cand_fn = cand_fn
-        self._rank_fn = rank_fn
-        self._gather_fn = gather_fn
-        self._rank_all_fn = rank_all_fn
-        self._lane_opts_fn = lane_opts_fn
+        self._lib = lib
         self._params = params
         self._bound_advance: Optional[Callable[[int], int]] = None
         self._bound_cand: Optional[Callable[[int], int]] = None
-        self._bound_rank: Optional[Callable[[int], int]] = None
         self._bound_gather: Optional[Callable[[int], int]] = None
         self._bound_rank_all: Optional[Callable[[], int]] = None
         self._bound_lane_opts: Optional[Callable[[int, int, int, float], int]] = None
-
-    @property
-    def has_tables(self) -> bool:
-        """Whether the pointer-table sweeps loaded (C backend only).
-
-        numba cannot dereference raw addresses, so on that backend the
-        engine keeps its per-edge Python gather / packed ranking paths.
-        """
-        return (
-            self._gather_fn is not None
-            and self._rank_all_fn is not None
-            and self._lane_opts_fn is not None
-        )
 
     # --------------------------------------------------- explicit-arg calls
     def advance(
@@ -658,8 +597,12 @@ class StepKernel:
         place at the slots named by ``idx``; ``newly``/``moved`` are
         gather-aligned outputs.  Returns the number of ``newly`` bits set.
         """
-        return int(self._advance_fn(
-            idx, pos, speed, freeflow, seglen, heads, waitflag, newly, moved,
+        return int(self._lib.advance_chain(
+            idx.ctypes.data, idx.shape[0],
+            pos.ctypes.data, speed.ctypes.data,
+            freeflow.ctypes.data, seglen.ctypes.data,
+            heads.ctypes.data, waitflag.ctypes.data,
+            newly.ctypes.data, moved.ctypes.data,
             *self._params,
         ))
 
@@ -677,22 +620,13 @@ class StepKernel:
     ) -> int:
         """Fill the lane-change candidate mask (see
         :func:`lane_change_candidates_py`); returns the candidate count."""
-        return int(self._cand_fn(
-            idx, pos, speed, desired, multilane, heads, cand,
+        return int(self._lib.lane_change_candidates(
+            idx.ctypes.data, idx.shape[0],
+            pos.ctypes.data, speed.ctypes.data, desired.ctypes.data,
+            multilane.ctypes.data, heads.ctypes.data,
+            cand.ctypes.data,
             blocked_m, gain_mps,
         ))
-
-    def rank_scan(
-        self,
-        slots: np.ndarray,
-        vids: np.ndarray,
-        lens: np.ndarray,
-        pos: np.ndarray,
-        flags: np.ndarray,
-    ) -> int:
-        """Flag edges whose overtake ranking inverted (see
-        :func:`rank_scan_py`); returns the flagged-edge count."""
-        return int(self._rank_fn(slots, vids, lens, pos, flags))
 
     def gather_all(
         self,
@@ -702,9 +636,12 @@ class StepKernel:
         out: np.ndarray,
     ) -> int:
         """Pointer-table gather (see :func:`gather_all_py`); returns the
-        total gathered count.  Requires :attr:`has_tables`."""
-        assert self._gather_fn is not None
-        return int(self._gather_fn(occ, ptrs, lens, out))
+        total gathered count."""
+        return int(self._lib.gather_all(
+            occ.ctypes.data, occ.shape[0],
+            ptrs.ctypes.data, lens.ctypes.data,
+            out.ctypes.data,
+        ))
 
     def rank_scan_all(
         self,
@@ -716,10 +653,12 @@ class StepKernel:
         flags: np.ndarray,
     ) -> int:
         """Pointer-table full-range ranking scan (see
-        :func:`rank_scan_all_py`); returns the flagged-edge count.
-        Requires :attr:`has_tables`."""
-        assert self._rank_all_fn is not None
-        return int(self._rank_all_fn(elig, ptrs_s, ptrs_v, lens, pos, flags))
+        :func:`rank_scan_all_py`); returns the flagged-edge count."""
+        return int(self._lib.rank_scan_all(
+            elig.ctypes.data, elig.shape[0],
+            ptrs_s.ctypes.data, ptrs_v.ctypes.data, lens.ctypes.data,
+            pos.ctypes.data, flags.ctypes.data,
+        ))
 
     def lane_options(
         self,
@@ -732,10 +671,11 @@ class StepKernel:
         bptrs: np.ndarray,
         pos: np.ndarray,
     ) -> int:
-        """Both-neighbour lane viability bits (see :func:`lane_options_py`).
-        Requires :attr:`has_tables`."""
-        assert self._lane_opts_fn is not None
-        return int(self._lane_opts_fn(e, lane, nlanes, own, half, gptrs, bptrs, pos))
+        """Both-neighbour lane viability bits (see :func:`lane_options_py`)."""
+        return int(self._lib.lane_options(
+            e, lane, nlanes, own, half,
+            gptrs.ctypes.data, bptrs.ctypes.data, pos.ctypes.data,
+        ))
 
     # ------------------------------------------------------ bound fast path
     def bind(
@@ -754,147 +694,79 @@ class StepKernel:
         cand_buf: np.ndarray,
         blocked_m: float,
         gain_mps: float,
-        rank_buf: np.ndarray,
-        vid_buf: np.ndarray,
-        lens_buf: np.ndarray,
         flags_buf: np.ndarray,
         *,
-        occ_buf: Optional[np.ndarray] = None,
-        gather_ptr: Optional[np.ndarray] = None,
-        gather_len: Optional[np.ndarray] = None,
-        rank_elig: Optional[np.ndarray] = None,
-        rank_ptr_s: Optional[np.ndarray] = None,
-        rank_ptr_v: Optional[np.ndarray] = None,
-        rank_len: Optional[np.ndarray] = None,
-        bounds_ptr: Optional[np.ndarray] = None,
-        gap_half_m: float = 0.0,
+        occ_buf: np.ndarray,
+        gather_ptr: np.ndarray,
+        gather_len: np.ndarray,
+        rank_elig: np.ndarray,
+        rank_ptr_s: np.ndarray,
+        rank_ptr_v: np.ndarray,
+        rank_len: np.ndarray,
+        bounds_ptr: np.ndarray,
+        gap_half_m: float,
     ) -> None:
         """Cache the engine's arrays for count-only per-step calls.
 
         The gather lives in ``idx_buf[:n]`` and outputs land in
         ``newly_buf[:n]`` / ``moved_buf[:n]`` / ``cand_buf[:n]``; the
-        overtake scan reads ``rank_buf``/``vid_buf``/``lens_buf[:m]`` and
-        writes ``flags_buf[:m]``.  The keyword group binds the pointer
-        tables for the C-only full sweeps (:meth:`gather_bound` /
-        :meth:`rank_all_bound`) when the engine maintains them.  The
-        caller must re-bind whenever any array is *reallocated* (the
-        engine does so on capacity growth); in-place writes — including
-        pointer-table slot updates — need no re-bind.
+        ranking scan writes ``flags_buf`` over the whole edge range.  The
+        keyword group binds the pointer tables the full sweeps
+        (:meth:`gather_bound` / :meth:`rank_all_bound` /
+        :attr:`lane_opts_bound`) walk.  Every pointer and scalar becomes a
+        ready ``ctypes`` argument, so a per-step call is a single FFI
+        invocation with only the count varying.  The caller must re-bind
+        whenever any array is *reallocated* (the engine does so on capacity
+        growth); in-place writes — including pointer-table slot updates —
+        need no re-bind.
         """
-        if self.backend == "cc":
-            # Pre-converted ctypes arguments: the per-step call is a single
-            # FFI invocation with only ``n`` varying.
-            p = [ctypes.c_double(x) for x in self._params]
-            adv_args = (
-                ctypes.c_void_p(idx_buf.ctypes.data),
-                ctypes.c_void_p(pos.ctypes.data),
-                ctypes.c_void_p(speed.ctypes.data),
-                ctypes.c_void_p(freeflow.ctypes.data),
-                ctypes.c_void_p(seglen.ctypes.data),
-                ctypes.c_void_p(heads.ctypes.data),
-                ctypes.c_void_p(waitflag.ctypes.data),
-                ctypes.c_void_p(newly_buf.ctypes.data),
-                ctypes.c_void_p(moved_buf.ctypes.data),
-            )
-            cand_args = (
-                ctypes.c_void_p(idx_buf.ctypes.data),
-                ctypes.c_void_p(pos.ctypes.data),
-                ctypes.c_void_p(speed.ctypes.data),
-                ctypes.c_void_p(desired.ctypes.data),
-                ctypes.c_void_p(multilane.ctypes.data),
-                ctypes.c_void_p(heads.ctypes.data),
-                ctypes.c_void_p(cand_buf.ctypes.data),
-            )
-            rank_args = (
-                ctypes.c_void_p(rank_buf.ctypes.data),
-                ctypes.c_void_p(vid_buf.ctypes.data),
-                ctypes.c_void_p(lens_buf.ctypes.data),
-                ctypes.c_void_p(pos.ctypes.data),
-                ctypes.c_void_p(flags_buf.ctypes.data),
-            )
-            blocked = ctypes.c_double(blocked_m)
-            gain = ctypes.c_double(gain_mps)
-            adv_sym = self._advance_fn.__wrapped_sym__  # type: ignore[attr-defined]
-            cand_sym = self._cand_fn.__wrapped_sym__  # type: ignore[attr-defined]
-            rank_sym = self._rank_fn.__wrapped_sym__  # type: ignore[attr-defined]
+        lib = self._lib
+        p = [ctypes.c_double(x) for x in self._params]
+        idx_c = _ptr(idx_buf)
+        pos_c = _ptr(pos)
+        gptr_c = _ptr(gather_ptr)
+        adv_sym = lib.advance_chain
+        adv_args = (
+            pos_c, _ptr(speed), _ptr(freeflow), _ptr(seglen),
+            _ptr(heads), _ptr(waitflag), _ptr(newly_buf), _ptr(moved_buf), *p,
+        )
+        cand_sym = lib.lane_change_candidates
+        cand_args = (
+            pos_c, _ptr(speed), _ptr(desired), _ptr(multilane), _ptr(heads),
+            _ptr(cand_buf), ctypes.c_double(blocked_m), ctypes.c_double(gain_mps),
+        )
+        gather_sym = lib.gather_all
+        gat_args = (gptr_c, _ptr(gather_len), idx_c)
+        occ_c = _ptr(occ_buf)
+        rank_all_sym = lib.rank_scan_all
+        ra_args = (
+            _ptr(rank_elig), ctypes.c_int64(rank_elig.shape[0]),
+            _ptr(rank_ptr_s), _ptr(rank_ptr_v), _ptr(rank_len),
+            pos_c, _ptr(flags_buf),
+        )
+        lane_opts_sym = lib.lane_options
+        lo_args = (ctypes.c_double(gap_half_m), gptr_c, _ptr(bounds_ptr), pos_c)
 
-            def advance_bound(n: int) -> int:
-                return int(adv_sym(adv_args[0], n, *adv_args[1:], *p))
+        def advance_bound(n: int) -> int:
+            return int(adv_sym(idx_c, n, *adv_args))
 
-            def candidates_bound(n: int) -> int:
-                return int(cand_sym(cand_args[0], n, *cand_args[1:], blocked, gain))
+        def candidates_bound(n: int) -> int:
+            return int(cand_sym(idx_c, n, *cand_args))
 
-            def rank_bound(m: int) -> int:
-                return int(rank_sym(rank_args[0], rank_args[1], rank_args[2], m,
-                                    rank_args[3], rank_args[4]))
+        def gather_bound(m: int) -> int:
+            return int(gather_sym(occ_c, m, *gat_args))
 
-            if self.has_tables and occ_buf is not None:
-                assert gather_ptr is not None and gather_len is not None
-                assert rank_elig is not None and rank_len is not None
-                assert rank_ptr_s is not None and rank_ptr_v is not None
-                gather_sym = self._gather_fn.__wrapped_sym__  # type: ignore[union-attr]
-                rank_all_sym = self._rank_all_fn.__wrapped_sym__  # type: ignore[union-attr]
-                gat_args = (
-                    ctypes.c_void_p(occ_buf.ctypes.data),
-                    ctypes.c_void_p(gather_ptr.ctypes.data),
-                    ctypes.c_void_p(gather_len.ctypes.data),
-                    ctypes.c_void_p(idx_buf.ctypes.data),
-                )
-                ra_args = (
-                    ctypes.c_void_p(rank_elig.ctypes.data),
-                    ctypes.c_int64(rank_elig.shape[0]),
-                    ctypes.c_void_p(rank_ptr_s.ctypes.data),
-                    ctypes.c_void_p(rank_ptr_v.ctypes.data),
-                    ctypes.c_void_p(rank_len.ctypes.data),
-                    ctypes.c_void_p(pos.ctypes.data),
-                    ctypes.c_void_p(flags_buf.ctypes.data),
-                )
+        def rank_all_bound() -> int:
+            return int(rank_all_sym(*ra_args))
 
-                def gather_bound(m: int) -> int:
-                    return int(gather_sym(gat_args[0], m, *gat_args[1:]))
-
-                def rank_all_bound() -> int:
-                    return int(rank_all_sym(*ra_args))
-
-                self._bound_gather = gather_bound
-                self._bound_rank_all = rank_all_bound
-                if bounds_ptr is not None:
-                    lane_opts_sym = self._lane_opts_fn.__wrapped_sym__  # type: ignore[union-attr]
-                    half_c = ctypes.c_double(gap_half_m)
-                    gptr_c = ctypes.c_void_p(gather_ptr.ctypes.data)
-                    bptr_c = ctypes.c_void_p(bounds_ptr.ctypes.data)
-                    pos_c = ctypes.c_void_p(pos.ctypes.data)
-
-                    def lane_opts_bound(e: int, lane: int, nlanes: int, own: float) -> int:
-                        return int(lane_opts_sym(e, lane, nlanes, own, half_c,
-                                                 gptr_c, bptr_c, pos_c))
-
-                    self._bound_lane_opts = lane_opts_bound
-
-        else:
-            adv_fn = self._advance_fn
-            cand_fn = self._cand_fn
-            rank_fn = self._rank_fn
-            params = self._params
-
-            def advance_bound(n: int) -> int:
-                return int(adv_fn(
-                    idx_buf[:n], pos, speed, freeflow, seglen, heads,
-                    waitflag, newly_buf, moved_buf, *params,
-                ))
-
-            def candidates_bound(n: int) -> int:
-                return int(cand_fn(
-                    idx_buf[:n], pos, speed, desired, multilane, heads,
-                    cand_buf, blocked_m, gain_mps,
-                ))
-
-            def rank_bound(m: int) -> int:
-                return int(rank_fn(rank_buf, vid_buf, lens_buf[:m], pos, flags_buf))
+        def lane_opts_bound(e: int, lane: int, nlanes: int, own: float) -> int:
+            return int(lane_opts_sym(e, lane, nlanes, own, *lo_args))
 
         self._bound_advance = advance_bound
         self._bound_cand = candidates_bound
-        self._bound_rank = rank_bound
+        self._bound_gather = gather_bound
+        self._bound_rank_all = rank_all_bound
+        self._bound_lane_opts = lane_opts_bound
 
     def advance_bound(self, n: int) -> int:
         """Bound-mode advance over ``idx_buf[:n]`` (requires :meth:`bind`);
@@ -907,17 +779,6 @@ class StepKernel:
         candidate count."""
         assert self._bound_cand is not None
         return self._bound_cand(n)
-
-    def rank_bound(self, m: int) -> int:
-        """Bound-mode ranking scan over ``lens_buf[:m]`` into
-        ``flags_buf[:m]``; returns the flagged-edge count."""
-        assert self._bound_rank is not None
-        return self._bound_rank(m)
-
-    @property
-    def tables_bound(self) -> bool:
-        """Whether :meth:`bind` installed the pointer-table sweeps."""
-        return self._bound_gather is not None
 
     def gather_bound(self, m: int) -> int:
         """Bound-mode pointer-table gather over the first ``m`` occupied
@@ -939,187 +800,111 @@ class StepKernel:
         return self._bound_lane_opts
 
 
-def _c_wrapper(sym: Any, argtypes: List[Any]) -> Callable[..., int]:
-    """Adapt a raw C symbol to the array-level calling convention."""
-    sym.restype = ctypes.c_int64
-    sym.argtypes = argtypes
-
-    if len(argtypes) == len(_ADVANCE_ARGTYPES):
-
-        def call(
-            idx: np.ndarray,
-            pos: np.ndarray,
-            speed: np.ndarray,
-            freeflow: np.ndarray,
-            seglen: np.ndarray,
-            heads: np.ndarray,
-            waitflag: np.ndarray,
-            newly: np.ndarray,
-            moved: np.ndarray,
-            *params: float,
-        ) -> int:
-            return sym(
-                idx.ctypes.data, idx.shape[0],
-                pos.ctypes.data, speed.ctypes.data,
-                freeflow.ctypes.data, seglen.ctypes.data,
-                heads.ctypes.data, waitflag.ctypes.data,
-                newly.ctypes.data, moved.ctypes.data,
-                *params,
-            )
-
-    elif len(argtypes) == len(_CAND_ARGTYPES):
-
-        def call(  # type: ignore[misc]
-            idx: np.ndarray,
-            pos: np.ndarray,
-            speed: np.ndarray,
-            desired: np.ndarray,
-            multilane: np.ndarray,
-            heads: np.ndarray,
-            cand: np.ndarray,
-            *params: float,
-        ) -> int:
-            return sym(
-                idx.ctypes.data, idx.shape[0],
-                pos.ctypes.data, speed.ctypes.data, desired.ctypes.data,
-                multilane.ctypes.data, heads.ctypes.data,
-                cand.ctypes.data,
-                *params,
-            )
-
-    elif len(argtypes) == len(_RANK_ARGTYPES):
-
-        def call(  # type: ignore[misc]
-            slots: np.ndarray,
-            vids: np.ndarray,
-            lens: np.ndarray,
-            pos: np.ndarray,
-            flags: np.ndarray,
-        ) -> int:
-            return sym(
-                slots.ctypes.data, vids.ctypes.data, lens.ctypes.data,
-                lens.shape[0],
-                pos.ctypes.data, flags.ctypes.data,
-            )
-
-    elif len(argtypes) == len(_GATHER_ALL_ARGTYPES):
-
-        def call(  # type: ignore[misc]
-            occ: np.ndarray,
-            ptrs: np.ndarray,
-            lens: np.ndarray,
-            out: np.ndarray,
-        ) -> int:
-            return sym(
-                occ.ctypes.data, occ.shape[0],
-                ptrs.ctypes.data, lens.ctypes.data,
-                out.ctypes.data,
-            )
-
-    elif len(argtypes) == len(_RANK_ALL_ARGTYPES):
-
-        def call(  # type: ignore[misc]
-            elig: np.ndarray,
-            ptrs_s: np.ndarray,
-            ptrs_v: np.ndarray,
-            lens: np.ndarray,
-            pos: np.ndarray,
-            flags: np.ndarray,
-        ) -> int:
-            return sym(
-                elig.ctypes.data, elig.shape[0],
-                ptrs_s.ctypes.data, ptrs_v.ctypes.data, lens.ctypes.data,
-                pos.ctypes.data, flags.ctypes.data,
-            )
-
-    else:
-
-        def call(  # type: ignore[misc]
-            e: int,
-            lane: int,
-            nlanes: int,
-            own: float,
-            half: float,
-            gptrs: np.ndarray,
-            bptrs: np.ndarray,
-            pos: np.ndarray,
-        ) -> int:
-            return sym(
-                e, lane, nlanes, own, half,
-                gptrs.ctypes.data, bptrs.ctypes.data, pos.ctypes.data,
-            )
-
-    call.__wrapped_sym__ = sym  # type: ignore[attr-defined]
-    return call
+# ------------------------------------------------------------------ loader
+_CC_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_CC_TIMEOUT_S = 120
+#: How much of a failed compiler's stderr the recorded reason keeps.
+_STDERR_TAIL_CHARS = 400
 
 
-# Resolved backends, cached per process: ``False`` = not tried yet,
-# ``None`` = tried and unavailable.
-_NUMBA_FNS: Any = False
-_C_FNS: Any = False
-_TMPDIR: Optional[tempfile.TemporaryDirectory] = None
+@dataclass
+class _Resolution:
+    """One process's final build outcome: the library, or why there is none."""
+
+    lib: Optional[_CcLibrary] = None
+    reason: Optional[str] = None
+    #: keeps the shared object's directory alive as long as the process
+    builddir: Optional["tempfile.TemporaryDirectory[str]"] = None
+    #: whether a fallback warning has been issued for this outcome
+    warned: bool = False
 
 
-def _load_numba() -> Optional[Tuple[Callable[..., int], ...]]:
-    global _NUMBA_FNS
-    if _NUMBA_FNS is not False:
-        return _NUMBA_FNS
-    try:
-        from numba import njit  # type: ignore[import-not-found]
-
-        _NUMBA_FNS = (
-            njit(cache=False)(advance_chain_py),
-            njit(cache=False)(lane_change_candidates_py),
-            njit(cache=False)(rank_scan_py),
-        )
-    except Exception:
-        _NUMBA_FNS = None
-    return _NUMBA_FNS
+#: Held across the whole build, so concurrent first engines wait for it.
+_LOCK = threading.Lock()
+#: This process's build outcome: None until the first engine asks, then
+#: the final :class:`_Resolution` (published only once complete).
+_RESOLVED: Optional[_Resolution] = None
 
 
-def _load_cc() -> Optional[Tuple[Callable[..., int], ...]]:
-    global _C_FNS, _TMPDIR
-    if _C_FNS is not False:
-        return _C_FNS
-    _C_FNS = None
+def _fresh_lock_after_fork() -> None:
+    # A fork taken while another thread held the lock mid-build would leave
+    # the child's copy held forever; the child starts with a free one (and,
+    # with nothing published yet, builds for itself).
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lock_after_fork)
+
+
+def _build_cc() -> _Resolution:
+    """Compile and load the C kernel, or record why that failed."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
-        return None
+        return _Resolution(reason="no C compiler on PATH (looked for cc and gcc)")
     try:
-        _TMPDIR = tempfile.TemporaryDirectory(prefix="repro-kernel-")
-        digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-        src = os.path.join(_TMPDIR.name, f"kernel_{digest}.c")
-        lib = os.path.join(_TMPDIR.name, f"kernel_{digest}.so")
-        with open(src, "w") as fh:
+        builddir = tempfile.TemporaryDirectory(prefix="repro-kernel-")
+    except OSError as exc:
+        return _Resolution(
+            reason=f"cannot create a build directory in the temp dir "
+            f"{tempfile.gettempdir()}: {exc}"
+        )
+    src = os.path.join(builddir.name, "kernel.c")
+    lib = os.path.join(builddir.name, "kernel.so")
+    try:
+        with open(src, "w", encoding="utf-8") as fh:
             fh.write(_C_SOURCE)
-        subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", src, "-o", lib],
-            check=True,
+    except OSError as exc:
+        return _Resolution(reason=f"cannot write the kernel source to {builddir.name}: {exc}")
+    try:
+        proc = subprocess.run(
+            [cc, *_CC_FLAGS, src, "-o", lib],
             capture_output=True,
-            timeout=120,
+            text=True,
+            timeout=_CC_TIMEOUT_S,
         )
+    except subprocess.TimeoutExpired:
+        return _Resolution(reason=f"{cc} did not finish within {_CC_TIMEOUT_S} s")
+    except OSError as exc:
+        return _Resolution(reason=f"cannot run {cc}: {exc}")
+    if proc.returncode != 0:
+        tail = proc.stderr.strip()[-_STDERR_TAIL_CHARS:] or "(no stderr)"
+        return _Resolution(reason=f"{cc} exited with status {proc.returncode}: {tail}")
+    try:
         dll = ctypes.CDLL(lib)
-        _C_FNS = (
-            _c_wrapper(dll.advance_chain, _ADVANCE_ARGTYPES),
-            _c_wrapper(dll.lane_change_candidates, _CAND_ARGTYPES),
-            _c_wrapper(dll.rank_scan, _RANK_ARGTYPES),
-            _c_wrapper(dll.gather_all, _GATHER_ALL_ARGTYPES),
-            _c_wrapper(dll.rank_scan_all, _RANK_ALL_ARGTYPES),
-            _c_wrapper(dll.lane_options, _LANE_OPTIONS_ARGTYPES),
-        )
-    except Exception:
-        _C_FNS = None
-    return _C_FNS
+        syms = []
+        for name, argtypes in _SYMBOLS:
+            sym = getattr(dll, name)
+            sym.restype = ctypes.c_int64
+            sym.argtypes = argtypes
+            syms.append(sym)
+    except (OSError, AttributeError) as exc:
+        return _Resolution(reason=f"cannot load {lib}: {exc}")
+    return _Resolution(lib=_CcLibrary(*syms), builddir=builddir)
+
+
+def _resolve() -> _Resolution:
+    """This process's build outcome, building it on first use."""
+    global _RESOLVED
+    resolved = _RESOLVED
+    if resolved is None:
+        with _LOCK:
+            resolved = _RESOLVED
+            if resolved is None:
+                resolved = _build_cc()
+                _RESOLVED = resolved
+    return resolved
 
 
 def available_backends() -> List[str]:
-    """The compiled backends that actually load here, in preference order."""
-    out = []
-    if _load_numba() is not None:
-        out.append("numba")
-    if _load_cc() is not None:
-        out.append("cc")
-    return out
+    """The compiled backends that load here: ``["cc"]`` or ``[]``."""
+    return [] if _resolve().lib is None else ["cc"]
+
+
+def fallback_reason() -> Optional[str]:
+    """Why the cc kernel did not load in this process (None when it did)."""
+    return _resolve().reason
 
 
 def load_step_kernel(
@@ -1132,11 +917,11 @@ def load_step_kernel(
     min_gap_m: float,
     arrival_eps_m: float,
 ) -> Optional[StepKernel]:
-    """Load the preferred compiled backend bound to these parameters.
+    """Load the cc kernel bound to these parameters.
 
-    Returns ``None`` when no backend is available — the engine then runs
-    its NumPy path unchanged (``MobilityConfig.compiled`` is a request,
-    not a requirement; the fallback is transparent and bit-identical).
+    Returns ``None`` when it does not load; the engine then runs its NumPy
+    path, which is bit-identical and slower.  The first such fallback in a
+    process warns (:class:`RuntimeWarning`) with :func:`fallback_reason`.
     """
     # The headway denominator, computed once exactly as follow_scalar does.
     denom = max(dt_s + headway_s * 0.25, 1e-9)
@@ -1149,13 +934,16 @@ def load_step_kernel(
         float(min_gap_m),
         float(arrival_eps_m),
     )
-    fns = _load_numba()
-    if fns is not None:
-        return StepKernel("numba", fns[0], fns[1], fns[2], params)
-    fns = _load_cc()
-    if fns is not None:
-        return StepKernel(
-            "cc", fns[0], fns[1], fns[2], params,
-            gather_fn=fns[3], rank_all_fn=fns[4], lane_opts_fn=fns[5],
+    resolved = _resolve()
+    if resolved.lib is not None:
+        return StepKernel(resolved.lib, params)
+    with _LOCK:
+        first = not resolved.warned
+        resolved.warned = True
+    if first:
+        warnings.warn(
+            f"compiled step kernel unavailable, running the NumPy path: {resolved.reason}",
+            RuntimeWarning,
+            stacklevel=3,
         )
     return None

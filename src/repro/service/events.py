@@ -20,7 +20,10 @@ Event schema (one NDJSON line per event on the wire)::
 
 =============  ==============================================================
 ``run_start``  ``{scenario, initial_fleet, patrol_cars, num_seeds,
-               horizon_s}`` — once, when the fleet is populated
+               horizon_s, kernel}`` — once, when the fleet is populated;
+               ``kernel`` is the engine's step path (``cc``, ``numpy`` or
+               ``scalar``), and ``kernel_fallback_reason`` says why when
+               it is not ``cc``
 ``step``       ``{step, time_s, inside, count}`` — after every engine step:
                step index, simulated clock, vehicles inside, the protocol's
                global count (the live convergence counter)
@@ -205,16 +208,18 @@ class ServiceEventObserver:
 
     # ------------------------------------------------------------ run hooks
     def on_run_start(self, sim: "Simulation") -> None:
-        self.log.append(
-            "run_start",
-            {
-                "scenario": sim.config.name,
-                "initial_fleet": sim.initial_fleet_size,
-                "patrol_cars": sim.patrol_count,
-                "num_seeds": len(sim.seeds),
-                "horizon_s": sim.config.max_duration_s,
-            },
-        )
+        data: Dict[str, Any] = {
+            "scenario": sim.config.name,
+            "initial_fleet": sim.initial_fleet_size,
+            "patrol_cars": sim.patrol_count,
+            "num_seeds": len(sim.seeds),
+            "horizon_s": sim.config.max_duration_s,
+            "kernel": sim.engine.kernel_backend,
+        }
+        reason = sim.engine.kernel_fallback_reason
+        if reason is not None:
+            data["kernel_fallback_reason"] = reason
+        self.log.append("run_start", data)
 
     def on_step(self, sim: "Simulation", step_index: int) -> None:
         count = sim.protocol.global_count()

@@ -53,12 +53,12 @@ class MobilityConfig:
     ``vectorized`` selects the engine's batch NumPy hot path (default); the
     scalar per-vehicle reference engine (``vectorized=False``) produces a
     bit-for-bit identical event stream and is kept as the equivalence
-    baseline exercised by the dual-engine test matrix.  ``compiled`` opts
-    in to the compiled inner step kernel (numba when importable, else a
-    C library built with the system compiler; see
-    :mod:`repro.mobility.kernels`) — a request, not a requirement: when no
-    backend loads, the engine transparently runs the NumPy path, and every
-    backend is bit-for-bit identical to it.
+    baseline exercised by the dual-engine test matrix.  ``compiled``
+    (default) runs the compiled inner step kernel, a C library built with
+    the system compiler on first use (see :mod:`repro.mobility.kernels`).
+    When it cannot load, the engine runs the NumPy path, which is
+    bit-for-bit identical and slower, and warns once per process with the
+    reason; ``TrafficEngine.kernel_backend`` reports what ran.
     """
 
     dt_s: float = 0.5
@@ -66,7 +66,7 @@ class MobilityConfig:
     admissions_per_step: int = 4
     crossing_delay_s: float = 0.5
     vectorized: bool = True
-    compiled: bool = False
+    compiled: bool = True
 
     def __post_init__(self) -> None:
         if self.dt_s <= 0:

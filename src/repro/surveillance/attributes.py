@@ -108,17 +108,36 @@ class ExteriorSignature:
 WHITE_VAN = ExteriorSignature(color="white", body_type="van")
 
 
-def _weighted_choice(rng: np.random.Generator, table: Sequence[Tuple[str, float]]) -> str:
-    names = [n for n, _ in table]
+def _cdf(table: Sequence[Tuple[str, float]]) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """A weighted table's names and CDF, computed as ``Generator.choice``
+    computes it for ``p=weights / weights.sum()`` (normalize, ``cumsum``,
+    divide by the last entry), so draws against it are that call's draws."""
+    names = tuple(n for n, _ in table)
     weights = np.asarray([w for _, w in table], dtype=float)
-    weights = weights / weights.sum()
-    return str(rng.choice(names, p=weights))
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return names, cdf
+
+
+_COLOR_CDF = _cdf(COLORS)
+_BODY_TYPE_CDF = _cdf(BODY_TYPES)
+
+
+def _weighted_choice(rng: np.random.Generator, names_cdf: Tuple[Tuple[str, ...], np.ndarray]) -> str:
+    """``str(rng.choice(names, p=weights))``: the same single uniform draw
+    and the same index, without re-deriving the CDF on every call."""
+    names, cdf = names_cdf
+    return names[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 def random_signature(rng: np.random.Generator) -> ExteriorSignature:
-    """Draw a concrete vehicle signature from the population distributions."""
+    """Draw a concrete vehicle signature from the population distributions.
+
+    Consumes ``rng`` exactly as ``rng.choice`` over the three tables would
+    (``rng.integers(len(MAKES))`` is ``rng.choice(MAKES)``'s draw).
+    """
     return ExteriorSignature(
-        color=_weighted_choice(rng, COLORS),
-        make=str(rng.choice(MAKES)),
-        body_type=_weighted_choice(rng, BODY_TYPES),
+        color=_weighted_choice(rng, _COLOR_CDF),
+        make=MAKES[int(rng.integers(len(MAKES)))],
+        body_type=_weighted_choice(rng, _BODY_TYPE_CDF),
     )

@@ -154,11 +154,20 @@ def _load_fixture() -> dict:
         return json.load(fh)
 
 
+#: engine keyword arguments per mode: the default (compiled kernel wherever
+#: it loads), the NumPy path it falls back to, and the scalar reference
+ENGINE_MODES = {
+    "vectorized": {},
+    "numpy": {"compiled": False},
+    "legacy": {"vectorized": False},
+}
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("mode", ["vectorized", "legacy"])
+@pytest.mark.parametrize("mode", sorted(ENGINE_MODES))
 def test_trace_matches_pre_refactor_fixture(scenario, mode):
     recorded = _load_fixture()[scenario]
-    eng, events = SCENARIOS[scenario]({"vectorized": mode == "vectorized"})
+    eng, events = SCENARIOS[scenario](ENGINE_MODES[mode])
     summary = trace_summary(eng, events)
     # Compare the cheap, debuggable parts first so a mismatch names itself.
     assert summary["stats"] == recorded["stats"]

@@ -235,8 +235,8 @@ def test_batched_equals_scalar_on_dense_irregular_scenarios(
     patrol ferrying, lossy wireless and heavy through traffic fires border
     crossings, labels, reports, patrol syncs and overtakes every few steps —
     the full batched stack (vectorized engine tails + batched pipeline, plus
-    the compiled kernel when a backend loads) must stay bit-for-bit the
-    scalar per-event reference on any such draw."""
+    the compiled kernel wherever it loads) must stay bit-for-bit the scalar
+    per-event reference on any such draw."""
     from repro.core.patrol import PatrolPlan
 
     config = ScenarioConfig(

@@ -163,6 +163,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "lossy-grid" in out and "error +0" in out
+        # the summary names the step path that ran, and why when not cc
+        from repro.mobility.kernels import available_backends
+
+        kernel = [line for line in out.splitlines() if line.startswith("kernel ")]
+        assert len(kernel) == 1
+        if available_backends():
+            assert kernel[0] == "kernel                : cc"
+        else:
+            assert kernel[0].startswith("kernel                : numpy (")
 
     def test_parser_rejects_bad_figure(self):
         with pytest.raises(SystemExit):

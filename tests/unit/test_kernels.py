@@ -1,37 +1,48 @@
-"""Compiled step-kernel backends vs. their pure-Python oracles.
+"""The compiled step kernel vs. its pure-Python oracles, and its loader.
 
 :mod:`repro.mobility.kernels` ships executable specifications
-(``advance_chain_py`` and friends) and up to two compiled backends (numba,
-cc).  Every backend that loads in this environment must reproduce the
-oracles *bit for bit* on randomized inputs — positions and speeds compared
-with ``array_equal`` (which distinguishes ``-0.0`` from ``0.0`` via the
-follow-up sign check), never ``allclose``.  The pointer-table sweeps
-(``gather_all`` / ``rank_scan_all`` / ``lane_options``) are C-only and are
-checked against their ctypes-dereferencing oracles; the bound calling
-convention is checked against the explicit-arg one on the same data.
+(``advance_chain_py`` and friends) and one compiled backend, cc.  When it
+loads here it must reproduce the oracles *bit for bit* on randomized
+inputs — positions and speeds compared with ``array_equal`` (which
+distinguishes ``-0.0`` from ``0.0`` via the follow-up sign check), never
+``allclose``.  The pointer-table sweeps (``gather_all`` / ``rank_scan_all``
+/ ``lane_options``) are checked against their ctypes-dereferencing
+oracles; the bound calling convention is checked against the explicit-arg
+one on the same data.
 
-When no compiled backend is available the loader must return ``None`` and
-the engine must still honour ``compiled=True`` by running its NumPy path —
-the fallback tests below monkeypatch the resolution caches to simulate a
-backendless host, so CI exercises the scalar fallback even where cc exists.
+When cc does not load, the loader must return ``None`` with a recorded
+reason, the engine must run its NumPy path (``kernel_backend == "numpy"``)
+and warn once with that reason.  The fallback tests below reset the
+loader's per-process cache and break the build on purpose (no compiler on
+``PATH``, a temp dir that cannot hold the build, a failing compiler, an
+unloadable library), so every host exercises them; the race test builds
+the kernel from several threads at once.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import shutil
+import stat
+import sys
+import tempfile
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.mobility import kernels
 from repro.mobility.kernels import (
-    StepKernel,
     advance_chain_py,
     available_backends,
+    fallback_reason,
     gather_all_py,
     lane_change_candidates_py,
     lane_options_py,
     load_step_kernel,
     rank_scan_all_py,
-    rank_scan_py,
 )
 
 PARAMS = dict(
@@ -45,18 +56,17 @@ PARAMS = dict(
 )
 
 
-def _backend_fns(backend):
-    """The raw (advance, cand, rank, ...) tuple of one loaded backend."""
-    fns = kernels._load_numba() if backend == "numba" else kernels._load_cc()
-    assert fns is not None
-    return fns
+def _has_compiler():
+    return bool(shutil.which("cc") or shutil.which("gcc"))
 
 
-def backends():
-    avail = available_backends()
-    if not avail:
-        pytest.skip("no compiled backend available in this environment")
-    return avail
+def _cc_kernel():
+    """The cc kernel bound to ``PARAMS``, or skip where it does not load."""
+    if not available_backends():
+        pytest.skip(f"cc kernel unavailable here: {fallback_reason()}")
+    kernel = load_step_kernel(**PARAMS)
+    assert kernel is not None and kernel.backend == "cc"
+    return kernel
 
 
 def _chain_inputs(rng, n):
@@ -94,104 +104,68 @@ def _advance_args():
 
 class TestAdvanceChain:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_backends_match_oracle_bitwise(self, seed):
-        for backend in backends():
-            fn = _backend_fns(backend)[0]
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(1, 60))
-            idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
-            newly_a = np.zeros(n, dtype=bool)
-            moved_a = np.zeros(n, dtype=bool)
-            newly_b = np.zeros(n, dtype=bool)
-            moved_b = np.zeros(n, dtype=bool)
-            pos_a, speed_a = pos.copy(), speed.copy()
-            pos_b, speed_b = pos.copy(), speed.copy()
-            ref = advance_chain_py(
-                idx, pos_a, speed_a, freeflow, seglen,
-                heads.astype(np.uint8), waitflag.astype(np.uint8),
-                newly_a, moved_a, *_advance_args(),
-            )
-            got = fn(
-                idx, pos_b, speed_b, freeflow, seglen,
-                heads.astype(np.uint8), waitflag.astype(np.uint8),
-                newly_b, moved_b, *_advance_args(),
-            )
-            assert got == ref, backend
-            assert np.array_equal(pos_a, pos_b), backend
-            assert np.array_equal(speed_a, speed_b), backend
-            # -0.0 vs 0.0 would pass array_equal; the sign bits must agree
-            # too (the scalar engine's max(0.0, -0.0) contract).
-            assert np.array_equal(np.signbit(speed_a), np.signbit(speed_b)), backend
-            assert np.array_equal(newly_a, newly_b), backend
-            assert np.array_equal(moved_a, moved_b), backend
+    def test_cc_matches_oracle_bitwise(self, seed):
+        kernel = _cc_kernel()
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
+        newly_a = np.zeros(n, dtype=bool)
+        moved_a = np.zeros(n, dtype=bool)
+        newly_b = np.zeros(n, dtype=bool)
+        moved_b = np.zeros(n, dtype=bool)
+        pos_a, speed_a = pos.copy(), speed.copy()
+        pos_b, speed_b = pos.copy(), speed.copy()
+        ref = advance_chain_py(
+            idx, pos_a, speed_a, freeflow, seglen,
+            heads.astype(np.uint8), waitflag.astype(np.uint8),
+            newly_a, moved_a, *_advance_args(),
+        )
+        got = kernel.advance(
+            idx, pos_b, speed_b, freeflow, seglen,
+            heads.astype(np.uint8), waitflag.astype(np.uint8),
+            newly_b, moved_b,
+        )
+        assert got == ref
+        assert np.array_equal(pos_a, pos_b)
+        assert np.array_equal(speed_a, speed_b)
+        # -0.0 vs 0.0 would pass array_equal; the sign bits must agree too
+        # (the scalar engine's max(0.0, -0.0) contract).
+        assert np.array_equal(np.signbit(speed_a), np.signbit(speed_b))
+        assert np.array_equal(newly_a, newly_b)
+        assert np.array_equal(moved_a, moved_b)
 
     def test_empty_chain(self):
-        for backend in backends():
-            fn = _backend_fns(backend)[0]
-            empty = np.empty(0, dtype=np.intp)
-            z = np.empty(0, dtype=np.uint8)
-            f = np.empty(0, dtype=np.float64)
-            assert fn(empty, f, f.copy(), f, f, z, z,
-                      np.empty(0, dtype=bool), np.empty(0, dtype=bool),
-                      *_advance_args()) == 0
+        kernel = _cc_kernel()
+        empty = np.empty(0, dtype=np.intp)
+        z = np.empty(0, dtype=np.uint8)
+        f = np.empty(0, dtype=np.float64)
+        assert kernel.advance(empty, f, f.copy(), f, f, z, z,
+                              np.empty(0, dtype=bool), np.empty(0, dtype=bool)) == 0
 
 
 class TestLaneChangeCandidates:
     @pytest.mark.parametrize("seed", [0, 7, 11])
-    def test_backends_match_oracle(self, seed):
-        for backend in backends():
-            fn = _backend_fns(backend)[1]
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(1, 50))
-            idx = rng.permutation(n).astype(np.intp)
-            pos = rng.uniform(0.0, 100.0, n)
-            speed = rng.uniform(0.0, 15.0, n)
-            desired = rng.uniform(5.0, 15.0, n)
-            multilane = (rng.random(n) < 0.7).astype(np.uint8)
-            heads = (rng.random(n) < 0.3).astype(np.uint8)
-            cand_a = np.zeros(n, dtype=bool)
-            cand_b = np.zeros(n, dtype=bool)
-            ref = lane_change_candidates_py(
-                idx, pos, speed, desired, multilane, heads, cand_a, 12.0, 1.0
-            )
-            got = fn(idx, pos, speed, desired, multilane, heads, cand_b, 12.0, 1.0)
-            assert got == ref, backend
-            assert np.array_equal(cand_a, cand_b), backend
-
-
-def _rankings(rng, n_edges, n_slots):
-    """Random packed per-edge ascending rankings (with deliberate ties)."""
-    pos = rng.uniform(0.0, 50.0, n_slots).round(1)  # rounding makes ties
-    lens = rng.integers(0, 6, n_edges).astype(np.int64)
-    total = int(lens.sum())
-    slots = rng.integers(0, n_slots, total).astype(np.int64)
-    vids = rng.integers(0, 10_000, total).astype(np.int64)
-    return pos, lens, slots, vids
-
-
-class TestRankScan:
-    @pytest.mark.parametrize("seed", [3, 9, 21])
-    def test_backends_match_oracle(self, seed):
-        for backend in backends():
-            fn = _backend_fns(backend)[2]
-            rng = np.random.default_rng(seed)
-            pos, lens, slots, vids = _rankings(rng, 12, 40)
-            flags_a = np.zeros(12, dtype=np.uint8)
-            flags_b = np.zeros(12, dtype=np.uint8)
-            ref = rank_scan_py(slots, vids, lens, pos, flags_a)
-            got = fn(slots, vids, lens, pos, flags_b)
-            assert got == ref, backend
-            assert np.array_equal(flags_a, flags_b), backend
+    def test_cc_matches_oracle(self, seed):
+        kernel = _cc_kernel()
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 50))
+        idx = rng.permutation(n).astype(np.intp)
+        pos = rng.uniform(0.0, 100.0, n)
+        speed = rng.uniform(0.0, 15.0, n)
+        desired = rng.uniform(5.0, 15.0, n)
+        multilane = (rng.random(n) < 0.7).astype(np.uint8)
+        heads = (rng.random(n) < 0.3).astype(np.uint8)
+        cand_a = np.zeros(n, dtype=bool)
+        cand_b = np.zeros(n, dtype=bool)
+        ref = lane_change_candidates_py(
+            idx, pos, speed, desired, multilane, heads, cand_a, 12.0, 1.0
+        )
+        got = kernel.candidates(idx, pos, speed, desired, multilane, heads, cand_b, 12.0, 1.0)
+        assert got == ref
+        assert np.array_equal(cand_a, cand_b)
 
 
 # ------------------------------------------------------------ pointer tables
-def _cc_or_skip():
-    fns = kernels._load_cc()
-    if fns is None:
-        pytest.skip("cc backend unavailable (pointer tables are C-only)")
-    return fns
-
-
 def _edge_tables(rng, n_edges, n_slots):
     """Per-edge cached slot arrays plus their address/length tables.
 
@@ -213,7 +187,7 @@ def _edge_tables(rng, n_edges, n_slots):
 class TestGatherAll:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_c_matches_oracle(self, seed):
-        fn = _cc_or_skip()[3]
+        kernel = _cc_kernel()
         rng = np.random.default_rng(seed)
         n_edges = 10
         keep, ptrs, lens = _edge_tables(rng, n_edges, 30)
@@ -222,7 +196,7 @@ class TestGatherAll:
         out_a = np.zeros(cap, dtype=np.int64)
         out_b = np.zeros(cap, dtype=np.int64)
         ref = gather_all_py(occ, ptrs, lens, out_a)
-        got = fn(occ, ptrs, lens, out_b)
+        got = kernel.gather_all(occ, ptrs, lens, out_b)
         assert got == ref
         assert np.array_equal(out_a[:ref], out_b[:ref])
         # the gather is the back-to-back concatenation in occ order
@@ -234,10 +208,10 @@ class TestGatherAll:
 class TestRankScanAll:
     @pytest.mark.parametrize("seed", [2, 13])
     def test_c_matches_oracle(self, seed):
-        fn = _cc_or_skip()[4]
+        kernel = _cc_kernel()
         rng = np.random.default_rng(seed)
         n_edges, n_slots = 14, 40
-        pos = rng.uniform(0.0, 50.0, n_slots).round(1)
+        pos = rng.uniform(0.0, 50.0, n_slots).round(1)  # rounding makes ties
         keep = []
         ptrs_s = np.zeros(n_edges, dtype=np.int64)
         ptrs_v = np.zeros(n_edges, dtype=np.int64)
@@ -252,7 +226,7 @@ class TestRankScanAll:
         flags_a = np.zeros(n_edges, dtype=np.uint8)
         flags_b = np.zeros(n_edges, dtype=np.uint8)
         ref = rank_scan_all_py(elig, ptrs_s, ptrs_v, lens, pos, flags_a)
-        got = fn(elig, ptrs_s, ptrs_v, lens, pos, flags_b)
+        got = kernel.rank_scan_all(elig, ptrs_s, ptrs_v, lens, pos, flags_b)
         assert got == ref
         assert np.array_equal(flags_a, flags_b)
         # ineligible edges must never be flagged
@@ -262,7 +236,7 @@ class TestRankScanAll:
 class TestLaneOptions:
     @pytest.mark.parametrize("seed", [1, 8, 17])
     def test_c_matches_oracle(self, seed):
-        fn = _cc_or_skip()[5]
+        kernel = _cc_kernel()
         rng = np.random.default_rng(seed)
         n_edges, n_slots = 6, 60
         pos = rng.uniform(0.0, 100.0, n_slots)
@@ -287,29 +261,45 @@ class TestLaneOptions:
             own = float(rng.uniform(0.0, 100.0))
             half = float(rng.uniform(1.0, 20.0))
             ref = lane_options_py(e, lane, nlanes, own, half, gptrs, bptrs, pos)
-            got = fn(e, lane, nlanes, own, half, gptrs, bptrs, pos)
+            got = kernel.lane_options(e, lane, nlanes, own, half, gptrs, bptrs, pos)
             assert got == ref
             assert 0 <= got <= 3
 
     def test_single_lane_has_no_options(self):
-        fn = _cc_or_skip()[5]
+        kernel = _cc_kernel()
         slots = np.array([0], dtype=np.int64)
         bounds = np.array([0, 1], dtype=np.int64)
         gptrs = np.array([slots.ctypes.data], dtype=np.int64)
         bptrs = np.array([bounds.ctypes.data], dtype=np.int64)
         pos = np.array([5.0])
-        assert fn(0, 0, 1, 50.0, 4.0, gptrs, bptrs, pos) == 0
+        assert kernel.lane_options(0, 0, 1, 50.0, 4.0, gptrs, bptrs, pos) == 0
 
 
 # ------------------------------------------------------- bound convention
+def _bind(kernel, idx_buf, pos, speed, freeflow, seglen, heads, waitflag,
+          newly_buf, moved_buf, desired, multilane, cand_buf, *,
+          occ_buf, gather_ptr, gather_len, n_edges):
+    """Bind with all-ineligible ranking tables and empty lane bounds."""
+    flags_buf = np.zeros(n_edges, dtype=np.uint8)
+    kernel.bind(
+        idx_buf, pos, speed, freeflow, seglen, heads, waitflag,
+        newly_buf, moved_buf, desired, multilane, cand_buf, 12.0, 1.0,
+        flags_buf,
+        occ_buf=occ_buf, gather_ptr=gather_ptr, gather_len=gather_len,
+        rank_elig=np.zeros(n_edges, dtype=np.uint8),
+        rank_ptr_s=gather_ptr.copy(), rank_ptr_v=gather_ptr.copy(),
+        rank_len=np.zeros(n_edges, dtype=np.int64),
+        bounds_ptr=np.zeros(n_edges, dtype=np.int64),
+        gap_half_m=2.0,
+    )
+    return flags_buf
+
+
 class TestBoundCalls:
     def test_bound_equals_explicit(self):
         """The once-bound count-only calls must equal the explicit-arg calls
         on identical data (same outputs, same in-place effects)."""
-        if not available_backends():
-            pytest.skip("no compiled backend available")
-        kernel = load_step_kernel(**PARAMS)
-        assert kernel is not None
+        kernel = _cc_kernel()
         rng = np.random.default_rng(42)
         n = 40
         idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
@@ -322,16 +312,15 @@ class TestBoundCalls:
         newly_buf = np.zeros(n, dtype=bool)
         moved_buf = np.zeros(n, dtype=bool)
         cand_buf = np.zeros(n, dtype=bool)
-        rank_buf = np.zeros(n, dtype=np.int64)
-        vid_buf = np.zeros(n, dtype=np.int64)
-        lens_buf = np.zeros(4, dtype=np.int64)
-        flags_buf = np.zeros(4, dtype=np.uint8)
         pos_bound = pos.copy()
         speed_bound = speed.copy()
-        kernel.bind(
-            idx_buf, pos_bound, speed_bound, freeflow, seglen, heads, waitflag,
-            newly_buf, moved_buf, desired, multilane, cand_buf, 12.0, 1.0,
-            rank_buf, vid_buf, lens_buf, flags_buf,
+        _bind(
+            kernel, idx_buf, pos_bound, speed_bound, freeflow, seglen, heads,
+            waitflag, newly_buf, moved_buf, desired, multilane, cand_buf,
+            occ_buf=np.zeros(1, dtype=np.int64),
+            gather_ptr=np.zeros(1, dtype=np.int64),
+            gather_len=np.zeros(1, dtype=np.int64),
+            n_edges=1,
         )
         n_cand_bound = kernel.candidates_bound(n)
         cand_from_bound = cand_buf[:n].copy()
@@ -356,11 +345,7 @@ class TestBoundCalls:
         assert np.array_equal(newly_buf[:n], newly_exp)
 
     def test_tables_bound_gather_matches_oracle(self):
-        fns = _cc_or_skip()
-        kernel = load_step_kernel(**PARAMS)
-        assert kernel is not None
-        if not kernel.has_tables:
-            pytest.skip("preferred backend has no pointer tables (numba)")
+        kernel = _cc_kernel()
         rng = np.random.default_rng(7)
         n_edges, n_slots = 8, 30
         keep, ptrs, lens = _edge_tables(rng, n_edges, n_slots)
@@ -368,24 +353,14 @@ class TestBoundCalls:
         cap = int(lens.sum()) + 1
         idx_buf = np.zeros(cap, dtype=np.intp)
         pos = rng.uniform(0.0, 50.0, n_slots)
-        elig = np.zeros(n_edges, dtype=np.uint8)
-        rank_ptr_s = ptrs.copy()
-        rank_ptr_v = ptrs.copy()
-        rank_len = np.zeros(n_edges, dtype=np.int64)
         zeros = np.zeros(cap, dtype=np.float64)
         zb = np.zeros(cap, dtype=bool)
         zu = np.zeros(cap, dtype=np.uint8)
-        flags_buf = np.zeros(n_edges, dtype=np.uint8)
-        kernel.bind(
-            idx_buf, pos, zeros.copy(), zeros, zeros, zu, zu, zb.copy(), zb.copy(),
-            zeros, zu, zb.copy(), 12.0, 1.0,
-            np.zeros(cap, dtype=np.int64), np.zeros(cap, dtype=np.int64),
-            np.zeros(n_edges, dtype=np.int64), flags_buf,
-            occ_buf=occ_buf, gather_ptr=ptrs, gather_len=lens,
-            rank_elig=elig, rank_ptr_s=rank_ptr_s, rank_ptr_v=rank_ptr_v,
-            rank_len=rank_len,
+        flags_buf = _bind(
+            kernel, idx_buf, pos, zeros.copy(), zeros, zeros, zu, zu,
+            zb.copy(), zb.copy(), zeros, zu, zb.copy(),
+            occ_buf=occ_buf, gather_ptr=ptrs, gather_len=lens, n_edges=n_edges,
         )
-        assert kernel.tables_bound
         m = 5
         out_ref = np.zeros(cap, dtype=np.int64)
         ref = gather_all_py(occ_buf[:m], ptrs, lens, out_ref)
@@ -398,26 +373,89 @@ class TestBoundCalls:
 
 
 # ------------------------------------------------------------ fallback
-class TestFallback:
-    def test_loader_returns_none_without_backends(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_NUMBA_FNS", None)
-        monkeypatch.setattr(kernels, "_C_FNS", None)
-        assert available_backends() == []
-        assert load_step_kernel(**PARAMS) is None
+@pytest.fixture
+def fresh_loader(monkeypatch):
+    """A loader that has not resolved yet in this process; the real
+    outcome is restored afterwards."""
+    monkeypatch.setattr(kernels, "_RESOLVED", None)
+    return monkeypatch
 
-    def test_engine_compiled_request_falls_back_transparently(self, monkeypatch):
-        """``compiled=True`` on a backendless host must run the NumPy path
+
+def _engine(compiled=True):
+    from repro.mobility.engine import TrafficEngine
+    from repro.roadnet.builders import grid_network
+
+    return TrafficEngine(grid_network(3, 3, lanes=2), np.random.default_rng(3),
+                         compiled=compiled)
+
+
+def _script(tmp_path, name, body):
+    """An executable shell script standing in for the C compiler."""
+    path = tmp_path / name
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(path.stat().st_mode | stat.S_IXUSR)
+    return str(path)
+
+
+class TestFallback:
+    def test_no_compiler_on_path(self, fresh_loader):
+        fresh_loader.setattr(kernels.shutil, "which", lambda name: None)
+        assert available_backends() == []
+        with pytest.warns(RuntimeWarning, match="no C compiler on PATH"):
+            assert load_step_kernel(**PARAMS) is None
+        assert "no C compiler on PATH" in fallback_reason()
+
+    def test_engine_falls_back_to_numpy_and_warns_once_with_reason(self, fresh_loader):
+        fresh_loader.setattr(kernels.shutil, "which", lambda name: None)
+        with pytest.warns(RuntimeWarning, match="no C compiler on PATH"):
+            eng = _engine()
+        assert eng.kernel_backend == "numpy"
+        assert "no C compiler on PATH" in eng.kernel_fallback_reason
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a second warning would raise
+            assert _engine().kernel_backend == "numpy"
+
+    def test_unusable_temp_dir(self, fresh_loader, tmp_path):
+        # A path below a regular file can hold no build directory for any
+        # user (a read-only directory would not stop root).
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        fresh_loader.setattr(kernels.shutil, "which", lambda name: "/usr/bin/cc")
+        fresh_loader.setattr(tempfile, "tempdir", str(blocker / "tmp"))
+        with pytest.warns(RuntimeWarning, match="cannot create a build directory"):
+            eng = _engine()
+        assert eng.kernel_backend == "numpy"
+        assert str(blocker / "tmp") in fallback_reason()
+
+    def test_compiler_failure_records_exit_status_and_stderr(self, fresh_loader, tmp_path):
+        cc = _script(tmp_path, "cc", "echo 'kernel.c:1: fatal error: no stdint.h' >&2\nexit 3\n")
+        fresh_loader.setattr(kernels.shutil, "which", lambda name: cc)
+        with pytest.warns(RuntimeWarning, match="exited with status 3"):
+            assert _engine().kernel_backend == "numpy"
+        assert "fatal error: no stdint.h" in fallback_reason()
+
+    def test_unloadable_library_records_load_error(self, fresh_loader, tmp_path):
+        # "Compiles" by writing a non-ELF file to the -o target.
+        cc = _script(tmp_path, "cc", 'for last; do :; done\necho garbage > "$last"\n')
+        fresh_loader.setattr(kernels.shutil, "which", lambda name: cc)
+        with pytest.warns(RuntimeWarning, match="cannot load"):
+            assert _engine().kernel_backend == "numpy"
+        assert available_backends() == []
+
+    def test_engine_compiled_request_falls_back_transparently(self, fresh_loader):
+        """``compiled=True`` on a compiler-less host must run the NumPy path
         and still produce the identical event stream."""
         from repro.mobility.demand import DemandConfig, DemandModel
         from repro.mobility.engine import TrafficEngine
         from repro.roadnet.builders import grid_network
 
+        fresh_loader.setattr(kernels.shutil, "which", lambda name: None)
+
         def run(compiled):
-            if compiled:
-                monkeypatch.setattr(kernels, "_NUMBA_FNS", None)
-                monkeypatch.setattr(kernels, "_C_FNS", None)
             net = grid_network(3, 3, lanes=2)
-            eng = TrafficEngine(net, np.random.default_rng(3), compiled=compiled)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                eng = TrafficEngine(net, np.random.default_rng(3), compiled=compiled)
             dm = DemandModel(net, DemandConfig(volume_fraction=0.7),
                              np.random.default_rng(4))
             eng.spawn_initial(dm.initial_fleet())
@@ -432,11 +470,85 @@ class TestFallback:
         assert run(True)[0], "scenario produced no events — not a real check"
         assert run(True) == run(False)
 
-    def test_available_backends_reports_this_environment(self):
-        # Informational but load-bearing: on any host with a system C
-        # compiler the cc rung must actually build and load.
-        import shutil
+    def test_backend_names(self):
+        from repro.mobility.engine import TrafficEngine
+        from repro.roadnet.builders import grid_network
 
-        avail = available_backends()
-        if shutil.which("cc") or shutil.which("gcc"):
-            assert "cc" in avail
+        scalar = TrafficEngine(grid_network(3, 3), np.random.default_rng(0), vectorized=False)
+        assert scalar.kernel_backend == "scalar"
+        assert "vectorized=False" in scalar.kernel_fallback_reason
+        numpy_engine = _engine(compiled=False)
+        assert numpy_engine.kernel_backend == "numpy"
+        assert numpy_engine.kernel_fallback_reason == "compiled=False"
+
+    def test_available_backends_reports_this_environment(self):
+        # Load-bearing: on any host with a system C compiler the cc kernel
+        # must actually build and load, and the default engine must use it.
+        if _has_compiler():
+            assert available_backends() == ["cc"], fallback_reason()
+            assert _engine().kernel_backend == "cc"
+            assert fallback_reason() is None
+        else:
+            assert available_backends() == []
+
+
+class TestConcurrentFirstBuild:
+    THREADS = 6  # more than the cores of a typical CI runner
+
+    def test_engines_built_during_the_build_all_load_cc(self, fresh_loader):
+        """Engines constructed on other threads while the first build runs
+        must wait for it, not fall back to NumPy because it is unfinished."""
+        if not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        from repro.mobility.engine import TrafficEngine
+        from repro.roadnet.builders import grid_network
+
+        nets = [grid_network(3, 3, lanes=2) for _ in range(self.THREADS)]
+        barrier = threading.Barrier(self.THREADS, timeout=60)
+        loaded = [None] * self.THREADS
+
+        def build(i):
+            barrier.wait()
+            eng = TrafficEngine(nets[i], np.random.default_rng(i), compiled=True)
+            loaded[i] = eng.kernel_backend
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # no fallback at all
+                threads = [threading.Thread(target=build, args=(i,))
+                           for i in range(self.THREADS)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert loaded == ["cc"] * self.THREADS
+
+    def test_child_forked_mid_build_resolves_for_itself(self, fresh_loader):
+        """A fork taken while another thread holds the build lock (a
+        parallel sweep starting beside a first run) must not leave the
+        child waiting on a lock nobody will release."""
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        fresh_loader.setattr(kernels.shutil, "which", lambda name: None)
+
+        def child():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                os._exit(0 if kernels.available_backends() == [] else 1)
+
+        ctx = multiprocessing.get_context("fork")
+        with kernels._LOCK:  # a build in progress on this thread
+            proc = ctx.Process(target=child)
+            proc.start()
+        proc.join(timeout=60)
+        alive = proc.is_alive()
+        if alive:
+            proc.kill()
+            proc.join(timeout=10)
+        assert not alive, "forked child deadlocked on the inherited build lock"
+        assert proc.exitcode == 0

@@ -180,6 +180,19 @@ class TestJobLifecycle:
         # and a late reader replays the identical sequence
         assert list(record.events.iter_events()) == events
 
+    def test_run_start_names_the_kernel(self, manager):
+        # What ran is reported beside the run, never inside its result
+        # record (replay compares those bit for bit).
+        from repro.mobility.kernels import available_backends
+
+        record = manager.submit(_spec())
+        assert manager.wait(record.run_id, timeout=60)
+        start = next(record.events.iter_events())["data"]
+        assert start["kernel"] == ("cc" if available_backends() else "numpy")
+        assert ("kernel_fallback_reason" in start) == (start["kernel"] != "cc")
+        result = manager.results(record.run_id)["result"]
+        assert not any("kernel" in key for key in result)
+
     def test_queue_overflow_raises_queue_full(self, tmp_path):
         mgr = JobManager(tmp_path / "svc", workers=1, queue_limit=2)
         try:

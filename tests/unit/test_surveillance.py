@@ -5,6 +5,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.surveillance.attributes import (
+    BODY_TYPES,
+    COLORS,
+    MAKES,
     WHITE_VAN,
     ExteriorSignature,
     random_signature,
@@ -38,6 +41,28 @@ class TestSignatures:
         sigs = [random_signature(rng) for _ in range(3000)]
         white = sum(1 for s in sigs if s.color == "white")
         assert 0.15 < white / len(sigs) < 0.35  # ~24% nominal
+
+    @pytest.mark.parametrize("seed", range(0, 400, 7))
+    def test_random_signature_draws_as_generator_choice(self, seed):
+        """The precomputed-CDF draws are ``Generator.choice``'s draws: same
+        signatures in the same order, and the generator left in the same
+        state — every seeded fleet depends on it."""
+
+        def choice(rng, table):
+            names = [n for n, _ in table]
+            weights = np.asarray([w for _, w in table], dtype=float)
+            return str(rng.choice(names, p=weights / weights.sum()))
+
+        ours = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        for _ in range(200):
+            expected = ExteriorSignature(
+                color=choice(ref, COLORS),
+                make=str(ref.choice(MAKES)),
+                body_type=choice(ref, BODY_TYPES),
+            )
+            assert random_signature(ours) == expected
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 class TestRecognizer:
