@@ -277,21 +277,14 @@ class CountingProtocol:
             and self.config.recognition_false_positive == 0.0
         )
         #: the batched pipeline block-draws the wireless stream ahead of
-        #: consumption; if the exchange service was wired to the *same*
-        #: generator as the recognizers (and recognition actually draws),
-        #: those pre-draws would interleave with recognition draws and
-        #: diverge from the scalar order, so process_batch must fall back.
+        #: consumption; if the exchange service shares the recognizers'
+        #: generator (the default wiring: ``ExchangeService.perfect(rng)``)
+        #: and recognition actually draws, those pre-draws would interleave
+        #: with recognition draws and diverge from the scalar order, so
+        #: process_batch must fall back.
         self._batched_unsafe = (
             self.exchange.rng is rng and not self._recognition_trivial
         )
-        #: granular flush barriers (see :meth:`process_batch`): irregular
-        #: events only flush the plain-crossing buffer when they are actually
-        #: order-entangled with it.  Requires trivial recognition — then the
-        #: flush itself is draw-free, so every RNG draw happens inline in
-        #: stream order no matter when the buffer is settled.  ``False``
-        #: restores the every-irregular-event barrier (the pre-optimization
-        #: behaviour, kept as the benchmark baseline).
-        self._irregular_batching = True
 
     # ------------------------------------------------------------------ main
     def handle_events(self, events: Iterable[TrafficEvent]) -> None:
@@ -340,9 +333,7 @@ class CountingProtocol:
           activation state, pending labels, collection readiness, carried
           labels) or commutes with the flush (counter and statistics
           increments).  With recognition noise enabled the flush draws from
-          the recognizer stream, so every irregular event is a barrier (the
-          pre-optimization behaviour, also selectable via the
-          ``_irregular_batching`` switch for benchmarking).
+          the recognizer stream, so every irregular event is a barrier.
 
         Plainness is sound because plain crossings mutate only counters,
         adjustments and their own vehicle's counted bit — never direction
@@ -351,12 +342,14 @@ class CountingProtocol:
         events are never reordered across a barrier.
 
         One wiring cannot be batched: an exchange service sharing its
-        generator object with the recognizers (possible only by constructing
-        the :class:`ExchangeService` manually) while recognition noise is
+        generator object with the recognizers while recognition noise is
         enabled — the wireless block pre-draws would interleave with
-        recognition draws on the shared stream.  That case falls back to the
-        scalar per-event order, keeping the equivalence guarantee
-        unconditional.
+        recognition draws on the shared stream.  The constructor's default
+        wiring is one (``ExchangeService.perfect(rng)`` on the recognizers'
+        generator), so ``CountingProtocol(net, seeds, rng,
+        config=ProtocolConfig(recognition_false_negative=0.1))`` takes this
+        path.  It falls back to the scalar per-event order, keeping the
+        equivalence guarantee unconditional.
         """
         if isinstance(events, StepBatch):
             items: Sequence[object] = events.items
@@ -393,7 +386,7 @@ class CountingProtocol:
         # Granular barriers are only sound when the flush consumes no RNG
         # (see the docstring); with recognition noise every irregular event
         # stays a full barrier.
-        granular = self._irregular_batching and self._recognition_trivial
+        granular = self._recognition_trivial
         # structure-of-arrays buffer of plain crossings awaiting a flush
         b_cp: List[Checkpoint] = []
         b_veh: List[Vehicle] = []

@@ -243,10 +243,12 @@ class LaneChangeModel:
     def wants_to_change(self, vehicle: Vehicle, leader: Optional[Vehicle]) -> bool:
         """Whether the vehicle is blocked enough to look for another lane.
 
-        The vectorized engine evaluates this predicate in one NumPy shot
-        over its gathered columns (``TrafficEngine._lane_change_batch``);
-        any change here must be mirrored there — the engine-mode agreement
-        tests fail on divergence.
+        The vectorized engine evaluates this predicate in one pass over its
+        gathered order — in NumPy in ``TrafficEngine._advance_segments_batch``
+        and in the kernel's ``lane_change_candidates``
+        (:func:`~repro.mobility.kernels.lane_change_candidates_py` is its
+        oracle); any change here must be mirrored in both — the engine-mode
+        agreement tests fail on divergence.
         """
         if leader is None:
             return False
@@ -266,9 +268,10 @@ class LaneChangeModel:
 
         ``occupancy[lane]`` must list the vehicles currently in ``lane`` on
         the same segment (any order).  The vectorized engine ports this
-        choice to its resident arrays (``TrafficEngine._target_lane_soa``);
-        any change here — including RNG draw order — must be mirrored
-        there.
+        choice to its resident arrays (``TrafficEngine._lane_change_batch``,
+        with the viability test of
+        :func:`~repro.mobility.kernels.lane_options_py`); any change here —
+        including RNG draw order — must be mirrored there.
         """
         if lanes < 2:
             return None

@@ -28,15 +28,17 @@ back with one bulk write, with no per-step ``np.fromiter``/attribute
 packing.  The ``Vehicle`` objects' kinematic fields become lazily synced
 mirrors (refreshed by any public accessor; see :attr:`TrafficEngine.
 vehicles`).  Because each lane advances front to back against its leader's
-post-step state, the update is not a single elementwise pass; instead the
-step resolves, in order: lane heads and provably unconstrained/stopped
-followers in one vectorized pass (sound conservative bounds on the leader's
-outcome), then exact vectorized rounds for followers whose leader is already
+post-step state, the update is not a single elementwise pass: the compiled
+kernel (:mod:`repro.mobility.kernels`, the default) sweeps the gather order
+in place in one native call, and the NumPy path it falls back to resolves
+lane heads and provably unconstrained/stopped followers in one vectorized
+pass, then exact vectorized rounds for followers whose leader is already
 final, and finally a scalar tail for short chained runs at queue boundaries
-— producing results bit-for-bit identical to the per-vehicle engine.  The
-lane-change scan is a single vectorized predicate over the gathered
-columns; only actual candidates run the scalar target-lane logic, in
-reference RNG order.  Overtakes are detected by checking each multilane
+— both bit-for-bit identical to the per-vehicle engine.  The lane-change
+scan is a single vectorized predicate over the gathered order; only actual
+candidates run the target-lane choice, one pass shared by both backends
+(:meth:`TrafficEngine._lane_change_batch`) that consumes the RNG in
+reference order.  Overtakes are detected by checking each multilane
 segment's cached (position, vid) ranking for inversions instead of
 comparing all pairs, and intersections only consider the vehicles actually
 waiting at a stop line.  In batched mode :meth:`TrafficEngine.step_batch`
@@ -69,7 +71,7 @@ from .events import (
     TrafficEvent,
 )
 from .intersections import IntersectionPolicy, simple_policy
-from .kernels import StepKernel, fallback_reason, load_step_kernel
+from .kernels import StepKernel, fallback_reason, lane_options_np, load_step_kernel
 from .vehicle import MIN_GAP_M, VEHICLE_LENGTH_M, Vehicle
 
 __all__ = ["EngineStats", "TrafficEngine"]
@@ -161,13 +163,6 @@ class TrafficEngine:
         self.allow_overtaking = bool(allow_overtaking)
         self.vectorized = bool(vectorized)
         self.compiled = bool(compiled)
-        #: which batch tail implementations the vectorized step uses:
-        #: "fast" (default) = in-place chained advance (compiled kernel or
-        #: single NumPy pass) + occupied-lane-filtered overtake detection +
-        #: span-sliced lane-change viability; "legacy" = the pre-batching
-        #: tails, kept verbatim as the benchmark baseline
-        #: (benchmarks/bench_irregular.py flips this).
-        self._tails = "fast"
         self._kernel: Optional[StepKernel] = None
         if self.compiled and self.vectorized:
             cf = self.car_following
@@ -207,8 +202,8 @@ class TrafficEngine:
         # so the hot step never walks the empty part of the network.
         self._occupied: List[int] = []
         # Sorted subset of ``_occupied``: the multilane edges, maintained at
-        # the same occupancy transitions — the fast tails consult it instead
-        # of re-deriving watch eligibility per edge per step.
+        # the same occupancy transitions — the step consults it instead of
+        # re-deriving watch eligibility per edge per step.
         self._occupied_ml: List[int] = []
         # Sparse: edges with vehicles waiting at the stop line, and those
         # vehicles themselves (always their lane's head).
@@ -257,28 +252,19 @@ class TrafficEngine:
         #: reaches a stop line).
         self._wait_flag = np.empty(0, dtype=bool)
         n_edges = len(self._state_by_index)
-        self._gather_cache: List[Optional[np.ndarray]] = [None] * n_edges
-        #: edges whose gather cache entry was invalidated since the last
-        #: fast gather — processed (rebuilt) up front each step so the
-        #: gather's per-edge walk is two plain list comprehensions.
+        self._gather_cache: List[np.ndarray] = [np.empty(0, dtype=np.intp)] * n_edges
+        #: edges whose lane lists changed since the last gather — the single
+        #: dirty mark of ``_gather_cache``; :meth:`_gather_fast` rebuilds
+        #: them up front, so its per-edge walk is a plain list comprehension.
         self._gather_dirty: Set[int] = set()
-        #: per-edge gathered counts of the NumPy path's current step,
-        #: aligned with ``_occupied`` (kept for the lazy watch-span
-        #: computation).
-        self._gather_counts: List[int] = []
-        #: per-edge count of non-empty lanes and cumulative per-lane gather
-        #: offsets (length ``lanes + 1``, empty lanes included), refreshed
-        #: together with ``_gather_cache`` — the fast tails use them to skip
-        #: overtake detection on segments whose vehicles all share one lane
-        #: and to slice lane-change viability spans without walking lists.
+        #: per-edge count of non-empty lanes, refreshed together with
+        #: ``_gather_cache`` — the overtake scan skips segments whose
+        #: vehicles all share one lane.
         self._occ_lanes: List[int] = [0] * n_edges
-        self._lane_bounds: List[List[int]] = [[0] for _ in range(n_edges)]
-        #: per-edge overtake ranking slots (ascending (pos, vid)), kept
-        #: index-parallel to ``_ranked``'s vehicle lists; None = dirty.
-        self._ranked_cache: List[Optional[List[int]]] = [None] * n_edges
-        #: fast-tail variant of ``_ranked_cache``: per-edge (slot array,
-        #: vid array) pairs, so the overtake scan concatenates resident
-        #: arrays and resolves positional ties vectorized; None = dirty.
+        #: per-edge overtake ranking as (slot array, vid array) pairs,
+        #: index-parallel to ``_ranked``'s vehicle lists, so the overtake
+        #: scan concatenates resident arrays and resolves positional ties
+        #: vectorized; None = dirty.
         self._ranked_np: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_edges
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
@@ -303,7 +289,7 @@ class TrafficEngine:
         # only where the corresponding cache entry changes (a handful of
         # edges per step), so the steady-state gather and overtake scan
         # are each one bound native call with no per-edge Python walk.  The
-        # NumPy path keeps the per-edge comprehension paths.
+        # NumPy path walks the same per-edge caches in Python.
         self._gather_ptr = np.zeros(n_edges, dtype=np.int64)
         self._gather_len = np.zeros(n_edges, dtype=np.int64)
         self._occ_buf = np.zeros(n_edges, dtype=np.int64)
@@ -620,12 +606,10 @@ class TrafficEngine:
                 lane_list, (-vehicle.pos_m, vehicle.vid), key=self._lane_sort_key
             )
             lane_list.insert(idx, vehicle)
-            self._gather_cache[order] = None
             self._gather_dirty.add(order)
             ranked = self._ranked[order]
             if ranked is not None:
                 insort(ranked, vehicle, key=self._rank_sort_key)
-                self._ranked_cache[order] = None
                 self._ranked_np[order] = None
                 self._rank_elig[order] = 0
                 self._rank_dirty.add(order)
@@ -649,12 +633,10 @@ class TrafficEngine:
             vehicle.speed_mps = float(self._speed[slot])
             self._wait_flag[slot] = False
             self._lanes[edge][vehicle.lane].remove(vehicle)
-            self._gather_cache[order] = None
             self._gather_dirty.add(order)
             ranked = self._ranked[order]
             if ranked is not None:
                 ranked.remove(vehicle)
-                self._ranked_cache[order] = None
                 self._ranked_np[order] = None
                 self._rank_elig[order] = 0
                 self._rank_dirty.add(order)
@@ -750,10 +732,7 @@ class TrafficEngine:
 
     def _step_core(self, events: List) -> None:
         if self.vectorized:
-            if self._tails == "legacy":
-                self._advance_segments_batch_legacy(events)
-            else:
-                self._advance_segments_batch(events)
+            self._advance_segments_batch(events)
             self._process_intersections_indexed(events)
         else:
             self._advance_segments(events)
@@ -770,13 +749,14 @@ class TrafficEngine:
         return out
 
     # ------------------------------------------- segment dynamics (batched)
-    def _rebuild_gather(self, ei: int) -> np.ndarray:
-        """Rebuild one edge's gathered slot array (and lane-head flags).
+    def _rebuild_gather(self, ei: int) -> None:
+        """Rebuild one edge's gathered slot array, lane-head flags and bounds.
 
-        Only called for edges whose lane lists changed since their last
-        gather (place / removal / lane change); every other edge reuses its
-        cached array, so the step's gather concatenates resident index
-        arrays rather than re-packing per-vehicle attributes.
+        Called by :meth:`_gather_fast` for the edges whose lane lists
+        changed since their last gather (place / removal / lane change);
+        every other edge reuses its cached array, so the step's gather
+        concatenates resident index arrays rather than re-packing
+        per-vehicle attributes.
         """
         lanes = self._state_by_index[ei][2]
         is_head = self._is_head
@@ -805,33 +785,35 @@ class TrafficEngine:
         self._gather_len[ei] = k
         self._bounds_np[ei][:] = bounds
         self._occ_lanes[ei] = occupied_lanes
-        self._lane_bounds[ei] = bounds
         if self._kernel is not None and self._edge_ml[ei]:
             # The occupied-lane count gates ranking-scan eligibility;
             # re-derive it before the next pointer-table scan.
             self._rank_dirty.add(ei)
-        return part
 
     def _advance_segments_batch(self, events: List[TrafficEvent]) -> None:
-        """Advance every occupied segment — fast tails, compiled kernel.
+        """Advance every occupied segment (the vectorized step).
 
-        Gather and lane changes as in the legacy path (cached per-edge slot
-        arrays; vectorized blocked-follower predicate; scalar-RNG-order
-        target-lane choice, with viability checked on sliced position spans
-        instead of lane-list walks).  The advance itself then takes one of
-        two equivalent forms:
+        Gather the cached per-edge slot arrays (:meth:`_gather_fast`; a
+        follower's in-lane leader is simply the previous gather index),
+        mark the lane-change candidates with the blocked-follower
+        predicate, and run the one lane-change pass
+        (:meth:`_lane_change_batch`); when it re-orders some lanes the
+        gather is redone.  The advance itself then takes one of two
+        equivalent forms:
 
         * **compiled kernel** (``MobilityConfig.compiled``, the default, and
-          cc loaded; lane changes take the pointer-table pass
-          :meth:`_lane_change_batch_table`): a single native call sweeps the
-          gather order updating the resident position/speed arrays *in
-          place* — each follower naturally reads its leader's
-          already-written post-step state, so the whole front-to-back
-          recurrence runs in one pass with no classify/rounds machinery,
-          returning the arrival and movement masks;
-        * **NumPy**: the legacy classify / exact-rounds / scalar-tail
-          resolution, with the arrival bookkeeping folded into one
-          vectorized pass over the ``_wait_flag`` mirror.
+          cc loaded): a single native call sweeps the gather order updating
+          the resident position/speed arrays *in place* — each follower
+          naturally reads its leader's already-written post-step state, so
+          the whole front-to-back recurrence runs in one pass, returning the
+          arrival and movement masks;
+        * **NumPy**: compute every free-flow candidate vectorized, resolve
+          the provably unconstrained and provably stopped followers
+          vectorized (:meth:`SimplifiedIDM.batch_classify`), settle
+          followers whose leader is final in exact vectorized rounds, run
+          the scalar recurrence only for the short chained tail at queue
+          boundaries, and fold the arrival bookkeeping into one vectorized
+          pass over the ``_wait_flag`` mirror.
 
         Both produce bit-identical state and events (golden-trace pinned).
         Overtake detection afterwards skips multilane segments whose
@@ -860,24 +842,17 @@ class TrafficEngine:
         if kernel is not None:
             # The kernel path never gathers kinematic columns: the
             # candidate mask comes from the compiled predicate over the
-            # resident arrays, and lane-change viability from one bound
-            # pointer-table call per candidate.
+            # resident arrays.
             if (
                 watching
                 and kernel.candidates_bound(n)
-                and self._lane_change_batch_table(idx, self._cand_buf[:n])
+                and self._lane_change_batch(idx, self._cand_buf[:n])
             ):
                 # Accepted moves re-ordered some lanes: rebuild their
-                # caches and redo the whole gather with one bound table
-                # call (values outside the patched edges are rewritten
-                # unchanged, so the result is identical to span patching).
-                cache = self._gather_cache
-                dirty = self._gather_dirty
-                for di in dirty:
-                    if cache[di] is None:
-                        self._rebuild_gather(di)
-                dirty.clear()
-                kernel.gather_bound(len(self._occupied))
+                # caches and redo the whole gather (lane changes move no
+                # vehicle across or along a segment, so the count and every
+                # other edge's span are unchanged).
+                self._gather_fast()
             # One native call: in-place resident-array sweep in gather
             # order (the exact reference recurrence), arrival/movement
             # masks out.  The return value is the newly-arrived count, so
@@ -895,16 +870,12 @@ class TrafficEngine:
                     (desired[1:] - speed[:-1]) > lc.speed_gain_threshold_mps
                 )
                 cand &= self._ml[idx] & ~self._is_head[idx]
-                if cand.any():
-                    watch_ei, w_lo, w_hi = self._watch_spans()
-                    patched = self._lane_change_batch(
-                        idx, cand, pos, watch_ei, w_lo, w_hi
-                    )
-                    for ei, s, e in patched:
-                        part = self._rebuild_gather(ei)
-                        idx[s:e] = part
-                        pos[s:e] = pos_a[part]
-                        speed[s:e] = speed_a[part]
+                if cand.any() and self._lane_change_batch(idx, cand):
+                    # Same re-gather as the kernel path; the columns then
+                    # follow the new lane order.
+                    self._gather_fast()
+                    pos = pos_a[idx]
+                    speed = speed_a[idx]
             free = self._freeflow[idx]
             length = self._seglen[idx]
             heads = self._is_head[idx]
@@ -974,216 +945,24 @@ class TrafficEngine:
         if watching:
             self._detect_overtakes_fast(events)
 
-    def _advance_segments_batch_legacy(self, events: List[TrafficEvent]) -> None:
-        """Pre-kernel batch advance, kept verbatim as the benchmark baseline.
-
-        This is the classify/rounds/scalar-tail formulation the fast path
-        (:meth:`_advance_segments_batch`) replaced; ``_tails = "legacy"``
-        selects it so ``benchmarks/bench_irregular.py`` can measure the
-        fast tails against their immediate predecessor in the same build.
-
-        Gather: concatenate the per-edge cached slot-index arrays (lane
-        lists are maintained in front-to-back order, so a follower's in-lane
-        leader is simply the previous gather index) and read the kinematic
-        columns straight out of the resident arrays — no per-vehicle
-        attribute packing.  Lane changes: the blocked-follower predicate is
-        evaluated vectorized over the gathered columns; only actual
-        candidates run the scalar target-lane logic (RNG order identical to
-        the reference scan).  Advance: compute every vehicle's free-flow
-        candidate vectorized, resolve the provably unconstrained and
-        provably stopped followers vectorized (see
-        :meth:`SimplifiedIDM.batch_classify`), settle remaining followers
-        whose leader is final in exact vectorized rounds, and run the scalar
-        front-to-back recurrence only for the short chained tail at queue
-        boundaries.  Scatter: one bulk write back into the resident arrays
-        and flag newly waiting vehicles for the intersection index.
-        """
-        dt = self.dt_s
-        cf = self.car_following
-        # Edge index and gather span of every multilane segment eligible for
-        # lane changes, whose position ranking must be checked after the
-        # advance (three parallel lists — built once per step).
-        watch_ei: List[int] = []
-        w_lo: List[int] = []
-        w_hi: List[int] = []
-        idx = self._gather(watch_ei if self.allow_overtaking else None, w_lo, w_hi)
-        if idx is None:
-            return
-        n = idx.shape[0]
-
-        pos_a = self._pos
-        speed_a = self._speed
-        pos = pos_a[idx]
-        speed = speed_a[idx]
-
-        if watch_ei:
-            patched = self._lane_change_batch_legacy(idx, pos, speed, watch_ei, w_lo, w_hi)
-            if patched:
-                # Accepted moves re-ordered some lanes: patch only those
-                # segments' gather spans in place (lane changes never move
-                # vehicles across segments or along them, so the spans and
-                # every other column entry are unchanged).
-                for ei, s, e in patched:
-                    part = self._rebuild_gather(ei)
-                    idx[s:e] = part
-                    span = idx[s:e]
-                    pos[s:e] = pos_a[span]
-                    speed[s:e] = speed_a[span]
-
-        free = self._freeflow[idx]
-        length = self._seglen[idx]
-        heads = self._is_head[idx]
-
-        vfree = cf.batch_free_speed(speed, free, dt)
-        cand_speed = np.maximum(0.0, vfree)
-        cand_raw = pos + cand_speed * dt
-        cand_pos = np.minimum(cand_raw, length)
-
-        # The vehicle at gather index i-1 is the in-lane leader of every
-        # non-head vehicle i, so plain shifted views bound its post-step
-        # position: below by its pre-step position, above by its candidate.
-        unconstrained_f, stopped_f = cf.batch_classify(
-            pos[1:], vfree[1:], cand_raw[1:], pos[:-1], cand_pos[:-1], dt
-        )
-        stopped = np.zeros(n, dtype=bool)
-        stopped[1:] = stopped_f
-        stopped[heads] = False
-        resolved = np.empty(n, dtype=bool)
-        resolved[0] = False
-        resolved[1:] = unconstrained_f | stopped_f
-        resolved[heads] = True
-
-        new_pos = np.where(stopped, pos, cand_pos)
-        new_speed = np.where(stopped, 0.0, cand_speed)
-
-        residual = np.nonzero(~resolved)[0]
-        while residual.size > 24:
-            # Exact vectorized rounds: residual followers whose leader is
-            # already resolved see its final state, so their update is
-            # computable in one batch; every pass peels one chain depth and
-            # only short chained tails stay scalar.
-            ready = resolved[residual - 1]
-            if not ready.any():
-                break
-            ridx = residual[ready]
-            lidx = ridx - 1
-            new_pos[ridx], new_speed[ridx] = cf.batch_follow(
-                pos[ridx], vfree[ridx], new_pos[lidx], new_speed[lidx],
-                length[ridx], dt,
-            )
-            resolved[ridx] = True
-            residual = residual[~ready]
-
-        time_s = self.time_s
-        waiting = self._waiting
-        slot_vehicle = self._slot_vehicle
-        if residual.size:
-            # The residual set is a handful of queue-boundary vehicles, so
-            # scalar NumPy indexing beats materializing whole columns; the
-            # in-lane leader i-1 of a residual i is always final by the time
-            # i is processed (residual indices stay ascending).
-            follow = cf.follow_scalar
-            for i in residual.tolist():
-                length_i = length[i]
-                p, s = follow(
-                    pos[i], vfree[i], new_pos[i - 1], new_speed[i - 1],
-                    length_i, dt,
-                )
-                new_pos[i] = p
-                new_speed[i] = s
-                if p >= length_i - _ARRIVAL_EPS_M:
-                    v = slot_vehicle[int(idx[i])]
-                    if v.waiting_since_s is None:
-                        v.waiting_since_s = time_s
-                        waiting.setdefault(v.edge, []).append(v)
-
-        arrived = resolved & (new_pos >= length - _ARRIVAL_EPS_M)
-        if arrived.any():
-            for slot in idx[arrived].tolist():
-                v = slot_vehicle[slot]
-                if v.waiting_since_s is None:
-                    v.waiting_since_s = time_s
-                    waiting.setdefault(v.edge, []).append(v)
-
-        # Scatter: one bulk write into the resident arrays.  Stopped
-        # vehicles carry their exact prior bits through np.where, so the
-        # blanket write is bitwise identical to skipping them.
-        moved = new_pos != pos
-        pos_a[idx] = new_pos
-        self._speed[idx] = new_speed
-        self._kinematics_stale = True
-
-        if watch_ei:
-            self._detect_overtakes_batch(
-                watch_ei, w_lo, w_hi, moved, int(moved.sum()), events
-            )
-
-    def _gather(
-        self,
-        watch_ei: Optional[List[int]],
-        w_lo: List[int],
-        w_hi: List[int],
-    ) -> Optional[np.ndarray]:
-        """Flatten the occupied edges' cached slot lists, in edge order.
-
-        When ``watch_ei`` is a list, the multilane segments eligible for
-        lane changes / overtake checks are recorded in the three parallel
-        span lists (edge index, gather start, gather end).  One
-        ``np.concatenate`` over the resident per-edge arrays scales to
-        city-size networks: flattening through a Python list first costs
-        O(vehicles) interpreter-level appends per step, which dominated the
-        gather at 100k vehicles.
-        """
-        parts: List[np.ndarray] = []
-        cache = self._gather_cache
-        rebuild = self._rebuild_gather
-        if watch_ei is None:
-            for ei in self._occupied:
-                part = cache[ei]
-                if part is None:
-                    part = rebuild(ei)
-                parts.append(part)
-        else:
-            state_by_index = self._state_by_index
-            base = 0
-            for ei in self._occupied:
-                part = cache[ei]
-                if part is None:
-                    part = rebuild(ei)
-                count = part.shape[0]
-                if count > 1 and state_by_index[ei][3]:  # multilane
-                    watch_ei.append(ei)
-                    w_lo.append(base)
-                    w_hi.append(base + count)
-                parts.append(part)
-                base += count
-        if not parts:
-            return None
-        out = np.concatenate(parts)
-        if out.shape[0] == 0:
-            return None
-        return out
-
     def _gather_fast(self) -> int:
-        """Buffer-backed :meth:`_gather`: flatten into ``_idx_buf``.
+        """Flatten the occupied edges' cached slot arrays into ``_idx_buf``.
 
-        Same edge walk, restructured for constant-factor speed: edges whose
-        cache was invalidated since the last gather (``_gather_dirty``) are
-        rebuilt up front, so the walk itself is two plain list
-        comprehensions plus one ``np.concatenate`` into the persistent
-        capacity-sized index buffer the compiled kernel is pointer-bound
-        to.  No watch-span bookkeeping here — most steps never need it, so
-        spans are derived lazily (:meth:`_watch_spans`) from the per-edge
-        counts this method records.  Returns the gathered element count
-        (0 = nothing occupied).
+        Edges whose lane lists changed since the last gather
+        (``_gather_dirty``) are rebuilt up front.  The gather itself is one
+        bound native call over the pointer table with cc, otherwise one
+        ``np.concatenate`` of the cached arrays, in edge order, into the
+        persistent capacity-sized index buffer.  Concatenating resident
+        per-edge arrays scales to city-size networks, where flattening
+        through a Python list costs O(vehicles) interpreter-level appends
+        per step.  Returns the gathered element count (0 = nothing
+        occupied).
         """
-        cache = self._gather_cache
         dirty = self._gather_dirty
         if dirty:
             rebuild = self._rebuild_gather
             for ei in dirty:
-                if cache[ei] is None:
-                    rebuild(ei)
+                rebuild(ei)
             dirty.clear()
         kernel = self._kernel
         if kernel is not None:
@@ -1196,124 +975,42 @@ class TrafficEngine:
                 self._occ_buf[:m] = occupied
                 self._occ_stale = False
             return kernel.gather_bound(m)
-        parts = cast("List[np.ndarray]", [cache[ei] for ei in self._occupied])
-        counts = [part.shape[0] for part in parts]
-        self._gather_counts = counts
-        total = sum(counts)
+        cache = self._gather_cache
+        parts = [cache[ei] for ei in self._occupied]
+        total = sum([part.shape[0] for part in parts])
         if total:
             np.concatenate(parts, out=self._idx_buf[:total])
         return total
 
-    def _watch_spans(self) -> Tuple[List[int], List[int], List[int]]:
-        """Gather spans of the watched (multilane, >1 vehicle) segments.
+    def _lane_change_batch(self, idx: np.ndarray, cand: np.ndarray) -> bool:
+        """The lane-change pass: pick target lanes for the candidates.
 
-        Derived on demand from the per-edge counts of the current NumPy
-        gather — only the steps with actual lane-change candidates pay for
-        the span walk.
-        """
-        watch_ei: List[int] = []
-        w_lo: List[int] = []
-        w_hi: List[int] = []
-        ml = self._edge_ml
-        base = 0
-        for ei, count in zip(self._occupied, self._gather_counts):
-            nxt = base + count
-            if count > 1 and ml[ei]:
-                watch_ei.append(ei)
-                w_lo.append(base)
-                w_hi.append(nxt)
-            base = nxt
-        return watch_ei, w_lo, w_hi
-
-    def _lane_change_batch(
-        self,
-        idx: np.ndarray,
-        cand: np.ndarray,
-        pos: np.ndarray,
-        watch_ei: List[int],
-        w_lo: List[int],
-        w_hi: List[int],
-    ) -> List[Tuple[int, int, int]]:
-        """Fast lane-change pass: span-sliced viability checks.
-
-        Same structure and RNG order as :meth:`_lane_change_batch_legacy`
-        (candidates visited in gather order, per-segment pending moves
-        applied at the segment boundary), but driven by a precomputed
-        gather-aligned candidate mask — the caller's NumPy blocked-follower
-        predicate — and each candidate's target-lane viability is evaluated
-        on a slice of the segment's position span (``pos``, the gathered
-        pre-advance position column; the per-edge ``_lane_bounds`` offsets
-        delimit each lane's sub-span) instead of walking the lane lists.
-        The viability comparison (``|other - own| < half``) is the same
-        float operation sequence as the scalar model, so decisions are
-        bit-for-bit the same.
-        """
-        patched: List[Tuple[int, int, int]] = []
-        slot_vehicle = self._slot_vehicle
-        state_by_index = self._state_by_index
-        lane_bounds = self._lane_bounds
-        rng = self.rng
-        wi = 0
-        ei = watch_ei[0]
-        span_start = w_lo[0]
-        span_end = w_hi[0]
-        st = state_by_index[ei]
-        seg = st[0]
-        lanes = st[2]
-        bounds = lane_bounds[ei]
-        span_pos: Optional[np.ndarray] = None
-        pending: List[Tuple[Vehicle, int]] = []
-        for i in cand.nonzero()[0].tolist():
-            if i >= span_end:
-                if pending:
-                    self._apply_lane_moves(ei, lanes, pending)
-                    patched.append((ei, span_start, span_end))
-                    pending = []
-                while w_hi[wi] <= i:
-                    wi += 1
-                ei = watch_ei[wi]
-                span_start = w_lo[wi]
-                span_end = w_hi[wi]
-                st = state_by_index[ei]
-                seg = st[0]
-                lanes = st[2]
-                bounds = lane_bounds[ei]
-                span_pos = None
-            if span_pos is None:
-                span_pos = pos[span_start:span_end]
-            v = slot_vehicle[int(idx[i])]
-            target = self._target_lane_fast(v, seg.lanes, bounds, span_pos, rng)
-            if target is not None:
-                pending.append((v, target))
-        if pending:
-            self._apply_lane_moves(ei, lanes, pending)
-            patched.append((ei, span_start, span_end))
-        return patched
-
-    def _lane_change_batch_table(self, idx: np.ndarray, cand: np.ndarray) -> bool:
-        """Pointer-table lane-change pass (compiled kernel).
-
-        Same candidate order, RNG consumption and per-segment move
-        batching as :meth:`_lane_change_batch`, with two structural
-        differences: segment boundaries come from each candidate vehicle's
-        own edge (the gather is edge-block-ordered, so grouping is
-        identical and no watch spans are needed), and target-lane
-        viability is one bound native call per candidate reading the
-        gather and lane-bounds tables (:func:`lane_options_py` is the
-        reference; the gap comparison is the scalar model's exact float
-        sequence).  Returns whether any segment's lane order changed — the
-        caller then redoes the gather through the pointer table instead of
-        span patching.
+        ``cand`` is the gather-aligned mask of the blocked-follower
+        predicate (:meth:`LaneChangeModel.wants_to_change`).  Candidates
+        are visited in gather order, which is the reference engine's
+        segment-by-segment, lane-by-lane, front-to-back scan order, so the
+        RNG stream is consumed identically.  Target-lane viability reads
+        the candidate's edge's cached gather slots and per-lane bounds:
+        one bound native call through the pointer tables with cc, or
+        :func:`lane_options_np` on the same arrays.  Both give the bits of
+        :func:`lane_options_py`, whose gap test is the scalar model's exact
+        float sequence.  Decisions within a segment read the pre-change
+        lane lists (the reference applies its moves only after scanning
+        the whole segment), so accepted moves are buffered per segment —
+        the gather is edge-block ordered, so each candidate's own edge
+        delimits the segments — and applied at the segment boundary.
+        Returns whether any segment's lane order changed; the caller then
+        redoes the gather.
         """
         slot_vehicle = self._slot_vehicle
         state_by_index = self._state_by_index
         edge_order = self._edge_order
         pos_a = self._pos
-        lc = self.lane_change
-        politeness = lc.politeness
+        politeness = self.lane_change.politeness
         kernel = self._kernel
-        assert kernel is not None
-        lane_opts = kernel.lane_opts_bound
+        lane_opts = (
+            kernel.lane_opts_bound if kernel is not None else self._lane_options_np
+        )
         rng = self.rng
         cur = -1
         seg_lanes = 0
@@ -1354,151 +1051,16 @@ class TrafficEngine:
             patched = True
         return patched
 
-    def _target_lane_fast(
-        self,
-        vehicle: Vehicle,
-        seg_lanes: int,
-        bounds: List[int],
-        span_pos: np.ndarray,
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        """Span-sliced port of :meth:`LaneChangeModel.target_lane`.
-
-        ``span_pos`` holds the segment's gathered (pre-advance) positions,
-        lane-major; ``bounds[l] : bounds[l + 1]`` is lane ``l``'s sub-span.
-        Viability of an adjacent lane is one vectorized gap test over that
-        slice.  RNG draws (politeness first, then the two-candidate
-        tie-break) and candidate order are identical to the model's scalar
-        scan, which the engine-mode agreement tests pin.
-        """
-        lc = self.lane_change
-        if seg_lanes < 2:
-            return None
-        if rng.random() < lc.politeness:
-            return None
-        own = self._pos[vehicle.slot]
-        half = lc.required_gap_m / 2.0
-        candidates = []
-        for delta in (1, -1):
-            lane = vehicle.lane + delta
-            if 0 <= lane < seg_lanes:
-                others = span_pos[bounds[lane] : bounds[lane + 1]]
-                if not (np.abs(others - own) < half).any():
-                    candidates.append(lane)
-        if not candidates:
-            return None
-        return int(
-            candidates[0]
-            if len(candidates) == 1
-            else candidates[int(rng.integers(len(candidates)))]
-        )
-
-    def _lane_change_batch_legacy(
-        self,
-        idx: np.ndarray,
-        pos: np.ndarray,
-        speed: np.ndarray,
-        watch_ei: List[int],
-        w_lo: List[int],
-        w_hi: List[int],
-    ) -> List[Tuple[int, int, int]]:
-        """Vectorized lane-change pass over the gathered columns.
-
-        The blocked-follower predicate of
-        :meth:`LaneChangeModel.wants_to_change` is evaluated in one shot —
-        a follower's in-lane leader is gather index ``i-1`` — and must stay
-        boolean-identical to the scalar model (the engine-mode agreement
-        tests fail on divergence).  Candidates then run the scalar
-        target-lane choice in gather order, which is exactly the reference
-        engine's segment-by-segment, lane-by-lane, front-to-back scan order,
-        so the RNG stream is consumed identically.  Decisions within a
-        segment read the pre-change lane lists (the reference pass applies
-        its moves only after scanning the whole segment), so accepted moves
-        are buffered per segment and applied at the segment boundary.
-        Returns the ``(edge index, start, end)`` gather spans of the
-        segments whose lane order actually changed.
-        """
-        lc = self.lane_change
-        desired = self._desired[idx]
-        n = idx.shape[0]
-        cand = np.zeros(n, dtype=bool)
-        cand[1:] = ((pos[:-1] - pos[1:]) <= lc.blocked_distance_m) & (
-            (desired[1:] - speed[:-1]) > lc.speed_gain_threshold_mps
-        )
-        cand &= self._ml[idx] & ~self._is_head[idx]
-        patched: List[Tuple[int, int, int]] = []
-        if not cand.any():
-            return patched
-        slot_vehicle = self._slot_vehicle
-        state_by_index = self._state_by_index
-        rng = self.rng
-        wi = 0
-        ei = watch_ei[0]
-        span_start = w_lo[0]
-        span_end = w_hi[0]
-        st = state_by_index[ei]
-        seg = st[0]
-        lanes = st[2]
-        pending: List[Tuple[Vehicle, int]] = []
-        for i in cand.nonzero()[0].tolist():
-            if i >= span_end:
-                if pending:
-                    self._apply_lane_moves(ei, lanes, pending)
-                    patched.append((ei, span_start, span_end))
-                    pending = []
-                while w_hi[wi] <= i:
-                    wi += 1
-                ei = watch_ei[wi]
-                span_start = w_lo[wi]
-                span_end = w_hi[wi]
-                st = state_by_index[ei]
-                seg = st[0]
-                lanes = st[2]
-            v = slot_vehicle[int(idx[i])]
-            target = self._target_lane_soa(v, seg.lanes, lanes, rng)
-            if target is not None:
-                pending.append((v, target))
-        if pending:
-            self._apply_lane_moves(ei, lanes, pending)
-            patched.append((ei, span_start, span_end))
-        return patched
-
-    def _target_lane_soa(
-        self,
-        vehicle: Vehicle,
-        seg_lanes: int,
-        lanes: List[List[Vehicle]],
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        """Resident-array port of :meth:`LaneChangeModel.target_lane`.
-
-        Reads positions from the resident arrays instead of the (stale
-        during the step) Vehicle mirrors; RNG draws and candidate order are
-        identical to the model, which the engine-mode agreement tests pin.
-        """
-        lc = self.lane_change
-        if seg_lanes < 2:
-            return None
-        if rng.random() < lc.politeness:
-            return None
-        pos = self._pos
-        own = pos[vehicle.slot]
-        half = lc.required_gap_m / 2.0
-        candidates = []
-        for delta in (1, -1):
-            lane = vehicle.lane + delta
-            if 0 <= lane < seg_lanes:
-                for other in lanes[lane]:
-                    if abs(pos[other.slot] - own) < half:
-                        break
-                else:
-                    candidates.append(lane)
-        if not candidates:
-            return None
-        return int(
-            candidates[0]
-            if len(candidates) == 1
-            else candidates[int(rng.integers(len(candidates)))]
+    def _lane_options_np(self, ei: int, lane: int, nlanes: int, own: float) -> int:
+        """NumPy counterpart of the kernel's bound ``lane_opts`` call."""
+        return lane_options_np(
+            lane,
+            nlanes,
+            own,
+            self.lane_change.required_gap_m / 2.0,
+            self._gather_cache[ei],
+            self._bounds_np[ei],
+            self._pos,
         )
 
     def _apply_lane_moves(
@@ -1517,27 +1079,28 @@ class TrafficEngine:
                 target_list, (-pos[v.slot], v.vid), key=self._lane_sort_key
             )
             target_list.insert(i, v)
-        self._gather_cache[ei] = None
         self._gather_dirty.add(ei)
 
     def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
         """Post-step overtake scan over resident per-edge ranking arrays.
 
-        Same contract as :meth:`_detect_overtakes_batch` — confirm each
-        watched segment's cached ascending (position, vid) ranking, emit
-        flipped pairs where it inverted — with three structural savings:
-        segments whose vehicles currently share a single lane are skipped
-        (``_occ_lanes``; a one-lane ranking cannot invert, see
-        :meth:`_advance_segments_batch`), the per-edge rankings are cached
-        as (slot, vid) array pairs concatenated into persistent buffers,
-        and positional ties resolve their vid comparison vectorized against
-        the cached vid arrays instead of per-pair Python lookups — ties are
-        routine (queues clamp at the stop line), inversions are not, so the
-        common step is a pure array scan with no Python per-tie work.
-        The watched set is ``_occupied_ml`` directly (its ordering is the
-        gather's edge ordering, so cross-edge event order is unchanged);
-        comprehension-driven, with invalidated cache pairs repaired in a
-        short second pass (typically one or two edges per step).
+        ``_ranked`` holds each multilane segment's vehicles in ascending
+        (position, vid) order; car following preserves in-lane order and
+        lane changes do not move vehicles longitudinally, so the ranking
+        stays valid across steps and one monotonicity scan of the post-step
+        positions confirms it.  Only segments where the scan finds an
+        inversion — an actual overtake — enumerate their flipped pairs
+        (:meth:`_emit_overtakes`) and re-sort their ranking.  Segments whose
+        vehicles currently share a single lane are skipped (``_occ_lanes``;
+        a one-lane ranking cannot invert, see
+        :meth:`_advance_segments_batch`).  The rankings are cached as
+        (slot, vid) array pairs (``_ranked_np``), and positional ties
+        resolve their vid comparison vectorized — ties are routine (queues
+        clamp at the stop line), inversions are not, so the common step is
+        a pure array scan.  With cc the scan is one bound native call over
+        the ranking pointer tables; the NumPy path walks ``_occupied_ml``
+        (the gather's edge order, so cross-edge event order is unchanged)
+        and repairs invalidated pairs in a short second pass.
         """
         occ = self._occ_lanes
         cache = self._ranked_np
@@ -1640,69 +1203,6 @@ class TrafficEngine:
             assert chain is not None
             ranked[ei] = self._emit_overtakes(ei, chain, events)
 
-    def _detect_overtakes_batch(
-        self,
-        watch_ei: List[int],
-        w_lo: List[int],
-        w_hi: List[int],
-        moved: np.ndarray,
-        n_moved: int,
-        events: List[TrafficEvent],
-    ) -> None:
-        """Check every watched segment's cached overtake ranking, post-step.
-
-        ``_ranked`` holds each multilane segment's vehicles in ascending
-        (position, vid) order; car following preserves in-lane order and
-        lane changes do not move vehicles longitudinally, so the cache stays
-        valid across steps and one vectorized monotonicity scan of the
-        post-step positions confirms it.  Segments where nothing moved this
-        step are filtered out wholesale first; only segments where the scan
-        finds an inversion — an actual overtake — enumerate their flipped
-        pairs (in the reference engine's insertion-order pair sequence) and
-        re-sort their cache.
-        """
-        if len(watch_ei) > 1 and n_moved * 2 < moved.size:
-            # Mostly-jammed network: drop the watched segments where nothing
-            # moved at all (their ranking trivially cannot have changed).
-            csum = np.concatenate(([0], np.cumsum(moved)))
-            any_moved = csum[np.array(w_hi)] > csum[np.array(w_lo)]
-            if not any_moved.all():
-                watch_ei = [ei for ei, m in zip(watch_ei, any_moved.tolist()) if m]
-                if not watch_ei:
-                    return
-        ranked = self._ranked
-        ranked_cache = self._ranked_cache
-        flat: List[int] = []
-        lens: List[int] = []
-        for ei in watch_ei:
-            part = ranked_cache[ei]
-            if part is None:
-                part = [v.slot for v in ranked[ei]]
-                ranked_cache[ei] = part
-            flat += part
-            lens.append(len(part))
-        arr = self._pos[np.array(flat, dtype=np.intp)]
-        inverted = arr[1:] < arr[:-1]
-        bounds = np.cumsum(lens)
-        inverted[bounds[:-1] - 1] = False
-        flagged = set(np.searchsorted(bounds, np.nonzero(inverted)[0], side="right").tolist())
-        ties = arr[1:] == arr[:-1]
-        ties[bounds[:-1] - 1] = False
-        if ties.any():
-            # A positional tie is an inversion when the vid order disagrees.
-            offsets = np.concatenate(([0], bounds[:-1]))
-            for k in np.nonzero(ties)[0].tolist():
-                j = int(np.searchsorted(bounds, k, side="right"))
-                local = k - int(offsets[j])
-                chain = ranked[watch_ei[j]]
-                if chain[local].vid > chain[local + 1].vid:
-                    flagged.add(j)
-        if not flagged:
-            return
-        for j in sorted(flagged):
-            ei = watch_ei[j]
-            ranked[ei] = self._emit_overtakes(ei, ranked[ei], events)
-
     def _emit_overtakes(
         self,
         ei: int,
@@ -1720,7 +1220,6 @@ class TrafficEngine:
         """
         seg = self._state_by_index[ei][0]
         chain_after = sorted(chain_before, key=self._rank_sort_key)
-        self._ranked_cache[ei] = None
         self._ranked_np[ei] = None
         self._rank_elig[ei] = 0
         self._rank_dirty.add(ei)

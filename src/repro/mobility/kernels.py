@@ -49,7 +49,9 @@ The C sweeps must reproduce :meth:`SimplifiedIDM.advance` /
 
 :func:`advance_chain_py` / :func:`lane_change_candidates_py` are the
 executable specifications: plain Python floats, no NumPy ufuncs, usable as
-property-test oracles against the compiled kernel.
+property-test oracles against the compiled kernel.  :func:`lane_options_np`
+is the NumPy path's lane viability check, held to the same oracle as the C
+``lane_options``.
 
 Calling conventions
 -------------------
@@ -84,6 +86,7 @@ __all__ = [
     "gather_all_py",
     "rank_scan_all_py",
     "lane_options_py",
+    "lane_options_np",
     "available_backends",
     "fallback_reason",
     "load_step_kernel",
@@ -281,6 +284,32 @@ def lane_options_py(
                 ok = 0
                 break
         ret |= ok << d
+    return ret
+
+
+def lane_options_np(
+    lane: int,
+    nlanes: int,
+    own: float,
+    half: float,
+    slots: np.ndarray,
+    bounds: np.ndarray,
+    pos: np.ndarray,
+) -> int:
+    """Both-neighbour lane-change viability in NumPy (no compiler needed).
+
+    The same bits as :func:`lane_options_py`, read from one edge's plain
+    arrays instead of through pointer tables: ``slots`` is its gathered
+    slot array and ``bounds`` its ``nlanes + 1`` cumulative per-lane
+    offsets.  Each neighbour lane is one vectorized ``|other - own| <
+    half`` test, the scalar model's float sequence.
+    """
+    ret = 0
+    for d, target in ((0, lane + 1), (1, lane - 1)):
+        if 0 <= target < nlanes:
+            others = pos[slots[bounds[target]:bounds[target + 1]]]
+            if not (np.abs(others - own) < half).any():
+                ret |= 1 << d
     return ret
 
 

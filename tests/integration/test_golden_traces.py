@@ -159,7 +159,7 @@ def _load_fixture() -> dict:
 ENGINE_MODES = {
     "vectorized": {},
     "numpy": {"compiled": False},
-    "legacy": {"vectorized": False},
+    "scalar": {"vectorized": False},
 }
 
 
@@ -180,7 +180,7 @@ def test_trace_matches_pre_refactor_fixture(scenario, mode):
     assert summary["final_state_digest"] == recorded["final_state_digest"]
 
 
-def test_vectorized_and_legacy_agree_on_midtown():
+def test_vectorized_and_scalar_agree_on_midtown():
     """Both engine modes must agree on a multilane midtown scenario too."""
     from repro.mobility.demand import DemandConfig, DemandModel
     from repro.mobility.engine import TrafficEngine

@@ -367,10 +367,11 @@ class TestBatchedPipelineFallback:
     @pytest.mark.parametrize("shared_rng", [True, False])
     def test_batched_equals_scalar_even_with_shared_generator(self, shared_rng):
         # Wiring the exchange service to the *same* generator as the
-        # recognizers (only possible by constructing it manually) would
-        # interleave the wireless block pre-draws with recognition draws;
-        # process_batch must detect this and fall back to the scalar path
-        # rather than silently diverge.
+        # recognizers (what the constructor's default
+        # ``ExchangeService.perfect(rng)`` does too; here a lossy channel
+        # makes the exchange actually draw) would interleave the wireless
+        # block pre-draws with recognition draws; process_batch must detect
+        # this and fall back to the scalar path rather than silently diverge.
         scalar = self._run(False, shared_rng=shared_rng, fn_rate=0.1)
         batched = self._run(True, shared_rng=shared_rng, fn_rate=0.1)
         assert batched == scalar
@@ -395,3 +396,11 @@ class TestBatchedPipelineFallback:
             config=ProtocolConfig(recognition_false_negative=0.1),
         )
         assert shared._batched_unsafe
+        # The default wiring shares the generator as well.
+        default = CountingProtocol(
+            net,
+            [(0, 0)],
+            rng,
+            config=ProtocolConfig(recognition_false_negative=0.1),
+        )
+        assert default._batched_unsafe

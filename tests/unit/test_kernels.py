@@ -8,7 +8,9 @@ distinguishes ``-0.0`` from ``0.0`` via the follow-up sign check), never
 ``allclose``.  The pointer-table sweeps (``gather_all`` / ``rank_scan_all``
 / ``lane_options``) are checked against their ctypes-dereferencing
 oracles; the bound calling convention is checked against the explicit-arg
-one on the same data.
+one on the same data.  The engine's compiler-less lane viability check
+(``lane_options_np``) is held to the same ``lane_options`` oracle, so it
+runs on every host.
 
 When cc does not load, the loader must return ``None`` with a recorded
 reason, the engine must run its NumPy path (``kernel_backend == "numpy"``)
@@ -40,6 +42,7 @@ from repro.mobility.kernels import (
     fallback_reason,
     gather_all_py,
     lane_change_candidates_py,
+    lane_options_np,
     lane_options_py,
     load_step_kernel,
     rank_scan_all_py,
@@ -233,10 +236,21 @@ class TestRankScanAll:
         assert not np.any(flags_b[elig == 0])
 
 
+def _lane_options(backend, e, lane, nlanes, own, half, edges, gptrs, bptrs, pos):
+    """One viability implementation: cc reads edge ``e`` through the pointer
+    tables, NumPy takes its ``(slots, bounds)`` arrays from ``edges``."""
+    if backend == "cc":
+        return _cc_kernel().lane_options(e, lane, nlanes, own, half, gptrs, bptrs, pos)
+    slots, bounds = edges[e]
+    return lane_options_np(lane, nlanes, own, half, slots, bounds, pos)
+
+
 class TestLaneOptions:
+    """cc and the NumPy check against the oracle; only cc may skip."""
+
+    @pytest.mark.parametrize("backend", ["cc", "numpy"])
     @pytest.mark.parametrize("seed", [1, 8, 17])
-    def test_c_matches_oracle(self, seed):
-        kernel = _cc_kernel()
+    def test_matches_oracle(self, seed, backend):
         rng = np.random.default_rng(seed)
         n_edges, n_slots = 6, 60
         pos = rng.uniform(0.0, 100.0, n_slots)
@@ -261,18 +275,34 @@ class TestLaneOptions:
             own = float(rng.uniform(0.0, 100.0))
             half = float(rng.uniform(1.0, 20.0))
             ref = lane_options_py(e, lane, nlanes, own, half, gptrs, bptrs, pos)
-            got = kernel.lane_options(e, lane, nlanes, own, half, gptrs, bptrs, pos)
+            got = _lane_options(backend, e, lane, nlanes, own, half, keep, gptrs, bptrs, pos)
             assert got == ref
             assert 0 <= got <= 3
 
-    def test_single_lane_has_no_options(self):
-        kernel = _cc_kernel()
+    @pytest.mark.parametrize("backend", ["cc", "numpy"])
+    def test_single_lane_has_no_options(self, backend):
         slots = np.array([0], dtype=np.int64)
         bounds = np.array([0, 1], dtype=np.int64)
         gptrs = np.array([slots.ctypes.data], dtype=np.int64)
         bptrs = np.array([bounds.ctypes.data], dtype=np.int64)
         pos = np.array([5.0])
-        assert kernel.lane_options(0, 0, 1, 50.0, 4.0, gptrs, bptrs, pos) == 0
+        edges = [(slots, bounds)]
+        assert _lane_options(backend, 0, 0, 1, 50.0, 4.0, edges, gptrs, bptrs, pos) == 0
+
+    @pytest.mark.parametrize("backend", ["cc", "numpy"])
+    def test_gap_test_is_strict(self, backend):
+        # Two lanes, one vehicle each (46.0 in lane 0, 50.0 in lane 1): a
+        # neighbour exactly ``half`` away leaves the lane viable, because
+        # the scalar model blocks only on |other - own| < half.
+        slots = np.array([0, 1], dtype=np.int64)
+        bounds = np.array([0, 1, 2], dtype=np.int64)
+        gptrs = np.array([slots.ctypes.data], dtype=np.int64)
+        bptrs = np.array([bounds.ctypes.data], dtype=np.int64)
+        pos = np.array([46.0, 50.0])
+        edges = [(slots, bounds)]
+        for lane, own, bits in ((0, 46.0, 1), (0, 46.5, 0), (1, 50.0, 2), (1, 49.5, 0)):
+            assert lane_options_py(0, lane, 2, own, 4.0, gptrs, bptrs, pos) == bits
+            assert _lane_options(backend, 0, lane, 2, own, 4.0, edges, gptrs, bptrs, pos) == bits
 
 
 # ------------------------------------------------------- bound convention
