@@ -21,11 +21,12 @@ Hot path
 --------
 The default engine keeps a **resident** structure-of-arrays: every vehicle
 owns a slot in persistent capacity-doubling NumPy arrays (position, speed,
-free speed, segment length, desired speed, lane-head and multilane flags)
-that spawns, exits and lane changes update incrementally — a step gathers
-stable array views through cached per-edge slot-index lists and scatters
-back with one bulk write, with no per-step ``np.fromiter``/attribute
-packing.  The ``Vehicle`` objects' kinematic fields become lazily synced
+free speed, segment length, desired speed, vid, lane-head and multilane
+flags).  Each edge's occupancy is two slot arrays updated in place by one
+insert/remove pair: its lanes front to back, which is the gather order,
+and on multilane edges its overtake ranking.  A step gathers the occupied
+edges' lane arrays and scatters back with one bulk write; nothing is
+rebuilt.  The ``Vehicle`` objects' kinematic fields become lazily synced
 mirrors (refreshed by any public accessor; see :attr:`TrafficEngine.
 vehicles`).  Because each lane advances front to back against its leader's
 post-step state, the update is not a single elementwise pass: the compiled
@@ -34,26 +35,28 @@ in place in one native call, and the NumPy path it falls back to resolves
 lane heads and provably unconstrained/stopped followers in one vectorized
 pass, then exact vectorized rounds for followers whose leader is already
 final, and finally a scalar tail for short chained runs at queue boundaries
-— both bit-for-bit identical to the per-vehicle engine.  The lane-change
-scan is a single vectorized predicate over the gathered order; only actual
-candidates run the target-lane choice, one pass shared by both backends
-(:meth:`TrafficEngine._lane_change_batch`) that consumes the RNG in
-reference order.  Overtakes are detected by checking each multilane
-segment's cached (position, vid) ranking for inversions instead of
-comparing all pairs, and intersections only consider the vehicles actually
-waiting at a stop line.  In batched mode :meth:`TrafficEngine.step_batch`
-emits plain crossings as index arrays (:class:`~repro.mobility.events.
-StepBatch`) consumed directly by the counting protocol — no per-crossing
-event objects.  ``vectorized=False`` selects the original seed per-vehicle
-loops, kept verbatim as the reference implementation for the golden-trace
-equivalence tests and the throughput benchmark baseline.
+— both bit-for-bit identical to the per-vehicle engine's advance.  The
+lane-change scan is a single vectorized predicate over the gathered order;
+only actual candidates run the target-lane choice, one pass shared by both
+backends (:meth:`TrafficEngine._lane_change_batch`) that consumes the RNG
+in reference order.  Overtakes are detected by checking each multilane
+segment's (position, vid) ranking for inversions instead of comparing all
+pairs, and intersections only consider the vehicles actually waiting at a
+stop line.  In batched mode :meth:`TrafficEngine.step_batch` emits plain
+crossings as index arrays (:class:`~repro.mobility.events.StepBatch`)
+consumed directly by the counting protocol — no per-crossing event objects.
+``vectorized=False`` selects the original seed per-vehicle loops, kept
+verbatim as the reference implementation for the golden-trace equivalence
+tests and the throughput benchmark baseline.  The vectorized engines match
+it event for event except at one known positional tie (see
+:meth:`TrafficEngine._advance_segments_batch`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, cast
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +84,40 @@ _ARRIVAL_EPS_M = 0.5
 #: Initial capacity of the resident structure-of-arrays state; grown by
 #: doubling whenever the active fleet outgrows it.
 _INITIAL_CAPACITY = 64
+
+#: The empty slot array every edge starts from; never written, because the
+#: first insert finds it full and allocates the edge its own buffer.
+_NO_SLOTS = np.empty(0, dtype=np.intp)
+
+
+def _splice_in(
+    store: List[np.ndarray], ptrs: np.ndarray, ei: int, k: int, i: int, slot: int
+) -> np.ndarray:
+    """Insert ``slot`` at index ``i`` of edge ``ei``'s ``k``-slot live prefix.
+
+    ``store[ei]`` is the edge's grow-only buffer; it doubles when full, and
+    only then is its pointer-table entry ``ptrs[ei]`` rewritten.  Returns
+    the new live-prefix view.
+    """
+    buf = store[ei]
+    if k == buf.shape[0]:
+        grown = np.empty(max(4, 2 * k), dtype=np.intp)
+        grown[:k] = buf
+        store[ei] = buf = grown
+        ptrs[ei] = buf.ctypes.data
+    if i < k:
+        buf[i + 1:k + 1] = buf[i:k]
+    buf[i] = slot
+    return buf[:k + 1]
+
+
+def _splice_out(store: List[np.ndarray], ei: int, k: int, i: int) -> np.ndarray:
+    """Delete index ``i`` of edge ``ei``'s ``k``-slot live prefix; returns the
+    new live-prefix view."""
+    buf = store[ei]
+    if i < k - 1:
+        buf[i:k - 1] = buf[i + 1:k]
+    return buf[:k - 1]
 
 
 @dataclass
@@ -126,7 +163,9 @@ class TrafficEngine:
     vectorized:
         Use the batch NumPy hot path (default).  ``False`` selects the
         original per-vehicle reference loops; both modes produce identical
-        event streams and state for the same RNG.
+        event streams and state for the same RNG, except for the overtakes a
+        positional tie hides on a segment whose vehicles share one lane
+        (see :meth:`_advance_segments_batch`).
     compiled:
         Use the compiled inner step kernel (:mod:`repro.mobility.kernels`,
         default): the whole gather→advance→scatter recurrence runs as one
@@ -179,49 +218,28 @@ class TrafficEngine:
         self.time_s: float = 0.0
         self._vehicles: Dict[int, Vehicle] = {}
         self._departed: Dict[int, Vehicle] = {}
-        # Flat per-segment occupancy in insertion order (the event-ordering
-        # reference), plus — for the vectorized engine — per-lane lists kept
-        # sorted front to back.  All per-edge dicts share the
-        # ``net.segments()`` iteration order, which fixes the
-        # RNG-consumption and event order of the step.
+        # Flat per-segment occupancy in insertion order: the reference
+        # engine's event order, and the overtake scan's pair order.  Every
+        # per-edge structure is indexed in ``net.segments()`` order, which
+        # fixes the RNG-consumption and event order of the step.
         self._occupancy: Dict[Tuple[object, object], List[int]] = {}
         self._segments: Dict[Tuple[object, object], DirectedSegment] = {}
-        self._lanes: Dict[Tuple[object, object], List[List[Vehicle]]] = {}
-        # Per-edge (segment, flat occupancy, per-lane lists, multilane?,
-        # length, edge key) for one-lookup, attribute-free iteration of the
-        # hot step; the lists are shared with the dicts above.  ``_ranked``
-        # caches each multilane segment's vehicles in ascending (pos, vid)
-        # order — the overtake ranking — which advance leaves intact except
-        # on the rare steps that actually flip a pair.
-        self._state_by_index: List[Tuple] = []
-        #: per-edge overtake ranking (ascending (pos, vid) vehicle lists),
-        #: indexed like _state_by_index; None for single-lane edges.
-        self._ranked: List[Optional[List[Vehicle]]] = []
         self._edge_order: Dict[Tuple[object, object], int] = {}
-        # Sorted indices (into _state_by_index) of edges carrying vehicles,
-        # so the hot step never walks the empty part of the network.
+        #: the segment at each edge index
+        self._segs: List[DirectedSegment] = list(net.segments())
+        for i, seg in enumerate(self._segs):
+            self._occupancy[seg.key] = []
+            self._segments[seg.key] = seg
+            self._edge_order[seg.key] = i
+        n_edges = len(self._segs)
+        # Sorted indices of the edges carrying vehicles, so the hot step
+        # never walks the empty part of the network, and how many of them
+        # are multilane (any means lane changes and overtakes are in play).
         self._occupied: List[int] = []
-        # Sorted subset of ``_occupied``: the multilane edges, maintained at
-        # the same occupancy transitions — the step consults it instead of
-        # re-deriving watch eligibility per edge per step.
-        self._occupied_ml: List[int] = []
+        self._n_ml_occupied = 0
         # Sparse: edges with vehicles waiting at the stop line, and those
         # vehicles themselves (always their lane's head).
         self._waiting: Dict[Tuple[object, object], List[Vehicle]] = {}
-        for i, seg in enumerate(net.segments()):
-            flat: List[int] = []
-            lanes: List[List[Vehicle]] = [[] for _ in range(seg.lanes)]
-            self._occupancy[seg.key] = flat
-            self._segments[seg.key] = seg
-            self._lanes[seg.key] = lanes
-            self._state_by_index.append(
-                (seg, flat, lanes, seg.lanes > 1, seg.length_m, seg.key)
-            )
-            self._ranked.append([] if seg.lanes > 1 else None)
-            self._edge_order[seg.key] = i
-        #: per-edge multilane flag, indexed like ``_state_by_index`` (the
-        #: ``[3]`` tuple entry, hoisted for the occupancy-transition updates).
-        self._edge_ml: List[bool] = [st[3] for st in self._state_by_index]
 
         # Resident structure-of-arrays state (vectorized engine only).  One
         # slot per vehicle currently inside, allocated from a free list and
@@ -230,11 +248,7 @@ class TrafficEngine:
         # the Vehicle objects are refreshed lazily (``_sync_kinematics``)
         # before any public read.  ``_freeflow``/``_seglen``/``_ml`` are
         # per-current-segment invariants rewritten on every placement;
-        # ``_desired`` is fixed at spawn.  ``_gather_cache`` holds each
-        # edge's gathered slot-index array (lane-major, front to back) and
-        # ``_is_head`` its lane-head flags, both rebuilt only for edges whose
-        # lane lists actually changed — so a step gathers stable array views
-        # instead of re-packing per-vehicle attributes.
+        # ``_desired`` and ``_vid`` are fixed at spawn.
         self._capacity = 0
         self._next_slot = 0
         self._free_slots: List[int] = []
@@ -244,6 +258,7 @@ class TrafficEngine:
         self._freeflow = np.empty(0, dtype=np.float64)
         self._seglen = np.empty(0, dtype=np.float64)
         self._desired = np.empty(0, dtype=np.float64)
+        self._vid = np.empty(0, dtype=np.int64)
         self._is_head = np.empty(0, dtype=bool)
         self._ml = np.empty(0, dtype=bool)
         #: mirror of ``waiting_since_s is not None`` per slot, so the fast
@@ -251,75 +266,59 @@ class TrafficEngine:
         #: Vehicle objects (cleared on every placement, set when a vehicle
         #: reaches a stop line).
         self._wait_flag = np.empty(0, dtype=bool)
-        n_edges = len(self._state_by_index)
-        self._gather_cache: List[np.ndarray] = [np.empty(0, dtype=np.intp)] * n_edges
-        #: edges whose lane lists changed since the last gather — the single
-        #: dirty mark of ``_gather_cache``; :meth:`_gather_fast` rebuilds
-        #: them up front, so its per-edge walk is a plain list comprehension.
-        self._gather_dirty: Set[int] = set()
-        #: per-edge count of non-empty lanes, refreshed together with
-        #: ``_gather_cache`` — the overtake scan skips segments whose
-        #: vehicles all share one lane.
+        # Per-edge occupancy (vectorized engine only) — the state itself,
+        # not a cache of it.  ``_lane_slots[e]`` holds the edge's slots
+        # lane-major and front to back (descending position, ascending vid
+        # on ties), which is the gather order, with ``_bounds_np[e]`` its
+        # ``lanes + 1`` cumulative lane offsets; on multilane edges
+        # ``_rank_slots[e]`` holds the same slots in ascending (position,
+        # vid) order as of the last overtake scan, the overtake ranking
+        # (empty on single-lane edges).  Each is a view of the live prefix of
+        # a grow-only buffer in ``_lane_store``/``_rank_store`` whose address
+        # the pointer tables below hold, updated in place by
+        # ``_lane_insert``/``_lane_remove`` and ``_rank_insert``/
+        # ``_rank_remove``, which also keep ``_is_head``, ``_occ_lanes``,
+        # ``_rank_elig`` and ``_lane_len`` current.
+        self._lane_slots: List[np.ndarray] = [_NO_SLOTS] * n_edges
+        self._rank_slots: List[np.ndarray] = [_NO_SLOTS] * n_edges
+        self._lane_store: List[np.ndarray] = [_NO_SLOTS] * n_edges
+        self._rank_store: List[np.ndarray] = [_NO_SLOTS] * n_edges
+        self._bounds_np: List[np.ndarray] = [
+            np.zeros(seg.lanes + 1, dtype=np.int64) for seg in self._segs
+        ]
+        #: per-edge count of non-empty lanes
         self._occ_lanes: List[int] = [0] * n_edges
-        #: per-edge overtake ranking as (slot array, vid array) pairs,
-        #: index-parallel to ``_ranked``'s vehicle lists, so the overtake
-        #: scan concatenates resident arrays and resolves positional ties
-        #: vectorized; None = dirty.
-        self._ranked_np: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n_edges
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
-        # arrival/movement masks, the lane-change candidate mask and the
-        # NumPy overtake scan's concat targets.  The compiled kernel binds
-        # the first four once per capacity change, making each per-step
-        # native call a cached-pointer invocation with only the count
-        # varying.
+        # arrival/movement masks and the lane-change candidate mask.  The
+        # compiled kernel binds them once per capacity change, making each
+        # per-step native call a cached-pointer invocation with only the
+        # count varying.
         self._idx_buf = np.empty(0, dtype=np.intp)
         self._newly_buf = np.empty(0, dtype=bool)
         self._moved_buf = np.empty(0, dtype=bool)
         self._cand_buf = np.empty(0, dtype=bool)
-        self._rank_buf = np.empty(0, dtype=np.intp)
-        self._vid_buf = np.empty(0, dtype=np.int64)
         # Edge-count-sized (static) scratch: per-edge inversion flags out
         # of the compiled ranking scan.
         self._flags_buf = np.empty(n_edges, dtype=bool)
         # Pointer tables for the compiled kernel's full-edge sweeps: per-edge
-        # address + length of the cached gather slot array and of the
-        # cached ranking (slot, vid) arrays, plus the occupied-edge index
-        # mirror and the per-edge ranking-scan eligibility byte.  Updated
-        # only where the corresponding cache entry changes (a handful of
-        # edges per step), so the steady-state gather and overtake scan
-        # are each one bound native call with no per-edge Python walk.  The
-        # NumPy path walks the same per-edge caches in Python.
-        self._gather_ptr = np.zeros(n_edges, dtype=np.int64)
-        self._gather_len = np.zeros(n_edges, dtype=np.int64)
-        self._occ_buf = np.zeros(n_edges, dtype=np.int64)
-        self._occ_stale = True
-        self._rank_ptr_s = np.zeros(n_edges, dtype=np.int64)
-        self._rank_ptr_v = np.zeros(n_edges, dtype=np.int64)
-        self._rank_len = np.zeros(n_edges, dtype=np.int64)
-        self._rank_elig = np.zeros(n_edges, dtype=np.uint8)
-        #: per-edge reusable buffers behind the pointer tables, all with
-        #: *stable addresses* between reallocations: grow-only gather slot
-        #: buffers, fixed-size lane-bounds arrays (cumulative per-lane
-        #: gather offsets, ``lanes + 1`` int64 each) and grow-only ranking
-        #: (slot, vid) buffers.  Rebuilds overwrite the prefix in place, so
-        #: the per-rebuild cost is a bulk copy — no allocation and no
-        #: ``.ctypes`` pointer extraction (both measurably dominate the
-        #: rebuild otherwise); a table slot is rewritten only when its
-        #: buffer actually grows.
-        self._gather_bufs: List[Optional[np.ndarray]] = [None] * n_edges
-        self._rank_sbufs: List[Optional[np.ndarray]] = [None] * n_edges
-        self._rank_vbufs: List[Optional[np.ndarray]] = [None] * n_edges
-        self._bounds_np: List[np.ndarray] = [
-            np.zeros(st[0].lanes + 1, dtype=np.int64) for st in self._state_by_index
-        ]
+        # address and length of the lane slot array (the length also bounds
+        # the ranking, which holds the same slots), addresses of the lane
+        # bounds and of the ranking, the occupied-edge index mirror and the
+        # ranking-scan eligibility byte (multilane with more than one
+        # occupied lane).  An address changes only when its buffer is
+        # reallocated, so the steady-state gather and overtake scan are each
+        # one bound native call with no per-edge Python walk.  The NumPy
+        # path walks the same per-edge arrays in Python.
+        self._lane_ptr = np.zeros(n_edges, dtype=np.int64)
+        self._lane_len = np.zeros(n_edges, dtype=np.int64)
+        self._rank_ptr = np.zeros(n_edges, dtype=np.int64)
         self._bounds_ptr = np.array(
             [b.ctypes.data for b in self._bounds_np], dtype=np.int64
         )
-        #: edges whose ranking-scan eligibility must be re-derived before
-        #: the next pointer-table scan (cache invalidated or occupied-lane
-        #: count changed).
-        self._rank_dirty: Set[int] = set()
+        self._occ_buf = np.zeros(n_edges, dtype=np.int64)
+        self._occ_stale = True
+        self._rank_elig = np.zeros(n_edges, dtype=np.uint8)
         if self._kernel is not None:
             self._bind_kernel()
         self._kinematics_stale = False
@@ -421,6 +420,7 @@ class TrafficEngine:
         self._slot_vehicle[slot] = vehicle
         vehicle.slot = slot
         self._desired[slot] = vehicle.desired_speed_mps
+        self._vid[slot] = vehicle.vid
         return slot
 
     def _release_slot(self, vehicle: Vehicle) -> None:
@@ -438,6 +438,7 @@ class TrafficEngine:
         self._freeflow = np.concatenate((self._freeflow, pad))
         self._seglen = np.concatenate((self._seglen, pad))
         self._desired = np.concatenate((self._desired, pad))
+        self._vid = np.concatenate((self._vid, np.zeros(extra, dtype=np.int64)))
         bpad = np.zeros(extra, dtype=bool)
         self._is_head = np.concatenate((self._is_head, bpad))
         self._ml = np.concatenate((self._ml, bpad))
@@ -448,8 +449,6 @@ class TrafficEngine:
         self._newly_buf = np.empty(capacity, dtype=bool)
         self._moved_buf = np.empty(capacity, dtype=bool)
         self._cand_buf = np.empty(capacity, dtype=bool)
-        self._rank_buf = np.empty(capacity, dtype=np.intp)
-        self._vid_buf = np.empty(capacity, dtype=np.int64)
         if self._kernel is not None:
             self._bind_kernel()
 
@@ -463,29 +462,28 @@ class TrafficEngine:
         assert kernel is not None
         lc = self.lane_change
         kernel.bind(
-            self._idx_buf,
-            self._pos,
-            self._speed,
-            self._freeflow,
-            self._seglen,
-            self._is_head,
-            self._wait_flag,
-            self._newly_buf,
-            self._moved_buf,
-            self._desired,
-            self._ml,
-            self._cand_buf,
-            lc.blocked_distance_m,
-            lc.speed_gain_threshold_mps,
-            self._flags_buf,
+            idx_buf=self._idx_buf,
+            pos=self._pos,
+            speed=self._speed,
+            freeflow=self._freeflow,
+            seglen=self._seglen,
+            desired=self._desired,
+            vid=self._vid,
+            heads=self._is_head,
+            waitflag=self._wait_flag,
+            multilane=self._ml,
+            newly_buf=self._newly_buf,
+            moved_buf=self._moved_buf,
+            cand_buf=self._cand_buf,
+            flags_buf=self._flags_buf,
             occ_buf=self._occ_buf,
-            gather_ptr=self._gather_ptr,
-            gather_len=self._gather_len,
-            rank_elig=self._rank_elig,
-            rank_ptr_s=self._rank_ptr_s,
-            rank_ptr_v=self._rank_ptr_v,
-            rank_len=self._rank_len,
+            lane_ptr=self._lane_ptr,
+            lane_len=self._lane_len,
             bounds_ptr=self._bounds_ptr,
+            rank_ptr=self._rank_ptr,
+            rank_elig=self._rank_elig,
+            blocked_m=lc.blocked_distance_m,
+            gain_mps=lc.speed_gain_threshold_mps,
             gap_half_m=lc.required_gap_m / 2.0,
         )
 
@@ -506,15 +504,6 @@ class TrafficEngine:
             v.pos_m = float(pos[slot])
             v.speed_mps = float(speed[slot])
         self._kinematics_stale = False
-
-    # ------------------------------------------------ sorted-structure keys
-    def _lane_sort_key(self, vehicle: Vehicle) -> Tuple[float, int]:
-        """Front-to-back ordering within a lane: descending position."""
-        return (-self._pos[vehicle.slot], vehicle.vid)
-
-    def _rank_sort_key(self, vehicle: Vehicle) -> Tuple[float, int]:
-        """Segment-wide overtake ranking: ascending position."""
-        return (self._pos[vehicle.slot], vehicle.vid)
 
     def _insert(
         self,
@@ -588,12 +577,12 @@ class TrafficEngine:
         flat = self._occupancy[key]
         flat.append(vehicle.vid)
         if self.vectorized:
-            order = self._edge_order[key]
+            ei = self._edge_order[key]
             if len(flat) == 1:
-                insort(self._occupied, order)
+                insort(self._occupied, ei)
                 self._occ_stale = True
                 if seg.lanes > 1:
-                    insort(self._occupied_ml, order)
+                    self._n_ml_occupied += 1
             slot = vehicle.slot
             self._pos[slot] = vehicle.pos_m
             self._speed[slot] = vehicle.speed_mps
@@ -601,30 +590,22 @@ class TrafficEngine:
             self._seglen[slot] = seg.length_m
             self._ml[slot] = seg.lanes > 1
             self._wait_flag[slot] = False
-            lane_list = self._lanes[key][vehicle.lane]
-            idx = bisect_left(
-                lane_list, (-vehicle.pos_m, vehicle.vid), key=self._lane_sort_key
-            )
-            lane_list.insert(idx, vehicle)
-            self._gather_dirty.add(order)
-            ranked = self._ranked[order]
-            if ranked is not None:
-                insort(ranked, vehicle, key=self._rank_sort_key)
-                self._ranked_np[order] = None
-                self._rank_elig[order] = 0
-                self._rank_dirty.add(order)
+            self._lane_insert(ei, vehicle.lane, slot)
+            if seg.lanes > 1:
+                self._rank_insert(ei, slot)
 
     def _remove_from_edge(self, vehicle: Vehicle) -> None:
         edge = vehicle.edge
         flat = self._occupancy[edge]
         flat.remove(vehicle.vid)
         if self.vectorized:
-            order = self._edge_order[edge]
+            ei = self._edge_order[edge]
+            multilane = self._segs[ei].lanes > 1
             if not flat:
-                del self._occupied[bisect_left(self._occupied, order)]
+                del self._occupied[bisect_left(self._occupied, ei)]
                 self._occ_stale = True
-                if self._edge_ml[order]:
-                    del self._occupied_ml[bisect_left(self._occupied_ml, order)]
+                if multilane:
+                    self._n_ml_occupied -= 1
             # Materialize the departing vehicle's kinematics so exit events
             # and the departed pool carry its final state even though the
             # resident arrays are the in-run source of truth.
@@ -632,19 +613,99 @@ class TrafficEngine:
             vehicle.pos_m = float(self._pos[slot])
             vehicle.speed_mps = float(self._speed[slot])
             self._wait_flag[slot] = False
-            self._lanes[edge][vehicle.lane].remove(vehicle)
-            self._gather_dirty.add(order)
-            ranked = self._ranked[order]
-            if ranked is not None:
-                ranked.remove(vehicle)
-                self._ranked_np[order] = None
-                self._rank_elig[order] = 0
-                self._rank_dirty.add(order)
+            self._lane_remove(ei, vehicle.lane, slot)
+            if multilane:
+                self._rank_remove(ei, slot)
             if vehicle.waiting_since_s is not None:
                 queue = self._waiting[edge]
                 queue.remove(vehicle)
                 if not queue:
                     del self._waiting[edge]
+
+    # ------------------------------------------------ per-edge slot arrays
+    def _lane_insert(self, ei: int, lane: int, slot: int) -> None:
+        """Insert ``slot`` into ``lane`` of edge ``ei`` at its front-to-back place.
+
+        Lanes stay sorted by (descending position, vid): car following
+        never reorders a lane, so the insertion point is unique, and the
+        walk starts at the back, where crossings enter.  Keeps the lane
+        bounds, the length table, the lane-head flags and the occupied-lane
+        count (with the ranking-scan eligibility it gates) current.
+        """
+        bounds = self._bounds_np[ei]
+        lo, hi = bounds[lane:lane + 2].tolist()
+        pos = self._pos
+        vid = self._vid
+        p = pos[slot]
+        v = vid[slot]
+        slots = self._lane_slots[ei]
+        i = hi
+        while i > lo:
+            s = slots[i - 1]
+            if pos[s] > p or (pos[s] == p and vid[s] < v):
+                break
+            i -= 1
+        is_head = self._is_head
+        if i > lo:
+            is_head[slot] = False
+        else:
+            if hi > lo:
+                is_head[slots[lo]] = False
+            else:
+                occ = self._occ_lanes[ei] + 1
+                self._occ_lanes[ei] = occ
+                self._rank_elig[ei] = occ > 1
+            is_head[slot] = True
+        k = slots.shape[0]
+        self._lane_slots[ei] = _splice_in(self._lane_store, self._lane_ptr, ei, k, i, slot)
+        for j in range(lane + 1, bounds.shape[0]):
+            bounds[j] += 1
+        self._lane_len[ei] = k + 1
+
+    def _lane_remove(self, ei: int, lane: int, slot: int) -> None:
+        """Remove ``slot`` from ``lane`` of edge ``ei`` (the inverse of
+        :meth:`_lane_insert`)."""
+        bounds = self._bounds_np[ei]
+        lo, hi = bounds[lane:lane + 2].tolist()
+        slots = self._lane_slots[ei]
+        i = lo + slots[lo:hi].tolist().index(slot)
+        k = slots.shape[0]
+        slots = _splice_out(self._lane_store, ei, k, i)
+        self._lane_slots[ei] = slots
+        for j in range(lane + 1, bounds.shape[0]):
+            bounds[j] -= 1
+        self._lane_len[ei] = k - 1
+        if i == lo:
+            if hi - lo > 1:
+                self._is_head[slots[lo]] = True
+            else:
+                occ = self._occ_lanes[ei] - 1
+                self._occ_lanes[ei] = occ
+                self._rank_elig[ei] = occ > 1
+
+    def _rank_insert(self, ei: int, slot: int) -> None:
+        """Insert ``slot`` into multilane edge ``ei``'s overtake ranking.
+
+        The insertion point is :func:`bisect.insort`'s on the (position,
+        vid) key, probe for probe: a ranking the overtake scan skipped (see
+        :meth:`_advance_segments_batch`) may be out of order, and where the
+        new slot lands then decides which overtakes a later scan reports.
+        """
+        pos = self._pos
+        vid = self._vid
+        ranking = self._rank_slots[ei]
+        i = bisect_right(ranking, (pos[slot], vid[slot]), key=lambda s: (pos[s], vid[s]))
+        self._rank_slots[ei] = _splice_in(
+            self._rank_store, self._rank_ptr, ei, ranking.shape[0], i, slot
+        )
+
+    def _rank_remove(self, ei: int, slot: int) -> None:
+        """Remove ``slot`` from multilane edge ``ei``'s overtake ranking
+        (usually its last entry: departing vehicles are at the stop line)."""
+        ranking = self._rank_slots[ei]
+        k = ranking.shape[0]
+        i = k - 1 if ranking[k - 1] == slot else ranking.tolist().index(slot)
+        self._rank_slots[ei] = _splice_out(self._rank_store, ei, k, i)
 
     # --------------------------------------------------------------- queries
     @property
@@ -749,51 +810,10 @@ class TrafficEngine:
         return out
 
     # ------------------------------------------- segment dynamics (batched)
-    def _rebuild_gather(self, ei: int) -> None:
-        """Rebuild one edge's gathered slot array, lane-head flags and bounds.
-
-        Called by :meth:`_gather_fast` for the edges whose lane lists
-        changed since their last gather (place / removal / lane change);
-        every other edge reuses its cached array, so the step's gather
-        concatenates resident index arrays rather than re-packing
-        per-vehicle attributes.
-        """
-        lanes = self._state_by_index[ei][2]
-        is_head = self._is_head
-        slots: List[int] = []
-        occupied_lanes = 0
-        bounds = [0]
-        for lane_list in lanes:
-            if lane_list:
-                occupied_lanes += 1
-                head = True
-                for v in lane_list:
-                    is_head[v.slot] = head
-                    head = False
-                    slots.append(v.slot)
-            bounds.append(len(slots))
-        k = len(slots)
-        buf = self._gather_bufs[ei]
-        if buf is None or buf.shape[0] < k:
-            buf = np.empty(max(4, k, 0 if buf is None else 2 * buf.shape[0]),
-                           dtype=np.intp)
-            self._gather_bufs[ei] = buf
-            self._gather_ptr[ei] = buf.ctypes.data
-        part = buf[:k]
-        part[:] = slots
-        self._gather_cache[ei] = part
-        self._gather_len[ei] = k
-        self._bounds_np[ei][:] = bounds
-        self._occ_lanes[ei] = occupied_lanes
-        if self._kernel is not None and self._edge_ml[ei]:
-            # The occupied-lane count gates ranking-scan eligibility;
-            # re-derive it before the next pointer-table scan.
-            self._rank_dirty.add(ei)
-
     def _advance_segments_batch(self, events: List[TrafficEvent]) -> None:
         """Advance every occupied segment (the vectorized step).
 
-        Gather the cached per-edge slot arrays (:meth:`_gather_fast`; a
+        Gather the occupied edges' lane slot arrays (:meth:`_gather`; a
         follower's in-lane leader is simply the previous gather index),
         mark the lane-change candidates with the blocked-follower
         predicate, and run the one lane-change pass
@@ -816,16 +836,25 @@ class TrafficEngine:
           pass over the ``_wait_flag`` mirror.
 
         Both produce bit-identical state and events (golden-trace pinned).
-        Overtake detection afterwards skips multilane segments whose
-        vehicles currently share a single lane: car following preserves
-        strict in-lane (position, vid) order and never creates ties (a
-        follower's position ceiling stays strictly below its leader), and
-        lane changes never move vehicles longitudinally — so a one-lane
-        ranking cannot invert.
+
+        Overtake detection afterwards (:meth:`_detect_overtakes_fast`)
+        skips multilane segments whose vehicles currently share a single
+        lane, and this is a **known divergence** from the reference engine,
+        not an equivalence.  A lane orders a positional tie by ascending
+        vid, front to back, so the lower vid is in front; the ranking
+        orders it by ascending (position, vid), so the lower vid is behind.
+        When a tied leader pulls away, the ranking flips: the reference
+        reports an overtake, and a skipped ranking keeps the stale order
+        until a later scan of that segment finds it.  Two vehicles spawned
+        at one origin in one step onto the same lane show it
+        (``TestOneLaneTie`` in ``tests/unit/test_mobility_engine.py``, a
+        strict xfail).  Scanning every occupied multilane segment fixes it
+        but changes pinned benchmark digests, so it waits for a change
+        that may re-pin them.
         """
         dt = self.dt_s
         cf = self.car_following
-        n = self._gather_fast()
+        n = self._gather()
         if n == 0:
             return
         idx = self._idx_buf[:n]
@@ -833,7 +862,7 @@ class TrafficEngine:
         # play this step; single-vehicle multilane edges cost nothing extra
         # (their lone vehicle is a lane head, so it can never be a
         # candidate, and the overtake scan skips one-lane occupancies).
-        watching = self.allow_overtaking and bool(self._occupied_ml)
+        watching = self.allow_overtaking and self._n_ml_occupied > 0
 
         pos_a = self._pos
         speed_a = self._speed
@@ -848,11 +877,11 @@ class TrafficEngine:
                 and kernel.candidates_bound(n)
                 and self._lane_change_batch(idx, self._cand_buf[:n])
             ):
-                # Accepted moves re-ordered some lanes: rebuild their
-                # caches and redo the whole gather (lane changes move no
-                # vehicle across or along a segment, so the count and every
-                # other edge's span are unchanged).
-                self._gather_fast()
+                # Accepted moves re-ordered some lanes: redo the whole
+                # gather (lane changes move no vehicle across or along a
+                # segment, so the count and every other edge's span are
+                # unchanged).
+                self._gather()
             # One native call: in-place resident-array sweep in gather
             # order (the exact reference recurrence), arrival/movement
             # masks out.  The return value is the newly-arrived count, so
@@ -873,7 +902,7 @@ class TrafficEngine:
                 if cand.any() and self._lane_change_batch(idx, cand):
                     # Same re-gather as the kernel path; the columns then
                     # follow the new lane order.
-                    self._gather_fast()
+                    self._gather()
                     pos = pos_a[idx]
                     speed = speed_a[idx]
             free = self._freeflow[idx]
@@ -945,38 +974,26 @@ class TrafficEngine:
         if watching:
             self._detect_overtakes_fast(events)
 
-    def _gather_fast(self) -> int:
-        """Flatten the occupied edges' cached slot arrays into ``_idx_buf``.
+    def _gather(self) -> int:
+        """Flatten the occupied edges' lane slot arrays into ``_idx_buf``.
 
-        Edges whose lane lists changed since the last gather
-        (``_gather_dirty``) are rebuilt up front.  The gather itself is one
-        bound native call over the pointer table with cc, otherwise one
-        ``np.concatenate`` of the cached arrays, in edge order, into the
-        persistent capacity-sized index buffer.  Concatenating resident
-        per-edge arrays scales to city-size networks, where flattening
-        through a Python list costs O(vehicles) interpreter-level appends
-        per step.  Returns the gathered element count (0 = nothing
-        occupied).
+        One bound native call over the pointer table with cc, otherwise one
+        ``np.concatenate`` of the per-edge arrays, in edge order, into the
+        persistent capacity-sized index buffer.  Returns the gathered
+        element count (0 = nothing occupied).
         """
-        dirty = self._gather_dirty
-        if dirty:
-            rebuild = self._rebuild_gather
-            for ei in dirty:
-                rebuild(ei)
-            dirty.clear()
+        occupied = self._occupied
         kernel = self._kernel
         if kernel is not None:
-            # One bound native call walks the pointer table; the Python
-            # side only refreshes the occupied-edge mirror when membership
-            # actually changed.
-            occupied = self._occupied
+            # The Python side only refreshes the occupied-edge mirror when
+            # membership actually changed.
             m = len(occupied)
             if self._occ_stale:
                 self._occ_buf[:m] = occupied
                 self._occ_stale = False
             return kernel.gather_bound(m)
-        cache = self._gather_cache
-        parts = [cache[ei] for ei in self._occupied]
+        lane_slots = self._lane_slots
+        parts = [lane_slots[ei] for ei in occupied]
         total = sum([part.shape[0] for part in parts])
         if total:
             np.concatenate(parts, out=self._idx_buf[:total])
@@ -990,20 +1007,20 @@ class TrafficEngine:
         are visited in gather order, which is the reference engine's
         segment-by-segment, lane-by-lane, front-to-back scan order, so the
         RNG stream is consumed identically.  Target-lane viability reads
-        the candidate's edge's cached gather slots and per-lane bounds:
-        one bound native call through the pointer tables with cc, or
-        :func:`lane_options_np` on the same arrays.  Both give the bits of
-        :func:`lane_options_py`, whose gap test is the scalar model's exact
-        float sequence.  Decisions within a segment read the pre-change
-        lane lists (the reference applies its moves only after scanning
-        the whole segment), so accepted moves are buffered per segment —
+        the candidate's edge's lane slots and lane bounds: one bound native
+        call through the pointer tables with cc, or :func:`lane_options_np`
+        on the same arrays.  Both give the bits of :func:`lane_options_py`,
+        whose gap test is the scalar model's exact float sequence.
+        Decisions within a segment read the pre-change lanes (the
+        reference applies its moves only after scanning the whole
+        segment), so accepted moves are buffered per segment —
         the gather is edge-block ordered, so each candidate's own edge
         delimits the segments — and applied at the segment boundary.
         Returns whether any segment's lane order changed; the caller then
         redoes the gather.
         """
         slot_vehicle = self._slot_vehicle
-        state_by_index = self._state_by_index
+        segs = self._segs
         edge_order = self._edge_order
         pos_a = self._pos
         politeness = self.lane_change.politeness
@@ -1014,7 +1031,6 @@ class TrafficEngine:
         rng = self.rng
         cur = -1
         seg_lanes = 0
-        lanes: List[List[Vehicle]] = []
         pending: List[Tuple[Vehicle, int]] = []
         patched = False
         for i in cand.nonzero()[0].tolist():
@@ -1023,13 +1039,11 @@ class TrafficEngine:
             ei = edge_order[v.edge]
             if ei != cur:
                 if pending:
-                    self._apply_lane_moves(cur, lanes, pending)
+                    self._apply_lane_moves(cur, pending)
                     pending = []
                     patched = True
                 cur = ei
-                st = state_by_index[ei]
-                seg_lanes = st[0].lanes
-                lanes = st[2]
+                seg_lanes = segs[ei].lanes
             # Inline scalar target-lane choice: politeness veto first (one
             # uniform per candidate, like the reference scan), then the
             # both-neighbour viability bits, then the tie draw only when
@@ -1047,7 +1061,7 @@ class TrafficEngine:
                 target = v.lane - 1
             pending.append((v, target))
         if pending:
-            self._apply_lane_moves(cur, lanes, pending)
+            self._apply_lane_moves(cur, pending)
             patched = True
         return patched
 
@@ -1058,173 +1072,82 @@ class TrafficEngine:
             nlanes,
             own,
             self.lane_change.required_gap_m / 2.0,
-            self._gather_cache[ei],
+            self._lane_slots[ei],
             self._bounds_np[ei],
             self._pos,
         )
 
-    def _apply_lane_moves(
-        self,
-        ei: int,
-        lanes: List[List[Vehicle]],
-        moves: List[Tuple[Vehicle, int]],
-    ) -> None:
-        """Apply one segment's accepted lane changes to its sorted lists."""
-        pos = self._pos
+    def _apply_lane_moves(self, ei: int, moves: List[Tuple[Vehicle, int]]) -> None:
+        """Apply one segment's accepted lane changes to its lane slots."""
         for v, target in moves:
-            lanes[v.lane].remove(v)
+            self._lane_remove(ei, v.lane, v.slot)
             v.lane = target
-            target_list = lanes[target]
-            i = bisect_left(
-                target_list, (-pos[v.slot], v.vid), key=self._lane_sort_key
-            )
-            target_list.insert(i, v)
-        self._gather_dirty.add(ei)
+            self._lane_insert(ei, target, v.slot)
 
     def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
-        """Post-step overtake scan over resident per-edge ranking arrays.
+        """Post-step overtake scan over the per-edge rankings.
 
-        ``_ranked`` holds each multilane segment's vehicles in ascending
-        (position, vid) order; car following preserves in-lane order and
-        lane changes do not move vehicles longitudinally, so the ranking
-        stays valid across steps and one monotonicity scan of the post-step
+        ``_rank_slots`` holds each multilane segment's slots in ascending
+        (position, vid) order as of the last scan; car following preserves
+        in-lane order and lane changes do not move vehicles
+        longitudinally, so one monotonicity scan of the post-step
         positions confirms it.  Only segments where the scan finds an
-        inversion — an actual overtake — enumerate their flipped pairs
-        (:meth:`_emit_overtakes`) and re-sort their ranking.  Segments whose
-        vehicles currently share a single lane are skipped (``_occ_lanes``;
-        a one-lane ranking cannot invert, see
-        :meth:`_advance_segments_batch`).  The rankings are cached as
-        (slot, vid) array pairs (``_ranked_np``), and positional ties
-        resolve their vid comparison vectorized — ties are routine (queues
-        clamp at the stop line), inversions are not, so the common step is
-        a pure array scan.  With cc the scan is one bound native call over
-        the ranking pointer tables; the NumPy path walks ``_occupied_ml``
-        (the gather's edge order, so cross-edge event order is unchanged)
-        and repairs invalidated pairs in a short second pass.
+        inversion — an actual overtake — enumerate their flipped pairs and
+        re-sort their ranking (:meth:`_emit_overtakes`).  The scan covers
+        the segments flagged in ``_rank_elig``, those with vehicles in more
+        than one lane; skipping the one-lane segments diverges from the
+        reference at a positional tie (see :meth:`_advance_segments_batch`).
+        Positional ties count as inversions when their vid order disagrees.
+        With cc the scan is one bound native call over the ranking pointer
+        table; the NumPy path concatenates the eligible rankings in edge
+        order (the gather's, so cross-edge event order is unchanged) and
+        scans them vectorized.
         """
-        occ = self._occ_lanes
-        cache = self._ranked_np
         kernel = self._kernel
         if kernel is not None:
-            # Pointer-table scan: repair the dirty eligibility entries
-            # (ranking cache invalidated or occupied-lane count changed —
-            # a handful of edges per step), then one bound native call
-            # sweeps every edge.  ``elig`` encodes exactly the watched set
-            # of the packed path: multilane, more than one occupied lane,
-            # ranking cache fresh with its table slot current.
-            dirty = self._rank_dirty
-            if dirty:
-                ranked_l = self._ranked
-                elig = self._rank_elig
-                ptr_s = self._rank_ptr_s
-                ptr_v = self._rank_ptr_v
-                rlen = self._rank_len
-                sbufs = self._rank_sbufs
-                vbufs = self._rank_vbufs
-                for di in dirty:
-                    if occ[di] > 1:
-                        pair = cache[di]
-                        if pair is None:
-                            chain = ranked_l[di]
-                            assert chain is not None
-                            k = len(chain)
-                            sb = sbufs[di]
-                            vb = vbufs[di]
-                            if sb is None or vb is None or sb.shape[0] < k:
-                                cap = max(4, k, 0 if sb is None else 2 * sb.shape[0])
-                                sb = np.empty(cap, dtype=np.intp)
-                                vb = np.empty(cap, dtype=np.int64)
-                                sbufs[di] = sb
-                                vbufs[di] = vb
-                                ptr_s[di] = sb.ctypes.data
-                                ptr_v[di] = vb.ctypes.data
-                            sb[:k] = [v.slot for v in chain]
-                            vb[:k] = [v.vid for v in chain]
-                            rlen[di] = k
-                            cache[di] = (sb[:k], vb[:k])
-                        elig[di] = 1
-                    else:
-                        elig[di] = 0
-                dirty.clear()
-            if not kernel.rank_all_bound():
-                return
-            ranked_l = self._ranked
-            for ei in np.nonzero(self._flags_buf)[0].tolist():
-                chain = ranked_l[ei]
-                assert chain is not None
-                ranked_l[ei] = self._emit_overtakes(ei, chain, events)
+            if kernel.rank_all_bound():
+                for ei in np.flatnonzero(self._flags_buf).tolist():
+                    self._emit_overtakes(ei, events)
             return
-        eis = [ei for ei in self._occupied_ml if occ[ei] > 1]
+        eis = np.flatnonzero(self._rank_elig).tolist()
         if not eis:
             return
-        raw = [cache[ei] for ei in eis]
-        if None in raw:
-            ranked = self._ranked
-            for j, entry in enumerate(raw):
-                if entry is None:
-                    chain = ranked[eis[j]]
-                    assert chain is not None
-                    entry = (
-                        np.array([v.slot for v in chain], dtype=np.intp),
-                        np.array([v.vid for v in chain], dtype=np.int64),
-                    )
-                    cache[eis[j]] = entry
-                    raw[j] = entry
-        pairs = cast("List[Tuple[np.ndarray, np.ndarray]]", raw)
-        parts_s = [pair[0] for pair in pairs]
-        parts_v = [pair[1] for pair in pairs]
-        lens = [part.shape[0] for part in parts_s]
-        ranked = self._ranked
-        if len(eis) == 1:
-            slots_all = parts_s[0]
-            vids_all = parts_v[0]
-        else:
-            total = sum(lens)
-            slots_all = self._rank_buf[:total]
-            vids_all = self._vid_buf[:total]
-            np.concatenate(parts_s, out=slots_all)
-            np.concatenate(parts_v, out=vids_all)
-        arr = self._pos[slots_all]
+        rankings = self._rank_slots
+        parts = [rankings[ei] for ei in eis]
+        slots = np.concatenate(parts)
+        arr = self._pos[slots]
+        vids = self._vid[slots]
         prev = arr[:-1]
         nxt = arr[1:]
         bad = nxt < prev
-        # A positional tie is an inversion when the vid order disagrees.
         ties = nxt == prev
-        np.logical_and(ties, vids_all[:-1] > vids_all[1:], out=ties)
+        np.logical_and(ties, vids[:-1] > vids[1:], out=ties)
         np.logical_or(bad, ties, out=bad)
-        bounds = np.cumsum(lens)
+        bounds = np.cumsum([part.shape[0] for part in parts])
         bad[bounds[:-1] - 1] = False
-        hits = np.nonzero(bad)[0]
+        hits = np.flatnonzero(bad)
         if hits.size == 0:
             return
         for j in np.unique(np.searchsorted(bounds, hits, side="right")).tolist():
-            ei = eis[j]
-            chain = ranked[ei]
-            assert chain is not None
-            ranked[ei] = self._emit_overtakes(ei, chain, events)
+            self._emit_overtakes(eis[j], events)
 
-    def _emit_overtakes(
-        self,
-        ei: int,
-        chain_before: List[Vehicle],
-        events: List[TrafficEvent],
-    ) -> List[Vehicle]:
-        """Enumerate the flipped pairs of one segment whose ranking changed.
+    def _emit_overtakes(self, ei: int, events: List[TrafficEvent]) -> None:
+        """Enumerate the flipped pairs of one segment and re-sort its ranking.
 
-        ``chain_before`` is the cached pre-step ranking; comparing each
-        vehicle's index in it with its index in the freshly sorted post-step
-        ranking is equivalent to the reference engine's (position, vid)
-        tuple comparisons, because both rankings are strict total orders.
-        Pairs are scanned in the flat insertion order the reference engine
-        used, so simultaneous events come out in the same sequence.
+        The ranking still holds the pre-step order; comparing each
+        vehicle's index in it with its index in the re-sorted ranking is
+        equivalent to the reference engine's (position, vid) tuple
+        comparisons, because both rankings are strict total orders.  Pairs
+        are scanned in the flat insertion order the reference engine used,
+        so simultaneous events come out in the same sequence.
         """
-        seg = self._state_by_index[ei][0]
-        chain_after = sorted(chain_before, key=self._rank_sort_key)
-        self._ranked_np[ei] = None
-        self._rank_elig[ei] = 0
-        self._rank_dirty.add(ei)
-        rank_before = {v.vid: r for r, v in enumerate(chain_before)}
-        rank_after = {v.vid: r for r, v in enumerate(chain_after)}
+        ranking = self._rank_slots[ei]
+        before = self._vid[ranking]
+        resort = np.lexsort((before, self._pos[ranking]))
+        ranking[:] = ranking[resort]
+        rank_before = {vid: r for r, vid in enumerate(before.tolist())}
+        rank_after = {vid: r for r, vid in enumerate(before[resort].tolist())}
+        seg = self._segs[ei]
         order = [self._vehicles[vid] for vid in self._occupancy[seg.key]]
         n = len(order)
         vids = [v.vid for v in order]
@@ -1241,7 +1164,6 @@ class TrafficEngine:
                 events.append(
                     OvertakeEvent(time_s=self.time_s, edge=seg.key, passer=passer, passee=passee)
                 )
-        return chain_after
 
     # --------------------------------------- segment dynamics (per vehicle)
     def _advance_segments(self, events: List[TrafficEvent]) -> None:

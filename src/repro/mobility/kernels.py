@@ -53,17 +53,14 @@ property-test oracles against the compiled kernel.  :func:`lane_options_np`
 is the NumPy path's lane viability check, held to the same oracle as the C
 ``lane_options``.
 
-Calling conventions
--------------------
-A :class:`StepKernel` can be driven two ways.  The explicit
-:meth:`StepKernel.advance` / :meth:`StepKernel.candidates` calls take the
-arrays every time (used by the unit tests and oracles).  The engine instead
-*binds* its resident arrays and preallocated output buffers once per
-capacity change (:meth:`StepKernel.bind`) and then issues
-:meth:`StepKernel.advance_bound` / :meth:`StepKernel.candidates_bound` with
-just the element count — every pointer and scalar is cached as a ready
-``ctypes`` argument, cutting per-step FFI overhead to a single foreign
-call.
+Calling convention
+------------------
+The engine *binds* its resident arrays, output buffers and per-edge pointer
+tables once per capacity change (:meth:`StepKernel.bind`) and then issues
+count-only calls (:attr:`StepKernel.advance_bound` and friends): every
+pointer and scalar is cached as a ready ``ctypes`` argument, so a per-step
+call is a single foreign call.  Writes into bound arrays, pointer-table
+slots included, need no re-bind.
 """
 
 from __future__ import annotations
@@ -315,35 +312,34 @@ def lane_options_np(
 
 def rank_scan_all_py(
     elig: Any,
-    ptrs_s: Any,
-    ptrs_v: Any,
+    ptrs: Any,
     lens: Any,
     pos: Any,
+    vid: Any,
     flags: Any,
 ) -> int:
     """Reference full-range overtake-ranking scan (Python + ctypes).
 
-    Iterates *every* edge, skipping those not flagged eligible (multilane,
-    more than one occupied lane, ranking cache fresh — the engine maintains
-    ``elig`` at invalidation time), and reads each eligible edge's cached
-    ascending (position, vid) ranking — its slot and vid arrays — through
-    its table pointers.  ``flags[e]`` is set when any adjacent pair inverted
-    — post-step position strictly decreasing, or a positional tie whose vid
-    order disagrees — i.e. exactly when the engine must enumerate that
-    edge's overtakes; it is written for the whole edge range every call.
+    Iterates *every* edge, skipping those not flagged eligible (multilane
+    with vehicles in more than one lane — the engine keeps ``elig``
+    current), and reads each eligible edge's ascending (position, vid)
+    ranking of slots through ``ptrs[e]``; its length is the edge's lane
+    slot count ``lens[e]``, and ``vid`` is the slot-indexed vid array.
+    ``flags[e]`` is set when any adjacent pair inverted — post-step
+    position strictly decreasing, or a positional tie whose vid order
+    disagrees — i.e. exactly when the engine must enumerate that edge's
+    overtakes; it is written for the whole edge range every call.
     """
     n_edges = elig.shape[0]
     n_flagged = 0
     for e in range(n_edges):
         bad = False
         if elig[e]:
-            ln = int(lens[e])
-            slots = _deref_i64(int(ptrs_s[e]), ln)
-            vids = _deref_i64(int(ptrs_v[e]), ln)
-            for k in range(1, ln):
+            slots = _deref_i64(int(ptrs[e]), int(lens[e]))
+            for k in range(1, slots.shape[0]):
                 a = pos[slots[k - 1]]
                 b = pos[slots[k]]
-                if b < a or (b == a and vids[k - 1] > vids[k]):
+                if b < a or (b == a and vid[slots[k - 1]] > vid[slots[k]]):
                     bad = True
                     break
         flags[e] = bad
@@ -442,13 +438,13 @@ int64_t lane_change_candidates(
     return n_cand;
 }
 
-/* Pointer-table entry points.  The engine maintains, per edge, the address
- * and length of its cached gather / ranking arrays (updated only when a
- * cache entry is rebuilt — a handful of edges per step); these sweeps then
- * walk every edge natively, so the steady-state step does no per-edge
- * Python work at all.  Addresses arrive as int64 values (numpy owns the
- * arrays and keeps them alive; the engine refreshes a table slot whenever
- * its array is reallocated). */
+/* Pointer-table entry points.  The engine keeps, per edge, the address
+ * and length of its lane slot array and the address of its ranking (both
+ * views of grow-only buffers updated in place; a table slot is rewritten
+ * only when its buffer is reallocated); these sweeps then walk every edge
+ * natively, so the steady-state step does no per-edge Python work at all.
+ * Addresses arrive as int64 values (numpy owns the arrays and keeps them
+ * alive). */
 
 int64_t gather_all(
     const int64_t *occ, int64_t m,
@@ -496,20 +492,20 @@ int64_t lane_options(
 
 int64_t rank_scan_all(
     const unsigned char *elig, int64_t n_edges,
-    const int64_t *ptrs_s, const int64_t *ptrs_v, const int64_t *lens,
-    const double *pos, unsigned char *flags)
+    const int64_t *ptrs, const int64_t *lens,
+    const double *pos, const int64_t *vid, unsigned char *flags)
 {
     int64_t n_flagged = 0;
     for (int64_t e = 0; e < n_edges; e++) {
         unsigned char bad = 0;
         if (elig[e]) {
-            const int64_t *slots = (const int64_t *)(intptr_t)ptrs_s[e];
-            const int64_t *vids = (const int64_t *)(intptr_t)ptrs_v[e];
+            const int64_t *slots = (const int64_t *)(intptr_t)ptrs[e];
             int64_t len = lens[e];
             for (int64_t k = 1; k < len; k++) {
-                double a = pos[slots[k - 1]];
-                double b = pos[slots[k]];
-                if (b < a || (b == a && vids[k - 1] > vids[k])) {
+                int64_t s0 = slots[k - 1], s1 = slots[k];
+                double a = pos[s0];
+                double b = pos[s1];
+                if (b < a || (b == a && vid[s0] > vid[s1])) {
                     bad = 1;
                     break;
                 }
@@ -548,8 +544,8 @@ _GATHER_ALL_ARGTYPES = [
 
 _RANK_ALL_ARGTYPES = [
     ctypes.c_void_p, ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     ctypes.c_void_p, ctypes.c_void_p,
+    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
 ]
 
 _LANE_OPTIONS_ARGTYPES = [
@@ -588,11 +584,24 @@ class StepKernel:
 
     The engine holds one instance per run (the model parameters never
     change mid-run) and re-:meth:`bind`\\ s it whenever its resident arrays
-    are reallocated.
+    are reallocated; :meth:`bind` installs the count-only calls below.
     """
 
     #: the backend that loaded (cc is the only compiled one)
     backend = "cc"
+    #: advance over ``idx_buf[:n]``; returns the newly-arrived count
+    advance_bound: Callable[[int], int]
+    #: lane-change candidate mask into ``cand_buf[:n]``; returns the
+    #: candidate count
+    candidates_bound: Callable[[int], int]
+    #: pointer-table gather over the first ``m`` occupied edges into
+    #: ``idx_buf``; returns the total gathered count
+    gather_bound: Callable[[int], int]
+    #: full-range ranking scan into ``flags_buf``; returns the flagged-edge
+    #: count
+    rank_all_bound: Callable[[], int]
+    #: both-neighbour lane viability ``(e, lane, nlanes, own) -> bits``
+    lane_opts_bound: Callable[[int, int, int, float], int]
 
     def __init__(
         self,
@@ -601,159 +610,57 @@ class StepKernel:
     ) -> None:
         self._lib = lib
         self._params = params
-        self._bound_advance: Optional[Callable[[int], int]] = None
-        self._bound_cand: Optional[Callable[[int], int]] = None
-        self._bound_gather: Optional[Callable[[int], int]] = None
-        self._bound_rank_all: Optional[Callable[[], int]] = None
-        self._bound_lane_opts: Optional[Callable[[int, int, int, float], int]] = None
 
-    # --------------------------------------------------- explicit-arg calls
-    def advance(
-        self,
-        idx: np.ndarray,
-        pos: np.ndarray,
-        speed: np.ndarray,
-        freeflow: np.ndarray,
-        seglen: np.ndarray,
-        heads: np.ndarray,
-        waitflag: np.ndarray,
-        newly: np.ndarray,
-        moved: np.ndarray,
-    ) -> int:
-        """Run one chained advance (see :func:`advance_chain_py`).
-
-        ``pos``/``speed`` are the engine's *resident* arrays, updated in
-        place at the slots named by ``idx``; ``newly``/``moved`` are
-        gather-aligned outputs.  Returns the number of ``newly`` bits set.
-        """
-        return int(self._lib.advance_chain(
-            idx.ctypes.data, idx.shape[0],
-            pos.ctypes.data, speed.ctypes.data,
-            freeflow.ctypes.data, seglen.ctypes.data,
-            heads.ctypes.data, waitflag.ctypes.data,
-            newly.ctypes.data, moved.ctypes.data,
-            *self._params,
-        ))
-
-    def candidates(
-        self,
-        idx: np.ndarray,
-        pos: np.ndarray,
-        speed: np.ndarray,
-        desired: np.ndarray,
-        multilane: np.ndarray,
-        heads: np.ndarray,
-        cand: np.ndarray,
-        blocked_m: float,
-        gain_mps: float,
-    ) -> int:
-        """Fill the lane-change candidate mask (see
-        :func:`lane_change_candidates_py`); returns the candidate count."""
-        return int(self._lib.lane_change_candidates(
-            idx.ctypes.data, idx.shape[0],
-            pos.ctypes.data, speed.ctypes.data, desired.ctypes.data,
-            multilane.ctypes.data, heads.ctypes.data,
-            cand.ctypes.data,
-            blocked_m, gain_mps,
-        ))
-
-    def gather_all(
-        self,
-        occ: np.ndarray,
-        ptrs: np.ndarray,
-        lens: np.ndarray,
-        out: np.ndarray,
-    ) -> int:
-        """Pointer-table gather (see :func:`gather_all_py`); returns the
-        total gathered count."""
-        return int(self._lib.gather_all(
-            occ.ctypes.data, occ.shape[0],
-            ptrs.ctypes.data, lens.ctypes.data,
-            out.ctypes.data,
-        ))
-
-    def rank_scan_all(
-        self,
-        elig: np.ndarray,
-        ptrs_s: np.ndarray,
-        ptrs_v: np.ndarray,
-        lens: np.ndarray,
-        pos: np.ndarray,
-        flags: np.ndarray,
-    ) -> int:
-        """Pointer-table full-range ranking scan (see
-        :func:`rank_scan_all_py`); returns the flagged-edge count."""
-        return int(self._lib.rank_scan_all(
-            elig.ctypes.data, elig.shape[0],
-            ptrs_s.ctypes.data, ptrs_v.ctypes.data, lens.ctypes.data,
-            pos.ctypes.data, flags.ctypes.data,
-        ))
-
-    def lane_options(
-        self,
-        e: int,
-        lane: int,
-        nlanes: int,
-        own: float,
-        half: float,
-        gptrs: np.ndarray,
-        bptrs: np.ndarray,
-        pos: np.ndarray,
-    ) -> int:
-        """Both-neighbour lane viability bits (see :func:`lane_options_py`)."""
-        return int(self._lib.lane_options(
-            e, lane, nlanes, own, half,
-            gptrs.ctypes.data, bptrs.ctypes.data, pos.ctypes.data,
-        ))
-
-    # ------------------------------------------------------ bound fast path
     def bind(
         self,
+        *,
         idx_buf: np.ndarray,
         pos: np.ndarray,
         speed: np.ndarray,
         freeflow: np.ndarray,
         seglen: np.ndarray,
+        desired: np.ndarray,
+        vid: np.ndarray,
         heads: np.ndarray,
         waitflag: np.ndarray,
+        multilane: np.ndarray,
         newly_buf: np.ndarray,
         moved_buf: np.ndarray,
-        desired: np.ndarray,
-        multilane: np.ndarray,
         cand_buf: np.ndarray,
+        flags_buf: np.ndarray,
+        occ_buf: np.ndarray,
+        lane_ptr: np.ndarray,
+        lane_len: np.ndarray,
+        bounds_ptr: np.ndarray,
+        rank_ptr: np.ndarray,
+        rank_elig: np.ndarray,
         blocked_m: float,
         gain_mps: float,
-        flags_buf: np.ndarray,
-        *,
-        occ_buf: np.ndarray,
-        gather_ptr: np.ndarray,
-        gather_len: np.ndarray,
-        rank_elig: np.ndarray,
-        rank_ptr_s: np.ndarray,
-        rank_ptr_v: np.ndarray,
-        rank_len: np.ndarray,
-        bounds_ptr: np.ndarray,
         gap_half_m: float,
     ) -> None:
         """Cache the engine's arrays for count-only per-step calls.
 
-        The gather lives in ``idx_buf[:n]`` and outputs land in
-        ``newly_buf[:n]`` / ``moved_buf[:n]`` / ``cand_buf[:n]``; the
+        The slot-indexed columns (``pos`` … ``multilane``) are the resident
+        arrays; the gather lives in ``idx_buf[:n]`` and outputs land in
+        ``newly_buf[:n]`` / ``moved_buf[:n]`` / ``cand_buf[:n]``, while the
         ranking scan writes ``flags_buf`` over the whole edge range.  The
-        keyword group binds the pointer tables the full sweeps
-        (:meth:`gather_bound` / :meth:`rank_all_bound` /
-        :attr:`lane_opts_bound`) walk.  Every pointer and scalar becomes a
-        ready ``ctypes`` argument, so a per-step call is a single FFI
-        invocation with only the count varying.  The caller must re-bind
-        whenever any array is *reallocated* (the engine does so on capacity
-        growth); in-place writes — including pointer-table slot updates —
-        need no re-bind.
+        edge-indexed tables are what the full sweeps (:attr:`gather_bound`
+        / :attr:`rank_all_bound` / :attr:`lane_opts_bound`) walk: the
+        occupied-edge list, each edge's lane slot array address and length,
+        its lane-bounds address, its ranking address and its ranking-scan
+        eligibility byte.  Every pointer and scalar becomes a ready
+        ``ctypes`` argument, so a per-step call is a single FFI invocation
+        with only the count varying.  The caller must re-bind whenever any
+        array is *reallocated* (the engine does so on capacity growth);
+        in-place writes — including pointer-table slot updates — need no
+        re-bind.
         """
         lib = self._lib
         p = [ctypes.c_double(x) for x in self._params]
         idx_c = _ptr(idx_buf)
         pos_c = _ptr(pos)
-        gptr_c = _ptr(gather_ptr)
+        lptr_c = _ptr(lane_ptr)
+        lens_c = _ptr(lane_len)
         adv_sym = lib.advance_chain
         adv_args = (
             pos_c, _ptr(speed), _ptr(freeflow), _ptr(seglen),
@@ -765,16 +672,15 @@ class StepKernel:
             _ptr(cand_buf), ctypes.c_double(blocked_m), ctypes.c_double(gain_mps),
         )
         gather_sym = lib.gather_all
-        gat_args = (gptr_c, _ptr(gather_len), idx_c)
+        gat_args = (lptr_c, lens_c, idx_c)
         occ_c = _ptr(occ_buf)
         rank_all_sym = lib.rank_scan_all
         ra_args = (
             _ptr(rank_elig), ctypes.c_int64(rank_elig.shape[0]),
-            _ptr(rank_ptr_s), _ptr(rank_ptr_v), _ptr(rank_len),
-            pos_c, _ptr(flags_buf),
+            _ptr(rank_ptr), lens_c, pos_c, _ptr(vid), _ptr(flags_buf),
         )
         lane_opts_sym = lib.lane_options
-        lo_args = (ctypes.c_double(gap_half_m), gptr_c, _ptr(bounds_ptr), pos_c)
+        lo_args = (ctypes.c_double(gap_half_m), lptr_c, _ptr(bounds_ptr), pos_c)
 
         def advance_bound(n: int) -> int:
             return int(adv_sym(idx_c, n, *adv_args))
@@ -791,42 +697,11 @@ class StepKernel:
         def lane_opts_bound(e: int, lane: int, nlanes: int, own: float) -> int:
             return int(lane_opts_sym(e, lane, nlanes, own, *lo_args))
 
-        self._bound_advance = advance_bound
-        self._bound_cand = candidates_bound
-        self._bound_gather = gather_bound
-        self._bound_rank_all = rank_all_bound
-        self._bound_lane_opts = lane_opts_bound
-
-    def advance_bound(self, n: int) -> int:
-        """Bound-mode advance over ``idx_buf[:n]`` (requires :meth:`bind`);
-        returns the newly-arrived count."""
-        assert self._bound_advance is not None
-        return self._bound_advance(n)
-
-    def candidates_bound(self, n: int) -> int:
-        """Bound-mode candidate mask into ``cand_buf[:n]``; returns the
-        candidate count."""
-        assert self._bound_cand is not None
-        return self._bound_cand(n)
-
-    def gather_bound(self, m: int) -> int:
-        """Bound-mode pointer-table gather over the first ``m`` occupied
-        edges into ``idx_buf``; returns the total gathered count."""
-        assert self._bound_gather is not None
-        return self._bound_gather(m)
-
-    def rank_all_bound(self) -> int:
-        """Bound-mode full-range ranking scan into ``flags_buf``; returns
-        the flagged-edge count."""
-        assert self._bound_rank_all is not None
-        return self._bound_rank_all()
-
-    @property
-    def lane_opts_bound(self) -> Callable[[int, int, int, float], int]:
-        """Bound-mode both-neighbour viability call ``(e, lane, nlanes,
-        own) -> bits`` (the engine caches and calls it per candidate)."""
-        assert self._bound_lane_opts is not None
-        return self._bound_lane_opts
+        self.advance_bound = advance_bound
+        self.candidates_bound = candidates_bound
+        self.gather_bound = gather_bound
+        self.rank_all_bound = rank_all_bound
+        self.lane_opts_bound = lane_opts_bound
 
 
 # ------------------------------------------------------------------ loader

@@ -93,3 +93,72 @@ def extended_model_config(engine_vectorized):
         ),
         batched=engine_vectorized,
     )
+
+
+def check_occupancy_state(engine):
+    """Recompute a vectorized engine's occupancy state and assert it holds.
+
+    The ground truth is ``_occupancy`` (which vehicles are on each edge),
+    each vehicle's ``lane`` and ``slot``, and the resident ``_pos``/``_vid``
+    arrays; every other per-edge and per-slot structure must follow from
+    them.  Only the ranking's membership is checked: its order is the
+    overtake scan's, which the golden traces' overtake events pin.
+    """
+    pos, vid, is_head = engine._pos, engine._vid, engine._is_head
+    occupied = []
+    n_multilane = 0
+    for ei, seg in enumerate(engine._segs):
+        where = f"edge {ei} {seg.key}"
+        vehicles = [engine._vehicles[v] for v in engine._occupancy[seg.key]]
+        lanes = [
+            sorted((v.slot for v in vehicles if v.lane == lane),
+                   key=lambda s: (-pos[s], vid[s]))
+            for lane in range(seg.lanes)
+        ]
+        slots = engine._lane_slots[ei]
+        assert slots.tolist() == [s for lane in lanes for s in lane], where
+        bounds = np.cumsum([0] + [len(lane) for lane in lanes])
+        assert engine._bounds_np[ei].tolist() == bounds.tolist(), where
+        assert engine._bounds_ptr[ei] == engine._bounds_np[ei].ctypes.data, where
+        assert engine._lane_len[ei] == len(slots), where
+        for lane in lanes:
+            for i, s in enumerate(lane):
+                assert bool(is_head[s]) == (i == 0), f"{where}, slot {s}"
+        occ_lanes = sum(1 for lane in lanes if lane)
+        assert engine._occ_lanes[ei] == occ_lanes, where
+        assert engine._rank_elig[ei] == (seg.lanes > 1 and occ_lanes > 1), where
+        ranking = engine._rank_slots[ei]
+        if seg.lanes > 1:
+            assert sorted(ranking.tolist()) == sorted(slots.tolist()), where
+        else:
+            assert ranking.shape[0] == 0, where
+        if vehicles:
+            occupied.append(ei)
+            n_multilane += seg.lanes > 1
+            assert engine._lane_ptr[ei] == slots.ctypes.data, where
+            if seg.lanes > 1:
+                assert engine._rank_ptr[ei] == ranking.ctypes.data, where
+    assert engine._occupied == occupied
+    assert engine._n_ml_occupied == n_multilane
+    if not engine._occ_stale:
+        assert engine._occ_buf[:len(occupied)].tolist() == occupied
+    inside = engine._vehicles.values()
+    assert sum(len(flat) for flat in engine._occupancy.values()) == len(inside)
+    for v in inside:
+        assert engine._slot_vehicle[v.slot] is v and vid[v.slot] == v.vid, v.vid
+    assert sum(x is not None for x in engine._slot_vehicle) == len(inside)
+    flagged = sorted(v.vid for v in inside if engine._wait_flag[v.slot])
+    assert flagged == sorted(v.vid for v in inside if v.waiting_since_s is not None)
+    queued = []
+    for edge, queue in engine._waiting.items():
+        assert queue, edge
+        for v in queue:
+            assert v.edge == edge and is_head[v.slot], v.vid
+            queued.append(v.vid)
+    assert sorted(queued) == flagged
+
+
+@pytest.fixture(scope="session")
+def occupancy_state_check():
+    """:func:`check_occupancy_state`, for tests (hypothesis ones included)."""
+    return check_occupancy_state

@@ -264,6 +264,44 @@ def test_batched_equals_scalar_on_dense_irregular_scenarios(
     assert traces[True] == traces[False]
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["cc", "numpy"])
+@settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    volume=st.floats(min_value=0.5, max_value=1.0),
+    through=st.floats(min_value=0.4, max_value=0.9),
+    patrol_cars=st.integers(min_value=1, max_value=2),
+    rng_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_engine_occupancy_state_holds_every_step(
+    occupancy_state_check, compiled, volume, through, patrol_cars, rng_seed
+):
+    """The vectorized engine's per-edge slot arrays and everything kept
+    beside them (lane bounds, head flags, pointer tables, occupied-edge and
+    waiting registries) must match a recomputation from the vehicles after
+    every step of a dense, open, two-lane gated grid: border arrivals and
+    exits, patrol ferrying and overtaking all insert and remove slots."""
+    from repro.core.patrol import PatrolPlan
+
+    config = ScenarioConfig(
+        name="prop-occupancy-state",
+        rng_seed=rng_seed,
+        num_seeds=1,
+        open_system=True,
+        demand=DemandConfig(volume_fraction=volume, through_traffic_fraction=through),
+        patrol=PatrolPlan(num_cars=patrol_cars),
+        mobility=MobilityConfig(compiled=compiled),
+    )
+    sim = Simulation(grid_network(4, 4, lanes=2, gates_on_border=True), config)
+    occupancy_state_check(sim.engine)
+    for _ in range(200):
+        sim.step()
+        occupancy_state_check(sim.engine)
+
+
 @SLOW
 @given(
     shape=st.sampled_from(["ring", "grid"]),

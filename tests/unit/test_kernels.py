@@ -7,8 +7,10 @@ inputs — positions and speeds compared with ``array_equal`` (which
 distinguishes ``-0.0`` from ``0.0`` via the follow-up sign check), never
 ``allclose``.  The pointer-table sweeps (``gather_all`` / ``rank_scan_all``
 / ``lane_options``) are checked against their ctypes-dereferencing
-oracles; the bound calling convention is checked against the explicit-arg
-one on the same data.  The engine's compiler-less lane viability check
+oracles.  The kernel has one calling convention, the engine's: arrays are
+bound once and each call passes only a count, so every test binds its own
+arrays through :func:`_bound`, which zero-fills every array it is not
+given.  The engine's compiler-less lane viability check
 (``lane_options_np``) is held to the same ``lane_options`` oracle, so it
 runs on every host.
 
@@ -72,6 +74,35 @@ def _cc_kernel():
     return kernel
 
 
+#: Every array :meth:`StepKernel.bind` takes, by dtype: slot-indexed and
+#: gather-aligned ones are ``n_slots`` long, edge-indexed ones ``n_edges``.
+_SLOT_ARRAYS = dict(
+    idx_buf=np.intp, pos=np.float64, speed=np.float64, freeflow=np.float64,
+    seglen=np.float64, desired=np.float64, vid=np.int64, heads=np.uint8,
+    waitflag=np.uint8, multilane=np.uint8, newly_buf=bool, moved_buf=bool,
+    cand_buf=bool,
+)
+_EDGE_ARRAYS = dict(
+    flags_buf=np.uint8, occ_buf=np.int64, lane_ptr=np.int64, lane_len=np.int64,
+    bounds_ptr=np.int64, rank_ptr=np.int64, rank_elig=np.uint8,
+)
+
+
+def _bound(n_slots=1, n_edges=1, *, blocked_m=12.0, gain_mps=1.0, gap_half_m=2.0,
+           **given):
+    """The cc kernel bound to the ``given`` arrays, every other one zero-filled.
+
+    Returns the kernel and every bound array by name.  The kernel holds raw
+    addresses, so the caller keeps the arrays alive while it calls.
+    """
+    kernel = _cc_kernel()
+    arrays = {name: np.zeros(n_slots, dtype) for name, dtype in _SLOT_ARRAYS.items()}
+    arrays.update({name: np.zeros(n_edges, dtype) for name, dtype in _EDGE_ARRAYS.items()})
+    arrays.update(given)
+    kernel.bind(**arrays, blocked_m=blocked_m, gain_mps=gain_mps, gap_half_m=gap_half_m)
+    return kernel, arrays
+
+
 def _chain_inputs(rng, n):
     """Randomized gathered columns for the advance sweep.
 
@@ -108,7 +139,6 @@ def _advance_args():
 class TestAdvanceChain:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cc_matches_oracle_bitwise(self, seed):
-        kernel = _cc_kernel()
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
         idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
@@ -123,11 +153,12 @@ class TestAdvanceChain:
             heads.astype(np.uint8), waitflag.astype(np.uint8),
             newly_a, moved_a, *_advance_args(),
         )
-        got = kernel.advance(
-            idx, pos_b, speed_b, freeflow, seglen,
-            heads.astype(np.uint8), waitflag.astype(np.uint8),
-            newly_b, moved_b,
+        kernel, _ = _bound(
+            n, idx_buf=idx, pos=pos_b, speed=speed_b, freeflow=freeflow, seglen=seglen,
+            heads=heads.astype(np.uint8), waitflag=waitflag.astype(np.uint8),
+            newly_buf=newly_b, moved_buf=moved_b,
         )
+        got = kernel.advance_bound(n)
         assert got == ref
         assert np.array_equal(pos_a, pos_b)
         assert np.array_equal(speed_a, speed_b)
@@ -138,18 +169,13 @@ class TestAdvanceChain:
         assert np.array_equal(moved_a, moved_b)
 
     def test_empty_chain(self):
-        kernel = _cc_kernel()
-        empty = np.empty(0, dtype=np.intp)
-        z = np.empty(0, dtype=np.uint8)
-        f = np.empty(0, dtype=np.float64)
-        assert kernel.advance(empty, f, f.copy(), f, f, z, z,
-                              np.empty(0, dtype=bool), np.empty(0, dtype=bool)) == 0
+        kernel, _ = _bound()
+        assert kernel.advance_bound(0) == 0
 
 
 class TestLaneChangeCandidates:
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_cc_matches_oracle(self, seed):
-        kernel = _cc_kernel()
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 50))
         idx = rng.permutation(n).astype(np.intp)
@@ -163,18 +189,21 @@ class TestLaneChangeCandidates:
         ref = lane_change_candidates_py(
             idx, pos, speed, desired, multilane, heads, cand_a, 12.0, 1.0
         )
-        got = kernel.candidates(idx, pos, speed, desired, multilane, heads, cand_b, 12.0, 1.0)
-        assert got == ref
+        kernel, _ = _bound(
+            n, idx_buf=idx, pos=pos, speed=speed, desired=desired,
+            multilane=multilane, heads=heads, cand_buf=cand_b,
+        )
+        assert kernel.candidates_bound(n) == ref
         assert np.array_equal(cand_a, cand_b)
 
 
 # ------------------------------------------------------------ pointer tables
 def _edge_tables(rng, n_edges, n_slots):
-    """Per-edge cached slot arrays plus their address/length tables.
+    """Per-edge slot arrays plus their address/length tables.
 
     Returns the kept-alive array list alongside the tables — the oracle and
     the C sweep both read raw addresses, so the arrays must outlive the
-    call exactly as the engine's per-edge caches do.
+    call exactly as the engine's per-edge slot buffers do.
     """
     keep = []
     ptrs = np.zeros(n_edges, dtype=np.int64)
@@ -190,16 +219,20 @@ def _edge_tables(rng, n_edges, n_slots):
 class TestGatherAll:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_c_matches_oracle(self, seed):
-        kernel = _cc_kernel()
         rng = np.random.default_rng(seed)
         n_edges = 10
         keep, ptrs, lens = _edge_tables(rng, n_edges, 30)
         occ = rng.permutation(n_edges)[: int(rng.integers(1, n_edges))].astype(np.int64)
         cap = int(lens.sum()) + 1
         out_a = np.zeros(cap, dtype=np.int64)
-        out_b = np.zeros(cap, dtype=np.int64)
+        out_b = np.zeros(cap, dtype=np.intp)
+        occ_buf = np.zeros(n_edges, dtype=np.int64)
+        occ_buf[:occ.shape[0]] = occ
         ref = gather_all_py(occ, ptrs, lens, out_a)
-        got = kernel.gather_all(occ, ptrs, lens, out_b)
+        kernel, _ = _bound(
+            cap, n_edges, idx_buf=out_b, occ_buf=occ_buf, lane_ptr=ptrs, lane_len=lens
+        )
+        got = kernel.gather_bound(occ.shape[0])
         assert got == ref
         assert np.array_equal(out_a[:ref], out_b[:ref])
         # the gather is the back-to-back concatenation in occ order
@@ -208,39 +241,68 @@ class TestGatherAll:
         assert np.array_equal(out_b[:got], expect)
 
 
+def _rank_scan(elig, ptrs, lens, pos, vid):
+    """Flags from the oracle and from cc (bound) on the same tables."""
+    n_edges = elig.shape[0]
+    flags_a = np.zeros(n_edges, dtype=np.uint8)
+    flags_b = np.zeros(n_edges, dtype=np.uint8)
+    ref = rank_scan_all_py(elig, ptrs, lens, pos, vid, flags_a)
+    kernel, _ = _bound(
+        pos.shape[0], n_edges, pos=pos, vid=vid, rank_ptr=ptrs, lane_len=lens,
+        rank_elig=elig, flags_buf=flags_b,
+    )
+    assert kernel.rank_all_bound() == ref
+    assert np.array_equal(flags_a, flags_b)
+    return flags_b
+
+
 class TestRankScanAll:
     @pytest.mark.parametrize("seed", [2, 13])
     def test_c_matches_oracle(self, seed):
-        kernel = _cc_kernel()
         rng = np.random.default_rng(seed)
         n_edges, n_slots = 14, 40
         pos = rng.uniform(0.0, 50.0, n_slots).round(1)  # rounding makes ties
-        keep = []
-        ptrs_s = np.zeros(n_edges, dtype=np.int64)
-        ptrs_v = np.zeros(n_edges, dtype=np.int64)
-        lens = np.zeros(n_edges, dtype=np.int64)
+        vid = rng.integers(0, 10_000, n_slots).astype(np.int64)
         elig = (rng.random(n_edges) < 0.6).astype(np.uint8)
-        for e in range(n_edges):
-            k = int(rng.integers(0, 6))
-            s = rng.integers(0, n_slots, k).astype(np.int64)
-            v = rng.integers(0, 10_000, k).astype(np.int64)
-            keep.append((s, v))
-            ptrs_s[e], ptrs_v[e], lens[e] = s.ctypes.data, v.ctypes.data, k
-        flags_a = np.zeros(n_edges, dtype=np.uint8)
-        flags_b = np.zeros(n_edges, dtype=np.uint8)
-        ref = rank_scan_all_py(elig, ptrs_s, ptrs_v, lens, pos, flags_a)
-        got = kernel.rank_scan_all(elig, ptrs_s, ptrs_v, lens, pos, flags_b)
-        assert got == ref
-        assert np.array_equal(flags_a, flags_b)
+        keep, ptrs, lens = _edge_tables(rng, n_edges, n_slots)
+        flags = _rank_scan(elig, ptrs, lens, pos, vid)
         # ineligible edges must never be flagged
-        assert not np.any(flags_b[elig == 0])
+        assert not np.any(flags[elig == 0])
+
+    def test_positional_ties_follow_vid_order(self):
+        """Sorted rankings full of positional ties pass, and a tie whose
+        vid order is reversed is an inversion: the ``b == a`` clause, not
+        ``b < a``, decides every flag here."""
+        rng = np.random.default_rng(5)
+        n_edges, per_edge = 8, 6
+        n_slots = n_edges * per_edge
+        pos = rng.integers(0, 3, n_slots) * 2.5  # three positions: ties galore
+        vid = rng.permutation(n_slots).astype(np.int64)
+        keep = []
+        for part in np.split(rng.permutation(n_slots), n_edges):
+            keep.append(part[np.lexsort((vid[part], pos[part]))].astype(np.int64))
+        reversed_edge = 3
+        ranking = keep[reversed_edge]
+        k = int(np.flatnonzero(pos[ranking[1:]] == pos[ranking[:-1]])[0])
+        ranking[[k, k + 1]] = ranking[[k + 1, k]]
+        ptrs = np.array([r.ctypes.data for r in keep], dtype=np.int64)
+        lens = np.full(n_edges, per_edge, dtype=np.int64)
+        elig = np.ones(n_edges, dtype=np.uint8)
+        flags = _rank_scan(elig, ptrs, lens, pos, vid)
+        expected = np.zeros(n_edges, dtype=np.uint8)
+        expected[reversed_edge] = 1
+        assert np.array_equal(flags, expected)
 
 
 def _lane_options(backend, e, lane, nlanes, own, half, edges, gptrs, bptrs, pos):
     """One viability implementation: cc reads edge ``e`` through the pointer
     tables, NumPy takes its ``(slots, bounds)`` arrays from ``edges``."""
     if backend == "cc":
-        return _cc_kernel().lane_options(e, lane, nlanes, own, half, gptrs, bptrs, pos)
+        kernel, _ = _bound(
+            pos.shape[0], gptrs.shape[0], pos=pos, lane_ptr=gptrs, bounds_ptr=bptrs,
+            gap_half_m=half,
+        )
+        return kernel.lane_opts_bound(e, lane, nlanes, own)
     slots, bounds = edges[e]
     return lane_options_np(lane, nlanes, own, half, slots, bounds, pos)
 
@@ -303,103 +365,6 @@ class TestLaneOptions:
         for lane, own, bits in ((0, 46.0, 1), (0, 46.5, 0), (1, 50.0, 2), (1, 49.5, 0)):
             assert lane_options_py(0, lane, 2, own, 4.0, gptrs, bptrs, pos) == bits
             assert _lane_options(backend, 0, lane, 2, own, 4.0, edges, gptrs, bptrs, pos) == bits
-
-
-# ------------------------------------------------------- bound convention
-def _bind(kernel, idx_buf, pos, speed, freeflow, seglen, heads, waitflag,
-          newly_buf, moved_buf, desired, multilane, cand_buf, *,
-          occ_buf, gather_ptr, gather_len, n_edges):
-    """Bind with all-ineligible ranking tables and empty lane bounds."""
-    flags_buf = np.zeros(n_edges, dtype=np.uint8)
-    kernel.bind(
-        idx_buf, pos, speed, freeflow, seglen, heads, waitflag,
-        newly_buf, moved_buf, desired, multilane, cand_buf, 12.0, 1.0,
-        flags_buf,
-        occ_buf=occ_buf, gather_ptr=gather_ptr, gather_len=gather_len,
-        rank_elig=np.zeros(n_edges, dtype=np.uint8),
-        rank_ptr_s=gather_ptr.copy(), rank_ptr_v=gather_ptr.copy(),
-        rank_len=np.zeros(n_edges, dtype=np.int64),
-        bounds_ptr=np.zeros(n_edges, dtype=np.int64),
-        gap_half_m=2.0,
-    )
-    return flags_buf
-
-
-class TestBoundCalls:
-    def test_bound_equals_explicit(self):
-        """The once-bound count-only calls must equal the explicit-arg calls
-        on identical data (same outputs, same in-place effects)."""
-        kernel = _cc_kernel()
-        rng = np.random.default_rng(42)
-        n = 40
-        idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
-        heads = heads.astype(np.uint8)
-        waitflag = waitflag.astype(np.uint8)
-        desired = rng.uniform(5.0, 15.0, n)
-        multilane = (rng.random(n) < 0.7).astype(np.uint8)
-        idx_buf = np.zeros(n, dtype=np.intp)
-        idx_buf[:] = idx
-        newly_buf = np.zeros(n, dtype=bool)
-        moved_buf = np.zeros(n, dtype=bool)
-        cand_buf = np.zeros(n, dtype=bool)
-        pos_bound = pos.copy()
-        speed_bound = speed.copy()
-        _bind(
-            kernel, idx_buf, pos_bound, speed_bound, freeflow, seglen, heads,
-            waitflag, newly_buf, moved_buf, desired, multilane, cand_buf,
-            occ_buf=np.zeros(1, dtype=np.int64),
-            gather_ptr=np.zeros(1, dtype=np.int64),
-            gather_len=np.zeros(1, dtype=np.int64),
-            n_edges=1,
-        )
-        n_cand_bound = kernel.candidates_bound(n)
-        cand_from_bound = cand_buf[:n].copy()
-        n_newly_bound = kernel.advance_bound(n)
-
-        pos_exp = pos.copy()
-        speed_exp = speed.copy()
-        newly_exp = np.zeros(n, dtype=bool)
-        moved_exp = np.zeros(n, dtype=bool)
-        cand_exp = np.zeros(n, dtype=bool)
-        n_cand = kernel.candidates(
-            idx, pos_exp, speed_exp, desired, multilane, heads, cand_exp, 12.0, 1.0
-        )
-        n_newly = kernel.advance(
-            idx, pos_exp, speed_exp, freeflow, seglen, heads, waitflag,
-            newly_exp, moved_exp,
-        )
-        assert (n_cand_bound, n_newly_bound) == (n_cand, n_newly)
-        assert np.array_equal(cand_from_bound, cand_exp)
-        assert np.array_equal(pos_bound, pos_exp)
-        assert np.array_equal(speed_bound, speed_exp)
-        assert np.array_equal(newly_buf[:n], newly_exp)
-
-    def test_tables_bound_gather_matches_oracle(self):
-        kernel = _cc_kernel()
-        rng = np.random.default_rng(7)
-        n_edges, n_slots = 8, 30
-        keep, ptrs, lens = _edge_tables(rng, n_edges, n_slots)
-        occ_buf = np.arange(n_edges, dtype=np.int64)
-        cap = int(lens.sum()) + 1
-        idx_buf = np.zeros(cap, dtype=np.intp)
-        pos = rng.uniform(0.0, 50.0, n_slots)
-        zeros = np.zeros(cap, dtype=np.float64)
-        zb = np.zeros(cap, dtype=bool)
-        zu = np.zeros(cap, dtype=np.uint8)
-        flags_buf = _bind(
-            kernel, idx_buf, pos, zeros.copy(), zeros, zeros, zu, zu,
-            zb.copy(), zb.copy(), zeros, zu, zb.copy(),
-            occ_buf=occ_buf, gather_ptr=ptrs, gather_len=lens, n_edges=n_edges,
-        )
-        m = 5
-        out_ref = np.zeros(cap, dtype=np.int64)
-        ref = gather_all_py(occ_buf[:m], ptrs, lens, out_ref)
-        got = kernel.gather_bound(m)
-        assert got == ref
-        assert np.array_equal(idx_buf[:got].astype(np.int64), out_ref[:ref])
-        # rank_all over all-ineligible edges flags nothing
-        assert kernel.rank_all_bound() == 0
-        assert not flags_buf.any()
 
 
 # ------------------------------------------------------------ fallback

@@ -328,3 +328,67 @@ class TestDeterminism:
             )
 
         assert run(True) == run(False)
+
+
+class TestOneLaneTie:
+    """Two vehicles spawned at one origin in one step start tied at 0.0 m.
+
+    A lane puts the lower vid in front at a tie, while the overtake ranking
+    puts it behind, so when the faster, lower-vid leader pulls away the
+    ranking flips and the reference engine reports an overtake.  The
+    vectorized engines skip the overtake scan on a multilane segment whose
+    vehicles share one lane, and miss it.  Engine seeds 0, 4 and 5 put both
+    vehicles on lane 1; seeds 1-3 split them across lanes, and all engines
+    agree.  Fixing this (scan every occupied multilane segment) changes
+    pinned benchmark digests, so the divergence is pinned here until a
+    change that may re-pin them.
+    """
+
+    @staticmethod
+    def overtakes(seed, **engine_kwargs):
+        net = grid_network(2, 3, lanes=2)
+        eng = TrafficEngine(net, np.random.default_rng(seed), **engine_kwargs)
+        rng = np.random.default_rng(99)
+        for speed in (6.0, 3.0):
+            router = FixedTripRouter(net, rng, destination=(1, 2))
+            eng.spawn(spec_at(net, rng, (0, 0), speed=speed, router=router))
+        lanes = sorted(v.lane for v in eng.vehicles.values())
+        events = [
+            (e.time_s, e.edge, e.passer.vid, e.passee.vid)
+            for e in eng.step()
+            if isinstance(e, OvertakeEvent)
+        ]
+        return lanes, events
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["cc", "numpy"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_split_lanes_agree(self, seed, compiled):
+        lanes, reference = self.overtakes(seed, vectorized=False)
+        assert lanes == [0, 1]
+        assert reference == [(0.0, ((0, 0), (0, 1)), 0, 1)]
+        assert self.overtakes(seed, compiled=compiled) == (lanes, reference)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the vectorized engines skip the overtake scan on a "
+        "multilane segment whose vehicles share one lane, and miss the overtake "
+        "a positional tie hides; fixing it changes pinned benchmark digests",
+    )
+    @pytest.mark.parametrize("compiled", [True, False], ids=["cc", "numpy"])
+    @pytest.mark.parametrize("seed", [0, 4, 5])
+    def test_shared_lane_matches_reference(self, seed, compiled):
+        lanes, reference = self.overtakes(seed, vectorized=False)
+        assert lanes == [1, 1]
+        assert reference == [(0.0, ((0, 0), (0, 1)), 0, 1)]
+        assert self.overtakes(seed, compiled=compiled) == (lanes, reference)
+
+    def test_state_holds_through_the_tie(self, occupancy_state_check):
+        net = grid_network(2, 3, lanes=2)
+        eng = TrafficEngine(net, np.random.default_rng(0))
+        rng = np.random.default_rng(99)
+        for speed in (6.0, 3.0):
+            router = FixedTripRouter(net, rng, destination=(1, 2))
+            eng.spawn(spec_at(net, rng, (0, 0), speed=speed, router=router))
+        for _ in range(80):
+            occupancy_state_check(eng)
+            eng.step()
