@@ -22,11 +22,13 @@ Hot path
 The default engine keeps a **resident** structure-of-arrays: every vehicle
 owns a slot in persistent capacity-doubling NumPy arrays (position, speed,
 free speed, segment length, desired speed, vid, lane-head and multilane
-flags).  Each edge's occupancy is two slot arrays updated in place by one
-insert/remove pair: its lanes front to back, which is the gather order,
-and on multilane edges its overtake ranking.  A step gathers the occupied
-edges' lane arrays and scatters back with one bulk write; nothing is
-rebuilt.  The ``Vehicle`` objects' kinematic fields become lazily synced
+flags).  Each edge's occupancy is two slot arrays, the live prefixes of
+grow-only buffers: its lanes front to back, which is the gather order,
+and on multilane edges its overtake ranking.  Entering, leaving and
+changing lanes each update them in place in one call, a native one with
+cc and an insert/remove pair in NumPy otherwise.  A step gathers the
+occupied edges' lane arrays and scatters back with one bulk write; nothing
+is rebuilt.  The ``Vehicle`` objects' kinematic fields become lazily synced
 mirrors (refreshed by any public accessor; see :attr:`TrafficEngine.
 vehicles`).  Because each lane advances front to back against its leader's
 post-step state, the update is not a single elementwise pass: the compiled
@@ -90,34 +92,10 @@ _INITIAL_CAPACITY = 64
 _NO_SLOTS = np.empty(0, dtype=np.intp)
 
 
-def _splice_in(
-    store: List[np.ndarray], ptrs: np.ndarray, ei: int, k: int, i: int, slot: int
-) -> np.ndarray:
-    """Insert ``slot`` at index ``i`` of edge ``ei``'s ``k``-slot live prefix.
-
-    ``store[ei]`` is the edge's grow-only buffer; it doubles when full, and
-    only then is its pointer-table entry ``ptrs[ei]`` rewritten.  Returns
-    the new live-prefix view.
-    """
-    buf = store[ei]
-    if k == buf.shape[0]:
-        grown = np.empty(max(4, 2 * k), dtype=np.intp)
-        grown[:k] = buf
-        store[ei] = buf = grown
-        ptrs[ei] = buf.ctypes.data
-    if i < k:
-        buf[i + 1:k + 1] = buf[i:k]
-    buf[i] = slot
-    return buf[:k + 1]
-
-
-def _splice_out(store: List[np.ndarray], ei: int, k: int, i: int) -> np.ndarray:
-    """Delete index ``i`` of edge ``ei``'s ``k``-slot live prefix; returns the
-    new live-prefix view."""
-    buf = store[ei]
+def _splice_out(buf: np.ndarray, k: int, i: int) -> None:
+    """Delete index ``i`` of the ``k``-slot live prefix of ``buf``."""
     if i < k - 1:
         buf[i:k - 1] = buf[i + 1:k]
-    return buf[:k - 1]
 
 
 @dataclass
@@ -267,27 +245,26 @@ class TrafficEngine:
         #: reaches a stop line).
         self._wait_flag = np.empty(0, dtype=bool)
         # Per-edge occupancy (vectorized engine only) — the state itself,
-        # not a cache of it.  ``_lane_slots[e]`` holds the edge's slots
-        # lane-major and front to back (descending position, ascending vid
-        # on ties), which is the gather order, with ``_bounds_np[e]`` its
-        # ``lanes + 1`` cumulative lane offsets; on multilane edges
-        # ``_rank_slots[e]`` holds the same slots in ascending (position,
-        # vid) order as of the last overtake scan, the overtake ranking
-        # (empty on single-lane edges).  Each is a view of the live prefix of
-        # a grow-only buffer in ``_lane_store``/``_rank_store`` whose address
-        # the pointer tables below hold, updated in place by
-        # ``_lane_insert``/``_lane_remove`` and ``_rank_insert``/
-        # ``_rank_remove``, which also keep ``_is_head``, ``_occ_lanes``,
+        # not a cache of it: each edge's buffers and live length
+        # ``_lane_len[e]``.  ``_lane_store[e][:_lane_len[e]]`` holds the
+        # edge's slots lane-major and front to back (descending position,
+        # ascending vid on ties), which is the gather order, with
+        # ``_bounds_np[e]`` its ``lanes + 1`` cumulative lane offsets; on
+        # multilane edges ``_rank_store[e][:_lane_len[e]]`` holds them in
+        # ascending (position, vid) order as of the last overtake scan, the
+        # overtake ranking.  Both buffers are ``_lane_cap[e]`` long, grow
+        # together (:meth:`_grow_edge`) and are updated in place by cc's
+        # occupancy transitions or the NumPy splice pair, which keep
+        # ``_is_head``, ``_occ_lanes`` (non-empty lanes per edge),
         # ``_rank_elig`` and ``_lane_len`` current.
-        self._lane_slots: List[np.ndarray] = [_NO_SLOTS] * n_edges
-        self._rank_slots: List[np.ndarray] = [_NO_SLOTS] * n_edges
         self._lane_store: List[np.ndarray] = [_NO_SLOTS] * n_edges
         self._rank_store: List[np.ndarray] = [_NO_SLOTS] * n_edges
         self._bounds_np: List[np.ndarray] = [
             np.zeros(seg.lanes + 1, dtype=np.int64) for seg in self._segs
         ]
-        #: per-edge count of non-empty lanes
-        self._occ_lanes: List[int] = [0] * n_edges
+        self._nlanes = np.array([seg.lanes for seg in self._segs], dtype=np.int64)
+        self._lane_cap = np.zeros(n_edges, dtype=np.int64)
+        self._occ_lanes = np.zeros(n_edges, dtype=np.int64)
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
         # arrival/movement masks and the lane-change candidate mask.  The
@@ -482,6 +459,9 @@ class TrafficEngine:
             bounds_ptr=self._bounds_ptr,
             rank_ptr=self._rank_ptr,
             rank_elig=self._rank_elig,
+            nlanes=self._nlanes,
+            lane_cap=self._lane_cap,
+            occ_lanes=self._occ_lanes,
             blocked_m=lc.blocked_distance_m,
             gain_mps=lc.speed_gain_threshold_mps,
             gap_half_m=lc.required_gap_m / 2.0,
@@ -568,7 +548,10 @@ class TrafficEngine:
             seg = self.net.segment(tail, head)  # raises MobilityError
         key = seg.key
         vehicle.edge = key
-        vehicle.lane = int(self.rng.integers(seg.lanes))
+        lanes = seg.lanes
+        # integers(1) is 0 without a draw, so skipping it leaves the stream
+        # as it was (a unit test pins that NumPy behaviour).
+        vehicle.lane = int(self.rng.integers(lanes)) if lanes > 1 else 0
         vehicle.pos_m = min(pos_m, seg.length_m)
         free = min(vehicle.desired_speed_mps, seg.speed_limit_mps)
         vehicle.speed_mps = free * 0.5
@@ -581,18 +564,26 @@ class TrafficEngine:
             if len(flat) == 1:
                 insort(self._occupied, ei)
                 self._occ_stale = True
-                if seg.lanes > 1:
+                if lanes > 1:
                     self._n_ml_occupied += 1
             slot = vehicle.slot
+            kernel = self._kernel
+            if kernel is not None:
+                state = (ei, vehicle.lane, slot, vehicle.pos_m, vehicle.speed_mps,
+                         free, seg.length_m)
+                if kernel.occ_enter_bound(*state) < 0:
+                    self._grow_edge(ei)
+                    kernel.occ_enter_bound(*state)
+                return
             self._pos[slot] = vehicle.pos_m
             self._speed[slot] = vehicle.speed_mps
             self._freeflow[slot] = free
             self._seglen[slot] = seg.length_m
-            self._ml[slot] = seg.lanes > 1
+            self._ml[slot] = lanes > 1
             self._wait_flag[slot] = False
-            self._lane_insert(ei, vehicle.lane, slot)
-            if seg.lanes > 1:
+            if lanes > 1:
                 self._rank_insert(ei, slot)
+            self._lane_insert(ei, vehicle.lane, slot)
 
     def _remove_from_edge(self, vehicle: Vehicle) -> None:
         edge = vehicle.edge
@@ -612,10 +603,14 @@ class TrafficEngine:
             slot = vehicle.slot
             vehicle.pos_m = float(self._pos[slot])
             vehicle.speed_mps = float(self._speed[slot])
-            self._wait_flag[slot] = False
-            self._lane_remove(ei, vehicle.lane, slot)
-            if multilane:
-                self._rank_remove(ei, slot)
+            kernel = self._kernel
+            if kernel is not None:
+                kernel.occ_leave_bound(ei, vehicle.lane, slot)
+            else:
+                self._wait_flag[slot] = False
+                if multilane:
+                    self._rank_remove(ei, slot)
+                self._lane_remove(ei, vehicle.lane, slot)
             if vehicle.waiting_since_s is not None:
                 queue = self._waiting[edge]
                 queue.remove(vehicle)
@@ -623,6 +618,34 @@ class TrafficEngine:
                     del self._waiting[edge]
 
     # ------------------------------------------------ per-edge slot arrays
+    # The NumPy splice pair, also the oracle of cc's occupancy transitions.
+    # The ranking is spliced first, while ``_lane_len`` is still its length.
+    def _grow_edge(self, ei: int) -> None:
+        """Double edge ``ei``'s lane and (multilane) ranking buffers, for the
+        NumPy splice and for cc's ``occ_enter`` alike, and rewrite their
+        pointer-table entries and ``_lane_cap``."""
+        cap = int(self._lane_cap[ei])
+        grown = max(4, 2 * cap)
+        stores = [(self._lane_store, self._lane_ptr)]
+        if self._segs[ei].lanes > 1:
+            stores.append((self._rank_store, self._rank_ptr))
+        for store, ptrs in stores:
+            buf = np.empty(grown, dtype=np.intp)
+            buf[:cap] = store[ei]
+            store[ei] = buf
+            ptrs[ei] = buf.ctypes.data
+        self._lane_cap[ei] = grown
+
+    def _splice_in(self, store: List[np.ndarray], ei: int, k: int, i: int, slot: int) -> None:
+        """Insert ``slot`` at index ``i`` of the ``k``-slot live prefix of
+        edge ``ei``'s buffer in ``store``, growing the edge when it is full."""
+        if k == self._lane_cap[ei]:
+            self._grow_edge(ei)
+        buf = store[ei]
+        if i < k:
+            buf[i + 1:k + 1] = buf[i:k]
+        buf[i] = slot
+
     def _lane_insert(self, ei: int, lane: int, slot: int) -> None:
         """Insert ``slot`` into ``lane`` of edge ``ei`` at its front-to-back place.
 
@@ -633,12 +656,13 @@ class TrafficEngine:
         count (with the ranking-scan eligibility it gates) current.
         """
         bounds = self._bounds_np[ei]
-        lo, hi = bounds[lane:lane + 2].tolist()
+        b = bounds.tolist()
+        lo, hi, k = b[lane], b[lane + 1], b[-1]  # b[-1] is _lane_len[ei]
         pos = self._pos
         vid = self._vid
         p = pos[slot]
         v = vid[slot]
-        slots = self._lane_slots[ei]
+        slots = self._lane_store[ei]
         i = hi
         while i > lo:
             s = slots[i - 1]
@@ -656,9 +680,8 @@ class TrafficEngine:
                 self._occ_lanes[ei] = occ
                 self._rank_elig[ei] = occ > 1
             is_head[slot] = True
-        k = slots.shape[0]
-        self._lane_slots[ei] = _splice_in(self._lane_store, self._lane_ptr, ei, k, i, slot)
-        for j in range(lane + 1, bounds.shape[0]):
+        self._splice_in(self._lane_store, ei, k, i, slot)
+        for j in range(lane + 1, len(b)):
             bounds[j] += 1
         self._lane_len[ei] = k + 1
 
@@ -666,13 +689,12 @@ class TrafficEngine:
         """Remove ``slot`` from ``lane`` of edge ``ei`` (the inverse of
         :meth:`_lane_insert`)."""
         bounds = self._bounds_np[ei]
-        lo, hi = bounds[lane:lane + 2].tolist()
-        slots = self._lane_slots[ei]
+        b = bounds.tolist()
+        lo, hi, k = b[lane], b[lane + 1], b[-1]
+        slots = self._lane_store[ei]
         i = lo + slots[lo:hi].tolist().index(slot)
-        k = slots.shape[0]
-        slots = _splice_out(self._lane_store, ei, k, i)
-        self._lane_slots[ei] = slots
-        for j in range(lane + 1, bounds.shape[0]):
+        _splice_out(slots, k, i)
+        for j in range(lane + 1, len(b)):
             bounds[j] -= 1
         self._lane_len[ei] = k - 1
         if i == lo:
@@ -693,19 +715,19 @@ class TrafficEngine:
         """
         pos = self._pos
         vid = self._vid
-        ranking = self._rank_slots[ei]
-        i = bisect_right(ranking, (pos[slot], vid[slot]), key=lambda s: (pos[s], vid[s]))
-        self._rank_slots[ei] = _splice_in(
-            self._rank_store, self._rank_ptr, ei, ranking.shape[0], i, slot
+        k = int(self._lane_len[ei])
+        i = bisect_right(
+            self._rank_store[ei], (pos[slot], vid[slot]), 0, k, key=lambda s: (pos[s], vid[s])
         )
+        self._splice_in(self._rank_store, ei, k, i, slot)
 
     def _rank_remove(self, ei: int, slot: int) -> None:
         """Remove ``slot`` from multilane edge ``ei``'s overtake ranking
         (usually its last entry: departing vehicles are at the stop line)."""
-        ranking = self._rank_slots[ei]
-        k = ranking.shape[0]
-        i = k - 1 if ranking[k - 1] == slot else ranking.tolist().index(slot)
-        self._rank_slots[ei] = _splice_out(self._rank_store, ei, k, i)
+        ranking = self._rank_store[ei]
+        k = int(self._lane_len[ei])
+        i = k - 1 if ranking[k - 1] == slot else ranking[:k].tolist().index(slot)
+        _splice_out(ranking, k, i)
 
     # --------------------------------------------------------------- queries
     @property
@@ -978,25 +1000,27 @@ class TrafficEngine:
         """Flatten the occupied edges' lane slot arrays into ``_idx_buf``.
 
         One bound native call over the pointer table with cc, otherwise one
-        ``np.concatenate`` of the per-edge arrays, in edge order, into the
-        persistent capacity-sized index buffer.  Returns the gathered
-        element count (0 = nothing occupied).
+        ``np.concatenate`` of the per-edge live prefixes, in edge order,
+        into the persistent capacity-sized index buffer.  Returns the
+        gathered element count (0 = nothing occupied).
         """
         occupied = self._occupied
+        m = len(occupied)
+        if self._occ_stale:
+            # The occupied-edge mirror is refreshed only when membership
+            # actually changed.
+            self._occ_buf[:m] = occupied
+            self._occ_stale = False
         kernel = self._kernel
         if kernel is not None:
-            # The Python side only refreshes the occupied-edge mirror when
-            # membership actually changed.
-            m = len(occupied)
-            if self._occ_stale:
-                self._occ_buf[:m] = occupied
-                self._occ_stale = False
             return kernel.gather_bound(m)
-        lane_slots = self._lane_slots
-        parts = [lane_slots[ei] for ei in occupied]
-        total = sum([part.shape[0] for part in parts])
+        store = self._lane_store
+        lens = self._lane_len[self._occ_buf[:m]].tolist()
+        total = sum(lens)
         if total:
-            np.concatenate(parts, out=self._idx_buf[:total])
+            np.concatenate(
+                [store[ei][:k] for ei, k in zip(occupied, lens)], out=self._idx_buf[:total]
+            )
         return total
 
     def _lane_change_batch(self, idx: np.ndarray, cand: np.ndarray) -> bool:
@@ -1066,28 +1090,33 @@ class TrafficEngine:
         return patched
 
     def _lane_options_np(self, ei: int, lane: int, nlanes: int, own: float) -> int:
-        """NumPy counterpart of the kernel's bound ``lane_opts`` call."""
+        """NumPy counterpart of the kernel's bound ``lane_opts`` call (the
+        lane bounds delimit the live prefix of the edge's buffer)."""
         return lane_options_np(
             lane,
             nlanes,
             own,
             self.lane_change.required_gap_m / 2.0,
-            self._lane_slots[ei],
+            self._lane_store[ei],
             self._bounds_np[ei],
             self._pos,
         )
 
     def _apply_lane_moves(self, ei: int, moves: List[Tuple[Vehicle, int]]) -> None:
         """Apply one segment's accepted lane changes to its lane slots."""
+        kernel = self._kernel
         for v, target in moves:
-            self._lane_remove(ei, v.lane, v.slot)
+            if kernel is not None:
+                kernel.occ_lane_move_bound(ei, v.lane, target, v.slot)
+            else:
+                self._lane_remove(ei, v.lane, v.slot)
+                self._lane_insert(ei, target, v.slot)
             v.lane = target
-            self._lane_insert(ei, target, v.slot)
 
     def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
         """Post-step overtake scan over the per-edge rankings.
 
-        ``_rank_slots`` holds each multilane segment's slots in ascending
+        ``_rank_store`` holds each multilane segment's slots in ascending
         (position, vid) order as of the last scan; car following preserves
         in-lane order and lane changes do not move vehicles
         longitudinally, so one monotonicity scan of the post-step
@@ -1109,12 +1138,13 @@ class TrafficEngine:
                 for ei in np.flatnonzero(self._flags_buf).tolist():
                     self._emit_overtakes(ei, events)
             return
-        eis = np.flatnonzero(self._rank_elig).tolist()
-        if not eis:
+        elig = np.flatnonzero(self._rank_elig)
+        if not elig.size:
             return
-        rankings = self._rank_slots
-        parts = [rankings[ei] for ei in eis]
-        slots = np.concatenate(parts)
+        eis = elig.tolist()
+        lens = self._lane_len[elig]
+        store = self._rank_store
+        slots = np.concatenate([store[ei][:k] for ei, k in zip(eis, lens.tolist())])
         arr = self._pos[slots]
         vids = self._vid[slots]
         prev = arr[:-1]
@@ -1123,7 +1153,7 @@ class TrafficEngine:
         ties = nxt == prev
         np.logical_and(ties, vids[:-1] > vids[1:], out=ties)
         np.logical_or(bad, ties, out=bad)
-        bounds = np.cumsum([part.shape[0] for part in parts])
+        bounds = np.cumsum(lens)
         bad[bounds[:-1] - 1] = False
         hits = np.flatnonzero(bad)
         if hits.size == 0:
@@ -1141,7 +1171,7 @@ class TrafficEngine:
         are scanned in the flat insertion order the reference engine used,
         so simultaneous events come out in the same sequence.
         """
-        ranking = self._rank_slots[ei]
+        ranking = self._rank_store[ei][:self._lane_len[ei]]
         before = self._vid[ranking]
         resort = np.lexsort((before, self._pos[ranking]))
         ranking[:] = ranking[resort]

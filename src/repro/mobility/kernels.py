@@ -5,12 +5,18 @@ front-to-back recurrence inside each lane (a follower's update reads its
 leader's *post-step* state) is inherently sequential, and the classify /
 round machinery that works around it still leaves a scalar tail at queue
 boundaries.  This module compiles the *whole* gather→advance→scatter inner
-step into one native call: a single sequential sweep over the gathered
-columns, lane heads delimiting the chains — exactly the reference engine's
-per-vehicle operation sequence, so the result is bit-for-bit identical to
-both the scalar and the NumPy paths (the golden-trace suites pin this).
-A second entry point evaluates the lane-change candidate predicate (the
-``LaneChangeModel.wants_to_change`` scan) over the same gathered order.
+step into one native call (``advance_chain``): a single sequential sweep
+over the gathered columns, lane heads delimiting the chains — exactly the
+reference engine's per-vehicle operation sequence, so the result is
+bit-for-bit identical to both the scalar and the NumPy paths (the
+golden-trace suites pin this).  The other entry points are
+``lane_change_candidates`` (the ``LaneChangeModel.wants_to_change`` scan
+over the same gathered order); ``gather_all``, ``rank_scan_all`` and
+``lane_options``, which walk the engine's per-edge pointer tables; and the
+occupancy transitions ``occ_enter``, ``occ_leave`` and ``occ_lane_move``,
+each one vehicle entering an edge, leaving it or changing lanes, with the
+semantics of the engine's NumPy splice pair (``TrafficEngine._lane_insert``
+and friends, their oracle).
 
 The engine uses it by default (``MobilityConfig.compiled=True``).  The
 ladder is **cc → NumPy**, with ``vectorized=False`` the scalar reference
@@ -61,11 +67,22 @@ count-only calls (:attr:`StepKernel.advance_bound` and friends): every
 pointer and scalar is cached as a ready ``ctypes`` argument, so a per-step
 call is a single foreign call.  Writes into bound arrays, pointer-table
 slots included, need no re-bind.
+
+The occupancy transitions take one more step: :meth:`StepKernel.bind`
+builds one per-engine struct holding the address of every array they
+touch (``occ_tables`` in C, :class:`_OccTables` here) and rebuilds it on
+every re-bind, so each call passes the struct plus the transition's own
+values, at most eight arguments (ctypes charges per argument).  Edges grow
+on demand: ``occ_enter`` returns -1, having written nothing, when the
+edge's buffers are full; the engine then doubles them
+(``TrafficEngine._grow_edge``, which rewrites their pointer-table entries
+and the edge's ``lane_cap``) and calls again.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import shutil
 import subprocess
@@ -355,6 +372,7 @@ def rank_scan_all_py(
 # plain IEEE double op sequence written here.
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 
 #define MAXF(a, b) (((b) > (a)) ? (b) : (a))
 #define MINF(a, b) (((b) < (a)) ? (b) : (a))
@@ -440,11 +458,11 @@ int64_t lane_change_candidates(
 
 /* Pointer-table entry points.  The engine keeps, per edge, the address
  * and length of its lane slot array and the address of its ranking (both
- * views of grow-only buffers updated in place; a table slot is rewritten
- * only when its buffer is reallocated); these sweeps then walk every edge
- * natively, so the steady-state step does no per-edge Python work at all.
- * Addresses arrive as int64 values (numpy owns the arrays and keeps them
- * alive). */
+ * live prefixes of grow-only buffers updated in place; a table slot is
+ * rewritten only when its buffer is reallocated); these sweeps then walk
+ * every edge natively, so the steady-state step does no per-edge Python
+ * work at all.  Addresses arrive as int64 values (numpy owns the arrays and
+ * keeps them alive). */
 
 int64_t gather_all(
     const int64_t *occ, int64_t m,
@@ -516,6 +534,117 @@ int64_t rank_scan_all(
     }
     return n_flagged;
 }
+
+/* Occupancy transitions: each entry point is one TrafficEngine transition
+ * with the semantics of its NumPy splice pair (_lane_insert/_lane_remove,
+ * _rank_insert/_rank_remove).  Every address comes from one per-engine
+ * table, the _OccTables struct StepKernel.bind fills.  Edge e's lanes are
+ * lane_ptr[e][:lane_len[e]] split by the nlanes[e] + 1 bounds at
+ * bounds_ptr[e], and a multilane edge's ranking is rank_ptr[e][:lane_len[e]].
+ * A slot taken out must be in the lane named, as the engine guarantees. */
+typedef struct {
+    double *pos, *speed, *freeflow, *seglen;
+    const int64_t *vid;
+    unsigned char *heads, *multilane, *waitflag;
+    const int64_t *lane_ptr, *rank_ptr, *bounds_ptr, *nlanes;
+    int64_t *lane_len;
+    const int64_t *lane_cap;
+    int64_t *occ_lanes;
+    unsigned char *rank_elig;
+} occ_tables;
+
+#define EDGE_ARRAY(table, e) ((int64_t *)(intptr_t)(table)[e])
+
+/* Insert slot into its lane front to back (descending position, ascending
+ * vid on ties), walking from the lane's back, where crossings enter. */
+static void lane_in(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
+{
+    int64_t *slots = EDGE_ARRAY(t->lane_ptr, e), *bounds = EDGE_ARRAY(t->bounds_ptr, e);
+    int64_t lo = bounds[lane], hi = bounds[lane + 1], k = t->lane_len[e], i = hi;
+    const double *pos = t->pos;
+    const int64_t *vid = t->vid;
+    double p = pos[slot];
+    int64_t v = vid[slot];
+    for (; i > lo; i--) {
+        int64_t s = slots[i - 1];
+        if (pos[s] > p || (pos[s] == p && vid[s] < v)) break;
+    }
+    if (i == lo) {
+        if (hi > lo) t->heads[slots[lo]] = 0;
+        else t->rank_elig[e] = ++t->occ_lanes[e] > 1;
+    }
+    t->heads[slot] = i == lo;
+    memmove(slots + i + 1, slots + i, (size_t)(k - i) * sizeof(int64_t));
+    slots[i] = slot;
+    for (int64_t j = lane + 1; j <= t->nlanes[e]; j++) bounds[j]++;
+    t->lane_len[e] = k + 1;
+}
+
+static void lane_out(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
+{
+    int64_t *slots = EDGE_ARRAY(t->lane_ptr, e), *bounds = EDGE_ARRAY(t->bounds_ptr, e);
+    int64_t lo = bounds[lane], hi = bounds[lane + 1], k = t->lane_len[e], i = lo;
+    while (slots[i] != slot) i++;
+    memmove(slots + i, slots + i + 1, (size_t)(k - 1 - i) * sizeof(int64_t));
+    for (int64_t j = lane + 1; j <= t->nlanes[e]; j++) bounds[j]--;
+    t->lane_len[e] = k - 1;
+    if (i == lo) {
+        if (hi - lo > 1) t->heads[slots[lo]] = 1;
+        else t->rank_elig[e] = --t->occ_lanes[e] > 1;
+    }
+}
+
+/* Write slot's resident columns, then insert it into its lane and, on a
+ * multilane edge, into the ranking at bisect.bisect_right's index on the
+ * (position, vid) key, probe for probe: a ranking the overtake scan skipped
+ * may be out of order, and the probes then decide where the slot lands.
+ * Returns -1, having written nothing, when the edge's buffers are full
+ * (lane_len == lane_cap); the engine grows them and calls again. */
+int64_t occ_enter(
+    const occ_tables *t, int64_t e, int64_t lane, int64_t slot,
+    double p, double speed, double free, double length)
+{
+    int64_t k = t->lane_len[e], lo = 0, hi = k, v = t->vid[slot];
+    if (k == t->lane_cap[e]) return -1;
+    t->pos[slot] = p;
+    t->speed[slot] = speed;
+    t->freeflow[slot] = free;
+    t->seglen[slot] = length;
+    t->multilane[slot] = t->nlanes[e] > 1;
+    t->waitflag[slot] = 0;
+    lane_in(t, e, lane, slot);
+    if (t->nlanes[e] == 1) return 0;
+    int64_t *rank = EDGE_ARRAY(t->rank_ptr, e);
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        double pm = t->pos[rank[mid]];
+        if (p < pm || (p == pm && v < t->vid[rank[mid]])) hi = mid;
+        else lo = mid + 1;
+    }
+    memmove(rank + lo + 1, rank + lo, (size_t)(k - lo) * sizeof(int64_t));
+    rank[lo] = slot;
+    return 0;
+}
+
+int64_t occ_leave(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
+{
+    int64_t k = t->lane_len[e], i = k - 1;
+    t->waitflag[slot] = 0;
+    lane_out(t, e, lane, slot);
+    if (t->nlanes[e] == 1) return 0;
+    int64_t *rank = EDGE_ARRAY(t->rank_ptr, e);
+    while (rank[i] != slot) i--;  /* usually the last: leavers lead */
+    memmove(rank + i, rank + i + 1, (size_t)(k - 1 - i) * sizeof(int64_t));
+    return 0;
+}
+
+int64_t occ_lane_move(
+    const occ_tables *t, int64_t e, int64_t from, int64_t to, int64_t slot)
+{
+    lane_out(t, e, from, slot);
+    lane_in(t, e, to, slot);
+    return 0;
+}
 """
 
 _ADVANCE_ARGTYPES = [
@@ -562,6 +691,9 @@ _SYMBOLS = (
     ("gather_all", _GATHER_ALL_ARGTYPES),
     ("rank_scan_all", _RANK_ALL_ARGTYPES),
     ("lane_options", _LANE_OPTIONS_ARGTYPES),
+    ("occ_enter", [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_double] * 4),
+    ("occ_leave", [ctypes.c_void_p] + [ctypes.c_int64] * 3),
+    ("occ_lane_move", [ctypes.c_void_p] + [ctypes.c_int64] * 4),
 )
 
 
@@ -573,6 +705,18 @@ class _CcLibrary(NamedTuple):
     gather_all: Any
     rank_scan_all: Any
     lane_options: Any
+    occ_enter: Any
+    occ_leave: Any
+    occ_lane_move: Any
+
+
+class _OccTables(ctypes.Structure):
+    """The C ``occ_tables`` struct, field for field: the address of every
+    array the occupancy transitions read or write."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "pos speed freeflow seglen vid heads multilane waitflag lane_ptr rank_ptr "
+        "bounds_ptr nlanes lane_len lane_cap occ_lanes rank_elig").split()]
 
 
 def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
@@ -602,6 +746,12 @@ class StepKernel:
     rank_all_bound: Callable[[], int]
     #: both-neighbour lane viability ``(e, lane, nlanes, own) -> bits``
     lane_opts_bound: Callable[[int, int, int, float], int]
+    #: ``(e, lane, slot, pos, speed, free, length)``; -1 if ``e`` is full
+    occ_enter_bound: Callable[[int, int, int, float, float, float, float], int]
+    #: ``(e, lane, slot)``
+    occ_leave_bound: Callable[[int, int, int], int]
+    #: ``(e, from, to, slot)``
+    occ_lane_move_bound: Callable[[int, int, int, int], int]
 
     def __init__(
         self,
@@ -634,6 +784,9 @@ class StepKernel:
         bounds_ptr: np.ndarray,
         rank_ptr: np.ndarray,
         rank_elig: np.ndarray,
+        nlanes: np.ndarray,
+        lane_cap: np.ndarray,
+        occ_lanes: np.ndarray,
         blocked_m: float,
         gain_mps: float,
         gap_half_m: float,
@@ -648,12 +801,14 @@ class StepKernel:
         / :attr:`rank_all_bound` / :attr:`lane_opts_bound`) walk: the
         occupied-edge list, each edge's lane slot array address and length,
         its lane-bounds address, its ranking address and its ranking-scan
-        eligibility byte.  Every pointer and scalar becomes a ready
-        ``ctypes`` argument, so a per-step call is a single FFI invocation
-        with only the count varying.  The caller must re-bind whenever any
-        array is *reallocated* (the engine does so on capacity growth);
-        in-place writes — including pointer-table slot updates — need no
-        re-bind.
+        eligibility byte, plus, for the occupancy transitions
+        (:attr:`occ_enter_bound` and friends, which read every address from
+        one struct built here), its lane count, capacity and occupied-lane
+        count.  Every pointer and scalar becomes a ready ``ctypes``
+        argument, so a per-step call is a single FFI invocation with only
+        the count varying.  The caller must re-bind whenever any array is
+        *reallocated* (the engine does so on capacity growth); in-place
+        writes — including pointer-table slot updates — need no re-bind.
         """
         lib = self._lib
         p = [ctypes.c_double(x) for x in self._params]
@@ -681,6 +836,17 @@ class StepKernel:
         )
         lane_opts_sym = lib.lane_options
         lo_args = (ctypes.c_double(gap_half_m), lptr_c, _ptr(bounds_ptr), pos_c)
+        self._occ_tables = tables = _OccTables(*(
+            arr.ctypes.data for arr in (
+                pos, speed, freeflow, seglen, vid, heads, multilane, waitflag,
+                lane_ptr, rank_ptr, bounds_ptr, nlanes, lane_len, lane_cap,
+                occ_lanes, rank_elig,
+            )
+        ))
+        tables_c = ctypes.c_void_p(ctypes.addressof(tables))
+        self.occ_enter_bound = functools.partial(lib.occ_enter, tables_c)
+        self.occ_leave_bound = functools.partial(lib.occ_leave, tables_c)
+        self.occ_lane_move_bound = functools.partial(lib.occ_lane_move, tables_c)
 
         def advance_bound(n: int) -> int:
             return int(adv_sym(idx_c, n, *adv_args))

@@ -101,8 +101,9 @@ def check_occupancy_state(engine):
     The ground truth is ``_occupancy`` (which vehicles are on each edge),
     each vehicle's ``lane`` and ``slot``, and the resident ``_pos``/``_vid``
     arrays; every other per-edge and per-slot structure must follow from
-    them.  Only the ranking's membership is checked: its order is the
-    overtake scan's, which the golden traces' overtake events pin.
+    them.  Each edge's lanes and ranking are the live ``_lane_len`` prefix
+    of its buffers.  Only the ranking's membership is checked: its order is
+    the overtake scan's, which the golden traces' overtake events pin.
     """
     pos, vid, is_head = engine._pos, engine._vid, engine._is_head
     occupied = []
@@ -115,29 +116,35 @@ def check_occupancy_state(engine):
                    key=lambda s: (-pos[s], vid[s]))
             for lane in range(seg.lanes)
         ]
-        slots = engine._lane_slots[ei]
+        k, cap = int(engine._lane_len[ei]), int(engine._lane_cap[ei])
+        assert k <= cap, where
+        lane_buf, rank_buf = engine._lane_store[ei], engine._rank_store[ei]
+        assert lane_buf.shape[0] == cap, where
+        slots = lane_buf[:k]
         assert slots.tolist() == [s for lane in lanes for s in lane], where
         bounds = np.cumsum([0] + [len(lane) for lane in lanes])
         assert engine._bounds_np[ei].tolist() == bounds.tolist(), where
         assert engine._bounds_ptr[ei] == engine._bounds_np[ei].ctypes.data, where
-        assert engine._lane_len[ei] == len(slots), where
         for lane in lanes:
             for i, s in enumerate(lane):
                 assert bool(is_head[s]) == (i == 0), f"{where}, slot {s}"
         occ_lanes = sum(1 for lane in lanes if lane)
         assert engine._occ_lanes[ei] == occ_lanes, where
         assert engine._rank_elig[ei] == (seg.lanes > 1 and occ_lanes > 1), where
-        ranking = engine._rank_slots[ei]
         if seg.lanes > 1:
-            assert sorted(ranking.tolist()) == sorted(slots.tolist()), where
+            assert rank_buf.shape[0] == cap, where
+            assert sorted(rank_buf[:k].tolist()) == sorted(slots.tolist()), where
         else:
-            assert ranking.shape[0] == 0, where
+            assert rank_buf.shape[0] == 0 and engine._rank_ptr[ei] == 0, where
+        if cap:
+            assert engine._lane_ptr[ei] == lane_buf.ctypes.data, where
+            if seg.lanes > 1:
+                assert engine._rank_ptr[ei] == rank_buf.ctypes.data, where
+        else:
+            assert engine._lane_ptr[ei] == 0 and engine._rank_ptr[ei] == 0, where
         if vehicles:
             occupied.append(ei)
             n_multilane += seg.lanes > 1
-            assert engine._lane_ptr[ei] == slots.ctypes.data, where
-            if seg.lanes > 1:
-                assert engine._rank_ptr[ei] == ranking.ctypes.data, where
     assert engine._occupied == occupied
     assert engine._n_ml_occupied == n_multilane
     if not engine._occ_stale:

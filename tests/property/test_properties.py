@@ -264,26 +264,41 @@ def test_batched_equals_scalar_on_dense_irregular_scenarios(
     assert traces[True] == traces[False]
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["cc", "numpy"])
+def _slot_arrays(engine):
+    """Each edge's live lanes, lane bounds and ranking, in exact order."""
+    return [
+        (
+            engine._lane_store[ei][:k].tolist(),
+            engine._bounds_np[ei].tolist(),
+            engine._rank_store[ei][:k].tolist(),
+        )
+        for ei, k in enumerate(engine._lane_len.tolist())
+    ]
+
+
 @settings(
     max_examples=4,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(
+    lanes=st.integers(min_value=1, max_value=3),
     volume=st.floats(min_value=0.5, max_value=1.0),
     through=st.floats(min_value=0.4, max_value=0.9),
     patrol_cars=st.integers(min_value=1, max_value=2),
     rng_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_engine_occupancy_state_holds_every_step(
-    occupancy_state_check, compiled, volume, through, patrol_cars, rng_seed
+    occupancy_state_check, lanes, volume, through, patrol_cars, rng_seed
 ):
     """The vectorized engine's per-edge slot arrays and everything kept
     beside them (lane bounds, head flags, pointer tables, occupied-edge and
     waiting registries) must match a recomputation from the vehicles after
-    every step of a dense, open, two-lane gated grid: border arrivals and
-    exits, patrol ferrying and overtaking all insert and remove slots."""
+    every step of a dense, open gated grid: border arrivals and exits,
+    patrol ferrying and overtaking all insert and remove slots.  A cc and a
+    NumPy simulation step in lockstep, and their lanes, bounds and
+    rankings must be equal after every step (where cc does not load, both
+    run NumPy)."""
     from repro.core.patrol import PatrolPlan
 
     config = ScenarioConfig(
@@ -293,13 +308,20 @@ def test_engine_occupancy_state_holds_every_step(
         open_system=True,
         demand=DemandConfig(volume_fraction=volume, through_traffic_fraction=through),
         patrol=PatrolPlan(num_cars=patrol_cars),
-        mobility=MobilityConfig(compiled=compiled),
     )
-    sim = Simulation(grid_network(4, 4, lanes=2, gates_on_border=True), config)
-    occupancy_state_check(sim.engine)
-    for _ in range(200):
-        sim.step()
-        occupancy_state_check(sim.engine)
+    sims = [
+        Simulation(
+            grid_network(4, 4, lanes=lanes, gates_on_border=True),
+            replace(config, mobility=MobilityConfig(compiled=compiled)),
+        )
+        for compiled in (True, False)
+    ]
+    for step in range(201):
+        for sim in sims:
+            if step:
+                sim.step()
+            occupancy_state_check(sim.engine)
+        assert _slot_arrays(sims[0].engine) == _slot_arrays(sims[1].engine), step
 
 
 @SLOW

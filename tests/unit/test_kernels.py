@@ -12,7 +12,11 @@ bound once and each call passes only a count, so every test binds its own
 arrays through :func:`_bound`, which zero-fills every array it is not
 given.  The engine's compiler-less lane viability check
 (``lane_options_np``) is held to the same ``lane_options`` oracle, so it
-runs on every host.
+runs on every host.  The occupancy transitions (``occ_enter`` /
+``occ_leave`` / ``occ_lane_move``) are held to the engine's NumPy splice
+pair instead: a cc engine and a ``compiled=False`` engine go through the
+same scripted entries, exits and lane moves, and every table either
+writes must be equal after each one.
 
 When cc does not load, the loader must return ``None`` with a recorded
 reason, the engine must run its NumPy path (``kernel_backend == "numpy"``)
@@ -84,7 +88,8 @@ _SLOT_ARRAYS = dict(
 )
 _EDGE_ARRAYS = dict(
     flags_buf=np.uint8, occ_buf=np.int64, lane_ptr=np.int64, lane_len=np.int64,
-    bounds_ptr=np.int64, rank_ptr=np.int64, rank_elig=np.uint8,
+    bounds_ptr=np.int64, rank_ptr=np.int64, rank_elig=np.uint8, nlanes=np.int64,
+    lane_cap=np.int64, occ_lanes=np.int64,
 )
 
 
@@ -365,6 +370,233 @@ class TestLaneOptions:
         for lane, own, bits in ((0, 46.0, 1), (0, 46.5, 0), (1, 50.0, 2), (1, 49.5, 0)):
             assert lane_options_py(0, lane, 2, own, 4.0, gptrs, bptrs, pos) == bits
             assert _lane_options(backend, 0, lane, 2, own, 4.0, edges, gptrs, bptrs, pos) == bits
+
+
+# ------------------------------------------------------- occupancy transitions
+def _occupancy_tables(eng):
+    """Everything an occupancy transition writes, in comparable form: each
+    edge's live lane prefix, bounds, length, capacity and ranking, the
+    occupied-lane counts and scan eligibility, the head flags of the slots
+    on an edge and the resident columns ``occ_enter`` writes."""
+    edges = []
+    for ei, seg in enumerate(eng._segs):
+        k = int(eng._lane_len[ei])
+        ranking = eng._rank_store[ei][:k].tolist() if seg.lanes > 1 else None
+        edges.append((eng._lane_store[ei][:k].tolist(), eng._bounds_np[ei].tolist(),
+                      k, int(eng._lane_cap[ei]), ranking))
+    on_edge = sorted(v.slot for v in eng._vehicles.values() if v.edge is not None)
+    slots = sorted(v.slot for v in eng._vehicles.values())
+    columns = (eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._ml, eng._wait_flag)
+    return dict(
+        edges=edges,
+        occ_lanes=eng._occ_lanes.tolist(),
+        rank_elig=eng._rank_elig.tolist(),
+        heads=eng._is_head[on_edge].tolist(),
+        columns=[col[slots].tobytes() for col in columns],
+    )
+
+
+class _Twins:
+    """A cc engine and a ``compiled=False`` engine on twin networks, driven
+    through the same scripted transitions — ``_place``,
+    ``_remove_from_edge`` and ``_apply_lane_moves`` — and compared after
+    every one of them."""
+
+    def __init__(self, lanes=2, seed=0):
+        from repro.mobility.engine import TrafficEngine
+        from repro.roadnet.builders import grid_network
+
+        _cc_kernel()
+        self.engines = [
+            TrafficEngine(grid_network(2, 3, lanes=lanes), np.random.default_rng(seed),
+                          compiled=compiled)
+            for compiled in (True, False)
+        ]
+        assert [e.kernel_backend for e in self.engines] == ["cc", "numpy"]
+        self.rngs = [np.random.default_rng(99) for _ in self.engines]
+        self.check()
+
+    @property
+    def cc(self):
+        return self.engines[0]
+
+    def check(self):
+        cc, ref = (_occupancy_tables(e) for e in self.engines)
+        assert cc == ref
+
+    def each(self, fn):
+        out = [fn(eng) for eng in self.engines]
+        self.check()
+        return out[0]
+
+    def spawn(self, speed=6.0, origin=(0, 0), destination=(1, 2)):
+        """A vehicle entering at 0.0 m on its route's first edge; its vid."""
+        from repro.mobility.demand import VehicleSpec
+        from repro.roadnet.routing import FixedTripRouter
+        from repro.surveillance.attributes import random_signature
+
+        specs = iter([
+            VehicleSpec(signature=random_signature(rng), desired_speed_mps=speed,
+                        origin=origin, router=FixedTripRouter(eng.net, rng,
+                                                              destination=destination))
+            for eng, rng in zip(self.engines, self.rngs)
+        ])
+        return self.each(lambda eng: eng.spawn(next(specs))[0].vid)
+
+    def edge_of(self, vid):
+        eng = self.cc
+        return eng._edge_order[eng._vehicles[vid].edge]
+
+    def leave(self, vid):
+        self.each(lambda eng: eng._remove_from_edge(eng._vehicles[vid]))
+
+    def enter(self, vid, edge, pos):
+        self.each(lambda eng: eng._place(eng._vehicles[vid], *edge, pos_m=pos))
+
+    def relocate(self, vid, edge, pos):
+        self.leave(vid)
+        self.enter(vid, edge, pos)
+
+    def move(self, vid, target):
+        self.each(lambda eng: eng._apply_lane_moves(
+            self.edge_of(vid), [(eng._vehicles[vid], target)]))
+
+    def lanes(self, ei):
+        """Edge ``ei``'s lanes on the cc engine, as vid lists."""
+        eng = self.cc
+        bounds = eng._bounds_np[ei].tolist()
+        slots = eng._lane_store[ei]
+        return [eng._vid[slots[lo:hi]].tolist() for lo, hi in zip(bounds, bounds[1:])]
+
+    def ranking(self, ei):
+        eng = self.cc
+        return eng._vid[eng._rank_store[ei][:eng._lane_len[ei]]].tolist()
+
+
+#: The first edge of every ``_Twins.spawn`` route from (0, 0) to (1, 2).
+_FIRST = ((0, 0), (0, 1))
+
+
+class TestOccupancyTransitions:
+    """cc's ``occ_enter``/``occ_leave``/``occ_lane_move`` against the NumPy
+    splice pair, bit for bit, after every transition.  Skipped where cc
+    does not load."""
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_simultaneous_entries_tie_at_zero(self, lanes, occupancy_state_check):
+        twins = _Twins(lanes)
+        vids = [twins.spawn(speed=4.0 + i) for i in range(7)]
+        ei = twins.edge_of(vids[0])
+        # all seven tie at 0.0 m, so vid orders each lane and the ranking
+        assert sorted(v for lane in twins.lanes(ei) for v in lane) == vids
+        for lane in twins.lanes(ei):
+            assert lane == sorted(lane)
+        if lanes > 1:
+            assert twins.ranking(ei) == vids
+        for eng in twins.engines:
+            occupancy_state_check(eng)
+
+    def test_unsorted_ranking_follows_bisect_probes(self):
+        # TestOneLaneTie's set-up: engine seed 0 puts both on lane 1, and
+        # the faster, lower-vid leader pulls away inside the skipped scan.
+        twins = _Twins(2, seed=0)
+        lead, back = twins.spawn(speed=6.0), twins.spawn(speed=3.0)
+        twins.each(lambda eng: eng.step())
+        ei = twins.edge_of(lead)
+        assert twins.lanes(ei) == [[], [lead, back]]
+        assert twins.ranking(ei) == [lead, back]  # unsorted: lead is ahead
+        pos = twins.cc._pos
+        p_lead = float(pos[twins.cc._vehicles[lead].slot])
+        p_back = float(pos[twins.cc._vehicles[back].slot])
+        assert p_lead > p_back
+        # bisect_right's first probe is ``back``, so a slot between the two
+        # lands last, where a scan for the first larger key would put it first
+        mid = twins.spawn(speed=5.0)
+        twins.relocate(mid, _FIRST, (p_lead + p_back) / 2)
+        assert twins.ranking(ei) == [lead, back, mid]
+
+    def test_leaving_mid_ranking(self, occupancy_state_check):
+        twins = _Twins(2)
+        vids = [twins.spawn() for _ in range(6)]
+        for i, vid in enumerate(vids):
+            twins.relocate(vid, _FIRST, 40.0 - 5.0 * i)
+        ei = twins.edge_of(vids[0])
+        assert twins.ranking(ei) == vids[::-1]
+        elsewhere = ((1, 0), (1, 1))
+        for vid in (vids[3], vids[5], vids[0]):  # middle, first and last entry
+            twins.leave(vid)
+            twins.enter(vid, elsewhere, 10.0)
+        for eng in twins.engines:
+            occupancy_state_check(eng)
+
+    def test_lane_emptied_and_refilled(self):
+        twins = _Twins(2)
+        vids = [twins.spawn() for _ in range(4)]
+        ei = twins.edge_of(vids[0])
+        lanes = twins.lanes(ei)
+        assert all(lanes), "both lanes must start occupied"
+        for vid in lanes[0]:
+            twins.move(vid, 1)
+        assert twins.cc._occ_lanes[ei] == 1 and twins.cc._rank_elig[ei] == 0
+        twins.move(lanes[0][0], 0)
+        assert twins.cc._occ_lanes[ei] == 2 and twins.cc._rank_elig[ei] == 1
+        for vid in twins.lanes(ei)[1]:
+            twins.leave(vid)
+        assert twins.cc._occ_lanes[ei] == 1 and twins.cc._rank_elig[ei] == 0
+        twins.enter(lanes[1][0], _FIRST, 0.0)
+        twins.enter(lanes[1][-1], _FIRST, 0.0)
+
+    def test_full_edge_refuses_entry_then_grows(self):
+        twins = _Twins(2)
+        vids = [twins.spawn() for _ in range(4)]
+        eng = twins.cc
+        ei = twins.edge_of(vids[0])
+        assert eng._lane_len[ei] == eng._lane_cap[ei] == 4
+
+        def everything():
+            arrays = [eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._ml,
+                      eng._wait_flag, eng._is_head, eng._lane_ptr, eng._rank_ptr,
+                      eng._lane_len, eng._lane_cap, eng._occ_lanes, eng._rank_elig,
+                      eng._lane_store[ei], eng._rank_store[ei], eng._bounds_np[ei]]
+            return [a.tobytes() for a in arrays]
+
+        before = everything()
+        free_slot = eng._capacity - 1
+        assert eng._slot_vehicle[free_slot] is None
+        assert eng._kernel.occ_enter_bound(ei, 0, free_slot, 1.0, 2.0, 3.0, 50.0) == -1
+        assert everything() == before
+        twins.spawn()
+        assert eng._lane_len[ei] == 5 and eng._lane_cap[ei] == 8
+
+    def test_resident_growth_rebuilds_the_tables(self, occupancy_state_check):
+        twins = _Twins(2)
+        tables = twins.cc._kernel._occ_tables
+        vids = [twins.spawn(origin=origin, destination=(1, 2) if origin != (1, 2) else (0, 0))
+                for _ in range(14) for origin in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2))]
+        eng = twins.cc
+        assert eng._capacity > 64
+        assert eng._kernel._occ_tables is not tables
+        assert eng._kernel._occ_tables.pos == eng._pos.ctypes.data
+        for vid in vids[::9]:
+            twins.relocate(vid, _FIRST, 20.0)
+        for eng in twins.engines:
+            occupancy_state_check(eng)
+
+    def test_walk_matches_on_keys_tied_in_position_and_vid(self):
+        """The C lane walk is the Python walk on any input, even keys tied
+        on position *and* vid, which only a direct write can make."""
+        twins = _Twins(2, seed=1)
+        a, b = twins.spawn(), twins.spawn()
+        ei = twins.edge_of(a)
+        assert twins.lanes(ei) == [[a], [b]]
+
+        def tie(eng):
+            va, vb = eng._vehicles[a], eng._vehicles[b]
+            eng._vid[va.slot] = vb.vid
+
+        twins.each(tie)
+        twins.move(a, 1)
+        twins.move(a, 0)
 
 
 # ------------------------------------------------------------ fallback

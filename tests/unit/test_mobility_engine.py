@@ -392,3 +392,27 @@ class TestOneLaneTie:
         for _ in range(80):
             occupancy_state_check(eng)
             eng.step()
+
+
+class TestLaneDraw:
+    """``_place`` draws a lane only on multilane segments.  That leaves every
+    stream unchanged because NumPy answers ``integers(1)`` without touching
+    the generator; a NumPy release that changes this fails here instead of
+    silently shifting every run."""
+
+    def test_integers_of_one_leaves_the_generator_alone(self):
+        gen = np.random.default_rng(7)
+        fresh = gen.bit_generator.state
+        assert gen.integers(1) == 0
+        assert gen.bit_generator.state == fresh
+        gen.integers(2)  # a bounded draw buffers half of a 64-bit output
+        buffered = gen.bit_generator.state
+        assert buffered["has_uint32"] == 1
+        assert gen.integers(1) == 0
+        assert gen.bit_generator.state == buffered
+
+    def test_single_lane_placement_draws_nothing(self, small_grid, rng):
+        eng = make_engine(small_grid)
+        state = eng.rng.bit_generator.state
+        eng.spawn(spec_at(small_grid, rng, (0, 0)))
+        assert eng.rng.bit_generator.state == state
