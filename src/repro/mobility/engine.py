@@ -26,11 +26,11 @@ flags).  Each edge's occupancy is two slot arrays, the live prefixes of
 grow-only buffers: its lanes front to back, which is the gather order,
 and on multilane edges its overtake ranking.  Entering, leaving and
 changing lanes each update them in place in one call, a native one with
-cc and an insert/remove pair in NumPy otherwise.  A step gathers the
-occupied edges' lane arrays and scatters back with one bulk write; nothing
-is rebuilt.  The ``Vehicle`` objects' kinematic fields become lazily synced
-mirrors (refreshed by any public accessor; see :attr:`TrafficEngine.
-vehicles`).  Because each lane advances front to back against its leader's
+cc and an insert/remove pair in NumPy otherwise.  A step gathers every
+non-empty edge's lane array, in edge order, and scatters back with one
+bulk write; nothing is rebuilt.  The ``Vehicle`` objects' kinematic fields
+become lazily synced mirrors (refreshed by any public accessor; see
+:attr:`TrafficEngine.vehicles`).  Because each lane advances front to back against its leader's
 post-step state, the update is not a single elementwise pass: the compiled
 kernel (:mod:`repro.mobility.kernels`, the default) sweeps the gather order
 in place in one native call, and the NumPy path it falls back to resolves
@@ -56,7 +56,7 @@ it event for event except at one known positional tie (see
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -210,11 +210,9 @@ class TrafficEngine:
             self._segments[seg.key] = seg
             self._edge_order[seg.key] = i
         n_edges = len(self._segs)
-        # Sorted indices of the edges carrying vehicles, so the hot step
-        # never walks the empty part of the network, and how many of them
-        # are multilane (any means lane changes and overtakes are in play).
-        self._occupied: List[int] = []
-        self._n_ml_occupied = 0
+        # Lane changes and overtakes can happen only on a network with a
+        # multilane segment.
+        self._multilane_net = any(seg.lanes > 1 for seg in self._segs)
         # Sparse: edges with vehicles waiting at the stop line, and those
         # vehicles themselves (always their lane's head).
         self._waiting: Dict[Tuple[object, object], List[Vehicle]] = {}
@@ -267,34 +265,30 @@ class TrafficEngine:
         self._occ_lanes = np.zeros(n_edges, dtype=np.int64)
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
-        # arrival/movement masks and the lane-change candidate mask.  The
-        # compiled kernel binds them once per capacity change, making each
-        # per-step native call a cached-pointer invocation with only the
-        # count varying.
+        # arrival mask and the lane-change candidate mask.  The compiled
+        # kernel binds them once per capacity change, so each per-step
+        # native call passes only the count.
         self._idx_buf = np.empty(0, dtype=np.intp)
         self._newly_buf = np.empty(0, dtype=bool)
-        self._moved_buf = np.empty(0, dtype=bool)
         self._cand_buf = np.empty(0, dtype=bool)
         # Edge-count-sized (static) scratch: per-edge inversion flags out
         # of the compiled ranking scan.
         self._flags_buf = np.empty(n_edges, dtype=bool)
         # Pointer tables for the compiled kernel's full-edge sweeps: per-edge
         # address and length of the lane slot array (the length also bounds
-        # the ranking, which holds the same slots), addresses of the lane
-        # bounds and of the ranking, the occupied-edge index mirror and the
-        # ranking-scan eligibility byte (multilane with more than one
-        # occupied lane).  An address changes only when its buffer is
-        # reallocated, so the steady-state gather and overtake scan are each
-        # one bound native call with no per-edge Python walk.  The NumPy
-        # path walks the same per-edge arrays in Python.
+        # the ranking, which holds the same slots; a non-zero one marks the
+        # edges the gather walks), addresses of the lane bounds and of the
+        # ranking, and the ranking-scan eligibility byte (multilane with
+        # more than one occupied lane).  An address changes only when its
+        # buffer is reallocated, so the steady-state gather and overtake
+        # scan are each one bound native call with no per-edge Python walk.
+        # The NumPy path walks the same per-edge arrays in Python.
         self._lane_ptr = np.zeros(n_edges, dtype=np.int64)
         self._lane_len = np.zeros(n_edges, dtype=np.int64)
         self._rank_ptr = np.zeros(n_edges, dtype=np.int64)
         self._bounds_ptr = np.array(
             [b.ctypes.data for b in self._bounds_np], dtype=np.int64
         )
-        self._occ_buf = np.zeros(n_edges, dtype=np.int64)
-        self._occ_stale = True
         self._rank_elig = np.zeros(n_edges, dtype=np.uint8)
         if self._kernel is not None:
             self._bind_kernel()
@@ -424,7 +418,6 @@ class TrafficEngine:
         self._capacity = capacity
         self._idx_buf = np.empty(capacity, dtype=np.intp)
         self._newly_buf = np.empty(capacity, dtype=bool)
-        self._moved_buf = np.empty(capacity, dtype=bool)
         self._cand_buf = np.empty(capacity, dtype=bool)
         if self._kernel is not None:
             self._bind_kernel()
@@ -450,10 +443,8 @@ class TrafficEngine:
             waitflag=self._wait_flag,
             multilane=self._ml,
             newly_buf=self._newly_buf,
-            moved_buf=self._moved_buf,
             cand_buf=self._cand_buf,
             flags_buf=self._flags_buf,
-            occ_buf=self._occ_buf,
             lane_ptr=self._lane_ptr,
             lane_len=self._lane_len,
             bounds_ptr=self._bounds_ptr,
@@ -557,15 +548,9 @@ class TrafficEngine:
         vehicle.speed_mps = free * 0.5
         vehicle.previous_node = tail
         vehicle.waiting_since_s = None
-        flat = self._occupancy[key]
-        flat.append(vehicle.vid)
+        self._occupancy[key].append(vehicle.vid)
         if self.vectorized:
             ei = self._edge_order[key]
-            if len(flat) == 1:
-                insort(self._occupied, ei)
-                self._occ_stale = True
-                if lanes > 1:
-                    self._n_ml_occupied += 1
             slot = vehicle.slot
             kernel = self._kernel
             if kernel is not None:
@@ -587,16 +572,9 @@ class TrafficEngine:
 
     def _remove_from_edge(self, vehicle: Vehicle) -> None:
         edge = vehicle.edge
-        flat = self._occupancy[edge]
-        flat.remove(vehicle.vid)
+        self._occupancy[edge].remove(vehicle.vid)
         if self.vectorized:
             ei = self._edge_order[edge]
-            multilane = self._segs[ei].lanes > 1
-            if not flat:
-                del self._occupied[bisect_left(self._occupied, ei)]
-                self._occ_stale = True
-                if multilane:
-                    self._n_ml_occupied -= 1
             # Materialize the departing vehicle's kinematics so exit events
             # and the departed pool carry its final state even though the
             # resident arrays are the in-run source of truth.
@@ -608,7 +586,7 @@ class TrafficEngine:
                 kernel.occ_leave_bound(ei, vehicle.lane, slot)
             else:
                 self._wait_flag[slot] = False
-                if multilane:
+                if self._segs[ei].lanes > 1:
                     self._rank_remove(ei, slot)
                 self._lane_remove(ei, vehicle.lane, slot)
             if vehicle.waiting_since_s is not None:
@@ -835,7 +813,7 @@ class TrafficEngine:
     def _advance_segments_batch(self, events: List[TrafficEvent]) -> None:
         """Advance every occupied segment (the vectorized step).
 
-        Gather the occupied edges' lane slot arrays (:meth:`_gather`; a
+        Gather every non-empty edge's lane slot array (:meth:`_gather`; a
         follower's in-lane leader is simply the previous gather index),
         mark the lane-change candidates with the blocked-follower
         predicate, and run the one lane-change pass
@@ -848,7 +826,7 @@ class TrafficEngine:
           the resident position/speed arrays *in place* — each follower
           naturally reads its leader's already-written post-step state, so
           the whole front-to-back recurrence runs in one pass, returning the
-          arrival and movement masks;
+          arrival mask;
         * **NumPy**: compute every free-flow candidate vectorized, resolve
           the provably unconstrained and provably stopped followers
           vectorized (:meth:`SimplifiedIDM.batch_classify`), settle
@@ -880,11 +858,11 @@ class TrafficEngine:
         if n == 0:
             return
         idx = self._idx_buf[:n]
-        # Any occupied multilane edge means lane changes / overtakes are in
-        # play this step; single-vehicle multilane edges cost nothing extra
-        # (their lone vehicle is a lane head, so it can never be a
-        # candidate, and the overtake scan skips one-lane occupancies).
-        watching = self.allow_overtaking and self._n_ml_occupied > 0
+        # While no multilane edge is occupied, the lane-change and overtake
+        # passes find nothing and draw nothing: every vehicle's ``_ml`` byte
+        # is clear, so none is a candidate, and no ``_rank_elig`` byte is
+        # set.  So a network-wide flag gates them.
+        watching = self.allow_overtaking and self._multilane_net
 
         pos_a = self._pos
         speed_a = self._speed
@@ -905,9 +883,9 @@ class TrafficEngine:
                 # unchanged).
                 self._gather()
             # One native call: in-place resident-array sweep in gather
-            # order (the exact reference recurrence), arrival/movement
-            # masks out.  The return value is the newly-arrived count, so
-            # the no-arrival common case skips the mask reduction too.
+            # order (the exact reference recurrence), arrival mask out.
+            # The return value is the newly-arrived count, so the
+            # no-arrival common case skips the mask reduction too.
             n_newly = kernel.advance_bound(n)
             newly = self._newly_buf[:n] if n_newly else None
         else:
@@ -997,29 +975,26 @@ class TrafficEngine:
             self._detect_overtakes_fast(events)
 
     def _gather(self) -> int:
-        """Flatten the occupied edges' lane slot arrays into ``_idx_buf``.
+        """Flatten every non-empty edge's lane slot array into ``_idx_buf``.
 
-        One bound native call over the pointer table with cc, otherwise one
-        ``np.concatenate`` of the per-edge live prefixes, in edge order,
-        into the persistent capacity-sized index buffer.  Returns the
-        gathered element count (0 = nothing occupied).
+        The walk visits the edges whose ``_lane_len`` is non-zero, in edge
+        order: one bound native call over the pointer table with cc,
+        otherwise one ``np.concatenate`` of their live prefixes into the
+        persistent capacity-sized index buffer.  Returns the gathered
+        element count (0 = nothing occupied).
         """
-        occupied = self._occupied
-        m = len(occupied)
-        if self._occ_stale:
-            # The occupied-edge mirror is refreshed only when membership
-            # actually changed.
-            self._occ_buf[:m] = occupied
-            self._occ_stale = False
         kernel = self._kernel
         if kernel is not None:
-            return kernel.gather_bound(m)
-        store = self._lane_store
-        lens = self._lane_len[self._occ_buf[:m]].tolist()
-        total = sum(lens)
+            return kernel.gather_bound()
+        lens = self._lane_len
+        occupied = lens.nonzero()[0]
+        counts = lens[occupied].tolist()
+        total = sum(counts)
         if total:
+            store = self._lane_store
             np.concatenate(
-                [store[ei][:k] for ei, k in zip(occupied, lens)], out=self._idx_buf[:total]
+                [store[ei][:k] for ei, k in zip(occupied.tolist(), counts)],
+                out=self._idx_buf[:total],
             )
         return total
 
@@ -1044,7 +1019,6 @@ class TrafficEngine:
         redoes the gather.
         """
         slot_vehicle = self._slot_vehicle
-        segs = self._segs
         edge_order = self._edge_order
         pos_a = self._pos
         politeness = self.lane_change.politeness
@@ -1054,7 +1028,6 @@ class TrafficEngine:
         )
         rng = self.rng
         cur = -1
-        seg_lanes = 0
         pending: List[Tuple[Vehicle, int]] = []
         patched = False
         for i in cand.nonzero()[0].tolist():
@@ -1067,14 +1040,13 @@ class TrafficEngine:
                     pending = []
                     patched = True
                 cur = ei
-                seg_lanes = segs[ei].lanes
             # Inline scalar target-lane choice: politeness veto first (one
             # uniform per candidate, like the reference scan), then the
             # both-neighbour viability bits, then the tie draw only when
             # both neighbours are viable — identical RNG stream.
             if rng.random() < politeness:
                 continue
-            opts = lane_opts(ei, v.lane, seg_lanes, float(pos_a[v.slot]))
+            opts = lane_opts(ei, v.lane, float(pos_a[v.slot]))
             if opts == 0:
                 continue
             if opts == 3:
@@ -1089,12 +1061,12 @@ class TrafficEngine:
             patched = True
         return patched
 
-    def _lane_options_np(self, ei: int, lane: int, nlanes: int, own: float) -> int:
+    def _lane_options_np(self, ei: int, lane: int, own: float) -> int:
         """NumPy counterpart of the kernel's bound ``lane_opts`` call (the
         lane bounds delimit the live prefix of the edge's buffer)."""
         return lane_options_np(
             lane,
-            nlanes,
+            self._segs[ei].lanes,
             own,
             self.lane_change.required_gap_m / 2.0,
             self._lane_store[ei],

@@ -21,12 +21,14 @@ and friends, their oracle).
 The engine uses it by default (``MobilityConfig.compiled=True``).  The
 ladder is **cc → NumPy**, with ``vectorized=False`` the scalar reference
 below both: **cc** is a small C translation unit compiled with the system
-C compiler into a process-lifetime temporary directory and loaded through
-:mod:`ctypes`.  It is compiled with ``-ffp-contract=off`` and no
-``-ffast-math``/``-march``, so every operation is a plain IEEE-754 double
-op in source order (no FMA contraction), and with explicit ternary min/max
-that return the *first* operand on ties — mirroring Python's
-``min``/``max`` (relevant for ``max(0.0, -0.0)``).
+C compiler in a temporary directory and loaded through :mod:`ctypes`; the
+directory is removed as soon as the library is loaded (a loaded shared
+object stays mapped after its file is gone).  It is compiled with
+``-ffp-contract=off`` and no ``-ffast-math``/``-march``, so every
+operation is a plain IEEE-754 double op in source order (no FMA
+contraction), and with explicit ternary min/max that return the *first*
+operand on ties — mirroring Python's ``min``/``max`` (relevant for
+``max(0.0, -0.0)``).
 
 Loading
 -------
@@ -51,7 +53,8 @@ The C sweeps must reproduce :meth:`SimplifiedIDM.advance` /
   leader's just-written post-step state (the in-place sweep makes the
   gather order supply it naturally);
 * scalar products (``accel*dt``) and the headway denominator are computed
-  *once* in Python and passed in, matching NumPy's scalar broadcasting.
+  *once* in Python and stored in the kernel's struct, matching NumPy's
+  scalar broadcasting.
 
 :func:`advance_chain_py` / :func:`lane_change_candidates_py` are the
 executable specifications: plain Python floats, no NumPy ufuncs, usable as
@@ -61,22 +64,19 @@ is the NumPy path's lane viability check, held to the same oracle as the C
 
 Calling convention
 ------------------
-The engine *binds* its resident arrays, output buffers and per-edge pointer
-tables once per capacity change (:meth:`StepKernel.bind`) and then issues
-count-only calls (:attr:`StepKernel.advance_bound` and friends): every
-pointer and scalar is cached as a ready ``ctypes`` argument, so a per-step
-call is a single foreign call.  Writes into bound arrays, pointer-table
-slots included, need no re-bind.
-
-The occupancy transitions take one more step: :meth:`StepKernel.bind`
-builds one per-engine struct holding the address of every array they
-touch (``occ_tables`` in C, :class:`_OccTables` here) and rebuilds it on
-every re-bind, so each call passes the struct plus the transition's own
-values, at most eight arguments (ctypes charges per argument).  Edges grow
-on demand: ``occ_enter`` returns -1, having written nothing, when the
-edge's buffers are full; the engine then doubles them
-(``TrafficEngine._grow_edge``, which rewrites their pointer-table entries
-and the edge's ``lane_cap``) and calls again.
+Every C entry point takes one struct first: ``tables`` in C,
+:class:`_Tables` here.  It holds the address of every array the kernel
+reads or writes (the engine's resident columns, its per-step buffers and
+its per-edge pointer tables), the edge count and the ten model scalars.
+:meth:`StepKernel.bind` fills it once per capacity change and binds each
+entry point to its address with :func:`functools.partial`, so a call
+passes only what varies: a count, or one transition's edge, lanes, slot
+and kinematics (ctypes charges per argument).  Writes into bound arrays,
+pointer-table slots included, need no re-bind.  Edges grow on demand:
+``occ_enter`` returns -1, having written nothing, when the edge's buffers
+are full; the engine then doubles them (``TrafficEngine._grow_edge``,
+which rewrites their pointer-table entries and the edge's ``lane_cap``)
+and calls again.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ def advance_chain_py(
     heads: Any,
     waitflag: Any,
     newly: Any,
-    moved: Any,
     dt: float,
     accel_dt: float,
     decel_dt: float,
@@ -133,8 +132,8 @@ def advance_chain_py(
     chain, so the in-lane leader of a non-head gather index ``i`` is gather
     index ``i-1``.  Updates ``pos``/``speed`` in place (slot-indexed),
     which hands each follower its leader's post-step state for free, and
-    fills the *gather-aligned* ``newly`` (arrived and not yet flagged
-    waiting) and ``moved`` (position changed) output masks.
+    fills the *gather-aligned* ``newly`` output mask (arrived and not yet
+    flagged waiting).
 
     This function is the specification the C sweep is tested against.
     Returns the number of ``newly`` bits set (saving callers a mask
@@ -185,7 +184,6 @@ def advance_chain_py(
             nv = nv if nv > 0.0 else 0.0  # max(0.0, nv)
         pos[slot] = np_
         speed[slot] = nv
-        moved[i] = np_ != p
         arrived = (np_ >= length - arrival_eps) and not waitflag[slot]
         newly[i] = arrived
         if arrived:
@@ -245,23 +243,17 @@ def _deref_i64(addr: int, n: int) -> np.ndarray:
     return np.ctypeslib.as_array(ptr, shape=(n,))
 
 
-def gather_all_py(
-    occ: Any,
-    ptrs: Any,
-    lens: Any,
-    out: Any,
-) -> int:
+def gather_all_py(ptrs: Any, lens: Any, out: Any) -> int:
     """Reference pointer-table gather (Python + ctypes dereference).
 
-    ``occ[:m]`` lists the occupied edge indices in gather order; ``ptrs[e]``
-    / ``lens[e]`` give the address and length of edge ``e``'s cached slot
-    array.  Copies the per-edge arrays back to back into ``out`` and returns
-    the total element count — exactly what the engine's per-edge
-    ``np.concatenate`` walk produced.
+    ``ptrs[e]`` / ``lens[e]`` give the address and live length of edge
+    ``e``'s lane slot array.  Walks every edge in index order, copies each
+    non-empty one's live prefix back to back into ``out`` (an edge of length
+    0 is skipped, whatever its address) and returns the total element count
+    — exactly what the engine's per-edge ``np.concatenate`` walk produces.
     """
     total = 0
-    for j in range(occ.shape[0]):
-        e = int(occ[j])
+    for e in range(lens.shape[0]):
         ln = int(lens[e])
         out[total:total + ln] = _deref_i64(int(ptrs[e]), ln)
         total += ln
@@ -377,16 +369,45 @@ _C_SOURCE = r"""
 #define MAXF(a, b) (((b) > (a)) ? (b) : (a))
 #define MINF(a, b) (((b) < (a)) ? (b) : (a))
 
-int64_t advance_chain(
-    const int64_t *idx, int64_t n,
-    double *pos, double *speed,
-    const double *freeflow, const double *seglen,
-    const unsigned char *heads,
-    const unsigned char *waitflag,
-    unsigned char *newly, unsigned char *moved,
-    double dt, double accel_dt, double decel_dt, double denom,
-    double veh_len, double min_gap, double arrival_eps)
+/* Every entry point takes this struct first; StepKernel.bind fills it (the
+ * _Tables class, field for field).  The slot-indexed resident columns come
+ * first, then the per-step buffers (the gather idx, the newly and cand masks
+ * aligned with it, and the edge-indexed overtake flags), then the per-edge
+ * tables: edge e's lanes are lane_ptr[e][:lane_len[e]] split by the
+ * nlanes[e] + 1 bounds at bounds_ptr[e], and a multilane edge's ranking is
+ * rank_ptr[e][:lane_len[e]].  Addresses arrive as int64 values (numpy owns
+ * the arrays and keeps them alive); a table entry changes only when its
+ * buffer is reallocated.  The sweeps copy what they use into locals, since
+ * their stores may alias the struct. */
+typedef struct {
+    double *pos, *speed, *freeflow, *seglen;
+    const double *desired;
+    const int64_t *vid;
+    unsigned char *heads, *multilane, *waitflag;
+    int64_t *idx;
+    unsigned char *newly, *cand, *flags;
+    const int64_t *lane_ptr, *rank_ptr, *bounds_ptr, *nlanes;
+    int64_t *lane_len;
+    const int64_t *lane_cap;
+    int64_t *occ_lanes;
+    unsigned char *rank_elig;
+    int64_t n_edges;
+    double dt, accel_dt, decel_dt, denom, veh_len, min_gap, arrival_eps;
+    double blocked_m, gain_mps, gap_half;
+} tables;
+
+#define EDGE_ARRAY(table, e) ((int64_t *)(intptr_t)(table)[e])
+
+int64_t advance_chain(const tables *t, int64_t n)
 {
+    const int64_t *idx = t->idx;
+    double *pos = t->pos, *speed = t->speed;
+    const double *freeflow = t->freeflow, *seglen = t->seglen;
+    const unsigned char *heads = t->heads, *waitflag = t->waitflag;
+    unsigned char *newly = t->newly;
+    double dt = t->dt, accel_dt = t->accel_dt, decel_dt = t->decel_dt;
+    double denom = t->denom, veh_len = t->veh_len, min_gap = t->min_gap;
+    double arrival_eps = t->arrival_eps;
     double lead_pos = 0.0, lead_speed = 0.0;
     int64_t n_newly = 0;
     for (int64_t i = 0; i < n; i++) {
@@ -423,7 +444,6 @@ int64_t advance_chain(
         }
         pos[slot] = np;
         speed[slot] = nv;
-        moved[i] = (np != p);
         newly[i] = (np >= length - arrival_eps) && !waitflag[slot];
         n_newly += newly[i];
         lead_pos = np;
@@ -432,13 +452,13 @@ int64_t advance_chain(
     return n_newly;
 }
 
-int64_t lane_change_candidates(
-    const int64_t *idx, int64_t n,
-    const double *pos, const double *speed, const double *desired,
-    const unsigned char *multilane, const unsigned char *heads,
-    unsigned char *cand,
-    double blocked_m, double gain_mps)
+int64_t lane_change_candidates(const tables *t, int64_t n)
 {
+    const int64_t *idx = t->idx;
+    const double *pos = t->pos, *speed = t->speed, *desired = t->desired;
+    const unsigned char *multilane = t->multilane, *heads = t->heads;
+    unsigned char *cand = t->cand;
+    double blocked_m = t->blocked_m, gain_mps = t->gain_mps;
     int64_t n_cand = 0;
     if (n == 0) return 0;
     cand[0] = 0;
@@ -456,22 +476,12 @@ int64_t lane_change_candidates(
     return n_cand;
 }
 
-/* Pointer-table entry points.  The engine keeps, per edge, the address
- * and length of its lane slot array and the address of its ranking (both
- * live prefixes of grow-only buffers updated in place; a table slot is
- * rewritten only when its buffer is reallocated); these sweeps then walk
- * every edge natively, so the steady-state step does no per-edge Python
- * work at all.  Addresses arrive as int64 values (numpy owns the arrays and
- * keeps them alive). */
-
-int64_t gather_all(
-    const int64_t *occ, int64_t m,
-    const int64_t *ptrs, const int64_t *lens,
-    int64_t *out)
+/* Every edge's live lane slots, back to back in edge order, into idx. */
+int64_t gather_all(const tables *t)
 {
-    int64_t total = 0;
-    for (int64_t j = 0; j < m; j++) {
-        int64_t e = occ[j];
+    const int64_t *ptrs = t->lane_ptr, *lens = t->lane_len;
+    int64_t *out = t->idx, n_edges = t->n_edges, total = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
         const int64_t *src = (const int64_t *)(intptr_t)ptrs[e];
         int64_t len = lens[e];
         for (int64_t k = 0; k < len; k++) out[total + k] = src[k];
@@ -480,20 +490,17 @@ int64_t gather_all(
     return total;
 }
 
-/* Both-neighbour lane-change viability for one candidate: bit 0 set when
- * lane+1 exists and has no vehicle within ``half`` of ``own``, bit 1
- * likewise for lane-1.  Reads the candidate edge's gathered slots through
- * the gather pointer table and its per-lane sub-spans through the lane
- * bounds table (``lanes + 1`` cumulative offsets per edge).  The gap
- * comparison is |other - own| < half, the exact float sequence of the
- * scalar model. */
-int64_t lane_options(
-    int64_t e, int64_t lane, int64_t nlanes, double own, double half,
-    const int64_t *gptrs, const int64_t *bptrs, const double *pos)
+/* Both-neighbour lane-change viability for one candidate on edge e: bit 0
+ * set when lane+1 exists and has no vehicle within gap_half of own, bit 1
+ * likewise for lane-1.  The gap comparison is |other - own| < half, the
+ * exact float sequence of the scalar model. */
+int64_t lane_options(const tables *t, int64_t e, int64_t lane, double own)
 {
-    const int64_t *slots = (const int64_t *)(intptr_t)gptrs[e];
-    const int64_t *bounds = (const int64_t *)(intptr_t)bptrs[e];
-    int64_t ret = 0;
+    const int64_t *slots = EDGE_ARRAY(t->lane_ptr, e);
+    const int64_t *bounds = EDGE_ARRAY(t->bounds_ptr, e);
+    const double *pos = t->pos;
+    double half = t->gap_half;
+    int64_t nlanes = t->nlanes[e], ret = 0;
     for (int64_t d = 0; d < 2; d++) {
         int64_t target = d ? lane - 1 : lane + 1;
         if (target < 0 || target >= nlanes) continue;
@@ -508,12 +515,13 @@ int64_t lane_options(
     return ret;
 }
 
-int64_t rank_scan_all(
-    const unsigned char *elig, int64_t n_edges,
-    const int64_t *ptrs, const int64_t *lens,
-    const double *pos, const int64_t *vid, unsigned char *flags)
+int64_t rank_scan_all(const tables *t)
 {
-    int64_t n_flagged = 0;
+    const unsigned char *elig = t->rank_elig;
+    const int64_t *ptrs = t->rank_ptr, *lens = t->lane_len, *vid = t->vid;
+    const double *pos = t->pos;
+    unsigned char *flags = t->flags;
+    int64_t n_edges = t->n_edges, n_flagged = 0;
     for (int64_t e = 0; e < n_edges; e++) {
         unsigned char bad = 0;
         if (elig[e]) {
@@ -537,27 +545,12 @@ int64_t rank_scan_all(
 
 /* Occupancy transitions: each entry point is one TrafficEngine transition
  * with the semantics of its NumPy splice pair (_lane_insert/_lane_remove,
- * _rank_insert/_rank_remove).  Every address comes from one per-engine
- * table, the _OccTables struct StepKernel.bind fills.  Edge e's lanes are
- * lane_ptr[e][:lane_len[e]] split by the nlanes[e] + 1 bounds at
- * bounds_ptr[e], and a multilane edge's ranking is rank_ptr[e][:lane_len[e]].
- * A slot taken out must be in the lane named, as the engine guarantees. */
-typedef struct {
-    double *pos, *speed, *freeflow, *seglen;
-    const int64_t *vid;
-    unsigned char *heads, *multilane, *waitflag;
-    const int64_t *lane_ptr, *rank_ptr, *bounds_ptr, *nlanes;
-    int64_t *lane_len;
-    const int64_t *lane_cap;
-    int64_t *occ_lanes;
-    unsigned char *rank_elig;
-} occ_tables;
-
-#define EDGE_ARRAY(table, e) ((int64_t *)(intptr_t)(table)[e])
+ * _rank_insert/_rank_remove).  A slot taken out must be in the lane named,
+ * as the engine guarantees. */
 
 /* Insert slot into its lane front to back (descending position, ascending
  * vid on ties), walking from the lane's back, where crossings enter. */
-static void lane_in(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
+static void lane_in(const tables *t, int64_t e, int64_t lane, int64_t slot)
 {
     int64_t *slots = EDGE_ARRAY(t->lane_ptr, e), *bounds = EDGE_ARRAY(t->bounds_ptr, e);
     int64_t lo = bounds[lane], hi = bounds[lane + 1], k = t->lane_len[e], i = hi;
@@ -580,7 +573,7 @@ static void lane_in(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
     t->lane_len[e] = k + 1;
 }
 
-static void lane_out(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
+static void lane_out(const tables *t, int64_t e, int64_t lane, int64_t slot)
 {
     int64_t *slots = EDGE_ARRAY(t->lane_ptr, e), *bounds = EDGE_ARRAY(t->bounds_ptr, e);
     int64_t lo = bounds[lane], hi = bounds[lane + 1], k = t->lane_len[e], i = lo;
@@ -601,7 +594,7 @@ static void lane_out(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
  * Returns -1, having written nothing, when the edge's buffers are full
  * (lane_len == lane_cap); the engine grows them and calls again. */
 int64_t occ_enter(
-    const occ_tables *t, int64_t e, int64_t lane, int64_t slot,
+    const tables *t, int64_t e, int64_t lane, int64_t slot,
     double p, double speed, double free, double length)
 {
     int64_t k = t->lane_len[e], lo = 0, hi = k, v = t->vid[slot];
@@ -626,7 +619,7 @@ int64_t occ_enter(
     return 0;
 }
 
-int64_t occ_leave(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
+int64_t occ_leave(const tables *t, int64_t e, int64_t lane, int64_t slot)
 {
     int64_t k = t->lane_len[e], i = k - 1;
     t->waitflag[slot] = 0;
@@ -639,7 +632,7 @@ int64_t occ_leave(const occ_tables *t, int64_t e, int64_t lane, int64_t slot)
 }
 
 int64_t occ_lane_move(
-    const occ_tables *t, int64_t e, int64_t from, int64_t to, int64_t slot)
+    const tables *t, int64_t e, int64_t from, int64_t to, int64_t slot)
 {
     lane_out(t, e, from, slot);
     lane_in(t, e, to, slot);
@@ -647,53 +640,17 @@ int64_t occ_lane_move(
 }
 """
 
-_ADVANCE_ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-    ctypes.c_double, ctypes.c_double, ctypes.c_double,
-]
-
-_CAND_ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_void_p,
-    ctypes.c_double, ctypes.c_double,
-]
-
-_GATHER_ALL_ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_void_p,
-]
-
-_RANK_ALL_ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-]
-
-_LANE_OPTIONS_ARGTYPES = [
-    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-    ctypes.c_double, ctypes.c_double,
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-]
-
-
-#: Every C entry point with its argument types, in :class:`_CcLibrary` order.
+#: Every C entry point with the argument types after its ``tables`` pointer,
+#: in :class:`_CcLibrary` order.
 _SYMBOLS = (
-    ("advance_chain", _ADVANCE_ARGTYPES),
-    ("lane_change_candidates", _CAND_ARGTYPES),
-    ("gather_all", _GATHER_ALL_ARGTYPES),
-    ("rank_scan_all", _RANK_ALL_ARGTYPES),
-    ("lane_options", _LANE_OPTIONS_ARGTYPES),
-    ("occ_enter", [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_double] * 4),
-    ("occ_leave", [ctypes.c_void_p] + [ctypes.c_int64] * 3),
-    ("occ_lane_move", [ctypes.c_void_p] + [ctypes.c_int64] * 4),
+    ("advance_chain", [ctypes.c_int64]),
+    ("lane_change_candidates", [ctypes.c_int64]),
+    ("gather_all", []),
+    ("rank_scan_all", []),
+    ("lane_options", [ctypes.c_int64, ctypes.c_int64, ctypes.c_double]),
+    ("occ_enter", [ctypes.c_int64] * 3 + [ctypes.c_double] * 4),
+    ("occ_leave", [ctypes.c_int64] * 3),
+    ("occ_lane_move", [ctypes.c_int64] * 4),
 )
 
 
@@ -710,25 +667,28 @@ class _CcLibrary(NamedTuple):
     occ_lane_move: Any
 
 
-class _OccTables(ctypes.Structure):
-    """The C ``occ_tables`` struct, field for field: the address of every
-    array the occupancy transitions read or write."""
+class _Tables(ctypes.Structure):
+    """The C ``tables`` struct, field for field: the address of every array
+    the kernel reads or writes, the edge count and the model scalars."""
 
-    _fields_ = [(name, ctypes.c_void_p) for name in (
-        "pos speed freeflow seglen vid heads multilane waitflag lane_ptr rank_ptr "
-        "bounds_ptr nlanes lane_len lane_cap occ_lanes rank_elig").split()]
-
-
-def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(arr.ctypes.data)
+    _fields_ = [
+        *((name, ctypes.c_void_p) for name in (
+            "pos speed freeflow seglen desired vid heads multilane waitflag idx newly "
+            "cand flags lane_ptr rank_ptr bounds_ptr nlanes lane_len lane_cap "
+            "occ_lanes rank_elig").split()),
+        ("n_edges", ctypes.c_int64),
+        *((name, ctypes.c_double) for name in (
+            "dt accel_dt decel_dt denom veh_len min_gap arrival_eps blocked_m "
+            "gain_mps gap_half").split()),
+    ]
 
 
 class StepKernel:
-    """The loaded C kernel's entry points, parameter-bound.
+    """The loaded C kernel's entry points, bound to one :class:`_Tables`.
 
     The engine holds one instance per run (the model parameters never
     change mid-run) and re-:meth:`bind`\\ s it whenever its resident arrays
-    are reallocated; :meth:`bind` installs the count-only calls below.
+    are reallocated; :meth:`bind` installs the calls below.
     """
 
     #: the backend that loaded (cc is the only compiled one)
@@ -738,14 +698,13 @@ class StepKernel:
     #: lane-change candidate mask into ``cand_buf[:n]``; returns the
     #: candidate count
     candidates_bound: Callable[[int], int]
-    #: pointer-table gather over the first ``m`` occupied edges into
-    #: ``idx_buf``; returns the total gathered count
-    gather_bound: Callable[[int], int]
+    #: every edge's lane slots into ``idx_buf``; returns the gathered count
+    gather_bound: Callable[[], int]
     #: full-range ranking scan into ``flags_buf``; returns the flagged-edge
     #: count
     rank_all_bound: Callable[[], int]
-    #: both-neighbour lane viability ``(e, lane, nlanes, own) -> bits``
-    lane_opts_bound: Callable[[int, int, int, float], int]
+    #: both-neighbour lane viability ``(e, lane, own) -> bits``
+    lane_opts_bound: Callable[[int, int, float], int]
     #: ``(e, lane, slot, pos, speed, free, length)``; -1 if ``e`` is full
     occ_enter_bound: Callable[[int, int, int, float, float, float, float], int]
     #: ``(e, lane, slot)``
@@ -775,10 +734,8 @@ class StepKernel:
         waitflag: np.ndarray,
         multilane: np.ndarray,
         newly_buf: np.ndarray,
-        moved_buf: np.ndarray,
         cand_buf: np.ndarray,
         flags_buf: np.ndarray,
-        occ_buf: np.ndarray,
         lane_ptr: np.ndarray,
         lane_len: np.ndarray,
         bounds_ptr: np.ndarray,
@@ -791,83 +748,43 @@ class StepKernel:
         gain_mps: float,
         gap_half_m: float,
     ) -> None:
-        """Cache the engine's arrays for count-only per-step calls.
+        """Fill the kernel's struct with the engine's arrays and bind every
+        entry point to it.
 
         The slot-indexed columns (``pos`` … ``multilane``) are the resident
-        arrays; the gather lives in ``idx_buf[:n]`` and outputs land in
-        ``newly_buf[:n]`` / ``moved_buf[:n]`` / ``cand_buf[:n]``, while the
-        ranking scan writes ``flags_buf`` over the whole edge range.  The
-        edge-indexed tables are what the full sweeps (:attr:`gather_bound`
-        / :attr:`rank_all_bound` / :attr:`lane_opts_bound`) walk: the
-        occupied-edge list, each edge's lane slot array address and length,
-        its lane-bounds address, its ranking address and its ranking-scan
-        eligibility byte, plus, for the occupancy transitions
-        (:attr:`occ_enter_bound` and friends, which read every address from
-        one struct built here), its lane count, capacity and occupied-lane
-        count.  Every pointer and scalar becomes a ready ``ctypes``
-        argument, so a per-step call is a single FFI invocation with only
-        the count varying.  The caller must re-bind whenever any array is
-        *reallocated* (the engine does so on capacity growth); in-place
-        writes — including pointer-table slot updates — need no re-bind.
+        arrays; the gather lives in ``idx_buf[:n]``, the advance and
+        candidate masks land in ``newly_buf[:n]`` / ``cand_buf[:n]``, and
+        the ranking scan writes ``flags_buf`` over the whole edge range.
+        The edge-indexed tables hold each edge's lane slot array address
+        and live length, its lane-bounds address, its ranking address, its
+        ranking-scan eligibility byte, its lane count, its capacity and its
+        occupied-lane count; their length is the edge count.  With the
+        model scalars they make one :class:`_Tables`, and every ``*_bound``
+        attribute is a C entry point with the struct's address bound as
+        its first argument, so a call passes only what varies.  The caller
+        must re-bind whenever any array is *reallocated* (the engine does
+        so on capacity growth); in-place writes — including pointer-table
+        slot updates — need no re-bind.
         """
+        arrays = (  # in _Tables field order
+            pos, speed, freeflow, seglen, desired, vid, heads, multilane, waitflag,
+            idx_buf, newly_buf, cand_buf, flags_buf, lane_ptr, rank_ptr, bounds_ptr,
+            nlanes, lane_len, lane_cap, occ_lanes, rank_elig,
+        )
+        self._tables = tables = _Tables(
+            *(arr.ctypes.data for arr in arrays), lane_len.shape[0], *self._params,
+            blocked_m, gain_mps, gap_half_m,
+        )
+        ref = ctypes.c_void_p(ctypes.addressof(tables))
         lib = self._lib
-        p = [ctypes.c_double(x) for x in self._params]
-        idx_c = _ptr(idx_buf)
-        pos_c = _ptr(pos)
-        lptr_c = _ptr(lane_ptr)
-        lens_c = _ptr(lane_len)
-        adv_sym = lib.advance_chain
-        adv_args = (
-            pos_c, _ptr(speed), _ptr(freeflow), _ptr(seglen),
-            _ptr(heads), _ptr(waitflag), _ptr(newly_buf), _ptr(moved_buf), *p,
-        )
-        cand_sym = lib.lane_change_candidates
-        cand_args = (
-            pos_c, _ptr(speed), _ptr(desired), _ptr(multilane), _ptr(heads),
-            _ptr(cand_buf), ctypes.c_double(blocked_m), ctypes.c_double(gain_mps),
-        )
-        gather_sym = lib.gather_all
-        gat_args = (lptr_c, lens_c, idx_c)
-        occ_c = _ptr(occ_buf)
-        rank_all_sym = lib.rank_scan_all
-        ra_args = (
-            _ptr(rank_elig), ctypes.c_int64(rank_elig.shape[0]),
-            _ptr(rank_ptr), lens_c, pos_c, _ptr(vid), _ptr(flags_buf),
-        )
-        lane_opts_sym = lib.lane_options
-        lo_args = (ctypes.c_double(gap_half_m), lptr_c, _ptr(bounds_ptr), pos_c)
-        self._occ_tables = tables = _OccTables(*(
-            arr.ctypes.data for arr in (
-                pos, speed, freeflow, seglen, vid, heads, multilane, waitflag,
-                lane_ptr, rank_ptr, bounds_ptr, nlanes, lane_len, lane_cap,
-                occ_lanes, rank_elig,
-            )
-        ))
-        tables_c = ctypes.c_void_p(ctypes.addressof(tables))
-        self.occ_enter_bound = functools.partial(lib.occ_enter, tables_c)
-        self.occ_leave_bound = functools.partial(lib.occ_leave, tables_c)
-        self.occ_lane_move_bound = functools.partial(lib.occ_lane_move, tables_c)
-
-        def advance_bound(n: int) -> int:
-            return int(adv_sym(idx_c, n, *adv_args))
-
-        def candidates_bound(n: int) -> int:
-            return int(cand_sym(idx_c, n, *cand_args))
-
-        def gather_bound(m: int) -> int:
-            return int(gather_sym(occ_c, m, *gat_args))
-
-        def rank_all_bound() -> int:
-            return int(rank_all_sym(*ra_args))
-
-        def lane_opts_bound(e: int, lane: int, nlanes: int, own: float) -> int:
-            return int(lane_opts_sym(e, lane, nlanes, own, *lo_args))
-
-        self.advance_bound = advance_bound
-        self.candidates_bound = candidates_bound
-        self.gather_bound = gather_bound
-        self.rank_all_bound = rank_all_bound
-        self.lane_opts_bound = lane_opts_bound
+        self.advance_bound = functools.partial(lib.advance_chain, ref)
+        self.candidates_bound = functools.partial(lib.lane_change_candidates, ref)
+        self.gather_bound = functools.partial(lib.gather_all, ref)
+        self.rank_all_bound = functools.partial(lib.rank_scan_all, ref)
+        self.lane_opts_bound = functools.partial(lib.lane_options, ref)
+        self.occ_enter_bound = functools.partial(lib.occ_enter, ref)
+        self.occ_leave_bound = functools.partial(lib.occ_leave, ref)
+        self.occ_lane_move_bound = functools.partial(lib.occ_lane_move, ref)
 
 
 # ------------------------------------------------------------------ loader
@@ -883,8 +800,6 @@ class _Resolution:
 
     lib: Optional[_CcLibrary] = None
     reason: Optional[str] = None
-    #: keeps the shared object's directory alive as long as the process
-    builddir: Optional["tempfile.TemporaryDirectory[str]"] = None
     #: whether a fallback warning has been issued for this outcome
     warned: bool = False
 
@@ -909,49 +824,55 @@ if hasattr(os, "register_at_fork"):
 
 
 def _build_cc() -> _Resolution:
-    """Compile and load the C kernel, or record why that failed."""
+    """Compile and load the C kernel, or record why that failed.
+
+    The build directory is removed on every path, the successful one
+    included: the library is loaded and its symbols resolved inside it,
+    and a loaded shared object stays mapped after its file is gone.
+    """
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return _Resolution(reason="no C compiler on PATH (looked for cc and gcc)")
     try:
-        builddir = tempfile.TemporaryDirectory(prefix="repro-kernel-")
+        workdir = tempfile.TemporaryDirectory(prefix="repro-kernel-")
     except OSError as exc:
         return _Resolution(
             reason=f"cannot create a build directory in the temp dir "
             f"{tempfile.gettempdir()}: {exc}"
         )
-    src = os.path.join(builddir.name, "kernel.c")
-    lib = os.path.join(builddir.name, "kernel.so")
-    try:
-        with open(src, "w", encoding="utf-8") as fh:
-            fh.write(_C_SOURCE)
-    except OSError as exc:
-        return _Resolution(reason=f"cannot write the kernel source to {builddir.name}: {exc}")
-    try:
-        proc = subprocess.run(
-            [cc, *_CC_FLAGS, src, "-o", lib],
-            capture_output=True,
-            text=True,
-            timeout=_CC_TIMEOUT_S,
-        )
-    except subprocess.TimeoutExpired:
-        return _Resolution(reason=f"{cc} did not finish within {_CC_TIMEOUT_S} s")
-    except OSError as exc:
-        return _Resolution(reason=f"cannot run {cc}: {exc}")
-    if proc.returncode != 0:
-        tail = proc.stderr.strip()[-_STDERR_TAIL_CHARS:] or "(no stderr)"
-        return _Resolution(reason=f"{cc} exited with status {proc.returncode}: {tail}")
-    try:
-        dll = ctypes.CDLL(lib)
-        syms = []
-        for name, argtypes in _SYMBOLS:
-            sym = getattr(dll, name)
-            sym.restype = ctypes.c_int64
-            sym.argtypes = argtypes
-            syms.append(sym)
-    except (OSError, AttributeError) as exc:
-        return _Resolution(reason=f"cannot load {lib}: {exc}")
-    return _Resolution(lib=_CcLibrary(*syms), builddir=builddir)
+    with workdir as tmp:
+        src = os.path.join(tmp, "kernel.c")
+        lib = os.path.join(tmp, "kernel.so")
+        try:
+            with open(src, "w", encoding="utf-8") as fh:
+                fh.write(_C_SOURCE)
+        except OSError as exc:
+            return _Resolution(reason=f"cannot write the kernel source to {tmp}: {exc}")
+        try:
+            proc = subprocess.run(
+                [cc, *_CC_FLAGS, src, "-o", lib],
+                capture_output=True,
+                text=True,
+                timeout=_CC_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return _Resolution(reason=f"{cc} did not finish within {_CC_TIMEOUT_S} s")
+        except OSError as exc:
+            return _Resolution(reason=f"cannot run {cc}: {exc}")
+        if proc.returncode != 0:
+            tail = proc.stderr.strip()[-_STDERR_TAIL_CHARS:] or "(no stderr)"
+            return _Resolution(reason=f"{cc} exited with status {proc.returncode}: {tail}")
+        try:
+            dll = ctypes.CDLL(lib)
+            syms = []
+            for name, argtypes in _SYMBOLS:
+                sym = getattr(dll, name)
+                sym.restype = ctypes.c_int64
+                sym.argtypes = [ctypes.c_void_p, *argtypes]
+                syms.append(sym)
+        except (OSError, AttributeError) as exc:
+            return _Resolution(reason=f"cannot load {lib}: {exc}")
+        return _Resolution(lib=_CcLibrary(*syms))
 
 
 def _resolve() -> _Resolution:

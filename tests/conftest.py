@@ -106,8 +106,6 @@ def check_occupancy_state(engine):
     the overtake scan's, which the golden traces' overtake events pin.
     """
     pos, vid, is_head = engine._pos, engine._vid, engine._is_head
-    occupied = []
-    n_multilane = 0
     for ei, seg in enumerate(engine._segs):
         where = f"edge {ei} {seg.key}"
         vehicles = [engine._vehicles[v] for v in engine._occupancy[seg.key]]
@@ -142,13 +140,6 @@ def check_occupancy_state(engine):
                 assert engine._rank_ptr[ei] == rank_buf.ctypes.data, where
         else:
             assert engine._lane_ptr[ei] == 0 and engine._rank_ptr[ei] == 0, where
-        if vehicles:
-            occupied.append(ei)
-            n_multilane += seg.lanes > 1
-    assert engine._occupied == occupied
-    assert engine._n_ml_occupied == n_multilane
-    if not engine._occ_stale:
-        assert engine._occ_buf[:len(occupied)].tolist() == occupied
     inside = engine._vehicles.values()
     assert sum(len(flat) for flat in engine._occupancy.values()) == len(inside)
     for v in inside:

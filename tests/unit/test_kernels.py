@@ -7,12 +7,15 @@ inputs — positions and speeds compared with ``array_equal`` (which
 distinguishes ``-0.0`` from ``0.0`` via the follow-up sign check), never
 ``allclose``.  The pointer-table sweeps (``gather_all`` / ``rank_scan_all``
 / ``lane_options``) are checked against their ctypes-dereferencing
-oracles.  The kernel has one calling convention, the engine's: arrays are
-bound once and each call passes only a count, so every test binds its own
-arrays through :func:`_bound`, which zero-fills every array it is not
-given.  The engine's compiler-less lane viability check
-(``lane_options_np``) is held to the same ``lane_options`` oracle, so it
-runs on every host.  The occupancy transitions (``occ_enter`` /
+oracles.  The kernel has one calling convention, the engine's: every entry
+point takes one struct (``tables`` in C, ``_Tables`` in Python, whose
+layouts ``TestTablesLayout`` holds equal), filled once by
+``StepKernel.bind``, so each call passes only what varies.  Every test
+binds its own arrays through :func:`_bound`, which zero-fills every array
+it is not given and gives the ten model scalars distinct values, so a
+swapped scalar changes an oracle comparison.  The engine's compiler-less
+lane viability check (``lane_options_np``) is held to the same
+``lane_options`` oracle, so it runs on every host.  The occupancy transitions (``occ_enter`` /
 ``occ_leave`` / ``occ_lane_move``) are held to the engine's NumPy splice
 pair instead: a cc engine and a ``compiled=False`` engine go through the
 same scripted entries, exits and lane moves, and every table either
@@ -24,15 +27,19 @@ and warn once with that reason.  The fallback tests below reset the
 loader's per-process cache and break the build on purpose (no compiler on
 ``PATH``, a temp dir that cannot hold the build, a failing compiler, an
 unloadable library), so every host exercises them; the race test builds
-the kernel from several threads at once.
+the kernel from several threads at once.  No build, failed or not, may
+leave its temporary directory behind.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
+import re
 import shutil
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -54,15 +61,19 @@ from repro.mobility.kernels import (
     rank_scan_all_py,
 )
 
+#: Model parameters whose seven derived struct scalars (dt 0.5, accel_dt
+#: 1.0, decel_dt 2.25, denom 0.8, 4.5, 2.0, 0.6) differ from each other and
+#: from the three in ``LANE_CHANGE``.
 PARAMS = dict(
     dt_s=0.5,
     max_accel_mps2=2.0,
-    max_decel_mps2=4.0,
+    max_decel_mps2=4.5,
     headway_s=1.2,
     vehicle_length_m=4.5,
     min_gap_m=2.0,
-    arrival_eps_m=0.5,
+    arrival_eps_m=0.6,
 )
+LANE_CHANGE = dict(blocked_m=12.0, gain_mps=1.25, gap_half_m=3.0)
 
 
 def _has_compiler():
@@ -83,28 +94,34 @@ def _cc_kernel():
 _SLOT_ARRAYS = dict(
     idx_buf=np.intp, pos=np.float64, speed=np.float64, freeflow=np.float64,
     seglen=np.float64, desired=np.float64, vid=np.int64, heads=np.uint8,
-    waitflag=np.uint8, multilane=np.uint8, newly_buf=bool, moved_buf=bool,
-    cand_buf=bool,
+    waitflag=np.uint8, multilane=np.uint8, newly_buf=bool, cand_buf=bool,
 )
 _EDGE_ARRAYS = dict(
-    flags_buf=np.uint8, occ_buf=np.int64, lane_ptr=np.int64, lane_len=np.int64,
-    bounds_ptr=np.int64, rank_ptr=np.int64, rank_elig=np.uint8, nlanes=np.int64,
-    lane_cap=np.int64, occ_lanes=np.int64,
+    flags_buf=np.uint8, lane_ptr=np.int64, lane_len=np.int64, bounds_ptr=np.int64,
+    rank_ptr=np.int64, rank_elig=np.uint8, nlanes=np.int64, lane_cap=np.int64,
+    occ_lanes=np.int64,
 )
 
 
-def _bound(n_slots=1, n_edges=1, *, blocked_m=12.0, gain_mps=1.0, gap_half_m=2.0,
-           **given):
+def _bound(n_slots=1, n_edges=1, *, gap_half_m=LANE_CHANGE["gap_half_m"], **given):
     """The cc kernel bound to the ``given`` arrays, every other one zero-filled.
 
     Returns the kernel and every bound array by name.  The kernel holds raw
-    addresses, so the caller keeps the arrays alive while it calls.
+    addresses, so the caller keeps the arrays alive while it calls.  Every
+    struct field must come out set, and the model scalars distinct.
     """
     kernel = _cc_kernel()
     arrays = {name: np.zeros(n_slots, dtype) for name, dtype in _SLOT_ARRAYS.items()}
     arrays.update({name: np.zeros(n_edges, dtype) for name, dtype in _EDGE_ARRAYS.items()})
     arrays.update(given)
-    kernel.bind(**arrays, blocked_m=blocked_m, gain_mps=gain_mps, gap_half_m=gap_half_m)
+    kernel.bind(**arrays, **dict(LANE_CHANGE, gap_half_m=gap_half_m))
+    fields = kernel._tables._fields_
+    assert len(fields) == len(arrays) + 1 + 10
+    assert all(getattr(kernel._tables, name) for name, _ in fields)
+    scalars = [getattr(kernel._tables, name) for name, kind in fields
+               if kind is ctypes.c_double]
+    assert len(scalars) == 10 and len(set(scalars)) == 10, scalars
+    assert kernel._tables.n_edges == n_edges
     return kernel, arrays
 
 
@@ -141,6 +158,38 @@ def _advance_args():
     )
 
 
+def _c_struct_fields():
+    """The C ``tables`` struct's declarators in order, as ``(name, kind)``
+    pairs, the kind being ``pointer``, ``int64_t`` or ``double``."""
+    body = re.search(r"typedef struct \{(.*?)\} tables;", kernels._C_SOURCE, re.S).group(1)
+    fields = []
+    for decl in filter(None, (d.strip() for d in body.split(";"))):
+        m = re.fullmatch(r"(?:const\s+)?(unsigned char|int64_t|double)\s+(.+)", decl, re.S)
+        assert m, decl
+        for declarator in m.group(2).split(","):
+            star, name = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", declarator).groups()
+            fields.append((name, "pointer" if star else m.group(1)))
+    return fields
+
+
+class TestTablesLayout:
+    """``_Tables`` is the C ``tables`` struct field for field, and every
+    entry point takes it first.  A field added on one side only, or two
+    same-typed fields swapped on one side, fails here instead of corrupting
+    memory.  Runs on every host."""
+
+    def test_python_fields_match_the_c_declarators(self):
+        kinds = {ctypes.c_void_p: "pointer", ctypes.c_int64: "int64_t",
+                 ctypes.c_double: "double"}
+        python = [(name, kinds[ctype]) for name, ctype in kernels._Tables._fields_]
+        assert python == _c_struct_fields()
+
+    def test_every_entry_point_takes_the_struct_first(self):
+        entry = re.findall(r"^int64_t (\w+)\(\s*([^,)]*)", kernels._C_SOURCE, re.M)
+        assert sorted(name for name, _ in entry) == sorted(name for name, _ in kernels._SYMBOLS)
+        assert {first for _, first in entry} == {"const tables *t"}
+
+
 class TestAdvanceChain:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cc_matches_oracle_bitwise(self, seed):
@@ -148,20 +197,18 @@ class TestAdvanceChain:
         n = int(rng.integers(1, 60))
         idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
         newly_a = np.zeros(n, dtype=bool)
-        moved_a = np.zeros(n, dtype=bool)
         newly_b = np.zeros(n, dtype=bool)
-        moved_b = np.zeros(n, dtype=bool)
         pos_a, speed_a = pos.copy(), speed.copy()
         pos_b, speed_b = pos.copy(), speed.copy()
         ref = advance_chain_py(
             idx, pos_a, speed_a, freeflow, seglen,
             heads.astype(np.uint8), waitflag.astype(np.uint8),
-            newly_a, moved_a, *_advance_args(),
+            newly_a, *_advance_args(),
         )
         kernel, _ = _bound(
             n, idx_buf=idx, pos=pos_b, speed=speed_b, freeflow=freeflow, seglen=seglen,
             heads=heads.astype(np.uint8), waitflag=waitflag.astype(np.uint8),
-            newly_buf=newly_b, moved_buf=moved_b,
+            newly_buf=newly_b,
         )
         got = kernel.advance_bound(n)
         assert got == ref
@@ -171,7 +218,6 @@ class TestAdvanceChain:
         # (the scalar engine's max(0.0, -0.0) contract).
         assert np.array_equal(np.signbit(speed_a), np.signbit(speed_b))
         assert np.array_equal(newly_a, newly_b)
-        assert np.array_equal(moved_a, moved_b)
 
     def test_empty_chain(self):
         kernel, _ = _bound()
@@ -192,7 +238,8 @@ class TestLaneChangeCandidates:
         cand_a = np.zeros(n, dtype=bool)
         cand_b = np.zeros(n, dtype=bool)
         ref = lane_change_candidates_py(
-            idx, pos, speed, desired, multilane, heads, cand_a, 12.0, 1.0
+            idx, pos, speed, desired, multilane, heads, cand_a,
+            LANE_CHANGE["blocked_m"], LANE_CHANGE["gain_mps"],
         )
         kernel, _ = _bound(
             n, idx_buf=idx, pos=pos, speed=speed, desired=desired,
@@ -224,25 +271,26 @@ def _edge_tables(rng, n_edges, n_slots):
 class TestGatherAll:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_c_matches_oracle(self, seed):
+        """Both walk every edge and concatenate the live prefixes in edge
+        order, skipping empty edges, allocated (address set, length 0,
+        like an edge that has emptied) or not (address 0)."""
         rng = np.random.default_rng(seed)
         n_edges = 10
         keep, ptrs, lens = _edge_tables(rng, n_edges, 30)
-        occ = rng.permutation(n_edges)[: int(rng.integers(1, n_edges))].astype(np.int64)
+        lens = np.minimum(lens, rng.integers(0, 7, n_edges))  # live prefixes
+        emptied = rng.permutation(n_edges)[:3]
+        lens[emptied] = 0
+        ptrs[emptied[0]] = 0
+        assert (lens == 0).sum() >= 3 and (ptrs[lens == 0] != 0).any()
         cap = int(lens.sum()) + 1
         out_a = np.zeros(cap, dtype=np.int64)
         out_b = np.zeros(cap, dtype=np.intp)
-        occ_buf = np.zeros(n_edges, dtype=np.int64)
-        occ_buf[:occ.shape[0]] = occ
-        ref = gather_all_py(occ, ptrs, lens, out_a)
-        kernel, _ = _bound(
-            cap, n_edges, idx_buf=out_b, occ_buf=occ_buf, lane_ptr=ptrs, lane_len=lens
-        )
-        got = kernel.gather_bound(occ.shape[0])
-        assert got == ref
-        assert np.array_equal(out_a[:ref], out_b[:ref])
-        # the gather is the back-to-back concatenation in occ order
-        expect = np.concatenate([keep[int(e)] for e in occ] or
-                                [np.empty(0, dtype=np.int64)])
+        ref = gather_all_py(ptrs, lens, out_a)
+        kernel, _ = _bound(cap, n_edges, idx_buf=out_b, lane_ptr=ptrs, lane_len=lens)
+        got = kernel.gather_bound()
+        assert got == ref == int(lens.sum())
+        expect = np.concatenate([keep[e][:lens[e]] for e in range(n_edges)])
+        assert np.array_equal(out_a[:ref], expect)
         assert np.array_equal(out_b[:got], expect)
 
 
@@ -299,17 +347,18 @@ class TestRankScanAll:
         assert np.array_equal(flags, expected)
 
 
-def _lane_options(backend, e, lane, nlanes, own, half, edges, gptrs, bptrs, pos):
+def _lane_options(backend, e, lane, own, half, edges, gptrs, bptrs, nlanes, pos):
     """One viability implementation: cc reads edge ``e`` through the pointer
-    tables, NumPy takes its ``(slots, bounds)`` arrays from ``edges``."""
+    and lane-count tables, NumPy takes its ``(slots, bounds)`` arrays from
+    ``edges`` and its lane count from ``nlanes``."""
     if backend == "cc":
         kernel, _ = _bound(
             pos.shape[0], gptrs.shape[0], pos=pos, lane_ptr=gptrs, bounds_ptr=bptrs,
-            gap_half_m=half,
+            nlanes=nlanes, gap_half_m=half,
         )
-        return kernel.lane_opts_bound(e, lane, nlanes, own)
+        return kernel.lane_opts_bound(e, lane, own)
     slots, bounds = edges[e]
-    return lane_options_np(lane, nlanes, own, half, slots, bounds, pos)
+    return lane_options_np(lane, int(nlanes[e]), own, half, slots, bounds, pos)
 
 
 class TestLaneOptions:
@@ -324,7 +373,7 @@ class TestLaneOptions:
         keep = []
         gptrs = np.zeros(n_edges, dtype=np.int64)
         bptrs = np.zeros(n_edges, dtype=np.int64)
-        nlanes_by_edge = rng.integers(1, 4, n_edges)
+        nlanes_by_edge = rng.integers(1, 4, n_edges).astype(np.int64)
         for e in range(n_edges):
             nlanes = int(nlanes_by_edge[e])
             per_lane = [rng.integers(0, n_slots, int(rng.integers(0, 5))).astype(np.int64)
@@ -342,7 +391,8 @@ class TestLaneOptions:
             own = float(rng.uniform(0.0, 100.0))
             half = float(rng.uniform(1.0, 20.0))
             ref = lane_options_py(e, lane, nlanes, own, half, gptrs, bptrs, pos)
-            got = _lane_options(backend, e, lane, nlanes, own, half, keep, gptrs, bptrs, pos)
+            got = _lane_options(backend, e, lane, own, half, keep, gptrs, bptrs,
+                                nlanes_by_edge, pos)
             assert got == ref
             assert 0 <= got <= 3
 
@@ -354,7 +404,8 @@ class TestLaneOptions:
         bptrs = np.array([bounds.ctypes.data], dtype=np.int64)
         pos = np.array([5.0])
         edges = [(slots, bounds)]
-        assert _lane_options(backend, 0, 0, 1, 50.0, 4.0, edges, gptrs, bptrs, pos) == 0
+        nlanes = np.array([1], dtype=np.int64)
+        assert _lane_options(backend, 0, 0, 50.0, 4.0, edges, gptrs, bptrs, nlanes, pos) == 0
 
     @pytest.mark.parametrize("backend", ["cc", "numpy"])
     def test_gap_test_is_strict(self, backend):
@@ -367,9 +418,11 @@ class TestLaneOptions:
         bptrs = np.array([bounds.ctypes.data], dtype=np.int64)
         pos = np.array([46.0, 50.0])
         edges = [(slots, bounds)]
+        nlanes = np.array([2], dtype=np.int64)
         for lane, own, bits in ((0, 46.0, 1), (0, 46.5, 0), (1, 50.0, 2), (1, 49.5, 0)):
             assert lane_options_py(0, lane, 2, own, 4.0, gptrs, bptrs, pos) == bits
-            assert _lane_options(backend, 0, lane, 2, own, 4.0, edges, gptrs, bptrs, pos) == bits
+            assert _lane_options(
+                backend, 0, lane, own, 4.0, edges, gptrs, bptrs, nlanes, pos) == bits
 
 
 # ------------------------------------------------------- occupancy transitions
@@ -570,13 +623,13 @@ class TestOccupancyTransitions:
 
     def test_resident_growth_rebuilds_the_tables(self, occupancy_state_check):
         twins = _Twins(2)
-        tables = twins.cc._kernel._occ_tables
+        tables = twins.cc._kernel._tables
         vids = [twins.spawn(origin=origin, destination=(1, 2) if origin != (1, 2) else (0, 0))
                 for _ in range(14) for origin in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2))]
         eng = twins.cc
         assert eng._capacity > 64
-        assert eng._kernel._occ_tables is not tables
-        assert eng._kernel._occ_tables.pos == eng._pos.ctypes.data
+        assert eng._kernel._tables is not tables
+        assert eng._kernel._tables.pos == eng._pos.ctypes.data
         for vid in vids[::9]:
             twins.relocate(vid, _FIRST, 20.0)
         for eng in twins.engines:
@@ -606,6 +659,21 @@ def fresh_loader(monkeypatch):
     outcome is restored afterwards."""
     monkeypatch.setattr(kernels, "_RESOLVED", None)
     return monkeypatch
+
+
+@pytest.fixture
+def build_tmp(fresh_loader, tmp_path):
+    """A fresh loader whose builds go to an empty temp dir of their own."""
+    root = tmp_path / "tmp"
+    root.mkdir()
+    fresh_loader.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
+def _assert_no_build_left(build_tmp, record):
+    """The build removed its directory itself, not a finalizer at exit."""
+    assert list(build_tmp.glob("repro-kernel-*")) == []
+    assert not [w for w in record if issubclass(w.category, ResourceWarning)]
 
 
 def _engine(compiled=True):
@@ -654,20 +722,25 @@ class TestFallback:
         assert eng.kernel_backend == "numpy"
         assert str(blocker / "tmp") in fallback_reason()
 
-    def test_compiler_failure_records_exit_status_and_stderr(self, fresh_loader, tmp_path):
+    def test_compiler_failure_records_exit_status_and_stderr(
+        self, fresh_loader, build_tmp, tmp_path
+    ):
         cc = _script(tmp_path, "cc", "echo 'kernel.c:1: fatal error: no stdint.h' >&2\nexit 3\n")
         fresh_loader.setattr(kernels.shutil, "which", lambda name: cc)
-        with pytest.warns(RuntimeWarning, match="exited with status 3"):
+        with pytest.warns(RuntimeWarning, match="exited with status 3") as record:
             assert _engine().kernel_backend == "numpy"
         assert "fatal error: no stdint.h" in fallback_reason()
+        _assert_no_build_left(build_tmp, record)
 
-    def test_unloadable_library_records_load_error(self, fresh_loader, tmp_path):
+    def test_unloadable_library_records_load_error(self, fresh_loader, build_tmp, tmp_path):
         # "Compiles" by writing a non-ELF file to the -o target.
         cc = _script(tmp_path, "cc", 'for last; do :; done\necho garbage > "$last"\n')
         fresh_loader.setattr(kernels.shutil, "which", lambda name: cc)
-        with pytest.warns(RuntimeWarning, match="cannot load"):
+        with pytest.warns(RuntimeWarning, match="cannot load") as record:
             assert _engine().kernel_backend == "numpy"
         assert available_backends() == []
+        assert str(build_tmp) in fallback_reason()
+        _assert_no_build_left(build_tmp, record)
 
     def test_engine_compiled_request_falls_back_transparently(self, fresh_loader):
         """``compiled=True`` on a compiler-less host must run the NumPy path
@@ -717,6 +790,45 @@ class TestFallback:
             assert fallback_reason() is None
         else:
             assert available_backends() == []
+
+
+class TestBuildDirectory:
+    """A successful build removes its directory before it is published; a
+    failed one is covered in ``TestFallback``."""
+
+    def test_successful_build_leaves_nothing_and_the_kernel_runs(self, build_tmp):
+        if not _has_compiler():
+            pytest.skip("no C compiler on PATH")
+        slots = np.array([7, 5, 6], dtype=np.int64)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            kernel, arrays = _bound(
+                3, 2, lane_ptr=np.array([0, slots.ctypes.data], dtype=np.int64),
+                lane_len=np.array([0, 3], dtype=np.int64),
+            )
+            # the library's file is gone; its mapping is not
+            assert kernel.gather_bound() == 3
+        assert arrays["idx_buf"].tolist() == [7, 5, 6]
+        _assert_no_build_left(build_tmp, record)
+
+    def test_dev_mode_reports_no_resource_warning(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import numpy as np\n"
+            "from repro.mobility.engine import TrafficEngine\n"
+            "from repro.roadnet.builders import grid_network\n"
+            "TrafficEngine(grid_network(3, 3, lanes=2), np.random.default_rng(0))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
 
 
 class TestConcurrentFirstBuild:
