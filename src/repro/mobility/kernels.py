@@ -42,6 +42,17 @@ tail of its stderr, a temp directory that cannot hold the build, or a
 load error); :func:`fallback_reason` returns it, and the first engine
 that falls back to NumPy warns with it once per process.
 
+The library is loaded with :class:`ctypes.PyDLL`, not ``CDLL``, so every
+entry point runs with the GIL held.  A call lasts microseconds and writes
+only through its own engine's ``tables`` struct, so releasing the GIL
+around it would buy no parallelism; in ``repro-count serve``, where a
+second run's worker and the NDJSON streamers woken by every step event
+wait for the GIL, each release would hand it over, one thread switch per
+call.  That sets a rule for every entry point: it holds the GIL, so it
+must never block or call into Python, and it must stay far below the
+interpreter's 5 ms switch interval (the longest sweep measured,
+``gather_all`` at 8,000 vehicles on the 11,132-edge city, takes 41 µs).
+
 Bitwise-equivalence contract
 ----------------------------
 The C sweeps must reproduce :meth:`SimplifiedIDM.advance` /
@@ -863,7 +874,7 @@ def _build_cc() -> _Resolution:
             tail = proc.stderr.strip()[-_STDERR_TAIL_CHARS:] or "(no stderr)"
             return _Resolution(reason=f"{cc} exited with status {proc.returncode}: {tail}")
         try:
-            dll = ctypes.CDLL(lib)
+            dll = ctypes.PyDLL(lib)
             syms = []
             for name, argtypes in _SYMBOLS:
                 sym = getattr(dll, name)

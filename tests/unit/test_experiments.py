@@ -6,6 +6,7 @@ pipeline matrix, resume identity) live in
 """
 
 import json
+import os
 import pickle
 
 import pytest
@@ -356,9 +357,10 @@ class TestObservers:
 
     def test_observed_run_identical_to_unobserved(self, small_grid, simple_model_config):
         baseline = Simulation(small_grid, simple_model_config).run()
-        observed = Simulation(small_grid, simple_model_config).run(
-            observers=[ProgressObserver(stream=open("/dev/null", "w"), every_s=10.0)]
-        )
+        with open(os.devnull, "w") as sink:
+            observed = Simulation(small_grid, simple_model_config).run(
+                observers=[ProgressObserver(stream=sink, every_s=10.0)]
+            )
         assert observed == baseline
 
     def test_early_stop_by_simulated_time(self, small_grid, simple_model_config):

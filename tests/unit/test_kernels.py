@@ -19,7 +19,10 @@ lane viability check (``lane_options_np``) is held to the same
 ``occ_leave`` / ``occ_lane_move``) are held to the engine's NumPy splice
 pair instead: a cc engine and a ``compiled=False`` engine go through the
 same scripted entries, exits and lane moves, and every table either
-writes must be equal after each one.
+writes must be equal after each one.  Every entry point keeps the GIL
+(the library is a ``ctypes.PyDLL``): one test reads each symbol's flags,
+and another steps cc engines on six threads at a 10 µs switch interval
+against the same seeds stepped alone.
 
 When cc does not load, the loader must return ``None`` with a recorded
 reason, the engine must run its NumPy path (``kernel_backend == "numpy"``)
@@ -684,6 +687,27 @@ def _engine(compiled=True):
                          compiled=compiled)
 
 
+def _stepped(engine_seed, demand_seed, compiled=True):
+    """An engine on its own two-lane 3×3 grid, stepped 200 times from an
+    initial fleet: its event stream, final stats and final vehicle states."""
+    from repro.mobility.demand import DemandConfig, DemandModel
+    from repro.mobility.engine import TrafficEngine
+    from repro.roadnet.builders import grid_network
+
+    net = grid_network(3, 3, lanes=2)
+    eng = TrafficEngine(net, np.random.default_rng(engine_seed), compiled=compiled)
+    dm = DemandModel(net, DemandConfig(volume_fraction=0.7),
+                     np.random.default_rng(demand_seed))
+    eng.spawn_initial(dm.initial_fleet())
+    log = []
+    for _ in range(200):
+        log.extend(repr(e) for e in eng.step())
+    return log, eng.stats, [
+        (v.vid, v.edge, v.lane, v.pos_m.hex(), v.speed_mps.hex())
+        for v in sorted(eng.vehicles.values(), key=lambda v: v.vid)
+    ]
+
+
 def _script(tmp_path, name, body):
     """An executable shell script standing in for the C compiler."""
     path = tmp_path / name
@@ -745,30 +769,12 @@ class TestFallback:
     def test_engine_compiled_request_falls_back_transparently(self, fresh_loader):
         """``compiled=True`` on a compiler-less host must run the NumPy path
         and still produce the identical event stream."""
-        from repro.mobility.demand import DemandConfig, DemandModel
-        from repro.mobility.engine import TrafficEngine
-        from repro.roadnet.builders import grid_network
-
         fresh_loader.setattr(kernels.shutil, "which", lambda name: None)
-
-        def run(compiled):
-            net = grid_network(3, 3, lanes=2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                eng = TrafficEngine(net, np.random.default_rng(3), compiled=compiled)
-            dm = DemandModel(net, DemandConfig(volume_fraction=0.7),
-                             np.random.default_rng(4))
-            eng.spawn_initial(dm.initial_fleet())
-            log = []
-            for _ in range(200):
-                log.extend(repr(e) for e in eng.step())
-            return log, [
-                (v.vid, v.edge, v.lane, v.pos_m.hex(), v.speed_mps.hex())
-                for v in sorted(eng.vehicles.values(), key=lambda v: v.vid)
-            ]
-
-        assert run(True)[0], "scenario produced no events — not a real check"
-        assert run(True) == run(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            requested = _stepped(3, 4, compiled=True)
+        assert requested[0], "scenario produced no events — not a real check"
+        assert requested == _stepped(3, 4, compiled=False)
 
     def test_backend_names(self):
         from repro.mobility.engine import TrafficEngine
@@ -891,3 +897,45 @@ class TestConcurrentFirstBuild:
             proc.join(timeout=10)
         assert not alive, "forked child deadlocked on the inherited build lock"
         assert proc.exitcode == 0
+
+
+class TestHoldsTheGil:
+    """Every entry point runs with the GIL held (the library is a
+    ``ctypes.PyDLL``), and engines stepping on several threads at a short
+    switch interval still produce what each produces alone."""
+
+    THREADS = 6  # more than the cores of a typical CI runner
+
+    def test_every_entry_point_keeps_the_gil(self):
+        if not available_backends():
+            pytest.skip(f"cc kernel unavailable here: {fallback_reason()}")
+        lib = kernels._resolve().lib
+        released = [name for name in lib._fields
+                    if not getattr(lib, name)._flags_ & ctypes._FUNCFLAG_PYTHONAPI]
+        assert released == []
+
+    def test_threads_stepping_at_a_short_switch_interval_match_solo_runs(self):
+        if not available_backends():
+            pytest.skip(f"cc kernel unavailable here: {fallback_reason()}")
+        solo = [_stepped(i, 1000 + i) for i in range(self.THREADS)]
+        assert all(run[0] for run in solo), "a run produced no events — not a real check"
+        assert solo[0] != solo[1], "the seeds do not give distinct runs"
+        threaded = [None] * self.THREADS
+        barrier = threading.Barrier(self.THREADS, timeout=60)
+
+        def run(i):
+            barrier.wait()
+            threaded[i] = _stepped(i, 1000 + i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(self.THREADS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert threaded == solo

@@ -10,6 +10,7 @@ that says which line to fix.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -322,6 +323,7 @@ def test_exported_json_is_stable(tmp_path):
     net = BUILDER_SPECS["ring"].build()
     (a,) = export_network(net, str(tmp_path / "a.json"))
     (b,) = export_network(net, str(tmp_path / "b.json"))
-    assert open(a).read() == open(b).read()
-    doc = json.load(open(a))
+    text = Path(a).read_text()
+    assert text == Path(b).read_text()
+    doc = json.loads(text)
     assert doc["format"] == FORMAT_TAG
