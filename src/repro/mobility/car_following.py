@@ -268,10 +268,10 @@ class LaneChangeModel:
 
         ``occupancy[lane]`` must list the vehicles currently in ``lane`` on
         the same segment (any order).  The vectorized engine ports this
-        choice to its resident arrays (``TrafficEngine._lane_change_batch``,
-        with the viability test of
+        choice to its resident arrays (``TrafficEngine._lane_change_batch``
+        and the kernel's ``lane_change_pass``, with the viability test of
         :func:`~repro.mobility.kernels.lane_options_py`); any change here —
-        including RNG draw order — must be mirrored there.
+        including RNG draw order — must be mirrored in both.
         """
         if lanes < 2:
             return None

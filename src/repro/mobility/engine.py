@@ -38,15 +38,18 @@ lane heads and provably unconstrained/stopped followers in one vectorized
 pass, then exact vectorized rounds for followers whose leader is already
 final, and finally a scalar tail for short chained runs at queue boundaries
 — both bit-for-bit identical to the per-vehicle engine's advance.  The
-lane-change scan is a single vectorized predicate over the gathered order;
-only actual candidates run the target-lane choice, one pass shared by both
-backends (:meth:`TrafficEngine._lane_change_batch`) that consumes the RNG
-in reference order.  Overtakes are detected by checking each multilane
+lane-change pass runs the blocked-follower predicate over the gathered
+order, and only actual candidates run the target-lane choice, consuming the
+RNG in reference order.  Overtakes are detected by checking each multilane
 segment's (position, vid) ranking for inversions instead of comparing all
-pairs, and intersections only consider the vehicles actually waiting at a
-stop line.  In batched mode :meth:`TrafficEngine.step_batch` emits plain
-crossings as index arrays (:class:`~repro.mobility.events.StepBatch`)
-consumed directly by the counting protocol — no per-crossing event objects.
+pairs.  With cc each of these two passes is one native call, the lane pass
+drawing from the engine generator's own bit generator; the NumPy path runs
+them in Python (:meth:`TrafficEngine._lane_change_batch`,
+:meth:`TrafficEngine._emit_overtakes`), their oracle.  Intersections only
+consider the vehicles actually waiting at a stop line.  In batched mode
+:meth:`TrafficEngine.step_batch` emits plain crossings as index arrays
+(:class:`~repro.mobility.events.StepBatch`) consumed directly by the
+counting protocol — no per-crossing event objects.
 ``vectorized=False`` selects the original seed per-vehicle loops, kept
 verbatim as the reference implementation for the golden-trace equivalence
 tests and the throughput benchmark baseline.  The vectorized engines match
@@ -129,6 +132,9 @@ class TrafficEngine:
         The (frozen) road network.
     rng:
         Random generator for placement, lane choice and lane-change noise.
+        With cc the lane-change pass draws from its bit generator in C,
+        bound at construction, so do not replace :attr:`rng` on a live
+        engine.
     dt_s:
         Simulation step in seconds.
     policy:
@@ -146,9 +152,9 @@ class TrafficEngine:
         (see :meth:`_advance_segments_batch`).
     compiled:
         Use the compiled inner step kernel (:mod:`repro.mobility.kernels`,
-        default): the whole gather→advance→scatter recurrence runs as one
-        native call into a small C library built with the system compiler
-        on first use.  When it cannot load, the engine runs its NumPy path,
+        default): the gather, the lane-change pass, the whole advance
+        recurrence and the overtake pass each run as one native call into a
+        small C library built with the system compiler on first use.  When it cannot load, the engine runs its NumPy path,
         bit-for-bit identical and slower, and the first such fallback in a
         process warns with the reason.  :attr:`kernel_backend` says which
         path runs and :attr:`kernel_fallback_reason` why it is not cc.
@@ -173,6 +179,8 @@ class TrafficEngine:
             net.freeze()
         self.net = net
         self.rng = rng
+        # cc's lane pass draws from this bit generator, bound once here.
+        self._bit_generator = rng.bit_generator
         self.dt_s = float(dt_s)
         self.default_policy = policy if policy is not None else simple_policy()
         self.car_following = car_following if car_following is not None else SimplifiedIDM()
@@ -224,7 +232,10 @@ class TrafficEngine:
         # the Vehicle objects are refreshed lazily (``_sync_kinematics``)
         # before any public read.  ``_freeflow``/``_seglen``/``_ml`` are
         # per-current-segment invariants rewritten on every placement;
-        # ``_desired`` and ``_vid`` are fixed at spawn.
+        # ``_desired`` and ``_vid`` are fixed at spawn.  ``_seq`` is the
+        # placement number of each slot's current edge entry, so an edge's
+        # slots sorted by it follow its flat ``_occupancy`` list, which is
+        # the overtake pass's pair order on cc.
         self._capacity = 0
         self._next_slot = 0
         self._free_slots: List[int] = []
@@ -235,6 +246,8 @@ class TrafficEngine:
         self._seglen = np.empty(0, dtype=np.float64)
         self._desired = np.empty(0, dtype=np.float64)
         self._vid = np.empty(0, dtype=np.int64)
+        self._seq = np.empty(0, dtype=np.int64)
+        self._placements = 0
         self._is_head = np.empty(0, dtype=bool)
         self._ml = np.empty(0, dtype=bool)
         #: mirror of ``waiting_since_s is not None`` per slot, so the fast
@@ -265,15 +278,18 @@ class TrafficEngine:
         self._occ_lanes = np.zeros(n_edges, dtype=np.int64)
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
-        # arrival mask and the lane-change candidate mask.  The compiled
-        # kernel binds them once per capacity change, so each per-step
-        # native call passes only the count.
+        # arrival mask and, for cc's passes, the lane-change candidate mask,
+        # the lane moves as (slot, from, to) rows, and the overtake pass's
+        # sort order.  The compiled kernel binds them once per capacity
+        # change, so each per-step native call passes only the count.
         self._idx_buf = np.empty(0, dtype=np.intp)
         self._newly_buf = np.empty(0, dtype=bool)
         self._cand_buf = np.empty(0, dtype=bool)
-        # Edge-count-sized (static) scratch: per-edge inversion flags out
-        # of the compiled ranking scan.
-        self._flags_buf = np.empty(n_edges, dtype=bool)
+        self._moves_buf = np.empty((0, 3), dtype=np.int64)
+        self._order_buf = np.empty(0, dtype=np.int64)
+        # cc's overtake pairs, (edge, passer slot, passee slot) rows: at
+        # least a row per slot, doubled whenever one step's pairs overflow.
+        self._pairs_buf = np.empty((0, 3), dtype=np.int64)
         # Pointer tables for the compiled kernel's full-edge sweeps: per-edge
         # address and length of the lane slot array (the length also bounds
         # the ranking, which holds the same slots; a non-zero one marks the
@@ -409,7 +425,9 @@ class TrafficEngine:
         self._freeflow = np.concatenate((self._freeflow, pad))
         self._seglen = np.concatenate((self._seglen, pad))
         self._desired = np.concatenate((self._desired, pad))
-        self._vid = np.concatenate((self._vid, np.zeros(extra, dtype=np.int64)))
+        ipad = np.zeros(extra, dtype=np.int64)
+        self._vid = np.concatenate((self._vid, ipad))
+        self._seq = np.concatenate((self._seq, ipad))
         bpad = np.zeros(extra, dtype=bool)
         self._is_head = np.concatenate((self._is_head, bpad))
         self._ml = np.concatenate((self._ml, bpad))
@@ -419,14 +437,19 @@ class TrafficEngine:
         self._idx_buf = np.empty(capacity, dtype=np.intp)
         self._newly_buf = np.empty(capacity, dtype=bool)
         self._cand_buf = np.empty(capacity, dtype=bool)
+        self._moves_buf = np.empty((capacity, 3), dtype=np.int64)
+        self._order_buf = np.empty(capacity, dtype=np.int64)
+        if self._pairs_buf.shape[0] < capacity:
+            self._pairs_buf = np.empty((capacity, 3), dtype=np.int64)
         if self._kernel is not None:
             self._bind_kernel()
 
     def _bind_kernel(self) -> None:
         """(Re-)bind the compiled kernel to the current resident arrays.
 
-        Called whenever any bound array is reallocated (capacity growth);
-        afterwards each step's native call passes only the element count.
+        Called whenever any bound array is reallocated (capacity growth,
+        or a pair buffer that filled up); afterwards each step's native call
+        passes only the element count.
         """
         kernel = self._kernel
         assert kernel is not None
@@ -439,12 +462,15 @@ class TrafficEngine:
             seglen=self._seglen,
             desired=self._desired,
             vid=self._vid,
+            seq=self._seq,
             heads=self._is_head,
             waitflag=self._wait_flag,
             multilane=self._ml,
             newly_buf=self._newly_buf,
             cand_buf=self._cand_buf,
-            flags_buf=self._flags_buf,
+            moves_buf=self._moves_buf,
+            order_buf=self._order_buf,
+            pairs_buf=self._pairs_buf,
             lane_ptr=self._lane_ptr,
             lane_len=self._lane_len,
             bounds_ptr=self._bounds_ptr,
@@ -453,9 +479,11 @@ class TrafficEngine:
             nlanes=self._nlanes,
             lane_cap=self._lane_cap,
             occ_lanes=self._occ_lanes,
+            bit_generator=self._bit_generator,
             blocked_m=lc.blocked_distance_m,
             gain_mps=lc.speed_gain_threshold_mps,
             gap_half_m=lc.required_gap_m / 2.0,
+            politeness=lc.politeness,
         )
 
     def _sync_kinematics(self) -> None:
@@ -552,14 +580,17 @@ class TrafficEngine:
         if self.vectorized:
             ei = self._edge_order[key]
             slot = vehicle.slot
+            seq = self._placements
+            self._placements = seq + 1
             kernel = self._kernel
             if kernel is not None:
-                state = (ei, vehicle.lane, slot, vehicle.pos_m, vehicle.speed_mps,
+                state = (ei, vehicle.lane, slot, seq, vehicle.pos_m, vehicle.speed_mps,
                          free, seg.length_m)
                 if kernel.occ_enter_bound(*state) < 0:
                     self._grow_edge(ei)
                     kernel.occ_enter_bound(*state)
                 return
+            self._seq[slot] = seq
             self._pos[slot] = vehicle.pos_m
             self._speed[slot] = vehicle.speed_mps
             self._freeflow[slot] = free
@@ -816,26 +847,30 @@ class TrafficEngine:
         Gather every non-empty edge's lane slot array (:meth:`_gather`; a
         follower's in-lane leader is simply the previous gather index),
         mark the lane-change candidates with the blocked-follower
-        predicate, and run the one lane-change pass
-        (:meth:`_lane_change_batch`); when it re-orders some lanes the
-        gather is redone.  The advance itself then takes one of two
+        predicate, and run the lane-change pass; when it re-orders some
+        lanes the gather is redone.  The step then takes one of two
         equivalent forms:
 
         * **compiled kernel** (``MobilityConfig.compiled``, the default, and
-          cc loaded): a single native call sweeps the gather order updating
-          the resident position/speed arrays *in place* — each follower
-          naturally reads its leader's already-written post-step state, so
-          the whole front-to-back recurrence runs in one pass, returning the
-          arrival mask;
-        * **NumPy**: compute every free-flow candidate vectorized, resolve
-          the provably unconstrained and provably stopped followers
-          vectorized (:meth:`SimplifiedIDM.batch_classify`), settle
-          followers whose leader is final in exact vectorized rounds, run
-          the scalar recurrence only for the short chained tail at queue
-          boundaries, and fold the arrival bookkeeping into one vectorized
-          pass over the ``_wait_flag`` mirror.
+          cc loaded): the lane pass is one native call (the kernel's
+          ``lane_change_pass``, which draws from the engine generator's bit
+          generator under its lock and hands back its moves, so the moved
+          vehicles' ``lane`` is set here); a second sweeps the gather order
+          updating the resident position/speed arrays *in place* — each
+          follower naturally reads its leader's already-written post-step
+          state, so the whole front-to-back recurrence runs in one pass,
+          returning the arrival mask;
+        * **NumPy**: the lane pass is :meth:`_lane_change_batch`; then
+          compute every free-flow candidate vectorized, resolve the
+          provably unconstrained and provably stopped followers vectorized
+          (:meth:`SimplifiedIDM.batch_classify`), settle followers whose
+          leader is final in exact vectorized rounds, run the scalar
+          recurrence only for the short chained tail at queue boundaries,
+          and fold the arrival bookkeeping into one vectorized pass over
+          the ``_wait_flag`` mirror.
 
-        Both produce bit-identical state and events (golden-trace pinned).
+        Both produce bit-identical state, events and generator state
+        (golden-trace pinned).
 
         Overtake detection afterwards (:meth:`_detect_overtakes_fast`)
         skips multilane segments whose vehicles currently share a single
@@ -869,19 +904,19 @@ class TrafficEngine:
         wait_flag = self._wait_flag
         kernel = self._kernel
         if kernel is not None:
-            # The kernel path never gathers kinematic columns: the
-            # candidate mask comes from the compiled predicate over the
-            # resident arrays.
-            if (
-                watching
-                and kernel.candidates_bound(n)
-                and self._lane_change_batch(idx, self._cand_buf[:n])
-            ):
-                # Accepted moves re-ordered some lanes: redo the whole
-                # gather (lane changes move no vehicle across or along a
-                # segment, so the count and every other edge's span are
-                # unchanged).
-                self._gather()
+            # The kernel path never gathers kinematic columns: the lane
+            # pass reads the resident arrays, and redoes the gather itself
+            # when it moved anyone (lane changes move no vehicle across or
+            # along a segment, so the count is unchanged).
+            if watching:
+                with self._bit_generator.lock:
+                    moved = kernel.lane_pass_bound(n)
+                if moved:
+                    slot_vehicle = self._slot_vehicle
+                    for slot, _, lane in self._moves_buf[:moved].tolist():
+                        mover = slot_vehicle[slot]
+                        assert mover is not None
+                        mover.lane = lane
             # One native call: in-place resident-array sweep in gather
             # order (the exact reference recurrence), arrival mask out.
             # The return value is the newly-arrived count, so the
@@ -999,22 +1034,22 @@ class TrafficEngine:
         return total
 
     def _lane_change_batch(self, idx: np.ndarray, cand: np.ndarray) -> bool:
-        """The lane-change pass: pick target lanes for the candidates.
+        """The NumPy lane-change pass: pick target lanes for the candidates.
 
-        ``cand`` is the gather-aligned mask of the blocked-follower
-        predicate (:meth:`LaneChangeModel.wants_to_change`).  Candidates
-        are visited in gather order, which is the reference engine's
+        The oracle of cc's ``lane_change_pass``.  ``cand`` is the
+        gather-aligned mask of the blocked-follower predicate
+        (:meth:`LaneChangeModel.wants_to_change`).  Candidates are visited
+        in gather order, which is the reference engine's
         segment-by-segment, lane-by-lane, front-to-back scan order, so the
         RNG stream is consumed identically.  Target-lane viability reads
-        the candidate's edge's lane slots and lane bounds: one bound native
-        call through the pointer tables with cc, or :func:`lane_options_np`
-        on the same arrays.  Both give the bits of :func:`lane_options_py`,
-        whose gap test is the scalar model's exact float sequence.
-        Decisions within a segment read the pre-change lanes (the
-        reference applies its moves only after scanning the whole
-        segment), so accepted moves are buffered per segment —
-        the gather is edge-block ordered, so each candidate's own edge
-        delimits the segments — and applied at the segment boundary.
+        the candidate's edge's lane slots and lane bounds through
+        :func:`lane_options_np`, which gives the bits of
+        :func:`lane_options_py`, whose gap test is the scalar model's exact
+        float sequence.  Decisions within a segment read the pre-change
+        lanes (the reference applies its moves only after scanning the
+        whole segment), so accepted moves are buffered per segment — the
+        gather is edge-block ordered, so each candidate's own edge delimits
+        the segments — and applied at the segment boundary.
         Returns whether any segment's lane order changed; the caller then
         redoes the gather.
         """
@@ -1022,10 +1057,6 @@ class TrafficEngine:
         edge_order = self._edge_order
         pos_a = self._pos
         politeness = self.lane_change.politeness
-        kernel = self._kernel
-        lane_opts = (
-            kernel.lane_opts_bound if kernel is not None else self._lane_options_np
-        )
         rng = self.rng
         cur = -1
         pending: List[Tuple[Vehicle, int]] = []
@@ -1046,7 +1077,7 @@ class TrafficEngine:
             # both neighbours are viable — identical RNG stream.
             if rng.random() < politeness:
                 continue
-            opts = lane_opts(ei, v.lane, float(pos_a[v.slot]))
+            opts = self._lane_options_np(ei, v.lane, float(pos_a[v.slot]))
             if opts == 0:
                 continue
             if opts == 3:
@@ -1062,8 +1093,8 @@ class TrafficEngine:
         return patched
 
     def _lane_options_np(self, ei: int, lane: int, own: float) -> int:
-        """NumPy counterpart of the kernel's bound ``lane_opts`` call (the
-        lane bounds delimit the live prefix of the edge's buffer)."""
+        """:func:`lane_options_np` on edge ``ei`` (the lane bounds delimit
+        the live prefix of the edge's buffer)."""
         return lane_options_np(
             lane,
             self._segs[ei].lanes,
@@ -1076,13 +1107,9 @@ class TrafficEngine:
 
     def _apply_lane_moves(self, ei: int, moves: List[Tuple[Vehicle, int]]) -> None:
         """Apply one segment's accepted lane changes to its lane slots."""
-        kernel = self._kernel
         for v, target in moves:
-            if kernel is not None:
-                kernel.occ_lane_move_bound(ei, v.lane, target, v.slot)
-            else:
-                self._lane_remove(ei, v.lane, v.slot)
-                self._lane_insert(ei, target, v.slot)
+            self._lane_remove(ei, v.lane, v.slot)
+            self._lane_insert(ei, target, v.slot)
             v.lane = target
 
     def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
@@ -1099,17 +1126,32 @@ class TrafficEngine:
         than one lane; skipping the one-lane segments diverges from the
         reference at a positional tie (see :meth:`_advance_segments_batch`).
         Positional ties count as inversions when their vid order disagrees.
-        With cc the scan is one bound native call over the ranking pointer
-        table; the NumPy path concatenates the eligible rankings in edge
-        order (the gather's, so cross-edge event order is unchanged) and
-        scans them vectorized.
+        With cc the whole pass is one native call (the kernel's
+        ``overtake_pass``), which hands back each flipped pair as an (edge,
+        passer slot, passee slot) row, in :meth:`_emit_overtakes`'s order,
+        taking the pairs' placement order from ``_seq``; the events are
+        built here.  The NumPy path concatenates the eligible rankings in
+        edge order (the gather's, so cross-edge event order is unchanged)
+        and scans them vectorized.
         """
         kernel = self._kernel
         if kernel is not None:
-            if kernel.rank_all_bound():
-                for ei in np.flatnonzero(self._flags_buf).tolist():
-                    self._emit_overtakes(ei, events)
-            return
+            while True:
+                got = kernel.overtake_bound()
+                n_pairs = got if got >= 0 else ~got
+                if n_pairs:
+                    self.stats.overtakes += n_pairs
+                    for ei, a, b in self._pairs_buf[:n_pairs].tolist():
+                        passer, passee = self._slot_vehicle[a], self._slot_vehicle[b]
+                        assert passer is not None and passee is not None
+                        events.append(OvertakeEvent(time_s=self.time_s, edge=self._segs[ei].key,
+                                                    passer=passer, passee=passee))
+                if got >= 0:
+                    return
+                # One edge's pairs did not fit: the edges before it are
+                # done, so grow the buffer and let the pass carry on.
+                self._pairs_buf = np.empty((2 * self._pairs_buf.shape[0], 3), dtype=np.int64)
+                self._bind_kernel()
         elig = np.flatnonzero(self._rank_elig)
         if not elig.size:
             return
@@ -1134,7 +1176,8 @@ class TrafficEngine:
             self._emit_overtakes(eis[j], events)
 
     def _emit_overtakes(self, ei: int, events: List[TrafficEvent]) -> None:
-        """Enumerate the flipped pairs of one segment and re-sort its ranking.
+        """Enumerate the flipped pairs of one segment and re-sort its ranking
+        (the NumPy path, and the oracle of cc's ``overtake_pass``).
 
         The ranking still holds the pre-step order; comparing each
         vehicle's index in it with its index in the re-sorted ranking is

@@ -1,4 +1,4 @@
-"""The compiled backend for the engine's chained car-following step.
+"""The compiled backend for the engine's step.
 
 The vectorized engine resolves most of a step with NumPy, but the
 front-to-back recurrence inside each lane (a follower's update reads its
@@ -10,13 +10,16 @@ over the gathered columns, lane heads delimiting the chains — exactly the
 reference engine's per-vehicle operation sequence, so the result is
 bit-for-bit identical to both the scalar and the NumPy paths (the
 golden-trace suites pin this).  The other entry points are
-``lane_change_candidates`` (the ``LaneChangeModel.wants_to_change`` scan
-over the same gathered order); ``gather_all``, ``rank_scan_all`` and
-``lane_options``, which walk the engine's per-edge pointer tables; and the
-occupancy transitions ``occ_enter``, ``occ_leave`` and ``occ_lane_move``,
-each one vehicle entering an edge, leaving it or changing lanes, with the
-semantics of the engine's NumPy splice pair (``TrafficEngine._lane_insert``
-and friends, their oracle).
+``gather_all``, which walks the engine's per-edge pointer tables; the two
+passes around the advance, ``lane_change_pass`` (the blocked-follower
+predicate, each candidate's target lane and RNG draws, the moves and the
+re-gather) and ``overtake_pass`` (the ranking scan, each inverted
+ranking's flipped pairs and its re-sort), the engine's NumPy
+``_lane_change_batch`` and ``_emit_overtakes`` in C, which stay its
+compiler-less path and their oracle; and the occupancy transitions
+``occ_enter`` and ``occ_leave``, one vehicle entering an edge or leaving
+it, with the semantics of the engine's NumPy splice pair
+(``TrafficEngine._lane_insert`` and friends, their oracle).
 
 The engine uses it by default (``MobilityConfig.compiled=True``).  The
 ladder is **cc → NumPy**, with ``vectorized=False`` the scalar reference
@@ -52,6 +55,25 @@ call.  That sets a rule for every entry point: it holds the GIL, so it
 must never block or call into Python, and it must stay far below the
 interpreter's 5 ms switch interval (the longest sweep measured,
 ``gather_all`` at 8,000 vehicles on the 11,132-edge city, takes 41 µs).
+NumPy is not held to that rule: a sort such as ``np.lexsort`` releases
+the GIL even on a five-element array, so the Python overtake emission,
+which sorts each inverted ranking, can let a waiting thread in mid-step,
+where the native pass holds it like every other call.
+
+Drawing from the engine's generator
+-----------------------------------
+``lane_change_pass`` draws from the engine's own generator: the struct
+holds the address of its bit generator's ``bitgen_t``
+(``rng.bit_generator.ctypes.bit_generator``, NumPy's interface for drawing
+from C), and the pass calls its function pointers.  ``Generator.random()``
+is one ``next_double`` call, and ``Generator.integers(2)`` is NumPy's
+Lemire step on one ``next_uint32`` call, so the stream, every event and
+the generator's state (PCG64's buffered 32-bit half included) stay bit for
+bit those of the NumPy pass; a unit test pins both facts through
+``BitGenerator.ctypes``, without a compiler.  The engine holds the bit
+generator's ``lock``, the lock every ``Generator`` method takes, across
+the call, and binds the generator once, at construction, so
+``engine.rng`` must not be replaced on a live engine.
 
 Bitwise-equivalence contract
 ----------------------------
@@ -67,27 +89,32 @@ The C sweeps must reproduce :meth:`SimplifiedIDM.advance` /
   *once* in Python and stored in the kernel's struct, matching NumPy's
   scalar broadcasting.
 
-:func:`advance_chain_py` / :func:`lane_change_candidates_py` are the
-executable specifications: plain Python floats, no NumPy ufuncs, usable as
-property-test oracles against the compiled kernel.  :func:`lane_options_np`
-is the NumPy path's lane viability check, held to the same oracle as the C
-``lane_options``.
+:func:`advance_chain_py` is the executable specification of the advance,
+and :func:`lane_change_candidates_py`, :func:`lane_options_py` and
+:func:`rank_scan_all_py` are those of the passes' predicate, lane
+viability check and ranking scan: plain Python floats, no NumPy ufuncs,
+usable as property-test oracles against the compiled kernel.
+:func:`lane_options_np` is the NumPy path's lane viability check, held to
+the same oracle as the C one.
 
 Calling convention
 ------------------
 Every C entry point takes one struct first: ``tables`` in C,
 :class:`_Tables` here.  It holds the address of every array the kernel
 reads or writes (the engine's resident columns, its per-step buffers and
-its per-edge pointer tables), the edge count and the ten model scalars.
+its per-edge pointer tables) and of the generator's ``bitgen_t``, the edge
+count, the pair buffer's row count and the eleven model scalars.
 :meth:`StepKernel.bind` fills it once per capacity change and binds each
 entry point to its address with :func:`functools.partial`, so a call
-passes only what varies: a count, or one transition's edge, lanes, slot
-and kinematics (ctypes charges per argument).  Writes into bound arrays,
-pointer-table slots included, need no re-bind.  Edges grow on demand:
-``occ_enter`` returns -1, having written nothing, when the edge's buffers
-are full; the engine then doubles them (``TrafficEngine._grow_edge``,
-which rewrites their pointer-table entries and the edge's ``lane_cap``)
-and calls again.
+passes only what varies: a count, or one transition's edge, lane, slot,
+placement number and kinematics (ctypes charges per argument).  Writes
+into bound arrays, pointer-table slots included, need no re-bind.  Buffers
+grow on demand: ``occ_enter`` returns -1, having written nothing, when the
+edge's buffers are full, and the engine doubles them
+(``TrafficEngine._grow_edge``, which rewrites their pointer-table entries
+and the edge's ``lane_cap``) and calls again; ``overtake_pass`` returns
+``~count`` when an edge's pairs do not fit, and the engine doubles the
+pair buffer, re-binds, and calls again for the rest.
 """
 
 from __future__ import annotations
@@ -380,31 +407,45 @@ _C_SOURCE = r"""
 #define MAXF(a, b) (((b) > (a)) ? (b) : (a))
 #define MINF(a, b) (((b) < (a)) ? (b) : (a))
 
+/* NumPy's bitgen_t (numpy/random/bitgen.h): a bit generator's state and the
+ * functions that draw from it, the same ones Generator's methods call. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
 /* Every entry point takes this struct first; StepKernel.bind fills it (the
  * _Tables class, field for field).  The slot-indexed resident columns come
  * first, then the per-step buffers (the gather idx, the newly and cand masks
- * aligned with it, and the edge-indexed overtake flags), then the per-edge
- * tables: edge e's lanes are lane_ptr[e][:lane_len[e]] split by the
- * nlanes[e] + 1 bounds at bounds_ptr[e], and a multilane edge's ranking is
- * rank_ptr[e][:lane_len[e]].  Addresses arrive as int64 values (numpy owns
- * the arrays and keeps them alive); a table entry changes only when its
- * buffer is reallocated.  The sweeps copy what they use into locals, since
- * their stores may alias the struct. */
+ * aligned with it, the lane pass's moves, the overtake pass's scratch order
+ * and its pairs, pair_cap rows), then the per-edge tables: edge e's lanes are
+ * lane_ptr[e][:lane_len[e]] split by the nlanes[e] + 1 bounds at
+ * bounds_ptr[e], and a multilane edge's ranking is rank_ptr[e][:lane_len[e]].
+ * Addresses arrive as int64 values (numpy owns the arrays and keeps them
+ * alive); a table entry changes only when its buffer is reallocated.  bitgen
+ * is the engine generator's bit generator.  The sweeps copy what they use
+ * into locals, since their stores may alias the struct. */
 typedef struct {
     double *pos, *speed, *freeflow, *seglen;
     const double *desired;
     const int64_t *vid;
+    int64_t *seq;
     unsigned char *heads, *multilane, *waitflag;
     int64_t *idx;
-    unsigned char *newly, *cand, *flags;
+    unsigned char *newly, *cand;
+    int64_t *moves, *order, *pairs;
     const int64_t *lane_ptr, *rank_ptr, *bounds_ptr, *nlanes;
     int64_t *lane_len;
     const int64_t *lane_cap;
     int64_t *occ_lanes;
     unsigned char *rank_elig;
-    int64_t n_edges;
+    bitgen_t *bitgen;
+    int64_t n_edges, pair_cap;
     double dt, accel_dt, decel_dt, denom, veh_len, min_gap, arrival_eps;
-    double blocked_m, gain_mps, gap_half;
+    double blocked_m, gain_mps, gap_half, politeness;
 } tables;
 
 #define EDGE_ARRAY(table, e) ((int64_t *)(intptr_t)(table)[e])
@@ -463,7 +504,11 @@ int64_t advance_chain(const tables *t, int64_t n)
     return n_newly;
 }
 
-int64_t lane_change_candidates(const tables *t, int64_t n)
+/* The blocked-follower predicate (LaneChangeModel.wants_to_change) over the
+ * gather into the cand mask: a follower on a multilane edge whose in-lane
+ * leader, the previous gather index, is close and slow.  Returns the
+ * candidate count. */
+static int64_t lane_change_candidates(const tables *t, int64_t n)
 {
     const int64_t *idx = t->idx;
     const double *pos = t->pos, *speed = t->speed, *desired = t->desired;
@@ -505,7 +550,7 @@ int64_t gather_all(const tables *t)
  * set when lane+1 exists and has no vehicle within gap_half of own, bit 1
  * likewise for lane-1.  The gap comparison is |other - own| < half, the
  * exact float sequence of the scalar model. */
-int64_t lane_options(const tables *t, int64_t e, int64_t lane, double own)
+static int64_t lane_options(const tables *t, int64_t e, int64_t lane, double own)
 {
     const int64_t *slots = EDGE_ARRAY(t->lane_ptr, e);
     const int64_t *bounds = EDGE_ARRAY(t->bounds_ptr, e);
@@ -526,32 +571,20 @@ int64_t lane_options(const tables *t, int64_t e, int64_t lane, double own)
     return ret;
 }
 
-int64_t rank_scan_all(const tables *t)
+/* Whether edge e's ranking has an adjacent pair out of (position, vid)
+ * order: post-step position strictly decreasing, or a positional tie whose
+ * vid order disagrees. */
+static int ranking_inverted(const tables *t, int64_t e)
 {
-    const unsigned char *elig = t->rank_elig;
-    const int64_t *ptrs = t->rank_ptr, *lens = t->lane_len, *vid = t->vid;
+    const int64_t *slots = EDGE_ARRAY(t->rank_ptr, e), *vid = t->vid;
     const double *pos = t->pos;
-    unsigned char *flags = t->flags;
-    int64_t n_edges = t->n_edges, n_flagged = 0;
-    for (int64_t e = 0; e < n_edges; e++) {
-        unsigned char bad = 0;
-        if (elig[e]) {
-            const int64_t *slots = (const int64_t *)(intptr_t)ptrs[e];
-            int64_t len = lens[e];
-            for (int64_t k = 1; k < len; k++) {
-                int64_t s0 = slots[k - 1], s1 = slots[k];
-                double a = pos[s0];
-                double b = pos[s1];
-                if (b < a || (b == a && vid[s0] > vid[s1])) {
-                    bad = 1;
-                    break;
-                }
-            }
-        }
-        flags[e] = bad;
-        n_flagged += bad;
+    int64_t len = t->lane_len[e];
+    for (int64_t k = 1; k < len; k++) {
+        int64_t s0 = slots[k - 1], s1 = slots[k];
+        double a = pos[s0], b = pos[s1];
+        if (b < a || (b == a && vid[s0] > vid[s1])) return 1;
     }
-    return n_flagged;
+    return 0;
 }
 
 /* Occupancy transitions: each entry point is one TrafficEngine transition
@@ -598,14 +631,15 @@ static void lane_out(const tables *t, int64_t e, int64_t lane, int64_t slot)
     }
 }
 
-/* Write slot's resident columns, then insert it into its lane and, on a
- * multilane edge, into the ranking at bisect.bisect_right's index on the
- * (position, vid) key, probe for probe: a ranking the overtake scan skipped
- * may be out of order, and the probes then decide where the slot lands.
- * Returns -1, having written nothing, when the edge's buffers are full
- * (lane_len == lane_cap); the engine grows them and calls again. */
+/* Write slot's resident columns and placement number, then insert it into
+ * its lane and, on a multilane edge, into the ranking at
+ * bisect.bisect_right's index on the (position, vid) key, probe for probe: a
+ * ranking the overtake pass skipped may be out of order, and the probes then
+ * decide where the slot lands.  Returns -1, having written nothing, when the
+ * edge's buffers are full (lane_len == lane_cap); the engine grows them and
+ * calls again. */
 int64_t occ_enter(
-    const tables *t, int64_t e, int64_t lane, int64_t slot,
+    const tables *t, int64_t e, int64_t lane, int64_t slot, int64_t seq,
     double p, double speed, double free, double length)
 {
     int64_t k = t->lane_len[e], lo = 0, hi = k, v = t->vid[slot];
@@ -614,6 +648,7 @@ int64_t occ_enter(
     t->speed[slot] = speed;
     t->freeflow[slot] = free;
     t->seglen[slot] = length;
+    t->seq[slot] = seq;
     t->multilane[slot] = t->nlanes[e] > 1;
     t->waitflag[slot] = 0;
     lane_in(t, e, lane, slot);
@@ -642,12 +677,135 @@ int64_t occ_leave(const tables *t, int64_t e, int64_t lane, int64_t slot)
     return 0;
 }
 
-int64_t occ_lane_move(
-    const tables *t, int64_t e, int64_t from, int64_t to, int64_t slot)
+/* Apply count (slot, from, to) moves on edge e, in order. */
+static void lane_moves(const tables *t, int64_t e, const int64_t *mv, int64_t count)
 {
-    lane_out(t, e, from, slot);
-    lane_in(t, e, to, slot);
-    return 0;
+    for (; count > 0; count--, mv += 3) {
+        lane_out(t, e, mv[1], mv[0]);
+        lane_in(t, e, mv[2], mv[0]);
+    }
+}
+
+/* TrafficEngine._lane_change_batch over the gather idx[:n].  Candidates are
+ * visited in gather order, the reference's segment by segment, lane by lane,
+ * front to back scan; the gather is edge-block ordered, so lane_len walks
+ * each candidate to its edge and the edge's bounds to its lane.  Each
+ * candidate draws a politeness veto (Generator.random(), one next_double)
+ * and, when both neighbour lanes are viable, a tie (Generator.integers(2):
+ * NumPy's Lemire step on one next_uint32, whose rejection threshold
+ * (2**32 - 2) % 2 is 0, keeps the top bit).  Decisions read the pre-change
+ * lanes, so an edge's moves are applied when the walk leaves it, and the
+ * gather is redone when anything moved.  Writes (slot, from, to) per move to
+ * moves and returns the move count.  The caller holds the bit generator's
+ * lock. */
+int64_t lane_change_pass(const tables *t, int64_t n)
+{
+    if (!lane_change_candidates(t, n)) return 0;
+    const int64_t *idx = t->idx, *lane_len = t->lane_len;
+    const unsigned char *cand = t->cand;
+    const double *pos = t->pos;
+    bitgen_t *bg = t->bitgen;
+    double politeness = t->politeness;
+    int64_t *moves = t->moves;
+    int64_t n_moves = 0, applied = 0, e = -1, start = 0, end = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (!cand[i]) continue;
+        if (i >= end) {
+            lane_moves(t, e, moves + 3 * applied, n_moves - applied);
+            applied = n_moves;
+            do {
+                start = end;
+                end += lane_len[++e];
+            } while (i >= end);
+        }
+        const int64_t *bounds = EDGE_ARRAY(t->bounds_ptr, e);
+        int64_t slot = idx[i], lane = 0;
+        while (i - start >= bounds[lane + 1]) lane++;
+        if (bg->next_double(bg->state) < politeness) continue;
+        int64_t opts = lane_options(t, e, lane, pos[slot]);
+        if (opts == 0) continue;
+        int64_t up = opts == 3 ? (bg->next_uint32(bg->state) >> 31) == 0 : opts == 1;
+        int64_t *mv = moves + 3 * n_moves++;
+        mv[0] = slot;
+        mv[1] = lane;
+        mv[2] = up ? lane + 1 : lane - 1;
+    }
+    lane_moves(t, e, moves + 3 * applied, n_moves - applied);
+    if (n_moves) gather_all(t);
+    return n_moves;
+}
+
+/* Append edge e's flipped pairs to pairs from row n_pairs, one (edge,
+ * passer slot, passee slot) row each, and return the new row count, or -1,
+ * having changed nothing the engine reads, when pair_cap rows cannot hold
+ * them.  A pair flipped when its two slots' order in the ranking, which
+ * still holds the order of the last pass, disagrees with their post-step
+ * (position, vid) order.  Pairs come out as the reference engine scans the
+ * edge's flat occupancy list: a before b when a was placed first (seq), in
+ * the order of a, then of b.  order holds the ranking's indices sorted by
+ * seq (an insertion sort: an edge holds few slots). */
+static int64_t flip_pairs(const tables *t, int64_t e, int64_t n_pairs)
+{
+    const int64_t *rank = EDGE_ARRAY(t->rank_ptr, e), *seq = t->seq, *vid = t->vid;
+    const double *pos = t->pos;
+    int64_t len = t->lane_len[e], cap = t->pair_cap, *order = t->order, *pairs = t->pairs;
+    for (int64_t i = 0; i < len; i++) {
+        int64_t j = i, s = seq[rank[i]];
+        for (; j > 0 && seq[rank[order[j - 1]]] > s; j--) order[j] = order[j - 1];
+        order[j] = i;
+    }
+    for (int64_t i = 0; i < len; i++) {
+        int64_t ri = order[i], a = rank[ri], va = vid[a];
+        double pa = pos[a];
+        for (int64_t j = i + 1; j < len; j++) {
+            int64_t rj = order[j], b = rank[rj];
+            int64_t now = pa > pos[b] || (pa == pos[b] && va > vid[b]);
+            if ((ri > rj) == now) continue;
+            if (n_pairs == cap) return -1;
+            int64_t *row = pairs + 3 * n_pairs++;
+            row[0] = e;
+            row[1] = now ? a : b;
+            row[2] = now ? b : a;
+        }
+    }
+    return n_pairs;
+}
+
+/* Re-sort edge e's ranking by (position, vid): an insertion sort, whose
+ * shifts are the edge's flipped pairs. */
+static void rank_sort(const tables *t, int64_t e)
+{
+    int64_t *rank = EDGE_ARRAY(t->rank_ptr, e), len = t->lane_len[e];
+    const int64_t *vid = t->vid;
+    const double *pos = t->pos;
+    for (int64_t i = 1; i < len; i++) {
+        int64_t s = rank[i], v = vid[s], j = i;
+        double p = pos[s];
+        for (; j > 0 && (pos[rank[j - 1]] > p || (pos[rank[j - 1]] == p && vid[rank[j - 1]] > v)); j--)
+            rank[j] = rank[j - 1];
+        rank[j] = s;
+    }
+}
+
+/* TrafficEngine._detect_overtakes_fast: every edge whose rank_elig byte is
+ * set (multilane, more than one occupied lane) and whose ranking is
+ * inverted writes its flipped pairs, in edge order, and has its ranking
+ * re-sorted.  Returns the pair count, or, when an edge's pairs do not fit,
+ * ~count: the edges before it are done and their pairs written, and the
+ * engine grows the buffer and calls again, which finds those edges sorted
+ * and carries on from there. */
+int64_t overtake_pass(const tables *t)
+{
+    const unsigned char *elig = t->rank_elig;
+    int64_t n_edges = t->n_edges, n_pairs = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
+        if (!elig[e] || !ranking_inverted(t, e)) continue;
+        int64_t got = flip_pairs(t, e, n_pairs);
+        if (got < 0) return ~n_pairs;
+        n_pairs = got;
+        rank_sort(t, e);
+    }
+    return n_pairs;
 }
 """
 
@@ -655,13 +813,11 @@ int64_t occ_lane_move(
 #: in :class:`_CcLibrary` order.
 _SYMBOLS = (
     ("advance_chain", [ctypes.c_int64]),
-    ("lane_change_candidates", [ctypes.c_int64]),
     ("gather_all", []),
-    ("rank_scan_all", []),
-    ("lane_options", [ctypes.c_int64, ctypes.c_int64, ctypes.c_double]),
-    ("occ_enter", [ctypes.c_int64] * 3 + [ctypes.c_double] * 4),
+    ("lane_change_pass", [ctypes.c_int64]),
+    ("overtake_pass", []),
+    ("occ_enter", [ctypes.c_int64] * 4 + [ctypes.c_double] * 4),
     ("occ_leave", [ctypes.c_int64] * 3),
-    ("occ_lane_move", [ctypes.c_int64] * 4),
 )
 
 
@@ -669,28 +825,28 @@ class _CcLibrary(NamedTuple):
     """The loaded kernel library's entry points (argtypes and restype set)."""
 
     advance_chain: Any
-    lane_change_candidates: Any
     gather_all: Any
-    rank_scan_all: Any
-    lane_options: Any
+    lane_change_pass: Any
+    overtake_pass: Any
     occ_enter: Any
     occ_leave: Any
-    occ_lane_move: Any
 
 
 class _Tables(ctypes.Structure):
     """The C ``tables`` struct, field for field: the address of every array
-    the kernel reads or writes, the edge count and the model scalars."""
+    the kernel reads or writes and of the engine generator's ``bitgen_t``,
+    the edge count, the pair buffer's row count and the model scalars."""
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
-            "pos speed freeflow seglen desired vid heads multilane waitflag idx newly "
-            "cand flags lane_ptr rank_ptr bounds_ptr nlanes lane_len lane_cap "
-            "occ_lanes rank_elig").split()),
+            "pos speed freeflow seglen desired vid seq heads multilane waitflag idx "
+            "newly cand moves order pairs lane_ptr rank_ptr bounds_ptr nlanes lane_len "
+            "lane_cap occ_lanes rank_elig bitgen").split()),
         ("n_edges", ctypes.c_int64),
+        ("pair_cap", ctypes.c_int64),
         *((name, ctypes.c_double) for name in (
             "dt accel_dt decel_dt denom veh_len min_gap arrival_eps blocked_m "
-            "gain_mps gap_half").split()),
+            "gain_mps gap_half politeness").split()),
     ]
 
 
@@ -706,22 +862,19 @@ class StepKernel:
     backend = "cc"
     #: advance over ``idx_buf[:n]``; returns the newly-arrived count
     advance_bound: Callable[[int], int]
-    #: lane-change candidate mask into ``cand_buf[:n]``; returns the
-    #: candidate count
-    candidates_bound: Callable[[int], int]
     #: every edge's lane slots into ``idx_buf``; returns the gathered count
     gather_bound: Callable[[], int]
-    #: full-range ranking scan into ``flags_buf``; returns the flagged-edge
-    #: count
-    rank_all_bound: Callable[[], int]
-    #: both-neighbour lane viability ``(e, lane, own) -> bits``
-    lane_opts_bound: Callable[[int, int, float], int]
-    #: ``(e, lane, slot, pos, speed, free, length)``; -1 if ``e`` is full
-    occ_enter_bound: Callable[[int, int, int, float, float, float, float], int]
+    #: the lane-change pass over ``idx_buf[:n]``; returns the move count,
+    #: the moves being the first rows of ``moves_buf``, (slot, from, to)
+    lane_pass_bound: Callable[[int], int]
+    #: the overtake pass; returns the pair count, the pairs being the first
+    #: rows of ``pairs_buf``, (edge, passer slot, passee slot), or ``~count``
+    #: when ``pairs_buf`` filled up
+    overtake_bound: Callable[[], int]
+    #: ``(e, lane, slot, seq, pos, speed, free, length)``; -1 if ``e`` is full
+    occ_enter_bound: Callable[[int, int, int, int, float, float, float, float], int]
     #: ``(e, lane, slot)``
     occ_leave_bound: Callable[[int, int, int], int]
-    #: ``(e, from, to, slot)``
-    occ_lane_move_bound: Callable[[int, int, int, int], int]
 
     def __init__(
         self,
@@ -741,12 +894,15 @@ class StepKernel:
         seglen: np.ndarray,
         desired: np.ndarray,
         vid: np.ndarray,
+        seq: np.ndarray,
         heads: np.ndarray,
         waitflag: np.ndarray,
         multilane: np.ndarray,
         newly_buf: np.ndarray,
         cand_buf: np.ndarray,
-        flags_buf: np.ndarray,
+        moves_buf: np.ndarray,
+        order_buf: np.ndarray,
+        pairs_buf: np.ndarray,
         lane_ptr: np.ndarray,
         lane_len: np.ndarray,
         bounds_ptr: np.ndarray,
@@ -755,47 +911,54 @@ class StepKernel:
         nlanes: np.ndarray,
         lane_cap: np.ndarray,
         occ_lanes: np.ndarray,
+        bit_generator: np.random.BitGenerator,
         blocked_m: float,
         gain_mps: float,
         gap_half_m: float,
+        politeness: float,
     ) -> None:
         """Fill the kernel's struct with the engine's arrays and bind every
         entry point to it.
 
         The slot-indexed columns (``pos`` … ``multilane``) are the resident
         arrays; the gather lives in ``idx_buf[:n]``, the advance and
-        candidate masks land in ``newly_buf[:n]`` / ``cand_buf[:n]``, and
-        the ranking scan writes ``flags_buf`` over the whole edge range.
-        The edge-indexed tables hold each edge's lane slot array address
-        and live length, its lane-bounds address, its ranking address, its
-        ranking-scan eligibility byte, its lane count, its capacity and its
-        occupied-lane count; their length is the edge count.  With the
-        model scalars they make one :class:`_Tables`, and every ``*_bound``
-        attribute is a C entry point with the struct's address bound as
-        its first argument, so a call passes only what varies.  The caller
-        must re-bind whenever any array is *reallocated* (the engine does
-        so on capacity growth); in-place writes — including pointer-table
-        slot updates — need no re-bind.
+        candidate masks land in ``newly_buf[:n]`` / ``cand_buf[:n]``, the
+        lane pass writes its moves to ``moves_buf`` (three columns, a row
+        per slot), and the overtake pass sorts in ``order_buf`` (a slot's
+        worth) and writes its pairs to ``pairs_buf`` (three columns, as
+        many rows as it has).  The edge-indexed tables hold each edge's
+        lane slot array address and live length, its lane-bounds address,
+        its ranking address, its ranking-scan eligibility byte, its lane
+        count, its capacity and its occupied-lane count; their length is
+        the edge count.  The lane pass draws from ``bit_generator``, which
+        the kernel keeps alive while bound; the caller holds its ``lock``
+        across each ``lane_pass_bound`` call.  With the model scalars they
+        make one :class:`_Tables`, and every ``*_bound`` attribute is a C
+        entry point with the struct's address bound as its first argument,
+        so a call passes only what varies.  The caller must re-bind
+        whenever any array is *reallocated* (the engine does so on
+        capacity growth); in-place writes — including pointer-table slot
+        updates — need no re-bind.
         """
         arrays = (  # in _Tables field order
-            pos, speed, freeflow, seglen, desired, vid, heads, multilane, waitflag,
-            idx_buf, newly_buf, cand_buf, flags_buf, lane_ptr, rank_ptr, bounds_ptr,
-            nlanes, lane_len, lane_cap, occ_lanes, rank_elig,
+            pos, speed, freeflow, seglen, desired, vid, seq, heads, multilane, waitflag,
+            idx_buf, newly_buf, cand_buf, moves_buf, order_buf, pairs_buf, lane_ptr,
+            rank_ptr, bounds_ptr, nlanes, lane_len, lane_cap, occ_lanes, rank_elig,
         )
+        self._bit_generator = bit_generator
         self._tables = tables = _Tables(
-            *(arr.ctypes.data for arr in arrays), lane_len.shape[0], *self._params,
-            blocked_m, gain_mps, gap_half_m,
+            *(arr.ctypes.data for arr in arrays), bit_generator.ctypes.bit_generator.value,
+            lane_len.shape[0], pairs_buf.shape[0], *self._params,
+            blocked_m, gain_mps, gap_half_m, politeness,
         )
         ref = ctypes.c_void_p(ctypes.addressof(tables))
         lib = self._lib
         self.advance_bound = functools.partial(lib.advance_chain, ref)
-        self.candidates_bound = functools.partial(lib.lane_change_candidates, ref)
         self.gather_bound = functools.partial(lib.gather_all, ref)
-        self.rank_all_bound = functools.partial(lib.rank_scan_all, ref)
-        self.lane_opts_bound = functools.partial(lib.lane_options, ref)
+        self.lane_pass_bound = functools.partial(lib.lane_change_pass, ref)
+        self.overtake_bound = functools.partial(lib.overtake_pass, ref)
         self.occ_enter_bound = functools.partial(lib.occ_enter, ref)
         self.occ_leave_bound = functools.partial(lib.occ_leave, ref)
-        self.occ_lane_move_bound = functools.partial(lib.occ_lane_move, ref)
 
 
 # ------------------------------------------------------------------ loader

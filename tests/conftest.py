@@ -103,9 +103,11 @@ def check_occupancy_state(engine):
     arrays; every other per-edge and per-slot structure must follow from
     them.  Each edge's lanes and ranking are the live ``_lane_len`` prefix
     of its buffers.  Only the ranking's membership is checked: its order is
-    the overtake scan's, which the golden traces' overtake events pin.
+    the overtake scan's, which the golden traces' overtake events pin.  An
+    edge's slots in ``_seq`` order must give its ``_occupancy`` vid order,
+    the order in which cc's overtake pass reports pairs.
     """
-    pos, vid, is_head = engine._pos, engine._vid, engine._is_head
+    pos, vid, is_head, seq = engine._pos, engine._vid, engine._is_head, engine._seq
     for ei, seg in enumerate(engine._segs):
         where = f"edge {ei} {seg.key}"
         vehicles = [engine._vehicles[v] for v in engine._occupancy[seg.key]]
@@ -120,6 +122,8 @@ def check_occupancy_state(engine):
         assert lane_buf.shape[0] == cap, where
         slots = lane_buf[:k]
         assert slots.tolist() == [s for lane in lanes for s in lane], where
+        placed = sorted(slots.tolist(), key=seq.__getitem__)
+        assert vid[placed].tolist() == engine._occupancy[seg.key], where
         bounds = np.cumsum([0] + [len(lane) for lane in lanes])
         assert engine._bounds_np[ei].tolist() == bounds.tolist(), where
         assert engine._bounds_ptr[ei] == engine._bounds_np[ei].ctypes.data, where

@@ -276,6 +276,32 @@ def _slot_arrays(engine):
     ]
 
 
+def _recorded_steps(engine):
+    """Record each ``step_batch`` of ``engine``; returns the list it fills."""
+    batches = []
+    step_batch = engine.step_batch
+
+    def recorded():
+        batch = step_batch()
+        batches.append(batch)
+        return batch
+
+    engine.step_batch = recorded
+    return batches
+
+
+def _event_keys(batch):
+    """A step's events in order: kind, edge, and the vids involved (an
+    overtake's passer, then its passee)."""
+    keys = []
+    for event in batch.iter_events():
+        if type(event).__name__ == "OvertakeEvent":
+            keys.append(("overtake", event.edge, event.passer.vid, event.passee.vid))
+        else:
+            keys.append((type(event).__name__, event.vehicle.vid))
+    return keys
+
+
 @settings(
     max_examples=4,
     deadline=None,
@@ -292,13 +318,16 @@ def test_engine_occupancy_state_holds_every_step(
     occupancy_state_check, lanes, volume, through, patrol_cars, rng_seed
 ):
     """The vectorized engine's per-edge slot arrays and everything kept
-    beside them (lane bounds, head flags, pointer tables, occupied-edge and
-    waiting registries) must match a recomputation from the vehicles after
-    every step of a dense, open gated grid: border arrivals and exits,
+    beside them (lane bounds, head flags, pointer tables, placement
+    numbers, waiting registry) must match a recomputation from the vehicles
+    after every step of a dense, open gated grid: border arrivals and exits,
     patrol ferrying and overtaking all insert and remove slots.  A cc and a
-    NumPy simulation step in lockstep, and their lanes, bounds and
-    rankings must be equal after every step (where cc does not load, both
-    run NumPy)."""
+    NumPy simulation step in lockstep, and after every step their lanes,
+    bounds and rankings, the step's events (each overtake's passer and
+    passee included, in order) and the engine generator's state must be
+    equal: cc's lane pass draws from that generator in C, and its overtake
+    pass orders pairs by ``_seq`` where NumPy reads ``_occupancy`` (where
+    cc does not load, both run NumPy)."""
     from repro.core.patrol import PatrolPlan
 
     config = ScenarioConfig(
@@ -316,12 +345,17 @@ def test_engine_occupancy_state_holds_every_step(
         )
         for compiled in (True, False)
     ]
+    batches = [_recorded_steps(sim.engine) for sim in sims]
     for step in range(201):
         for sim in sims:
             if step:
                 sim.step()
             occupancy_state_check(sim.engine)
-        assert _slot_arrays(sims[0].engine) == _slot_arrays(sims[1].engine), step
+        cc, numpy = (sim.engine for sim in sims)
+        assert _slot_arrays(cc) == _slot_arrays(numpy), step
+        if step:
+            assert _event_keys(batches[0][-1]) == _event_keys(batches[1][-1]), step
+        assert cc.rng.bit_generator.state == numpy.rng.bit_generator.state, step
 
 
 @SLOW

@@ -5,24 +5,28 @@
 loads here it must reproduce the oracles *bit for bit* on randomized
 inputs — positions and speeds compared with ``array_equal`` (which
 distinguishes ``-0.0`` from ``0.0`` via the follow-up sign check), never
-``allclose``.  The pointer-table sweeps (``gather_all`` / ``rank_scan_all``
-/ ``lane_options``) are checked against their ctypes-dereferencing
-oracles.  The kernel has one calling convention, the engine's: every entry
-point takes one struct (``tables`` in C, ``_Tables`` in Python, whose
-layouts ``TestTablesLayout`` holds equal), filled once by
-``StepKernel.bind``, so each call passes only what varies.  Every test
-binds its own arrays through :func:`_bound`, which zero-fills every array
-it is not given and gives the ten model scalars distinct values, so a
-swapped scalar changes an oracle comparison.  The engine's compiler-less
-lane viability check (``lane_options_np``) is held to the same
-``lane_options`` oracle, so it runs on every host.  The occupancy transitions (``occ_enter`` /
-``occ_leave`` / ``occ_lane_move``) are held to the engine's NumPy splice
-pair instead: a cc engine and a ``compiled=False`` engine go through the
-same scripted entries, exits and lane moves, and every table either
-writes must be equal after each one.  Every entry point keeps the GIL
-(the library is a ``ctypes.PyDLL``): one test reads each symbol's flags,
-and another steps cc engines on six threads at a 10 µs switch interval
-against the same seeds stepped alone.
+``allclose``.  ``gather_all`` and the C routines inside the two passes
+(the lane pass's candidate predicate and lane viability check, the
+overtake pass's ranking scan) are checked against their oracles through
+the entry points that run them.  The kernel has one calling convention,
+the engine's: every entry point takes one struct (``tables`` in C,
+``_Tables`` in Python, whose layouts ``TestTablesLayout`` holds equal),
+filled once by ``StepKernel.bind``, so each call passes only what varies.
+Every test binds its own arrays through :func:`_bound`, which zero-fills
+every array it is not given and gives the eleven model scalars distinct
+values, so a swapped scalar changes an oracle comparison.  The engine's
+compiler-less lane viability check (``lane_options_np``) is held to the
+same ``lane_options`` oracle, so it runs on every host.  The lane pass
+draws from the engine generator's bit generator in C; ``TestBridge`` pins
+the NumPy behaviour that makes those draws the ``Generator`` methods'
+own, without a compiler.  The occupancy transitions (``occ_enter`` /
+``occ_leave``) and the two passes are held to the engine's NumPy path
+instead: a cc engine and a ``compiled=False`` engine go through the same
+scripted entries, exits, lane moves and passes, and every table either
+writes, every event and the generator's state must be equal after each
+one.  Every entry point keeps the GIL (the library is a ``ctypes.PyDLL``):
+one test reads each symbol's flags, and another steps cc engines on six
+threads at a 10 µs switch interval against the same seeds stepped alone.
 
 When cc does not load, the loader must return ``None`` with a recorded
 reason, the engine must run its NumPy path (``kernel_backend == "numpy"``)
@@ -66,7 +70,7 @@ from repro.mobility.kernels import (
 
 #: Model parameters whose seven derived struct scalars (dt 0.5, accel_dt
 #: 1.0, decel_dt 2.25, denom 0.8, 4.5, 2.0, 0.6) differ from each other and
-#: from the three in ``LANE_CHANGE``.
+#: from the four in ``LANE_CHANGE``.
 PARAMS = dict(
     dt_s=0.5,
     max_accel_mps2=2.0,
@@ -76,7 +80,7 @@ PARAMS = dict(
     min_gap_m=2.0,
     arrival_eps_m=0.6,
 )
-LANE_CHANGE = dict(blocked_m=12.0, gain_mps=1.25, gap_half_m=3.0)
+LANE_CHANGE = dict(blocked_m=12.0, gain_mps=1.25, gap_half_m=3.0, politeness=0.35)
 
 
 def _has_compiler():
@@ -93,38 +97,52 @@ def _cc_kernel():
 
 
 #: Every array :meth:`StepKernel.bind` takes, by dtype: slot-indexed and
-#: gather-aligned ones are ``n_slots`` long, edge-indexed ones ``n_edges``.
+#: gather-aligned ones are ``n_slots`` long (the row buffers ``n_slots``
+#: rows of three), edge-indexed ones ``n_edges``.
 _SLOT_ARRAYS = dict(
     idx_buf=np.intp, pos=np.float64, speed=np.float64, freeflow=np.float64,
-    seglen=np.float64, desired=np.float64, vid=np.int64, heads=np.uint8,
+    seglen=np.float64, desired=np.float64, vid=np.int64, seq=np.int64, heads=np.uint8,
     waitflag=np.uint8, multilane=np.uint8, newly_buf=bool, cand_buf=bool,
+    order_buf=np.int64,
 )
+_ROW_ARRAYS = ("moves_buf", "pairs_buf")
 _EDGE_ARRAYS = dict(
-    flags_buf=np.uint8, lane_ptr=np.int64, lane_len=np.int64, bounds_ptr=np.int64,
-    rank_ptr=np.int64, rank_elig=np.uint8, nlanes=np.int64, lane_cap=np.int64,
-    occ_lanes=np.int64,
+    lane_ptr=np.int64, lane_len=np.int64, bounds_ptr=np.int64, rank_ptr=np.int64,
+    rank_elig=np.uint8, nlanes=np.int64, lane_cap=np.int64, occ_lanes=np.int64,
 )
 
 
-def _bound(n_slots=1, n_edges=1, *, gap_half_m=LANE_CHANGE["gap_half_m"], **given):
-    """The cc kernel bound to the ``given`` arrays, every other one zero-filled.
+def _bound(n_slots=1, n_edges=1, *, bit_generator=None, **given):
+    """The cc kernel bound to the ``given`` arrays and model scalars (by
+    default ``LANE_CHANGE``'s), every other array zero-filled, drawing from
+    ``bit_generator`` (by default a fresh one).
 
     Returns the kernel and every bound array by name.  The kernel holds raw
     addresses, so the caller keeps the arrays alive while it calls.  Every
-    struct field must come out set, and the model scalars distinct.
+    address and count must come out set, and the default model scalars
+    distinct.
     """
     kernel = _cc_kernel()
+    scalars = {name: given.pop(name, value) for name, value in LANE_CHANGE.items()}
     arrays = {name: np.zeros(n_slots, dtype) for name, dtype in _SLOT_ARRAYS.items()}
+    arrays.update({name: np.zeros((n_slots, 3), np.int64) for name in _ROW_ARRAYS})
     arrays.update({name: np.zeros(n_edges, dtype) for name, dtype in _EDGE_ARRAYS.items()})
     arrays.update(given)
-    kernel.bind(**arrays, **dict(LANE_CHANGE, gap_half_m=gap_half_m))
+    if bit_generator is None:
+        bit_generator = np.random.PCG64(0)
+    kernel.bind(**arrays, bit_generator=bit_generator, **scalars)
     fields = kernel._tables._fields_
-    assert len(fields) == len(arrays) + 1 + 10
-    assert all(getattr(kernel._tables, name) for name, _ in fields)
-    scalars = [getattr(kernel._tables, name) for name, kind in fields
+    assert len(fields) == len(arrays) + 1 + 2 + 11  # bitgen, two counts, scalars
+    assert all(getattr(kernel._tables, name) for name, kind in fields
+               if kind is not ctypes.c_double)
+    doubles = [getattr(kernel._tables, name) for name, kind in fields
                if kind is ctypes.c_double]
-    assert len(scalars) == 10 and len(set(scalars)) == 10, scalars
+    assert len(doubles) == 11, doubles
+    if scalars == LANE_CHANGE:
+        assert all(doubles) and len(set(doubles)) == 11, doubles
     assert kernel._tables.n_edges == n_edges
+    assert kernel._tables.pair_cap == arrays["pairs_buf"].shape[0]
+    assert kernel._tables.bitgen == bit_generator.ctypes.bit_generator.value
     return kernel, arrays
 
 
@@ -161,17 +179,20 @@ def _advance_args():
     )
 
 
-def _c_struct_fields():
-    """The C ``tables`` struct's declarators in order, as ``(name, kind)``
-    pairs, the kind being ``pointer``, ``int64_t`` or ``double``."""
-    body = re.search(r"typedef struct \{(.*?)\} tables;", kernels._C_SOURCE, re.S).group(1)
+def _c_struct_fields(name="tables"):
+    """The declarators of the C struct typedef'd as ``name``, in order, as
+    ``(name, kind)`` pairs, the kind being ``pointer``, ``int64_t`` or
+    ``double`` (a function pointer is a ``pointer``)."""
+    body = re.search(r"typedef struct \{([^{}]*)\} %s;" % name, kernels._C_SOURCE).group(1)
+    body = re.sub(r"\(\*(\w+)\)\([^)]*\)", r"*\1", body)  # ret (*f)(args) -> ret *f
     fields = []
     for decl in filter(None, (d.strip() for d in body.split(";"))):
-        m = re.fullmatch(r"(?:const\s+)?(unsigned char|int64_t|double)\s+(.+)", decl, re.S)
+        m = re.fullmatch(
+            r"(?:const\s+)?(unsigned char|u?int\d+_t|double|void|bitgen_t)\s+(.+)", decl, re.S)
         assert m, decl
         for declarator in m.group(2).split(","):
-            star, name = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", declarator).groups()
-            fields.append((name, "pointer" if star else m.group(1)))
+            star, field = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*", declarator).groups()
+            fields.append((field, "pointer" if star else m.group(1)))
     return fields
 
 
@@ -191,6 +212,72 @@ class TestTablesLayout:
         entry = re.findall(r"^int64_t (\w+)\(\s*([^,)]*)", kernels._C_SOURCE, re.M)
         assert sorted(name for name, _ in entry) == sorted(name for name, _ in kernels._SYMBOLS)
         assert {first for _, first in entry} == {"const tables *t"}
+
+
+def _state(bits):
+    """A bit generator's state in a form ``==`` compares (Philox's holds
+    arrays)."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(bits.state)
+
+
+def _lemire(next_uint32, bound):
+    """``Generator.integers(bound)`` for ``1 <= bound < 2**32`` as NumPy
+    draws it: Lemire's multiply-and-reject on 32-bit draws, none at all for
+    ``bound == 1``."""
+    if bound == 1:
+        return 0
+    m = next_uint32() * bound
+    if m & 0xFFFFFFFF < bound:
+        threshold = (0xFFFFFFFF - (bound - 1)) % bound
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32() * bound
+    return m >> 32
+
+
+class TestBridge:
+    """The NumPy behaviour the lane pass's draws rely on.  C calls the
+    generator's ``bitgen_t`` function pointers, which ``BitGenerator.ctypes``
+    exposes to Python too, so this runs on every host: one of two
+    same-seeded generators draws through ``Generator``, the other through
+    the pointers, interleaved, and their states must end equal."""
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: np.random.PCG64(seed),
+        lambda seed: np.random.Philox(seed + 7),
+    ], ids=["pcg64", "philox"])
+    def test_pointer_draws_are_the_generator_methods(self, make):
+        plans = np.random.default_rng(2024)
+        for seed in range(100):
+            gen, bits = np.random.Generator(make(seed)), make(seed)
+            iface = bits.ctypes
+            state = iface.state
+            for bound in plans.integers(0, 5, 200).tolist():
+                if bound == 0:
+                    assert iface.next_double(state) == gen.random()
+                else:
+                    drawn = _lemire(lambda: iface.next_uint32(state), bound)
+                    assert drawn == gen.integers(bound), (seed, bound)
+            assert _state(bits) == _state(gen.bit_generator), seed
+
+    def test_the_c_bitgen_t_is_numpys_layout(self):
+        """Read through the C ``bitgen_t`` declaration, a bit generator's
+        struct holds the addresses its ``ctypes`` interface reports, so C
+        calls the very functions the test above pins."""
+        fields = _c_struct_fields("bitgen_t")
+        assert [kind for _, kind in fields] == ["pointer"] * len(fields)
+        layout = type("BitgenT", (ctypes.Structure,),
+                      {"_fields_": [(name, ctypes.c_void_p) for name, _ in fields]})
+        for bits in (np.random.PCG64(1), np.random.Philox(7)):
+            iface = bits.ctypes
+            struct = layout.from_address(iface.bit_generator.value)
+            assert struct.state == iface.state.value
+            for name in ("next_uint64", "next_uint32", "next_double"):
+                address = ctypes.cast(getattr(iface, name), ctypes.c_void_p).value
+                assert getattr(struct, name) == address, name
 
 
 class TestAdvanceChain:
@@ -228,6 +315,11 @@ class TestAdvanceChain:
 
 
 class TestLaneChangeCandidates:
+    """The lane pass's blocked-follower predicate against its oracle.  The
+    gather is one edge's single lane, so each candidate draws its politeness
+    veto and then finds no neighbour lane: the pass moves nothing and draws
+    one double per candidate."""
+
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_cc_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -244,12 +336,20 @@ class TestLaneChangeCandidates:
             idx, pos, speed, desired, multilane, heads, cand_a,
             LANE_CHANGE["blocked_m"], LANE_CHANGE["gain_mps"],
         )
+        assert ref, "no candidates — not a real check"
+        lane = idx.astype(np.int64)
+        bounds = np.array([0, n], dtype=np.int64)
+        bits, twin = np.random.PCG64(seed), np.random.Generator(np.random.PCG64(seed))
         kernel, _ = _bound(
             n, idx_buf=idx, pos=pos, speed=speed, desired=desired,
             multilane=multilane, heads=heads, cand_buf=cand_b,
+            lane_ptr=np.array([lane.ctypes.data]), bounds_ptr=np.array([bounds.ctypes.data]),
+            lane_len=np.array([n]), nlanes=np.array([1]), bit_generator=bits,
         )
-        assert kernel.candidates_bound(n) == ref
+        assert kernel.lane_pass_bound(n) == 0
         assert np.array_equal(cand_a, cand_b)
+        twin.random(ref)
+        assert _state(bits) == _state(twin.bit_generator)
 
 
 # ------------------------------------------------------------ pointer tables
@@ -298,18 +398,28 @@ class TestGatherAll:
 
 
 def _rank_scan(elig, ptrs, lens, pos, vid):
-    """Flags from the oracle and from cc (bound) on the same tables."""
+    """The oracle's flags, checked against the edges cc's overtake pass
+    reports pairs on, on the same tables.  The pass must also leave every
+    flagged ranking sorted, so a second call reports nothing."""
     n_edges = elig.shape[0]
-    flags_a = np.zeros(n_edges, dtype=np.uint8)
-    flags_b = np.zeros(n_edges, dtype=np.uint8)
-    ref = rank_scan_all_py(elig, ptrs, lens, pos, vid, flags_a)
+    flags = np.zeros(n_edges, dtype=np.uint8)
+    ref = rank_scan_all_py(elig, ptrs, lens, pos, vid, flags)
+    pairs = np.zeros((int((lens * lens).sum()) + 1, 3), dtype=np.int64)
     kernel, _ = _bound(
         pos.shape[0], n_edges, pos=pos, vid=vid, rank_ptr=ptrs, lane_len=lens,
-        rank_elig=elig, flags_buf=flags_b,
+        rank_elig=elig, pairs_buf=pairs,
     )
-    assert kernel.rank_all_bound() == ref
-    assert np.array_equal(flags_a, flags_b)
-    return flags_b
+    got = kernel.overtake_bound()
+    assert got >= 0
+    reported = np.zeros(n_edges, dtype=np.uint8)
+    reported[pairs[:got, 0]] = 1
+    assert np.array_equal(reported, flags) and int(reported.sum()) == ref
+    for e in np.flatnonzero(flags).tolist():
+        ranking = kernels._deref_i64(int(ptrs[e]), int(lens[e]))
+        keys = list(zip(pos[ranking].tolist(), vid[ranking].tolist()))
+        assert keys == sorted(keys), e
+    assert kernel.overtake_bound() == 0
+    return flags
 
 
 class TestRankScanAll:
@@ -350,22 +460,68 @@ class TestRankScanAll:
         assert np.array_equal(flags, expected)
 
 
+def _lane_options_cc(e, lane, own, half, edges, nlanes, pos):
+    """cc's viability bits for a candidate at ``own`` in ``lane`` of edge
+    ``e``, read back from the lane pass.
+
+    The pass runs on one edge with ``edges[e]``'s lanes, plus a slow leader
+    and the candidate put at the front of ``lane``, and at politeness 0,
+    so the candidate always asks for a lane.  Bits 0 leave it in place; 1
+    and 2 move it up or down without a tie draw; 3 moves it as the tie
+    draw says.  The generator must have drawn exactly that.
+    """
+    slots, bounds = edges[e]
+    nl = int(nlanes[e])
+    lead, cand = pos.shape[0], pos.shape[0] + 1
+    front = int(bounds[lane])
+    table = np.concatenate([slots[:front], [lead, cand], slots[front:bounds[nl]]])
+    table = table.astype(np.int64)
+    shifted = bounds.copy()
+    shifted[lane + 1:] += 2
+    n_slots, n = pos.shape[0] + 2, table.shape[0]
+    columns = dict(pos=np.concatenate([pos, [own + 1.0, own]]), speed=np.zeros(n_slots),
+                   desired=np.zeros(n_slots), multilane=np.zeros(n_slots, np.uint8))
+    columns["desired"][cand] = 100.0
+    columns["multilane"][cand] = 1
+    bits, twin = np.random.PCG64(e), np.random.Generator(np.random.PCG64(e))
+    idx = np.zeros(n_slots, dtype=np.intp)  # the gather: this one edge
+    idx[:n] = table
+    kernel, arrays = _bound(
+        n_slots, 1, idx_buf=idx, **columns, lane_ptr=np.array([table.ctypes.data]),
+        bounds_ptr=np.array([shifted.ctypes.data]), lane_len=np.array([n]),
+        nlanes=np.array([nl]), gap_half_m=half, politeness=0.0, bit_generator=bits,
+    )
+    moved = kernel.lane_pass_bound(n)
+    twin.random()
+    if moved == 0:
+        ret = 0
+    else:
+        assert moved == 1
+        slot, frm, to = arrays["moves_buf"][0].tolist()
+        assert (slot, frm) == (cand, lane) and to in (lane - 1, lane + 1)
+        if _state(bits) == _state(twin.bit_generator):
+            ret = 1 if to == lane + 1 else 2
+        else:
+            assert to == (lane + 1 if twin.integers(2) == 0 else lane - 1)
+            ret = 3
+    assert _state(bits) == _state(twin.bit_generator)
+    return ret
+
+
 def _lane_options(backend, e, lane, own, half, edges, gptrs, bptrs, nlanes, pos):
-    """One viability implementation: cc reads edge ``e`` through the pointer
-    and lane-count tables, NumPy takes its ``(slots, bounds)`` arrays from
-    ``edges`` and its lane count from ``nlanes``."""
+    """One viability implementation: cc through the lane pass, NumPy on
+    edge ``e``'s ``(slots, bounds)`` arrays from ``edges`` and its lane
+    count from ``nlanes`` (``gptrs``/``bptrs`` address the same arrays, for
+    the oracle)."""
     if backend == "cc":
-        kernel, _ = _bound(
-            pos.shape[0], gptrs.shape[0], pos=pos, lane_ptr=gptrs, bounds_ptr=bptrs,
-            nlanes=nlanes, gap_half_m=half,
-        )
-        return kernel.lane_opts_bound(e, lane, own)
+        return _lane_options_cc(e, lane, own, half, edges, nlanes, pos)
     slots, bounds = edges[e]
     return lane_options_np(lane, int(nlanes[e]), own, half, slots, bounds, pos)
 
 
 class TestLaneOptions:
-    """cc and the NumPy check against the oracle; only cc may skip."""
+    """cc (inside the lane pass) and the NumPy check against the oracle;
+    only cc may skip."""
 
     @pytest.mark.parametrize("backend", ["cc", "numpy"])
     @pytest.mark.parametrize("seed", [1, 8, 17])
@@ -433,7 +589,8 @@ def _occupancy_tables(eng):
     """Everything an occupancy transition writes, in comparable form: each
     edge's live lane prefix, bounds, length, capacity and ranking, the
     occupied-lane counts and scan eligibility, the head flags of the slots
-    on an edge and the resident columns ``occ_enter`` writes."""
+    on an edge, the resident columns ``occ_enter`` writes, every vehicle's
+    lane and the engine generator's state."""
     edges = []
     for ei, seg in enumerate(eng._segs):
         k = int(eng._lane_len[ei])
@@ -442,30 +599,37 @@ def _occupancy_tables(eng):
                       k, int(eng._lane_cap[ei]), ranking))
     on_edge = sorted(v.slot for v in eng._vehicles.values() if v.edge is not None)
     slots = sorted(v.slot for v in eng._vehicles.values())
-    columns = (eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._ml, eng._wait_flag)
+    columns = (eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._seq, eng._ml,
+               eng._wait_flag)
     return dict(
         edges=edges,
         occ_lanes=eng._occ_lanes.tolist(),
         rank_elig=eng._rank_elig.tolist(),
         heads=eng._is_head[on_edge].tolist(),
         columns=[col[slots].tobytes() for col in columns],
+        lanes=sorted((v.vid, v.lane) for v in eng._vehicles.values()),
+        rng=_state(eng.rng.bit_generator),
     )
 
 
 class _Twins:
     """A cc engine and a ``compiled=False`` engine on twin networks, driven
     through the same scripted transitions — ``_place``,
-    ``_remove_from_edge`` and ``_apply_lane_moves`` — and compared after
-    every one of them."""
+    ``_remove_from_edge``, lane moves and the two passes — and compared
+    after every one of them.  A scripted lane move (:meth:`move`) is the
+    NumPy splice pair on both engines: cc moves lanes only inside its lane
+    pass, which :meth:`step` runs."""
 
-    def __init__(self, lanes=2, seed=0):
+    def __init__(self, lanes=2, seed=0, politeness=None):
+        from repro.mobility.car_following import LaneChangeModel
         from repro.mobility.engine import TrafficEngine
         from repro.roadnet.builders import grid_network
 
         _cc_kernel()
+        model = {} if politeness is None else dict(politeness=politeness)
         self.engines = [
             TrafficEngine(grid_network(2, 3, lanes=lanes), np.random.default_rng(seed),
-                          compiled=compiled)
+                          compiled=compiled, lane_change=LaneChangeModel(**model))
             for compiled in (True, False)
         ]
         assert [e.kernel_backend for e in self.engines] == ["cc", "numpy"]
@@ -480,10 +644,10 @@ class _Twins:
         cc, ref = (_occupancy_tables(e) for e in self.engines)
         assert cc == ref
 
-    def each(self, fn):
+    def each(self, fn, both=False):
         out = [fn(eng) for eng in self.engines]
         self.check()
-        return out[0]
+        return out if both else out[0]
 
     def spawn(self, speed=6.0, origin=(0, 0), destination=(1, 2)):
         """A vehicle entering at 0.0 m on its route's first edge; its vid."""
@@ -517,6 +681,28 @@ class _Twins:
         self.each(lambda eng: eng._apply_lane_moves(
             self.edge_of(vid), [(eng._vehicles[vid], target)]))
 
+    def put(self, vid, edge, lane, pos):
+        """Move vehicle ``vid`` to ``pos`` in ``lane`` of ``edge``."""
+        self.relocate(vid, edge, pos)
+        if self.cc._vehicles[vid].lane != lane:
+            self.move(vid, lane)
+
+    def step(self):
+        """One engine step on both; the events, as (kind, edge, vids)."""
+        logs = self.each(lambda eng: [_event_key(e) for e in eng.step()], both=True)
+        assert logs[0] == logs[1]
+        return logs[0]
+
+    def overtakes(self):
+        """One overtake pass on both, outside a step; its events."""
+        def run(eng):
+            events = []
+            eng._detect_overtakes_fast(events)
+            return [_event_key(e) for e in events]
+        logs = self.each(run, both=True)
+        assert logs[0] == logs[1]
+        return logs[0]
+
     def lanes(self, ei):
         """Edge ``ei``'s lanes on the cc engine, as vid lists."""
         eng = self.cc
@@ -527,6 +713,14 @@ class _Twins:
     def ranking(self, ei):
         eng = self.cc
         return eng._vid[eng._rank_store[ei][:eng._lane_len[ei]]].tolist()
+
+
+def _event_key(event):
+    """An engine event as its kind, edge or node, and vids, in a form ``==``
+    compares across engines."""
+    if type(event).__name__ == "OvertakeEvent":
+        return ("overtake", event.edge, event.passer.vid, event.passee.vid)
+    return (type(event).__name__, event.vehicle.vid, getattr(event, "node", None))
 
 
 #: The first edge of every ``_Twins.spawn`` route from (0, 0) to (1, 2).
@@ -610,7 +804,7 @@ class TestOccupancyTransitions:
         assert eng._lane_len[ei] == eng._lane_cap[ei] == 4
 
         def everything():
-            arrays = [eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._ml,
+            arrays = [eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._seq, eng._ml,
                       eng._wait_flag, eng._is_head, eng._lane_ptr, eng._rank_ptr,
                       eng._lane_len, eng._lane_cap, eng._occ_lanes, eng._rank_elig,
                       eng._lane_store[ei], eng._rank_store[ei], eng._bounds_np[ei]]
@@ -619,7 +813,7 @@ class TestOccupancyTransitions:
         before = everything()
         free_slot = eng._capacity - 1
         assert eng._slot_vehicle[free_slot] is None
-        assert eng._kernel.occ_enter_bound(ei, 0, free_slot, 1.0, 2.0, 3.0, 50.0) == -1
+        assert eng._kernel.occ_enter_bound(ei, 0, free_slot, 99, 1.0, 2.0, 3.0, 50.0) == -1
         assert everything() == before
         twins.spawn()
         assert eng._lane_len[ei] == 5 and eng._lane_cap[ei] == 8
@@ -640,7 +834,9 @@ class TestOccupancyTransitions:
 
     def test_walk_matches_on_keys_tied_in_position_and_vid(self):
         """The C lane walk is the Python walk on any input, even keys tied
-        on position *and* vid, which only a direct write can make."""
+        on position *and* vid, which only a direct write can make: ``a``,
+        given ``b``'s vid, re-enters at ``b``'s position until it lands in
+        ``b``'s lane."""
         twins = _Twins(2, seed=1)
         a, b = twins.spawn(), twins.spawn()
         ei = twins.edge_of(a)
@@ -651,8 +847,108 @@ class TestOccupancyTransitions:
             eng._vid[va.slot] = vb.vid
 
         twins.each(tie)
-        twins.move(a, 1)
-        twins.move(a, 0)
+        eng = twins.cc
+        for _ in range(20):
+            twins.relocate(a, _FIRST, 0.0)
+            if eng._vehicles[a].lane == 1:
+                break
+        assert eng._vehicles[a].lane == 1
+        slots = [eng._vehicles[vid].slot for vid in (a, b)]
+        assert eng._lane_store[ei][:2].tolist() == slots
+
+
+class TestLanePass:
+    """cc's ``lane_change_pass`` against the NumPy pass, through an engine
+    step on twin engines.  A slow leader and a fast follower 10 m behind it
+    sit on edge 0 in lane 1, where both neighbour lanes are free, and on
+    edge 10 in lane 0, where only lane 1 is; a lone vehicle on edge 4 lies
+    between them in the gather.  At politeness 1 both followers are
+    vetoed; at politeness 0 the first draws its tie and the second moves
+    up.  The pass must draw what the ``Generator`` methods would."""
+
+    @pytest.mark.parametrize("politeness", [0.0, 1.0])
+    def test_two_candidates_on_two_edges(self, politeness):
+        twins = _Twins(3, politeness=politeness)
+        scene = []
+        for edge, lane in ((((0, 0), (0, 1)), 1), (((1, 0), (1, 1)), 0)):
+            leader, follower = twins.spawn(speed=4.0), twins.spawn(speed=12.0)
+            twins.put(leader, edge, lane, 30.0)
+            twins.put(follower, edge, lane, 20.0)
+            scene.append((lane, follower))
+        twins.put(twins.spawn(), ((0, 1), (0, 2)), 0, 50.0)
+        eng = twins.cc
+        assert [twins.edge_of(follower) for _, follower in scene] == [0, 10]
+        expect = np.random.Generator(np.random.PCG64())
+        expect.bit_generator.state = eng.rng.bit_generator.state
+        assert twins.step() == []
+        for lane, follower in scene:
+            if expect.random() < politeness:
+                target = lane
+            elif lane == 1:
+                target = lane + 1 if expect.integers(2) == 0 else lane - 1
+            else:
+                target = lane + 1
+            assert eng._vehicles[follower].lane == target
+        assert _state(eng.rng.bit_generator) == _state(expect.bit_generator)
+
+
+class TestOvertakePass:
+    """cc's ``overtake_pass`` against ``_emit_overtakes`` on twin engines."""
+
+    def test_pairs_come_out_in_placement_order(self):
+        """``x`` passes ``z`` and ``y``, which entered before and after it:
+        the pairs follow the edge's placement order, z, x, y, which cc reads
+        from ``_seq`` and NumPy from ``_occupancy``, not the vid order x, y,
+        z."""
+        twins = _Twins(3)
+        x, y, z = (twins.spawn() for _ in range(3))
+        edge = ((1, 0), (1, 1))
+        for vid, lane, pos in ((z, 0, 40.0), (x, 1, 20.0), (y, 2, 30.0)):
+            twins.put(vid, edge, lane, pos)
+        assert twins.overtakes() == []
+
+        def pull_ahead(eng):
+            eng._pos[eng._vehicles[x].slot] = 50.0
+
+        twins.each(pull_ahead)
+        assert twins.overtakes() == [("overtake", edge, x, z), ("overtake", edge, x, y)]
+
+    def test_pairs_outnumbering_the_buffer_all_come_out(self):
+        """Sixteen vehicles on edge 10, lanes 0, 1 and 2 front to back,
+        reverse their lane blocks at once: 85 pairs, more than the 64 rows a
+        64-slot fleet starts with.  One pair on edge 0 comes first, so the
+        pass stops after writing it, and carries on after the buffer
+        grows."""
+        twins = _Twins(3)
+        small, big = ((0, 0), (0, 1)), ((1, 0), (1, 1))
+        pair = [twins.spawn() for _ in range(2)]
+        for lane, vid in enumerate(pair):
+            twins.put(vid, small, lane, 60.0 - 10.0 * lane)
+        blocks = [[twins.spawn(origin=(1, 0)) for _ in range(size)] for size in (6, 5, 5)]
+        front = 150.0
+        for lane, block in enumerate(blocks):
+            for vid in block:
+                twins.put(vid, big, lane, front)
+                front -= 8.0
+        assert twins.overtakes() == []
+        cc = twins.cc
+        rows = cc._pairs_buf.shape[0]
+        assert rows == cc._capacity == 64
+
+        def reverse(eng):
+            slot = {vid: eng._vehicles[vid].slot for vid in pair + sum(blocks, [])}
+            eng._pos[[slot[vid] for vid in pair]] = [50.0, 60.0]
+            spots = iter(np.arange(150.0, 0.0, -8.0).tolist())
+            for block in blocks[::-1]:
+                for vid in block:
+                    eng._pos[slot[vid]] = next(spots)
+
+        twins.each(reverse)
+        events = twins.overtakes()
+        assert events[0] == ("overtake", small, pair[1], pair[0])
+        assert len(events) == 1 + 6 * 5 + 6 * 5 + 5 * 5 > rows
+        assert cc._pairs_buf.shape[0] > rows
+        assert twins.overtakes() == []
 
 
 # ------------------------------------------------------------ fallback
@@ -910,6 +1206,7 @@ class TestHoldsTheGil:
         if not available_backends():
             pytest.skip(f"cc kernel unavailable here: {fallback_reason()}")
         lib = kernels._resolve().lib
+        assert sorted(lib._fields) == sorted(name for name, _ in kernels._SYMBOLS)
         released = [name for name in lib._fields
                     if not getattr(lib, name)._flags_ & ctypes._FUNCFLAG_PYTHONAPI]
         assert released == []
