@@ -25,8 +25,9 @@ free speed, segment length, desired speed, vid, lane-head and multilane
 flags).  Each edge's occupancy is two slot arrays, the live prefixes of
 grow-only buffers: its lanes front to back, which is the gather order,
 and on multilane edges its overtake ranking.  Entering, leaving and
-changing lanes each update them in place in one call, a native one with
-cc and an insert/remove pair in NumPy otherwise.  A step gathers every
+changing lanes each update them in place: with cc inside a native pass
+(the transit pass's rows, the lane pass's moves), with an insert/remove
+pair in NumPy otherwise.  A step gathers every
 non-empty edge's lane array, in edge order, and scatters back with one
 bulk write; nothing is rebuilt.  The ``Vehicle`` objects' kinematic fields
 become lazily synced mirrors (refreshed by any public accessor; see
@@ -46,7 +47,12 @@ pairs.  With cc each of these two passes is one native call, the lane pass
 drawing from the engine generator's own bit generator; the NumPy path runs
 them in Python (:meth:`TrafficEngine._lane_change_batch`,
 :meth:`TrafficEngine._emit_overtakes`), their oracle.  Intersections only
-consider the vehicles actually waiting at a stop line.  In batched mode
+consider the vehicles actually waiting at a stop line, lane heads all.
+With cc the intersection phase is two native calls, admission and then the
+step's transitions with their lane draws, around the crossings' Python
+decisions (:meth:`TrafficEngine._process_intersections_cc`); the NumPy
+path (:meth:`TrafficEngine._process_intersections_indexed`) is their
+oracle.  In batched mode
 :meth:`TrafficEngine.step_batch` emits plain crossings as index arrays
 (:class:`~repro.mobility.events.StepBatch`) consumed directly by the
 counting protocol — no per-crossing event objects.
@@ -94,6 +100,10 @@ _INITIAL_CAPACITY = 64
 #: first insert finds it full and allocates the edge its own buffer.
 _NO_SLOTS = np.empty(0, dtype=np.intp)
 
+#: What :meth:`TrafficEngine._cross` returns for a vehicle that exits: no
+#: edge entered, no placement number.
+_EXITED = (-1, -1)
+
 
 def _splice_out(buf: np.ndarray, k: int, i: int) -> None:
     """Delete index ``i`` of the ``k``-slot live prefix of ``buf``."""
@@ -132,9 +142,11 @@ class TrafficEngine:
         The (frozen) road network.
     rng:
         Random generator for placement, lane choice and lane-change noise.
-        With cc the lane-change pass draws from its bit generator in C,
-        bound at construction, so do not replace :attr:`rng` on a live
-        engine.
+        With cc the lane-change and transit passes draw from its bit
+        generator in C, bound at construction, so do not replace
+        :attr:`rng` on a live engine.  The transit pass draws a step's
+        placement lanes after every crossing's next hop is decided, so a
+        router must not draw from this generator.
     dt_s:
         Simulation step in seconds.
     policy:
@@ -153,8 +165,10 @@ class TrafficEngine:
     compiled:
         Use the compiled inner step kernel (:mod:`repro.mobility.kernels`,
         default): the gather, the lane-change pass, the whole advance
-        recurrence and the overtake pass each run as one native call into a
-        small C library built with the system compiler on first use.  When it cannot load, the engine runs its NumPy path,
+        recurrence, the overtake pass, the intersection admission and the
+        step's transitions each run as one native call into a small C
+        library built with the system compiler on first use.  When it
+        cannot load, the engine runs its NumPy path,
         bit-for-bit identical and slower, and the first such fallback in a
         process warns with the reason.  :attr:`kernel_backend` says which
         path runs and :attr:`kernel_fallback_reason` why it is not cc.
@@ -178,11 +192,14 @@ class TrafficEngine:
         if not net.frozen:
             net.freeze()
         self.net = net
+        # The network is frozen, so its gates are fixed (``net.gates`` copies).
+        self._gates = net.gates
         self.rng = rng
-        # cc's lane pass draws from this bit generator, bound once here.
+        # cc's lane and transit passes draw from this bit generator, bound
+        # once here.
         self._bit_generator = rng.bit_generator
         self.dt_s = float(dt_s)
-        self.default_policy = policy if policy is not None else simple_policy()
+        self._default_policy = policy if policy is not None else simple_policy()
         self.car_following = car_following if car_following is not None else SimplifiedIDM()
         self.lane_change = lane_change if lane_change is not None else LaneChangeModel()
         self.allow_overtaking = bool(allow_overtaking)
@@ -222,8 +239,29 @@ class TrafficEngine:
         # multilane segment.
         self._multilane_net = any(seg.lanes > 1 for seg in self._segs)
         # Sparse: edges with vehicles waiting at the stop line, and those
-        # vehicles themselves (always their lane's head).
+        # vehicles themselves (always their lane's head).  The NumPy path's
+        # admission reads it; cc's reads the lane heads' ``_wait_flag``.
         self._waiting: Dict[Tuple[object, object], List[Vehicle]] = {}
+        # Intersection tables for cc's admission and transit passes: each
+        # edge's head node index, length and speed limit, and each node's
+        # crossing delay and admissions per step, which
+        # set_intersection_policy keeps current; then the admission pass's
+        # per-node scratch (a mark, -1 between calls, and a two-column
+        # buffer).
+        self._nodes: List[object] = list(net.nodes)
+        self._node_index = {node: i for i, node in enumerate(self._nodes)}
+        self._head_node = np.array(
+            [self._node_index[seg.head] for seg in self._segs], dtype=np.int64
+        )
+        self._edge_len = np.array([seg.length_m for seg in self._segs], dtype=np.float64)
+        self._edge_limit = np.array(
+            [seg.speed_limit_mps for seg in self._segs], dtype=np.float64
+        )
+        n_nodes = len(self._nodes)
+        self._delay = np.full(n_nodes, self._default_policy.crossing_delay_s, dtype=np.float64)
+        self._adm = np.full(n_nodes, self._default_policy.admissions_per_step, dtype=np.int64)
+        self._node_mark = np.full(n_nodes, -1, dtype=np.int64)
+        self._node_buf = np.empty((n_nodes, 2), dtype=np.int64)
 
         # Resident structure-of-arrays state (vectorized engine only).  One
         # slot per vehicle currently inside, allocated from a free list and
@@ -253,8 +291,10 @@ class TrafficEngine:
         #: mirror of ``waiting_since_s is not None`` per slot, so the fast
         #: advance can mask already-waiting vehicles without touching the
         #: Vehicle objects (cleared on every placement, set when a vehicle
-        #: reaches a stop line).
+        #: reaches a stop line), and ``_since``, the mirror of
+        #: ``waiting_since_s`` where it is set; cc's advance writes both.
         self._wait_flag = np.empty(0, dtype=bool)
+        self._since = np.empty(0, dtype=np.float64)
         # Per-edge occupancy (vectorized engine only) — the state itself,
         # not a cache of it: each edge's buffers and live length
         # ``_lane_len[e]``.  ``_lane_store[e][:_lane_len[e]]`` holds the
@@ -279,14 +319,20 @@ class TrafficEngine:
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
         # arrival mask and, for cc's passes, the lane-change candidate mask,
-        # the lane moves as (slot, from, to) rows, and the overtake pass's
-        # sort order.  The compiled kernel binds them once per capacity
-        # change, so each per-step native call passes only the count.
+        # the lane moves as (slot, from, to) rows, the sort order of the
+        # overtake and admission passes, the admission candidates as (slot,
+        # edge, lane) rows and the transition rows, (slot, source edge,
+        # lane, node, target edge, placement number), which Python reaches
+        # through ``_rows``, a flat view made when the kernel binds them.
+        # The compiled kernel binds them once per capacity change, so each
+        # per-step native call passes only the count.
         self._idx_buf = np.empty(0, dtype=np.intp)
         self._newly_buf = np.empty(0, dtype=bool)
         self._cand_buf = np.empty(0, dtype=bool)
         self._moves_buf = np.empty((0, 3), dtype=np.int64)
         self._order_buf = np.empty(0, dtype=np.int64)
+        self._cands_buf = np.empty((0, 3), dtype=np.int64)
+        self._rows_buf = np.empty((0, 6), dtype=np.int64)
         # cc's overtake pairs, (edge, passer slot, passee slot) rows: at
         # least a row per slot, doubled whenever one step's pairs overflow.
         self._pairs_buf = np.empty((0, 3), dtype=np.int64)
@@ -340,14 +386,26 @@ class TrafficEngine:
         return fallback_reason()
 
     # ----------------------------------------------------------- configure
+    @property
+    def default_policy(self) -> IntersectionPolicy:
+        """The admission policy of every intersection without an override.
+
+        Fixed at construction (cc's admission tables hold it); override
+        single intersections with :meth:`set_intersection_policy`.
+        """
+        return self._default_policy
+
     def set_intersection_policy(self, node: object, policy: IntersectionPolicy) -> None:
         """Override the admission policy of one intersection (e.g. a roundabout)."""
         if not self.net.has_node(node):
             raise MobilityError(f"unknown intersection {node!r}")
         self._policies[node] = policy
+        i = self._node_index[node]
+        self._delay[i] = policy.crossing_delay_s
+        self._adm[i] = policy.admissions_per_step
 
     def policy_for(self, node: object) -> IntersectionPolicy:
-        return self._policies.get(node, self.default_policy)
+        return self._policies.get(node, self._default_policy)
 
     # -------------------------------------------------------------- spawning
     def spawn_initial(self, specs: Iterable[VehicleSpec]) -> List[Vehicle]:
@@ -432,6 +490,7 @@ class TrafficEngine:
         self._is_head = np.concatenate((self._is_head, bpad))
         self._ml = np.concatenate((self._ml, bpad))
         self._wait_flag = np.concatenate((self._wait_flag, bpad))
+        self._since = np.concatenate((self._since, pad))
         self._slot_vehicle.extend([None] * extra)
         self._capacity = capacity
         self._idx_buf = np.empty(capacity, dtype=np.intp)
@@ -439,6 +498,8 @@ class TrafficEngine:
         self._cand_buf = np.empty(capacity, dtype=bool)
         self._moves_buf = np.empty((capacity, 3), dtype=np.int64)
         self._order_buf = np.empty(capacity, dtype=np.int64)
+        self._cands_buf = np.empty((capacity, 3), dtype=np.int64)
+        self._rows_buf = np.empty((capacity, 6), dtype=np.int64)
         if self._pairs_buf.shape[0] < capacity:
             self._pairs_buf = np.empty((capacity, 3), dtype=np.int64)
         if self._kernel is not None:
@@ -453,6 +514,10 @@ class TrafficEngine:
         """
         kernel = self._kernel
         assert kernel is not None
+        if self._rows_buf.size:
+            # Python reads and writes the transition rows through a flat
+            # int64 view, a fraction of the cost of NumPy's scalar indexing.
+            self._rows = memoryview(self._rows_buf).cast("B").cast("q")
         lc = self.lane_change
         kernel.bind(
             idx_buf=self._idx_buf,
@@ -460,6 +525,7 @@ class TrafficEngine:
             speed=self._speed,
             freeflow=self._freeflow,
             seglen=self._seglen,
+            since=self._since,
             desired=self._desired,
             vid=self._vid,
             seq=self._seq,
@@ -471,6 +537,8 @@ class TrafficEngine:
             moves_buf=self._moves_buf,
             order_buf=self._order_buf,
             pairs_buf=self._pairs_buf,
+            cands_buf=self._cands_buf,
+            rows_buf=self._rows_buf,
             lane_ptr=self._lane_ptr,
             lane_len=self._lane_len,
             bounds_ptr=self._bounds_ptr,
@@ -479,6 +547,13 @@ class TrafficEngine:
             nlanes=self._nlanes,
             lane_cap=self._lane_cap,
             occ_lanes=self._occ_lanes,
+            head_node=self._head_node,
+            edge_len=self._edge_len,
+            edge_limit=self._edge_limit,
+            delay=self._delay,
+            adm=self._adm,
+            node_mark=self._node_mark,
+            node_buf=self._node_buf,
             bit_generator=self._bit_generator,
             blocked_m=lc.blocked_distance_m,
             gain_mps=lc.speed_gain_threshold_mps,
@@ -553,43 +628,50 @@ class TrafficEngine:
                     )
                 )
             self.stats.crossings += 1
-            self._place(vehicle, spec.origin, next_node, pos_m=0.0)
+            pos = 0.0
         else:
             next_node = spec.router.next_hop(spec.origin, vehicle.plan, previous=None)
             seg = self.net.segment(spec.origin, next_node)
             pos = float(self.rng.uniform(0.0, seg.length_m * 0.9)) if initial else 0.0
-            self._place(vehicle, spec.origin, next_node, pos_m=pos)
+        ei, seq = self._place(vehicle, spec.origin, next_node, pos_m=pos)
+        if self._kernel is not None:
+            self._transit(vehicle, -1, ei, seq)
         return vehicle
 
-    def _place(self, vehicle: Vehicle, tail: object, head: object, *, pos_m: float) -> None:
+    def _place(
+        self, vehicle: Vehicle, tail: object, head: object, *, pos_m: float
+    ) -> Tuple[int, int]:
+        """Put ``vehicle`` on segment ``(tail, head)`` at ``pos_m`` (clamped
+        to its length), at half its free speed.
+
+        Returns the segment's edge index and the placement's number.  On cc
+        the slot arrays and the lane draw are left to the transition row the
+        caller runs (:meth:`_run_rows`), which sets ``vehicle.lane``; the
+        other engines draw the lane here, and the NumPy path splices the
+        slot in.
+        """
         seg = self._segments.get((tail, head))
         if seg is None:
             seg = self.net.segment(tail, head)  # raises MobilityError
         key = seg.key
         vehicle.edge = key
         lanes = seg.lanes
-        # integers(1) is 0 without a draw, so skipping it leaves the stream
-        # as it was (a unit test pins that NumPy behaviour).
-        vehicle.lane = int(self.rng.integers(lanes)) if lanes > 1 else 0
+        kernel = self._kernel
+        if kernel is None:
+            # integers(1) is 0 without a draw, so skipping it leaves the
+            # stream as it was (a unit test pins that NumPy behaviour).
+            vehicle.lane = int(self.rng.integers(lanes)) if lanes > 1 else 0
         vehicle.pos_m = min(pos_m, seg.length_m)
         free = min(vehicle.desired_speed_mps, seg.speed_limit_mps)
         vehicle.speed_mps = free * 0.5
         vehicle.previous_node = tail
         vehicle.waiting_since_s = None
         self._occupancy[key].append(vehicle.vid)
-        if self.vectorized:
-            ei = self._edge_order[key]
+        ei = self._edge_order[key]
+        seq = self._placements
+        self._placements = seq + 1
+        if kernel is None and self.vectorized:
             slot = vehicle.slot
-            seq = self._placements
-            self._placements = seq + 1
-            kernel = self._kernel
-            if kernel is not None:
-                state = (ei, vehicle.lane, slot, seq, vehicle.pos_m, vehicle.speed_mps,
-                         free, seg.length_m)
-                if kernel.occ_enter_bound(*state) < 0:
-                    self._grow_edge(ei)
-                    kernel.occ_enter_bound(*state)
-                return
             self._seq[slot] = seq
             self._pos[slot] = vehicle.pos_m
             self._speed[slot] = vehicle.speed_mps
@@ -600,38 +682,70 @@ class TrafficEngine:
             if lanes > 1:
                 self._rank_insert(ei, slot)
             self._lane_insert(ei, vehicle.lane, slot)
+        return ei, seq
 
-    def _remove_from_edge(self, vehicle: Vehicle) -> None:
+    def _leave_edge(self, vehicle: Vehicle) -> None:
+        """Take ``vehicle`` off its segment.
+
+        On cc the slot arrays are left to the transition row the caller
+        runs; the NumPy path splices the slot out and drops it from
+        ``_waiting``.
+        """
         edge = vehicle.edge
         self._occupancy[edge].remove(vehicle.vid)
         if self.vectorized:
-            ei = self._edge_order[edge]
             # Materialize the departing vehicle's kinematics so exit events
             # and the departed pool carry its final state even though the
             # resident arrays are the in-run source of truth.
             slot = vehicle.slot
-            vehicle.pos_m = float(self._pos[slot])
-            vehicle.speed_mps = float(self._speed[slot])
-            kernel = self._kernel
-            if kernel is not None:
-                kernel.occ_leave_bound(ei, vehicle.lane, slot)
-            else:
+            vehicle.pos_m = self._pos.item(slot)
+            vehicle.speed_mps = self._speed.item(slot)
+            if self._kernel is None:
+                ei = self._edge_order[edge]
                 self._wait_flag[slot] = False
                 if self._segs[ei].lanes > 1:
                     self._rank_remove(ei, slot)
                 self._lane_remove(ei, vehicle.lane, slot)
-            if vehicle.waiting_since_s is not None:
-                queue = self._waiting[edge]
-                queue.remove(vehicle)
-                if not queue:
-                    del self._waiting[edge]
+                if vehicle.waiting_since_s is not None:
+                    queue = self._waiting[edge]
+                    queue.remove(vehicle)
+                    if not queue:
+                        del self._waiting[edge]
+
+    def _run_rows(self, start: int, stop: int) -> None:
+        """Run transition rows ``start`` .. ``stop - 1`` of ``_rows_buf`` in
+        cc's transit pass, growing each target edge it finds full
+        (:meth:`_grow_edge`) and resuming at that row."""
+        kernel = self._kernel
+        assert kernel is not None
+        with self._bit_generator.lock:
+            while True:
+                got = kernel.transit_bound(start, stop - start)
+                if got >= 0:
+                    return
+                start = ~got
+                self._grow_edge(self._rows[6 * start + 4])
+
+    def _transit(self, vehicle: Vehicle, src: int, target: int, seq: int) -> None:
+        """One transition row, run now on cc: ``vehicle`` leaves its lane of
+        edge ``src`` (unless -1), then enters edge ``target`` (unless -1)
+        with placement number ``seq``, in the lane the pass draws, at 0 m
+        after a leave, as a crossing does, and otherwise at its ``pos_m``."""
+        slot = vehicle.slot
+        self._pos[slot] = vehicle.pos_m
+        rows = self._rows
+        rows[0], rows[1], rows[2], rows[3], rows[4], rows[5] = (
+            slot, src, vehicle.lane, -1, target, seq
+        )
+        self._run_rows(0, 1)
+        vehicle.lane = rows[2]
 
     # ------------------------------------------------ per-edge slot arrays
-    # The NumPy splice pair, also the oracle of cc's occupancy transitions.
+    # The NumPy splice pair, also the oracle of cc's transit pass.
     # The ranking is spliced first, while ``_lane_len`` is still its length.
     def _grow_edge(self, ei: int) -> None:
         """Double edge ``ei``'s lane and (multilane) ranking buffers, for the
-        NumPy splice and for cc's ``occ_enter`` alike, and rewrite their
+        NumPy splice and for cc's transit pass alike, and rewrite their
         pointer-table entries and ``_lane_cap``."""
         cap = int(self._lane_cap[ei])
         grown = max(4, 2 * cap)
@@ -825,7 +939,10 @@ class TrafficEngine:
     def _step_core(self, events: List) -> None:
         if self.vectorized:
             self._advance_segments_batch(events)
-            self._process_intersections_indexed(events)
+            if self._kernel is not None:
+                self._process_intersections_cc(events)
+            else:
+                self._process_intersections_indexed(events)
         else:
             self._advance_segments(events)
             self._process_intersections(events)
@@ -918,10 +1035,11 @@ class TrafficEngine:
                         assert mover is not None
                         mover.lane = lane
             # One native call: in-place resident-array sweep in gather
-            # order (the exact reference recurrence), arrival mask out.
-            # The return value is the newly-arrived count, so the
-            # no-arrival common case skips the mask reduction too.
-            n_newly = kernel.advance_bound(n)
+            # order (the exact reference recurrence), arrivals marked
+            # waiting, arrival mask out.  The return value is the
+            # newly-arrived count, so the no-arrival common case skips the
+            # mask reduction too.
+            n_newly = kernel.advance_bound(n, self.time_s)
             newly = self._newly_buf[:n] if n_newly else None
         else:
             pos = pos_a[idx]
@@ -995,14 +1113,23 @@ class TrafficEngine:
 
         if newly is not None:
             time_s = self.time_s
-            waiting = self._waiting
             slot_vehicle = self._slot_vehicle
-            for slot in idx[newly].tolist():
-                v = slot_vehicle[slot]
-                assert v is not None
-                v.waiting_since_s = time_s
-                wait_flag[slot] = True
-                waiting.setdefault(v.edge, []).append(v)
+            arrived = idx[newly]
+            if kernel is not None:
+                # The advance marked them; cc's admission reads the marks.
+                for slot in arrived.tolist():
+                    v = slot_vehicle[slot]
+                    assert v is not None
+                    v.waiting_since_s = time_s
+            else:
+                wait_flag[arrived] = True
+                self._since[arrived] = time_s
+                waiting = self._waiting
+                for slot in arrived.tolist():
+                    v = slot_vehicle[slot]
+                    assert v is not None
+                    v.waiting_since_s = time_s
+                    waiting.setdefault(v.edge, []).append(v)
 
         self._kinematics_stale = True
 
@@ -1350,6 +1477,38 @@ class TrafficEngine:
                     candidates.setdefault(node, []).append((v.waiting_since_s, v.vid, edge_key))
         self._admit(candidates, events)
 
+    def _process_intersections_cc(self, events: List[TrafficEvent]) -> None:
+        """The intersection phase on cc: two native calls around the
+        crossings' Python decisions.
+
+        The admission pass (the kernel's ``admit_pass``) fixes the step's
+        crossing set before any crossing runs and writes it as rows, (slot,
+        edge, lane, node), in the order :meth:`_process_intersections_indexed`
+        and :meth:`_admit` produce.  :meth:`_cross` then decides each row in
+        order (exit or next hop, the event, the bookkeeping) and gives it
+        its target edge and placement number.  The transit pass
+        (:meth:`_run_rows`) then runs the rows' leaves and entries, drawing
+        each entry's lane from the engine generator in row order, the
+        order the NumPy path draws them in, and the lanes are read back.
+        """
+        kernel = self._kernel
+        assert kernel is not None
+        m = kernel.admit_bound(self.time_s)
+        if not m:
+            return
+        rows = self._rows
+        slot_vehicle = self._slot_vehicle
+        nodes = self._nodes
+        crossing: List[Vehicle] = []
+        for r in range(0, 6 * m, 6):
+            vehicle = slot_vehicle[rows[r]]
+            assert vehicle is not None
+            crossing.append(vehicle)
+            rows[r + 4], rows[r + 5] = self._cross(vehicle, nodes[rows[r + 3]], events)
+        self._run_rows(0, m)
+        for r, vehicle in zip(range(2, 6 * m, 6), crossing):
+            vehicle.lane = rows[r]
+
     def _admit(
         self,
         candidates: Dict[object, List[Tuple[float, int, object]]],
@@ -1366,14 +1525,24 @@ class TrafficEngine:
                     continue
                 self._cross(vehicle, node, events)
 
-    def _cross(self, vehicle: Vehicle, node: object, events: List[TrafficEvent]) -> None:
+    def _cross(
+        self, vehicle: Vehicle, node: object, events: List[TrafficEvent]
+    ) -> Tuple[int, int]:
+        """Cross ``node`` from the vehicle's segment: exit through an
+        outbound gate, or enter the next hop's segment at 0 m, with its
+        event and bookkeeping.
+
+        Returns the entered segment's edge index and placement number
+        (:meth:`_place`), or ``(-1, -1)`` for an exit.  On cc the slot
+        arrays are left to the caller's transition row.
+        """
         assert vehicle.edge is not None
         tail = vehicle.edge[0]
-        self._remove_from_edge(vehicle)
+        self._leave_edge(vehicle)
         vehicle.edge = None
         vehicle.waiting_since_s = None
 
-        gate = self.net.gates.get(node)
+        gate = self._gates.get(node)
         wants_exit = vehicle.plan.exits_at == node and vehicle.plan.empty
         if gate is not None and gate.outbound and wants_exit and not vehicle.is_patrol:
             vehicle.exited_at_s = self.time_s
@@ -1393,7 +1562,7 @@ class TrafficEngine:
             else:
                 # Fast path: typed exit arrays, encoded as a negative index.
                 events.append(sink.add_exit(vehicle, node, tail))
-            return
+            return _EXITED
 
         assert vehicle.router is not None
         next_node = vehicle.router.next_hop(node, vehicle.plan, previous=tail)
@@ -1413,7 +1582,7 @@ class TrafficEngine:
             # Fast path: record the crossing in the step batch's parallel
             # arrays; the int index keeps the event-stream ordering.
             events.append(sink.add_crossing(vehicle, node, tail, next_node))
-        self._place(vehicle, node, next_node, pos_m=0.0)
+        return self._place(vehicle, node, next_node, pos_m=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -9,17 +9,44 @@ step into one native call (``advance_chain``): a single sequential sweep
 over the gathered columns, lane heads delimiting the chains — exactly the
 reference engine's per-vehicle operation sequence, so the result is
 bit-for-bit identical to both the scalar and the NumPy paths (the
-golden-trace suites pin this).  The other entry points are
-``gather_all``, which walks the engine's per-edge pointer tables; the two
-passes around the advance, ``lane_change_pass`` (the blocked-follower
-predicate, each candidate's target lane and RNG draws, the moves and the
-re-gather) and ``overtake_pass`` (the ranking scan, each inverted
-ranking's flipped pairs and its re-sort), the engine's NumPy
-``_lane_change_batch`` and ``_emit_overtakes`` in C, which stay its
-compiler-less path and their oracle; and the occupancy transitions
-``occ_enter`` and ``occ_leave``, one vehicle entering an edge or leaving
-it, with the semantics of the engine's NumPy splice pair
+golden-trace suites pin this); it also marks each vehicle that reaches
+its stop line waiting, since the ``now`` it is passed.  The other entry
+points are ``gather_all``, which walks the engine's per-edge pointer
+tables; the two passes around the advance, ``lane_change_pass`` (the
+blocked-follower predicate, each candidate's target lane and RNG draws,
+the moves and the re-gather) and ``overtake_pass`` (the ranking scan, each
+inverted ranking's flipped pairs and its re-sort), the engine's NumPy
+``_lane_change_batch`` and ``_emit_overtakes`` in C; and the two calls of
+the intersection phase, ``admit_pass`` (the step's crossing set, the
+engine's NumPy ``_process_intersections_indexed`` and ``_admit``) and
+``transit_pass`` (the crossings' leaves and entries with their lane
+draws, and any one spawn's entry).  The NumPy methods stay the engine's
+compiler-less path and the passes' oracles.  The transitions inside
+``transit_pass`` (the static helpers ``occ_enter`` and ``occ_leave``) have
+the semantics of the engine's NumPy splice pair
 (``TrafficEngine._lane_insert`` and friends, their oracle).
+
+The intersection phase
+----------------------
+On cc the engine runs Alg. 1's intersection phase as two native calls,
+with the decisions that must stay in Python between them, like the
+synchronous update of a probabilistic cellular automaton: the step's
+crossing set is fixed before any crossing runs, and the randomness is
+drawn in a fixed order.  ``admit_pass(now)`` walks each occupied edge's
+waiting lane heads in edge order and writes the admitted crossings as
+rows of ``rows_buf``, (slot, edge, lane, node), node by node in the order
+of their first candidate and, within a node, by (since, vid) up to its
+admissions per step.  The engine decides each row in order
+(``TrafficEngine._cross``: exit or next hop, the event, the bookkeeping)
+and fills in its target edge (-1 for an exit) and placement number.
+``transit_pass(start, m)`` then runs rows ``start`` to ``start + m - 1``:
+each slot leaves its source edge and, unless it exits, enters its target
+at 0 m in a lane drawn from the engine generator, which the row's lane
+column takes and the engine reads back.  A spawn is one row with no
+source edge (-1), entering at the position its slot holds.  When a
+row's target edge is full the pass returns ``~row``, having done nothing
+for that row; the engine grows the edge (``TrafficEngine._grow_edge``)
+and calls again from that row.
 
 The engine uses it by default (``MobilityConfig.compiled=True``).  The
 ladder is **cc → NumPy**, with ``vectorized=False`` the scalar reference
@@ -53,8 +80,13 @@ second run's worker and the NDJSON streamers woken by every step event
 wait for the GIL, each release would hand it over, one thread switch per
 call.  That sets a rule for every entry point: it holds the GIL, so it
 must never block or call into Python, and it must stay far below the
-interpreter's 5 ms switch interval (the longest sweep measured,
-``gather_all`` at 8,000 vehicles on the 11,132-edge city, takes 41 µs).
+interpreter's 5 ms switch interval.  The longest call measured is a
+``transit_pass`` call at the 25k-vehicle city (4,944 edges): 1.2 and
+1.8 ms, for 316 and 519 rows, in two runs of 200 steps whose next
+longest took 0.27 ms; a whole transition step, its growth retries and
+their Python between the calls included, took up to 2.3 ms (652 rows, 35
+retries).  The longest sweep, ``gather_all`` at 8,000 vehicles on the
+11,132-edge city, takes 41 µs.
 NumPy is not held to that rule: a sort such as ``np.lexsort`` releases
 the GIL even on a five-element array, so the Python overtake emission,
 which sorts each inverted ranking, can let a waiting thread in mid-step,
@@ -62,18 +94,25 @@ where the native pass holds it like every other call.
 
 Drawing from the engine's generator
 -----------------------------------
-``lane_change_pass`` draws from the engine's own generator: the struct
-holds the address of its bit generator's ``bitgen_t``
-(``rng.bit_generator.ctypes.bit_generator``, NumPy's interface for drawing
-from C), and the pass calls its function pointers.  ``Generator.random()``
-is one ``next_double`` call, and ``Generator.integers(2)`` is NumPy's
-Lemire step on one ``next_uint32`` call, so the stream, every event and
-the generator's state (PCG64's buffered 32-bit half included) stay bit for
-bit those of the NumPy pass; a unit test pins both facts through
-``BitGenerator.ctypes``, without a compiler.  The engine holds the bit
-generator's ``lock``, the lock every ``Generator`` method takes, across
-the call, and binds the generator once, at construction, so
-``engine.rng`` must not be replaced on a live engine.
+``lane_change_pass`` and ``transit_pass`` draw from the engine's own
+generator: the struct holds the address of its bit generator's
+``bitgen_t`` (:func:`bitgen_address` reads it from the bit generator's
+``capsule``, NumPy's interface for drawing from C), and the passes call
+its function pointers.  ``Generator.random()`` is one ``next_double``
+call, and ``Generator.integers(n)`` is NumPy's Lemire step on
+``next_uint32``: one call, redrawn while the product's low half falls
+below ``(2**32 - n) % n``, which is 0 when ``n`` is a power of two.  So
+the lane pass's tie draws and the transit pass's placement lanes (one
+draw per entry onto a multilane edge, none onto a one-lane edge) leave
+the stream, every event and the generator's state (PCG64's buffered
+32-bit half included) bit for bit those of the NumPy path; unit tests
+pin the NumPy behaviour through ``BitGenerator.ctypes`` without a
+compiler, and the rejection loop through a scripted ``bitgen_t``.  The engine holds the bit generator's ``lock``, the lock
+every ``Generator`` method takes, across each call, and binds the
+generator once, at construction, so ``engine.rng`` must not be replaced
+on a live engine.  Because the transit pass draws every crossing's lane
+after the Python decisions, a router must not draw from the engine's
+generator: its ``next_hop`` draws would move ahead of the lanes.
 
 Bitwise-equivalence contract
 ----------------------------
@@ -106,15 +145,15 @@ its per-edge pointer tables) and of the generator's ``bitgen_t``, the edge
 count, the pair buffer's row count and the eleven model scalars.
 :meth:`StepKernel.bind` fills it once per capacity change and binds each
 entry point to its address with :func:`functools.partial`, so a call
-passes only what varies: a count, or one transition's edge, lane, slot,
-placement number and kinematics (ctypes charges per argument).  Writes
-into bound arrays, pointer-table slots included, need no re-bind.  Buffers
-grow on demand: ``occ_enter`` returns -1, having written nothing, when the
-edge's buffers are full, and the engine doubles them
-(``TrafficEngine._grow_edge``, which rewrites their pointer-table entries
-and the edge's ``lane_cap``) and calls again; ``overtake_pass`` returns
-``~count`` when an edge's pairs do not fit, and the engine doubles the
-pair buffer, re-binds, and calls again for the rest.
+passes only what varies: a count, a time or a row range (ctypes charges
+per argument).  Writes into bound arrays, pointer-table slots included,
+need no re-bind.  Buffers grow on demand: ``transit_pass`` returns
+``~row`` when a row's target edge is full, and the engine doubles its
+buffers (``TrafficEngine._grow_edge``, which rewrites their pointer-table
+entries and the edge's ``lane_cap``) and calls again from that row;
+``overtake_pass`` returns ``~count`` when an edge's pairs do not fit, and
+the engine doubles the pair buffer, re-binds, and calls again for the
+rest.
 """
 
 from __future__ import annotations
@@ -140,6 +179,7 @@ __all__ = [
     "lane_options_py",
     "lane_options_np",
     "available_backends",
+    "bitgen_address",
     "fallback_reason",
     "load_step_kernel",
     "StepKernel",
@@ -154,7 +194,9 @@ def advance_chain_py(
     seglen: Any,
     heads: Any,
     waitflag: Any,
+    since: Any,
     newly: Any,
+    now: float,
     dt: float,
     accel_dt: float,
     decel_dt: float,
@@ -171,7 +213,8 @@ def advance_chain_py(
     index ``i-1``.  Updates ``pos``/``speed`` in place (slot-indexed),
     which hands each follower its leader's post-step state for free, and
     fills the *gather-aligned* ``newly`` output mask (arrived and not yet
-    flagged waiting).
+    flagged waiting), marking each such vehicle waiting: its ``waitflag``
+    set and its ``since`` set to ``now``.
 
     This function is the specification the C sweep is tested against.
     Returns the number of ``newly`` bits set (saving callers a mask
@@ -225,6 +268,8 @@ def advance_chain_py(
         arrived = (np_ >= length - arrival_eps) and not waitflag[slot]
         newly[i] = arrived
         if arrived:
+            waitflag[slot] = 1
+            since[slot] = now
             n_newly += 1
         lead_pos = np_
         lead_speed = nv
@@ -419,29 +464,38 @@ typedef struct {
 
 /* Every entry point takes this struct first; StepKernel.bind fills it (the
  * _Tables class, field for field).  The slot-indexed resident columns come
- * first, then the per-step buffers (the gather idx, the newly and cand masks
- * aligned with it, the lane pass's moves, the overtake pass's scratch order
- * and its pairs, pair_cap rows), then the per-edge tables: edge e's lanes are
+ * first (since is the time a waiting vehicle reached its stop line), then
+ * the per-step buffers (the gather idx, the newly and cand masks aligned with
+ * it, the lane pass's moves, the sort order the overtake and admission passes
+ * share, the overtake pairs, pair_cap rows, the admission candidates and the
+ * transition rows), then the per-edge tables: edge e's lanes are
  * lane_ptr[e][:lane_len[e]] split by the nlanes[e] + 1 bounds at
- * bounds_ptr[e], and a multilane edge's ranking is rank_ptr[e][:lane_len[e]].
- * Addresses arrive as int64 values (numpy owns the arrays and keeps them
- * alive); a table entry changes only when its buffer is reallocated.  bitgen
- * is the engine generator's bit generator.  The sweeps copy what they use
- * into locals, since their stores may alias the struct. */
+ * bounds_ptr[e], a multilane edge's ranking is rank_ptr[e][:lane_len[e]], and
+ * the edge leads to node head_node[e] and is edge_len[e] m long with limit
+ * edge_limit[e].  The per-node tables hold each node's crossing delay and
+ * admissions per step, and the admission pass's scratch.  Addresses arrive as
+ * int64 values (numpy owns the arrays and keeps them alive); a table entry
+ * changes only when its buffer is reallocated.  bitgen is the engine
+ * generator's bit generator.  The sweeps copy what they use into locals,
+ * since their stores may alias the struct. */
 typedef struct {
-    double *pos, *speed, *freeflow, *seglen;
+    double *pos, *speed, *freeflow, *seglen, *since;
     const double *desired;
     const int64_t *vid;
     int64_t *seq;
     unsigned char *heads, *multilane, *waitflag;
     int64_t *idx;
     unsigned char *newly, *cand;
-    int64_t *moves, *order, *pairs;
+    int64_t *moves, *order, *pairs, *cands, *rows;
     const int64_t *lane_ptr, *rank_ptr, *bounds_ptr, *nlanes;
     int64_t *lane_len;
     const int64_t *lane_cap;
     int64_t *occ_lanes;
     unsigned char *rank_elig;
+    const int64_t *head_node;
+    const double *edge_len, *edge_limit, *delay;
+    const int64_t *adm;
+    int64_t *node_mark, *node_buf;
     bitgen_t *bitgen;
     int64_t n_edges, pair_cap;
     double dt, accel_dt, decel_dt, denom, veh_len, min_gap, arrival_eps;
@@ -449,14 +503,20 @@ typedef struct {
 } tables;
 
 #define EDGE_ARRAY(table, e) ((int64_t *)(intptr_t)(table)[e])
+/* A transition row: (slot, source edge, lane, node, target edge, placement
+ * number); an admission candidate: (slot, edge, lane). */
+#define ROW 6
+#define CAND 3
 
-int64_t advance_chain(const tables *t, int64_t n)
+/* The advance over idx[:n]; a vehicle that reaches its stop line is marked
+ * waiting (waitflag, and since = now) and flagged in newly. */
+int64_t advance_chain(const tables *t, int64_t n, double now)
 {
     const int64_t *idx = t->idx;
-    double *pos = t->pos, *speed = t->speed;
+    double *pos = t->pos, *speed = t->speed, *since = t->since;
     const double *freeflow = t->freeflow, *seglen = t->seglen;
-    const unsigned char *heads = t->heads, *waitflag = t->waitflag;
-    unsigned char *newly = t->newly;
+    const unsigned char *heads = t->heads;
+    unsigned char *waitflag = t->waitflag, *newly = t->newly;
     double dt = t->dt, accel_dt = t->accel_dt, decel_dt = t->decel_dt;
     double denom = t->denom, veh_len = t->veh_len, min_gap = t->min_gap;
     double arrival_eps = t->arrival_eps;
@@ -497,7 +557,11 @@ int64_t advance_chain(const tables *t, int64_t n)
         pos[slot] = np;
         speed[slot] = nv;
         newly[i] = (np >= length - arrival_eps) && !waitflag[slot];
-        n_newly += newly[i];
+        if (newly[i]) {
+            waitflag[slot] = 1;
+            since[slot] = now;
+            n_newly++;
+        }
         lead_pos = np;
         lead_speed = nv;
     }
@@ -587,8 +651,8 @@ static int ranking_inverted(const tables *t, int64_t e)
     return 0;
 }
 
-/* Occupancy transitions: each entry point is one TrafficEngine transition
- * with the semantics of its NumPy splice pair (_lane_insert/_lane_remove,
+/* Occupancy transitions: each helper is one TrafficEngine transition with
+ * the semantics of its NumPy splice pair (_lane_insert/_lane_remove,
  * _rank_insert/_rank_remove).  A slot taken out must be in the lane named,
  * as the engine guarantees. */
 
@@ -635,15 +699,13 @@ static void lane_out(const tables *t, int64_t e, int64_t lane, int64_t slot)
  * its lane and, on a multilane edge, into the ranking at
  * bisect.bisect_right's index on the (position, vid) key, probe for probe: a
  * ranking the overtake pass skipped may be out of order, and the probes then
- * decide where the slot lands.  Returns -1, having written nothing, when the
- * edge's buffers are full (lane_len == lane_cap); the engine grows them and
- * calls again. */
-int64_t occ_enter(
+ * decide where the slot lands.  The edge's buffers must have room
+ * (lane_len < lane_cap). */
+static void occ_enter(
     const tables *t, int64_t e, int64_t lane, int64_t slot, int64_t seq,
     double p, double speed, double free, double length)
 {
     int64_t k = t->lane_len[e], lo = 0, hi = k, v = t->vid[slot];
-    if (k == t->lane_cap[e]) return -1;
     t->pos[slot] = p;
     t->speed[slot] = speed;
     t->freeflow[slot] = free;
@@ -652,7 +714,7 @@ int64_t occ_enter(
     t->multilane[slot] = t->nlanes[e] > 1;
     t->waitflag[slot] = 0;
     lane_in(t, e, lane, slot);
-    if (t->nlanes[e] == 1) return 0;
+    if (t->nlanes[e] == 1) return;
     int64_t *rank = EDGE_ARRAY(t->rank_ptr, e);
     while (lo < hi) {
         int64_t mid = (lo + hi) / 2;
@@ -662,19 +724,35 @@ int64_t occ_enter(
     }
     memmove(rank + lo + 1, rank + lo, (size_t)(k - lo) * sizeof(int64_t));
     rank[lo] = slot;
-    return 0;
 }
 
-int64_t occ_leave(const tables *t, int64_t e, int64_t lane, int64_t slot)
+static void occ_leave(const tables *t, int64_t e, int64_t lane, int64_t slot)
 {
     int64_t k = t->lane_len[e], i = k - 1;
     t->waitflag[slot] = 0;
     lane_out(t, e, lane, slot);
-    if (t->nlanes[e] == 1) return 0;
+    if (t->nlanes[e] == 1) return;
     int64_t *rank = EDGE_ARRAY(t->rank_ptr, e);
     while (rank[i] != slot) i--;  /* usually the last: leavers lead */
     memmove(rank + i, rank + i + 1, (size_t)(k - 1 - i) * sizeof(int64_t));
-    return 0;
+}
+
+/* Generator.integers(n) for 1 < n < 2**32, as NumPy draws it
+ * (random_bounded_uint64_fill with use_masked false): Lemire's
+ * multiply-and-reject on next_uint32, redrawing while the low half of the
+ * product is below (2**32 - n) % n. */
+static int64_t draw_below(bitgen_t *bg, uint32_t n)
+{
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * n;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < n) {
+        uint32_t threshold = (UINT32_MAX - (n - 1)) % n;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * n;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (int64_t)(m >> 32);
 }
 
 /* Apply count (slot, from, to) moves on edge e, in order. */
@@ -691,11 +769,10 @@ static void lane_moves(const tables *t, int64_t e, const int64_t *mv, int64_t co
  * front to back scan; the gather is edge-block ordered, so lane_len walks
  * each candidate to its edge and the edge's bounds to its lane.  Each
  * candidate draws a politeness veto (Generator.random(), one next_double)
- * and, when both neighbour lanes are viable, a tie (Generator.integers(2):
- * NumPy's Lemire step on one next_uint32, whose rejection threshold
- * (2**32 - 2) % 2 is 0, keeps the top bit).  Decisions read the pre-change
- * lanes, so an edge's moves are applied when the walk leaves it, and the
- * gather is redone when anything moved.  Writes (slot, from, to) per move to
+ * and, when both neighbour lanes are viable, a tie (Generator.integers(2),
+ * one next_uint32: the rejection threshold (2**32 - 2) % 2 is 0).  Decisions
+ * read the pre-change lanes, so an edge's moves are applied when the walk
+ * leaves it, and the gather is redone when anything moved.  Writes (slot, from, to) per move to
  * moves and returns the move count.  The caller holds the bit generator's
  * lock. */
 int64_t lane_change_pass(const tables *t, int64_t n)
@@ -724,7 +801,7 @@ int64_t lane_change_pass(const tables *t, int64_t n)
         if (bg->next_double(bg->state) < politeness) continue;
         int64_t opts = lane_options(t, e, lane, pos[slot]);
         if (opts == 0) continue;
-        int64_t up = opts == 3 ? (bg->next_uint32(bg->state) >> 31) == 0 : opts == 1;
+        int64_t up = opts == 3 ? draw_below(bg, 2) == 0 : opts == 1;
         int64_t *mv = moves + 3 * n_moves++;
         mv[0] = slot;
         mv[1] = lane;
@@ -807,17 +884,123 @@ int64_t overtake_pass(const tables *t)
     }
     return n_pairs;
 }
+
+/* Whether candidate a waited longer than b: (since, vid) order. */
+static int admitted_before(const tables *t, const int64_t *a, const int64_t *b)
+{
+    double sa = t->since[a[0]], sb = t->since[b[0]];
+    return sa < sb || (sa == sb && t->vid[a[0]] < t->vid[b[0]]);
+}
+
+/* TrafficEngine._process_intersections_indexed and _admit, the step's
+ * admission.  A lane head flagged waiting whose dwell, now - since + dt, has
+ * reached the delay of its edge's head node is a candidate; candidates are
+ * found in edge order, lane by lane, and a node registers at its first.  Node
+ * by node, in registration order, candidates sort by (since, vid) and the
+ * first adm[node] become rows of rows: (slot, edge, lane, node), the target
+ * and placement number left to the engine.  A counting sort by node puts the
+ * candidates' indices in order (node_mark holds each node's registration
+ * number, -1 between calls; node_buf holds (node, bucket bound) per
+ * registration), and an insertion sort orders each node's few.  Returns the
+ * row count. */
+int64_t admit_pass(const tables *t, double now)
+{
+    const int64_t *lane_len = t->lane_len, *nlanes = t->nlanes, *head_node = t->head_node;
+    const unsigned char *waitflag = t->waitflag;
+    const double *since = t->since, *delay = t->delay;
+    int64_t *mark = t->node_mark, *reg = t->node_buf, *cands = t->cands, *order = t->order;
+    int64_t n_edges = t->n_edges, n_cands = 0, n_reg = 0, n_rows = 0;
+    double dt = t->dt;
+    for (int64_t e = 0; e < n_edges; e++) {
+        if (!lane_len[e]) continue;
+        const int64_t *slots = EDGE_ARRAY(t->lane_ptr, e), *bounds = EDGE_ARRAY(t->bounds_ptr, e);
+        int64_t node = head_node[e];
+        double d = delay[node];
+        for (int64_t lane = 0; lane < nlanes[e]; lane++) {
+            if (bounds[lane] == bounds[lane + 1]) continue;
+            int64_t s = slots[bounds[lane]];
+            if (!waitflag[s] || !(now - since[s] + dt >= d)) continue;
+            int64_t r = mark[node];
+            if (r < 0) {
+                r = mark[node] = n_reg++;
+                reg[2 * r] = node;
+                reg[2 * r + 1] = 0;
+            }
+            reg[2 * r + 1]++;
+            int64_t *c = cands + CAND * n_cands++;
+            c[0] = s;
+            c[1] = e;
+            c[2] = lane;
+        }
+    }
+    for (int64_t r = 0, at = 0; r < n_reg; r++) {  /* counts to bucket starts */
+        int64_t count = reg[2 * r + 1];
+        reg[2 * r + 1] = at;
+        at += count;
+    }
+    for (int64_t i = 0; i < n_cands; i++)  /* bucket starts to bucket ends */
+        order[reg[2 * mark[head_node[cands[CAND * i + 1]]] + 1]++] = i;
+    for (int64_t r = 0, lo = 0; r < n_reg; r++) {
+        int64_t node = reg[2 * r], hi = reg[2 * r + 1], keep = hi - lo;
+        mark[node] = -1;
+        for (int64_t i = lo + 1; i < hi; i++) {
+            int64_t c = order[i], j = i;
+            for (; j > lo && admitted_before(t, cands + CAND * c, cands + CAND * order[j - 1]); j--)
+                order[j] = order[j - 1];
+            order[j] = c;
+        }
+        if (keep > t->adm[node]) keep = t->adm[node];
+        for (int64_t i = lo; i < lo + keep; i++) {
+            const int64_t *c = cands + CAND * order[i];
+            int64_t *row = t->rows + ROW * n_rows++;
+            row[0] = c[0];
+            row[1] = c[1];
+            row[2] = c[2];
+            row[3] = node;
+        }
+        lo = hi;
+    }
+    return n_rows;
+}
+
+/* Run transition rows start .. start + m - 1, in order.  A row's slot leaves
+ * its lane of the source edge, unless the source is -1 (a spawn); then,
+ * unless the target is -1 (an exit), it enters the target edge with the
+ * row's placement number, in a lane drawn as Generator.integers(nlanes)
+ * draws it (none on a one-lane edge), which the row's lane column takes:
+ * at 0 m, or at pos[slot] for a spawn, at half its free speed, the lesser
+ * of its desired speed and the edge's limit.  Returns start + m, or ~i,
+ * having done nothing for row i, when row i's target edge is full
+ * (lane_len == lane_cap): the engine grows the edge and calls again from row
+ * i.  The caller holds the bit generator's lock. */
+int64_t transit_pass(const tables *t, int64_t start, int64_t m)
+{
+    bitgen_t *bg = t->bitgen;
+    for (int64_t i = start; i < start + m; i++) {
+        int64_t *row = t->rows + ROW * i;
+        int64_t slot = row[0], src = row[1], e = row[4];
+        if (e >= 0 && t->lane_len[e] == t->lane_cap[e]) return ~i;
+        if (src >= 0) occ_leave(t, src, row[2], slot);
+        if (e < 0) continue;
+        int64_t nlanes = t->nlanes[e];
+        double length = t->edge_len[e], free = MINF(t->desired[slot], t->edge_limit[e]);
+        row[2] = nlanes > 1 ? draw_below(bg, (uint32_t)nlanes) : 0;
+        occ_enter(t, e, row[2], slot, row[5], src >= 0 ? MINF(0.0, length) : t->pos[slot],
+                  free * 0.5, free, length);
+    }
+    return start + m;
+}
 """
 
 #: Every C entry point with the argument types after its ``tables`` pointer,
 #: in :class:`_CcLibrary` order.
 _SYMBOLS = (
-    ("advance_chain", [ctypes.c_int64]),
+    ("advance_chain", [ctypes.c_int64, ctypes.c_double]),
     ("gather_all", []),
     ("lane_change_pass", [ctypes.c_int64]),
     ("overtake_pass", []),
-    ("occ_enter", [ctypes.c_int64] * 4 + [ctypes.c_double] * 4),
-    ("occ_leave", [ctypes.c_int64] * 3),
+    ("admit_pass", [ctypes.c_double]),
+    ("transit_pass", [ctypes.c_int64] * 2),
 )
 
 
@@ -828,8 +1011,8 @@ class _CcLibrary(NamedTuple):
     gather_all: Any
     lane_change_pass: Any
     overtake_pass: Any
-    occ_enter: Any
-    occ_leave: Any
+    admit_pass: Any
+    transit_pass: Any
 
 
 class _Tables(ctypes.Structure):
@@ -839,15 +1022,29 @@ class _Tables(ctypes.Structure):
 
     _fields_ = [
         *((name, ctypes.c_void_p) for name in (
-            "pos speed freeflow seglen desired vid seq heads multilane waitflag idx "
-            "newly cand moves order pairs lane_ptr rank_ptr bounds_ptr nlanes lane_len "
-            "lane_cap occ_lanes rank_elig bitgen").split()),
+            "pos speed freeflow seglen since desired vid seq heads multilane waitflag idx "
+            "newly cand moves order pairs cands rows lane_ptr rank_ptr bounds_ptr nlanes "
+            "lane_len lane_cap occ_lanes rank_elig head_node edge_len edge_limit delay adm "
+            "node_mark node_buf bitgen").split()),
         ("n_edges", ctypes.c_int64),
         ("pair_cap", ctypes.c_int64),
         *((name, ctypes.c_double) for name in (
             "dt accel_dt decel_dt denom veh_len min_gap arrival_eps blocked_m "
             "gain_mps gap_half politeness").split()),
     ]
+
+
+#: ``PyCapsule_GetPointer`` with its own prototype (the shared
+#: ``ctypes.pythonapi`` attribute is left as other code set it).
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def bitgen_address(bit_generator: np.random.BitGenerator) -> int:
+    """The address of ``bit_generator``'s ``bitgen_t``, read from its
+    ``capsule``: the address ``bit_generator.ctypes.bit_generator`` reports,
+    without building NumPy's ctypes interface on first access."""
+    return int(_capsule_pointer(bit_generator.capsule, b"BitGenerator"))
 
 
 class StepKernel:
@@ -860,8 +1057,9 @@ class StepKernel:
 
     #: the backend that loaded (cc is the only compiled one)
     backend = "cc"
-    #: advance over ``idx_buf[:n]``; returns the newly-arrived count
-    advance_bound: Callable[[int], int]
+    #: ``(n, now)``: advance over ``idx_buf[:n]``, marking arrivals waiting
+    #: since ``now``; returns the newly-arrived count
+    advance_bound: Callable[[int, float], int]
     #: every edge's lane slots into ``idx_buf``; returns the gathered count
     gather_bound: Callable[[], int]
     #: the lane-change pass over ``idx_buf[:n]``; returns the move count,
@@ -871,10 +1069,13 @@ class StepKernel:
     #: rows of ``pairs_buf``, (edge, passer slot, passee slot), or ``~count``
     #: when ``pairs_buf`` filled up
     overtake_bound: Callable[[], int]
-    #: ``(e, lane, slot, seq, pos, speed, free, length)``; -1 if ``e`` is full
-    occ_enter_bound: Callable[[int, int, int, int, float, float, float, float], int]
-    #: ``(e, lane, slot)``
-    occ_leave_bound: Callable[[int, int, int], int]
+    #: ``(now)``: the step's admission; returns the row count, the rows being
+    #: the first rows of ``rows_buf``, (slot, edge, lane, node, -, -)
+    admit_bound: Callable[[float], int]
+    #: ``(start, m)``: runs transition rows ``start`` .. ``start + m - 1`` of
+    #: ``rows_buf``; returns ``start + m``, or ``~row`` when that row's
+    #: target edge is full
+    transit_bound: Callable[[int, int], int]
 
     def __init__(
         self,
@@ -892,6 +1093,7 @@ class StepKernel:
         speed: np.ndarray,
         freeflow: np.ndarray,
         seglen: np.ndarray,
+        since: np.ndarray,
         desired: np.ndarray,
         vid: np.ndarray,
         seq: np.ndarray,
@@ -903,6 +1105,8 @@ class StepKernel:
         moves_buf: np.ndarray,
         order_buf: np.ndarray,
         pairs_buf: np.ndarray,
+        cands_buf: np.ndarray,
+        rows_buf: np.ndarray,
         lane_ptr: np.ndarray,
         lane_len: np.ndarray,
         bounds_ptr: np.ndarray,
@@ -911,6 +1115,13 @@ class StepKernel:
         nlanes: np.ndarray,
         lane_cap: np.ndarray,
         occ_lanes: np.ndarray,
+        head_node: np.ndarray,
+        edge_len: np.ndarray,
+        edge_limit: np.ndarray,
+        delay: np.ndarray,
+        adm: np.ndarray,
+        node_mark: np.ndarray,
+        node_buf: np.ndarray,
         bit_generator: np.random.BitGenerator,
         blocked_m: float,
         gain_mps: float,
@@ -924,30 +1135,38 @@ class StepKernel:
         arrays; the gather lives in ``idx_buf[:n]``, the advance and
         candidate masks land in ``newly_buf[:n]`` / ``cand_buf[:n]``, the
         lane pass writes its moves to ``moves_buf`` (three columns, a row
-        per slot), and the overtake pass sorts in ``order_buf`` (a slot's
-        worth) and writes its pairs to ``pairs_buf`` (three columns, as
-        many rows as it has).  The edge-indexed tables hold each edge's
-        lane slot array address and live length, its lane-bounds address,
-        its ranking address, its ranking-scan eligibility byte, its lane
-        count, its capacity and its occupied-lane count; their length is
-        the edge count.  The lane pass draws from ``bit_generator``, which
-        the kernel keeps alive while bound; the caller holds its ``lock``
-        across each ``lane_pass_bound`` call.  With the model scalars they
-        make one :class:`_Tables`, and every ``*_bound`` attribute is a C
-        entry point with the struct's address bound as its first argument,
-        so a call passes only what varies.  The caller must re-bind
-        whenever any array is *reallocated* (the engine does so on
-        capacity growth); in-place writes — including pointer-table slot
-        updates — need no re-bind.
+        per slot), the overtake and admission passes sort in ``order_buf``
+        (a slot's worth), the overtake pass writes its pairs to
+        ``pairs_buf`` (three columns, as many rows as it has), and the
+        admission pass collects its candidates in ``cands_buf`` (three
+        columns) and writes its rows to ``rows_buf`` (six columns), which
+        the transit pass runs; both have a row per slot.  The edge-indexed
+        tables hold each edge's lane slot array address and live length,
+        its lane-bounds address, its ranking address, its ranking-scan
+        eligibility byte, its lane count, its capacity, its occupied-lane
+        count, its head node's index, its length and its speed limit; their
+        length is the edge count.  The node-indexed tables hold each node's
+        crossing delay and admissions per step, ``node_mark`` (all -1) and
+        ``node_buf`` (two columns), the admission pass's scratch.  The lane
+        and transit passes draw from ``bit_generator``, which the kernel
+        keeps alive while bound; the caller holds its ``lock`` across each
+        of their calls.  With the model scalars they make one
+        :class:`_Tables`, and every ``*_bound`` attribute is a C entry point
+        with the struct's address bound as its first argument, so a call
+        passes only what varies.  The caller must re-bind whenever any array
+        is *reallocated* (the engine does so on capacity growth); in-place
+        writes — including pointer-table slot updates — need no re-bind.
         """
         arrays = (  # in _Tables field order
-            pos, speed, freeflow, seglen, desired, vid, seq, heads, multilane, waitflag,
-            idx_buf, newly_buf, cand_buf, moves_buf, order_buf, pairs_buf, lane_ptr,
-            rank_ptr, bounds_ptr, nlanes, lane_len, lane_cap, occ_lanes, rank_elig,
+            pos, speed, freeflow, seglen, since, desired, vid, seq, heads, multilane,
+            waitflag, idx_buf, newly_buf, cand_buf, moves_buf, order_buf, pairs_buf,
+            cands_buf, rows_buf, lane_ptr, rank_ptr, bounds_ptr, nlanes, lane_len, lane_cap,
+            occ_lanes, rank_elig, head_node, edge_len, edge_limit, delay, adm, node_mark,
+            node_buf,
         )
         self._bit_generator = bit_generator
         self._tables = tables = _Tables(
-            *(arr.ctypes.data for arr in arrays), bit_generator.ctypes.bit_generator.value,
+            *(arr.ctypes.data for arr in arrays), bitgen_address(bit_generator),
             lane_len.shape[0], pairs_buf.shape[0], *self._params,
             blocked_m, gain_mps, gap_half_m, politeness,
         )
@@ -957,8 +1176,8 @@ class StepKernel:
         self.gather_bound = functools.partial(lib.gather_all, ref)
         self.lane_pass_bound = functools.partial(lib.lane_change_pass, ref)
         self.overtake_bound = functools.partial(lib.overtake_pass, ref)
-        self.occ_enter_bound = functools.partial(lib.occ_enter, ref)
-        self.occ_leave_bound = functools.partial(lib.occ_leave, ref)
+        self.admit_bound = functools.partial(lib.admit_pass, ref)
+        self.transit_bound = functools.partial(lib.transit_pass, ref)
 
 
 # ------------------------------------------------------------------ loader

@@ -105,7 +105,11 @@ def check_occupancy_state(engine):
     of its buffers.  Only the ranking's membership is checked: its order is
     the overtake scan's, which the golden traces' overtake events pin.  An
     edge's slots in ``_seq`` order must give its ``_occupancy`` vid order,
-    the order in which cc's overtake pass reports pairs.
+    the order in which cc's overtake pass reports pairs.  The waiting state:
+    ``_wait_flag`` is set exactly on the vehicles whose ``waiting_since_s``
+    is set, ``_since`` holds it, and each of them is its lane's head, which
+    is all cc's admission pass reads; the NumPy path's ``_waiting`` index
+    must hold exactly them, and cc keeps none.
     """
     pos, vid, is_head, seq = engine._pos, engine._vid, engine._is_head, engine._seq
     for ei, seg in enumerate(engine._segs):
@@ -149,13 +153,21 @@ def check_occupancy_state(engine):
     for v in inside:
         assert engine._slot_vehicle[v.slot] is v and vid[v.slot] == v.vid, v.vid
     assert sum(x is not None for x in engine._slot_vehicle) == len(inside)
+    waiting = [v for v in inside if v.waiting_since_s is not None]
     flagged = sorted(v.vid for v in inside if engine._wait_flag[v.slot])
-    assert flagged == sorted(v.vid for v in inside if v.waiting_since_s is not None)
+    assert flagged == sorted(v.vid for v in waiting)
+    for v in waiting:
+        assert engine._since[v.slot] == v.waiting_since_s, v.vid
+        assert is_head[v.slot], v.vid
+    if engine._kernel is not None:
+        # cc's admission reads the lane heads' flags; no index is kept.
+        assert engine._waiting == {}
+        return
     queued = []
     for edge, queue in engine._waiting.items():
         assert queue, edge
         for v in queue:
-            assert v.edge == edge and is_head[v.slot], v.vid
+            assert v.edge == edge, v.vid
             queued.append(v.vid)
     assert sorted(queued) == flagged
 

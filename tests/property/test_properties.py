@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.checkpoint import Checkpoint, DirectionState
 from repro.core.snapshot import MessageSystem
@@ -31,6 +31,7 @@ from repro.mobility.demand import (
     PiecewiseProfile,
     SinusoidalProfile,
 )
+from repro.mobility.intersections import IntersectionPolicy
 from repro.roadnet.builders import grid_network, random_planar_network, ring_network
 from repro.sim.config import MobilityConfig, ScenarioConfig, WirelessConfig
 from repro.sim.runner import ExperimentRunner, SweepSpec
@@ -307,27 +308,43 @@ def _event_keys(batch):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+# Reaches, at step 13, an edge whose scan flips two pairs that its
+# placement order and its vid order put in different orders.
+@example(lanes=2, volume=0.75, through=0.75, patrol_cars=2, rng_seed=1004,
+         admissions=2, delay=1.5, overrides=[])
 @given(
     lanes=st.integers(min_value=1, max_value=3),
     volume=st.floats(min_value=0.5, max_value=1.0),
     through=st.floats(min_value=0.4, max_value=0.9),
     patrol_cars=st.integers(min_value=1, max_value=2),
     rng_seed=st.integers(min_value=0, max_value=2**16),
+    admissions=st.integers(min_value=1, max_value=4),
+    delay=st.floats(min_value=0.5, max_value=1.5),
+    overrides=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 4),
+                  st.floats(min_value=0.5, max_value=1.5)),
+        max_size=3,
+    ),
 )
 def test_engine_occupancy_state_holds_every_step(
-    occupancy_state_check, lanes, volume, through, patrol_cars, rng_seed
+    occupancy_state_check, lanes, volume, through, patrol_cars, rng_seed, admissions,
+    delay, overrides,
 ):
     """The vectorized engine's per-edge slot arrays and everything kept
     beside them (lane bounds, head flags, pointer tables, placement
-    numbers, waiting registry) must match a recomputation from the vehicles
+    numbers, waiting state) must match a recomputation from the vehicles
     after every step of a dense, open gated grid: border arrivals and exits,
     patrol ferrying and overtaking all insert and remove slots.  A cc and a
     NumPy simulation step in lockstep, and after every step their lanes,
     bounds and rankings, the step's events (each overtake's passer and
-    passee included, in order) and the engine generator's state must be
-    equal: cc's lane pass draws from that generator in C, and its overtake
-    pass orders pairs by ``_seq`` where NumPy reads ``_occupancy`` (where
-    cc does not load, both run NumPy)."""
+    passee included, in order) and the states of the engine and demand
+    generators must be equal: cc's lane and transit passes draw from the
+    engine generator in C, its admission pass picks the crossings where
+    NumPy reads ``_waiting``, and its overtake pass orders pairs by ``_seq``
+    where NumPy reads ``_occupancy`` (where cc does not load, both run
+    NumPy).  The intersection policy is drawn, with some single nodes
+    overridden, so caps bind, queues outlast a step and (since, vid) ties
+    arise; the default's 0.5 s delay and 4 admissions almost never queue."""
     from repro.core.patrol import PatrolPlan
 
     config = ScenarioConfig(
@@ -338,13 +355,17 @@ def test_engine_occupancy_state_holds_every_step(
         demand=DemandConfig(volume_fraction=volume, through_traffic_fraction=through),
         patrol=PatrolPlan(num_cars=patrol_cars),
     )
+    mobility = MobilityConfig(admissions_per_step=admissions, crossing_delay_s=delay)
     sims = [
         Simulation(
             grid_network(4, 4, lanes=lanes, gates_on_border=True),
-            replace(config, mobility=MobilityConfig(compiled=compiled)),
+            replace(config, mobility=replace(mobility, compiled=compiled)),
         )
         for compiled in (True, False)
     ]
+    for sim in sims:
+        for row, col, cap, dwell in overrides:
+            sim.engine.set_intersection_policy((row, col), IntersectionPolicy(cap, dwell))
     batches = [_recorded_steps(sim.engine) for sim in sims]
     for step in range(201):
         for sim in sims:
@@ -356,6 +377,8 @@ def test_engine_occupancy_state_holds_every_step(
         if step:
             assert _event_keys(batches[0][-1]) == _event_keys(batches[1][-1]), step
         assert cc.rng.bit_generator.state == numpy.rng.bit_generator.state, step
+        demand = [sim.demand.rng.bit_generator.state for sim in sims]
+        assert demand[0] == demand[1], step
 
 
 @SLOW

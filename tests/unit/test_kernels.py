@@ -16,13 +16,16 @@ Every test binds its own arrays through :func:`_bound`, which zero-fills
 every array it is not given and gives the eleven model scalars distinct
 values, so a swapped scalar changes an oracle comparison.  The engine's
 compiler-less lane viability check (``lane_options_np``) is held to the
-same ``lane_options`` oracle, so it runs on every host.  The lane pass
-draws from the engine generator's bit generator in C; ``TestBridge`` pins
-the NumPy behaviour that makes those draws the ``Generator`` methods'
-own, without a compiler.  The occupancy transitions (``occ_enter`` /
-``occ_leave``) and the two passes are held to the engine's NumPy path
-instead: a cc engine and a ``compiled=False`` engine go through the same
-scripted entries, exits, lane moves and passes, and every table either
+same ``lane_options`` oracle, so it runs on every host.  The lane and
+transit passes draw from the engine generator's bit generator in C;
+``TestBridge`` pins the NumPy behaviour that makes those draws the
+``Generator`` methods' own, and the capsule address the kernel binds,
+without a compiler, and ``TestLaneDraw`` the rejection loop through a
+scripted ``bitgen_t``.  The transit pass (whose static helpers
+``occ_enter``/``occ_leave`` do the splices), the admission pass and the
+lane and overtake passes are held to the engine's NumPy path instead: a
+cc engine and a ``compiled=False`` engine go through the same scripted
+entries, exits, lane moves, passes and steps, and every table either
 writes, every event and the generator's state must be equal after each
 one.  Every entry point keeps the GIL (the library is a ``ctypes.PyDLL``):
 one test reads each symbol's flags, and another steps cc engines on six
@@ -98,24 +101,28 @@ def _cc_kernel():
 
 #: Every array :meth:`StepKernel.bind` takes, by dtype: slot-indexed and
 #: gather-aligned ones are ``n_slots`` long (the row buffers ``n_slots``
-#: rows of three), edge-indexed ones ``n_edges``.
+#: rows of their width), edge-indexed ones ``n_edges`` and node-indexed
+#: ones ``n_nodes`` (``node_buf`` rows of two).
 _SLOT_ARRAYS = dict(
     idx_buf=np.intp, pos=np.float64, speed=np.float64, freeflow=np.float64,
-    seglen=np.float64, desired=np.float64, vid=np.int64, seq=np.int64, heads=np.uint8,
-    waitflag=np.uint8, multilane=np.uint8, newly_buf=bool, cand_buf=bool,
+    seglen=np.float64, since=np.float64, desired=np.float64, vid=np.int64, seq=np.int64,
+    heads=np.uint8, waitflag=np.uint8, multilane=np.uint8, newly_buf=bool, cand_buf=bool,
     order_buf=np.int64,
 )
-_ROW_ARRAYS = ("moves_buf", "pairs_buf")
+_ROW_ARRAYS = dict(moves_buf=3, pairs_buf=3, cands_buf=3, rows_buf=6)
 _EDGE_ARRAYS = dict(
     lane_ptr=np.int64, lane_len=np.int64, bounds_ptr=np.int64, rank_ptr=np.int64,
     rank_elig=np.uint8, nlanes=np.int64, lane_cap=np.int64, occ_lanes=np.int64,
+    head_node=np.int64, edge_len=np.float64, edge_limit=np.float64,
 )
+_NODE_ARRAYS = dict(delay=np.float64, adm=np.int64)
 
 
-def _bound(n_slots=1, n_edges=1, *, bit_generator=None, **given):
+def _bound(n_slots=1, n_edges=1, n_nodes=1, *, bit_generator=None, **given):
     """The cc kernel bound to the ``given`` arrays and model scalars (by
-    default ``LANE_CHANGE``'s), every other array zero-filled, drawing from
-    ``bit_generator`` (by default a fresh one).
+    default ``LANE_CHANGE``'s), every other array zero-filled (the
+    admission pass's ``node_mark`` -1-filled, as it must be between calls),
+    drawing from ``bit_generator`` (by default a fresh one).
 
     Returns the kernel and every bound array by name.  The kernel holds raw
     addresses, so the caller keeps the arrays alive while it calls.  Every
@@ -125,8 +132,11 @@ def _bound(n_slots=1, n_edges=1, *, bit_generator=None, **given):
     kernel = _cc_kernel()
     scalars = {name: given.pop(name, value) for name, value in LANE_CHANGE.items()}
     arrays = {name: np.zeros(n_slots, dtype) for name, dtype in _SLOT_ARRAYS.items()}
-    arrays.update({name: np.zeros((n_slots, 3), np.int64) for name in _ROW_ARRAYS})
+    arrays.update({name: np.zeros((n_slots, w), np.int64) for name, w in _ROW_ARRAYS.items()})
     arrays.update({name: np.zeros(n_edges, dtype) for name, dtype in _EDGE_ARRAYS.items()})
+    arrays.update({name: np.zeros(n_nodes, dtype) for name, dtype in _NODE_ARRAYS.items()})
+    arrays.update(node_mark=np.full(n_nodes, -1, np.int64),
+                  node_buf=np.zeros((n_nodes, 2), np.int64))
     arrays.update(given)
     if bit_generator is None:
         bit_generator = np.random.PCG64(0)
@@ -142,7 +152,7 @@ def _bound(n_slots=1, n_edges=1, *, bit_generator=None, **given):
         assert all(doubles) and len(set(doubles)) == 11, doubles
     assert kernel._tables.n_edges == n_edges
     assert kernel._tables.pair_cap == arrays["pairs_buf"].shape[0]
-    assert kernel._tables.bitgen == bit_generator.ctypes.bit_generator.value
+    assert kernel._tables.bitgen == kernels.bitgen_address(bit_generator)
     return kernel, arrays
 
 
@@ -239,11 +249,13 @@ def _lemire(next_uint32, bound):
 
 
 class TestBridge:
-    """The NumPy behaviour the lane pass's draws rely on.  C calls the
-    generator's ``bitgen_t`` function pointers, which ``BitGenerator.ctypes``
-    exposes to Python too, so this runs on every host: one of two
-    same-seeded generators draws through ``Generator``, the other through
-    the pointers, interleaved, and their states must end equal."""
+    """The NumPy behaviour the draws of the lane and transit passes rely
+    on.  C calls the generator's ``bitgen_t`` function pointers, which
+    ``BitGenerator.ctypes`` exposes to Python too, so this runs on every
+    host: one of two same-seeded generators draws through ``Generator``,
+    the other through the pointers, interleaved, and their states must end
+    equal.  Bounds run to 8: a tabular network may have more than 4 lanes,
+    and ``Generator.integers`` rejects draws at bounds 3, 5, 6 and 7."""
 
     @pytest.mark.parametrize("make", [
         lambda seed: np.random.PCG64(seed),
@@ -255,7 +267,7 @@ class TestBridge:
             gen, bits = np.random.Generator(make(seed)), make(seed)
             iface = bits.ctypes
             state = iface.state
-            for bound in plans.integers(0, 5, 200).tolist():
+            for bound in plans.integers(0, 9, 200).tolist():
                 if bound == 0:
                     assert iface.next_double(state) == gen.random()
                 else:
@@ -279,28 +291,42 @@ class TestBridge:
                 address = ctypes.cast(getattr(iface, name), ctypes.c_void_p).value
                 assert getattr(struct, name) == address, name
 
+    @pytest.mark.parametrize("make", [np.random.PCG64, np.random.Philox], ids=["pcg64", "philox"])
+    def test_capsule_gives_the_ctypes_address(self, make):
+        """``StepKernel.bind`` reads the ``bitgen_t`` address from the bit
+        generator's capsule, which needs no ctypes interface; it is the
+        address that interface reports."""
+        for seed in range(3):
+            bits = make(seed)
+            assert kernels.bitgen_address(bits) == bits.ctypes.bit_generator.value
+
 
 class TestAdvanceChain:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cc_matches_oracle_bitwise(self, seed):
+        """Positions, speeds, the arrival mask and the waiting marks: an
+        arrival's ``waitflag`` is set and its ``since`` is ``now``."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
         idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
+        now = float(rng.uniform(0.0, 500.0))
         newly_a = np.zeros(n, dtype=bool)
         newly_b = np.zeros(n, dtype=bool)
         pos_a, speed_a = pos.copy(), speed.copy()
         pos_b, speed_b = pos.copy(), speed.copy()
+        since = rng.uniform(0.0, 100.0, n)
+        since_a, since_b = since.copy(), since.copy()
+        wait_a, wait_b = waitflag.astype(np.uint8), waitflag.astype(np.uint8)
         ref = advance_chain_py(
-            idx, pos_a, speed_a, freeflow, seglen,
-            heads.astype(np.uint8), waitflag.astype(np.uint8),
-            newly_a, *_advance_args(),
+            idx, pos_a, speed_a, freeflow, seglen, heads.astype(np.uint8),
+            wait_a, since_a, newly_a, now, *_advance_args(),
         )
         kernel, _ = _bound(
             n, idx_buf=idx, pos=pos_b, speed=speed_b, freeflow=freeflow, seglen=seglen,
-            heads=heads.astype(np.uint8), waitflag=waitflag.astype(np.uint8),
+            heads=heads.astype(np.uint8), waitflag=wait_b, since=since_b,
             newly_buf=newly_b,
         )
-        got = kernel.advance_bound(n)
+        got = kernel.advance_bound(n, now)
         assert got == ref
         assert np.array_equal(pos_a, pos_b)
         assert np.array_equal(speed_a, speed_b)
@@ -308,10 +334,18 @@ class TestAdvanceChain:
         # (the scalar engine's max(0.0, -0.0) contract).
         assert np.array_equal(np.signbit(speed_a), np.signbit(speed_b))
         assert np.array_equal(newly_a, newly_b)
+        assert np.array_equal(wait_a, wait_b) and np.array_equal(since_a, since_b)
+        arrived = idx[newly_a]
+        assert ref and arrived.size == ref, "no arrivals — not a real check"
+        assert not waitflag[arrived].any() and wait_a[arrived].all()
+        expect = since.copy()
+        expect[arrived] = now
+        assert np.array_equal(since_a, expect)
+        assert np.array_equal(wait_a.astype(bool), waitflag | np.isin(np.arange(n), arrived))
 
     def test_empty_chain(self):
         kernel, _ = _bound()
-        assert kernel.advance_bound(0) == 0
+        assert kernel.advance_bound(0, 1.5) == 0
 
 
 class TestLaneChangeCandidates:
@@ -589,8 +623,9 @@ def _occupancy_tables(eng):
     """Everything an occupancy transition writes, in comparable form: each
     edge's live lane prefix, bounds, length, capacity and ranking, the
     occupied-lane counts and scan eligibility, the head flags of the slots
-    on an edge, the resident columns ``occ_enter`` writes, every vehicle's
-    lane and the engine generator's state."""
+    on an edge, the resident columns an entry writes (and ``_since``, which
+    the advance does), every vehicle's lane and the engine generator's
+    state."""
     edges = []
     for ei, seg in enumerate(eng._segs):
         k = int(eng._lane_len[ei])
@@ -600,7 +635,7 @@ def _occupancy_tables(eng):
     on_edge = sorted(v.slot for v in eng._vehicles.values() if v.edge is not None)
     slots = sorted(v.slot for v in eng._vehicles.values())
     columns = (eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._seq, eng._ml,
-               eng._wait_flag)
+               eng._wait_flag, eng._since)
     return dict(
         edges=edges,
         occ_lanes=eng._occ_lanes.tolist(),
@@ -614,9 +649,12 @@ def _occupancy_tables(eng):
 
 class _Twins:
     """A cc engine and a ``compiled=False`` engine on twin networks, driven
-    through the same scripted transitions — ``_place``,
-    ``_remove_from_edge``, lane moves and the two passes — and compared
-    after every one of them.  A scripted lane move (:meth:`move`) is the
+    through the same scripted transitions — leaves and entries, lane moves,
+    the two passes and whole steps — and compared after every one of them.
+    A leave or an entry runs the engine's Python half (``_leave_edge``,
+    ``_place``) on both engines, and on cc one transition row of the
+    transit pass (``_transit``): a leave is a row with no target, an entry
+    a row with no source.  A scripted lane move (:meth:`move`) is the
     NumPy splice pair on both engines: cc moves lanes only inside its lane
     pass, which :meth:`step` runs."""
 
@@ -668,10 +706,21 @@ class _Twins:
         return eng._edge_order[eng._vehicles[vid].edge]
 
     def leave(self, vid):
-        self.each(lambda eng: eng._remove_from_edge(eng._vehicles[vid]))
+        def run(eng):
+            vehicle = eng._vehicles[vid]
+            src = eng._edge_order[vehicle.edge]
+            eng._leave_edge(vehicle)
+            if eng._kernel is not None:
+                eng._transit(vehicle, src, -1, -1)
+        self.each(run)
 
     def enter(self, vid, edge, pos):
-        self.each(lambda eng: eng._place(eng._vehicles[vid], *edge, pos_m=pos))
+        def run(eng):
+            vehicle = eng._vehicles[vid]
+            ei, seq = eng._place(vehicle, *edge, pos_m=pos)
+            if eng._kernel is not None:
+                eng._transit(vehicle, -1, ei, seq)
+        self.each(run)
 
     def relocate(self, vid, edge, pos):
         self.leave(vid)
@@ -728,9 +777,9 @@ _FIRST = ((0, 0), (0, 1))
 
 
 class TestOccupancyTransitions:
-    """cc's ``occ_enter``/``occ_leave``/``occ_lane_move`` against the NumPy
-    splice pair, bit for bit, after every transition.  Skipped where cc
-    does not load."""
+    """cc's transitions (rows of its transit pass) against the NumPy splice
+    pair, bit for bit, after every transition.  Skipped where cc does not
+    load."""
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_simultaneous_entries_tie_at_zero(self, lanes, occupancy_state_check):
@@ -811,10 +860,12 @@ class TestOccupancyTransitions:
             return [a.tobytes() for a in arrays]
 
         before = everything()
+        state = _state(eng.rng.bit_generator)
         free_slot = eng._capacity - 1
         assert eng._slot_vehicle[free_slot] is None
-        assert eng._kernel.occ_enter_bound(ei, 0, free_slot, 99, 1.0, 2.0, 3.0, 50.0) == -1
-        assert everything() == before
+        eng._rows_buf[0] = (free_slot, -1, 0, -1, ei, 99)  # a spawn row
+        assert eng._kernel.transit_bound(0, 1) == ~0
+        assert everything() == before and _state(eng.rng.bit_generator) == state
         twins.spawn()
         assert eng._lane_len[ei] == 5 and eng._lane_cap[ei] == 8
 
@@ -949,6 +1000,225 @@ class TestOvertakePass:
         assert len(events) == 1 + 6 * 5 + 6 * 5 + 5 * 5 > rows
         assert cc._pairs_buf.shape[0] > rows
         assert twins.overtakes() == []
+
+
+def _admitted(eng):
+    """The crossings the engine's admission would start now, as (vid, node)
+    pairs in order, starting none of them: cc's admission pass (whose rows
+    must name each vehicle's edge and lane), or the NumPy path's
+    ``_process_intersections_indexed`` with ``_cross`` recording instead of
+    crossing."""
+    if eng._kernel is not None:
+        rows = eng._rows_buf[:eng._kernel.admit_bound(eng.time_s)].tolist()
+        out = []
+        for slot, edge, lane, node, _, _ in rows:
+            vehicle = eng._slot_vehicle[slot]
+            assert (edge, lane) == (eng._edge_order[vehicle.edge], vehicle.lane)
+            out.append((vehicle.vid, eng._nodes[node]))
+        return out
+    calls = []
+    eng._cross = lambda vehicle, node, events: calls.append((vehicle.vid, node))
+    try:
+        eng._process_intersections_indexed([])
+    finally:
+        del eng._cross
+    return calls
+
+
+class TestAdmitPass:
+    """cc's ``admit_pass`` against ``_process_intersections_indexed`` and
+    ``_admit`` on twin engines, and the steps around it.  Three-lane
+    approaches into (1, 1) hold four heads at the stop line, more than its
+    override's cap of 2, all arriving in one step, so only their vids order
+    them, and the vids run against the pass's edge-and-lane scan; (0, 1),
+    at the default policy, sees two heads; (0, 2) has an override with a
+    longer delay.  A second wave reaches (1, 1) one step later with lower
+    vids, so (since, vid) puts it behind the first."""
+
+    POLICIES = {(1, 1): (2, 0.5), (0, 2): (3, 1.5)}
+
+    def test_admission_order_matches_numpy(self):
+        from repro.mobility.intersections import IntersectionPolicy
+
+        twins = _Twins(3)
+        for eng in twins.engines:
+            for node, (adm, delay) in self.POLICIES.items():
+                eng.set_intersection_policy(node, IntersectionPolicy(adm, delay))
+        eng = twins.cc
+        spots = {  # approach edge -> lanes with a head at the stop line
+            ((1, 2), (1, 1)): (0, 1, 2), ((0, 1), (1, 1)): (1,),
+            ((0, 0), (0, 1)): (0,), ((1, 1), (0, 1)): (2,),
+            ((1, 2), (0, 2)): (0, 2),
+        }
+        first = sorted(((eng._edge_order[edge], lane, edge) for edge, lanes in spots.items()
+                        for lane in lanes), reverse=True)  # highest vid scanned first
+        second = [((1, 0), (1, 1)), ((0, 1), (1, 1))]
+        wave2 = [twins.spawn() for _ in second]
+        wave1 = [twins.spawn() for _ in first]
+        assert max(wave2) < min(wave1)
+        for vid, (_, lane, edge) in zip(wave1, first):
+            twins.put(vid, edge, lane, eng._segments[edge].length_m)
+        crossed = []
+        for step in range(4):
+            if step == 1:
+                for vid, edge in zip(wave2, second):
+                    twins.put(vid, edge, 0, eng._segments[edge].length_m)
+            expect = _admitted(twins.engines[1])
+            assert _admitted(eng) == expect, step
+            crossed.append([event[1:] for event in twins.step()
+                            if event[0] == "CrossingEvent"])
+        into = [[vid for vid, node in step if node == (1, 1)] for step in crossed]
+        # the first wave's four heads, by vid although scanned the other
+        # way, two a step; then the second wave, whose heads came later
+        by_scan = [vid for vid, (_, _, edge) in sorted(zip(wave1, first), key=lambda x: x[1][:2])
+                   if edge[1] == (1, 1)]
+        assert by_scan == sorted(by_scan, reverse=True) and len(by_scan) == 4
+        assert into[:3] == [sorted(by_scan)[:2], sorted(by_scan)[2:], sorted(wave2)]
+        assert {node for step in crossed for _, node in step} >= {(1, 1), (0, 1), (0, 2)}
+        assert (eng._node_mark == -1).all()  # the pass's scratch, reset
+
+
+def _scripted_batch(twins, script):
+    """One batch of transitions on both engines: ``script`` holds (vid,
+    leaves, enters) rows, ``enters`` an (edge, pos) pair or None.  Both
+    engines run each row's Python half in order; the NumPy engine splices
+    as it goes, and cc then runs all the rows in one ``_run_rows``, whose
+    ``transit_bound`` returns are recorded and returned."""
+    returns = []
+
+    def run(eng):
+        rows, moved = [], []
+        for vid, leaves, enters in script:
+            vehicle = eng._vehicles[vid]
+            src = eng._edge_order[vehicle.edge] if leaves else -1
+            lane = vehicle.lane
+            if leaves:
+                eng._leave_edge(vehicle)
+            ei, seq = eng._place(vehicle, *enters[0], pos_m=enters[1]) if enters else (-1, -1)
+            if eng._kernel is not None and src < 0:
+                eng._pos[vehicle.slot] = vehicle.pos_m
+            rows.append((vehicle.slot, src, lane, -1, ei, seq))
+            moved.append(vehicle)
+        if eng._kernel is None:
+            return
+        eng._rows_buf[:len(rows)] = rows
+        transit = eng._kernel.transit_bound
+
+        def recorded(start, m):
+            returns.append(transit(start, m))
+            return returns[-1]
+
+        eng._kernel.transit_bound = recorded
+        try:
+            eng._run_rows(0, len(rows))
+        finally:
+            eng._kernel.transit_bound = transit
+        for vehicle, lane in zip(moved, eng._rows_buf[:len(rows), 2].tolist()):
+            vehicle.lane = lane
+
+    twins.each(run)
+    return returns
+
+
+class TestTransitPass:
+    """cc's ``transit_pass`` against the NumPy splice pair on twin engines:
+    a batch of crossing, exit and spawn rows whose target edge fills up
+    mid-batch."""
+
+    def test_full_target_mid_batch_grows_and_resumes(self, occupancy_state_check):
+        twins = _Twins(3)
+        eng = twins.cc
+        target, elsewhere = ((1, 0), (1, 1)), ((0, 1), (0, 2))
+        vids = [twins.spawn() for _ in range(8)]
+        for i, vid in enumerate(vids[:3]):
+            twins.relocate(vid, target, 30.0 - 5.0 * i)
+        ei = eng._edge_order[target]
+        assert (eng._lane_len[ei], eng._lane_cap[ei]) == (3, 4)
+        spawned = vids[7]
+        twins.leave(spawned)
+        script = [
+            (vids[3], True, (target, 0.0)),    # fills the target
+            (vids[4], True, (target, 0.0)),    # finds it full: ~1, then resumes
+            (vids[5], True, None),             # an exit row
+            (spawned, False, (elsewhere, 12.5)),  # a spawn row, onto an edge
+            (vids[6], True, (target, 0.0)),       # with no buffer yet: ~3
+        ]
+        assert eng._lane_cap[eng._edge_order[elsewhere]] == 0
+        returns = _scripted_batch(twins, script)
+        assert returns == [~1, ~3, 5]
+        assert (eng._lane_len[ei], eng._lane_cap[ei]) == (6, 8)
+        assert eng._pos[eng._vehicles[spawned].slot] == 12.5
+        assert eng._vehicles[spawned].edge == elsewhere
+        twins.enter(vids[5], elsewhere, 40.0)  # the exited vehicle, back on the road
+        for _ in range(3):
+            twins.step()
+            for e in twins.engines:
+                occupancy_state_check(e)
+
+
+class _ScriptedBits(ctypes.Structure):
+    """A ``bitgen_t`` built from ctypes callbacks, whose ``next_uint32``
+    returns scripted values and whose other draws must not be called."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)),
+        ("next_uint32", ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)),
+        ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)),
+        ("next_raw", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)),
+    ]
+
+    def __init__(self, values):
+        self.values, self.drawn, self.misused = list(values), 0, []
+
+        def next_uint32(_state):
+            self.drawn += 1
+            return self.values[self.drawn - 1]
+
+        def misuse(name):
+            def draw(_state):
+                self.misused.append(name)
+                return 0
+            return draw
+
+        kinds = dict(self._fields_)
+        super().__init__(None, *(
+            kinds[name](next_uint32 if name == "next_uint32" else misuse(name))
+            for name in ("next_uint64", "next_uint32", "next_double", "next_raw")
+        ))
+
+
+class TestLaneDraw:
+    """The transit pass draws a multilane entry's lane as
+    ``Generator.integers(nlanes)`` does, rejection loop included.  A
+    scripted ``bitgen_t`` whose first ``next_uint32`` is 0 makes the Lemire
+    step reject at the bounds whose threshold is non-zero (3, 5, 6, 7);
+    the lane must be :func:`_lemire`'s and the draw count its too."""
+
+    @pytest.mark.parametrize("nlanes", range(2, 9))
+    def test_spawn_row_lane_is_lemire(self, nlanes):
+        lane_buf, rank_buf = np.zeros(4, np.int64), np.zeros(4, np.int64)
+        bounds = np.zeros(nlanes + 1, np.int64)
+        values = [0, 0xC0000000, 0x40000000]
+        kernel, arrays = _bound(
+            1, lane_ptr=np.array([lane_buf.ctypes.data]),
+            rank_ptr=np.array([rank_buf.ctypes.data]),
+            bounds_ptr=np.array([bounds.ctypes.data]), nlanes=np.array([nlanes]),
+            lane_cap=np.array([4]), edge_len=np.array([80.0]), edge_limit=np.array([12.0]),
+            desired=np.array([9.0]), pos=np.array([20.0]),
+        )
+        bits = _ScriptedBits(values)
+        kernel._tables.bitgen = ctypes.addressof(bits)
+        arrays["rows_buf"][0] = (0, -1, 0, -1, 0, 7)
+        assert kernel.transit_bound(0, 1) == 1
+        script = iter(values)
+        expect = _lemire(lambda: next(script), nlanes)
+        lane = int(arrays["rows_buf"][0, 2])
+        assert lane == expect and bits.drawn == len(values) - sum(1 for _ in script)
+        assert bits.drawn == (2 if nlanes in (3, 5, 6, 7) else 1) and not bits.misused
+        assert lane_buf[0] == 0 and bounds.tolist() == [0] * (lane + 1) + [1] * (nlanes - lane)
+        assert arrays["pos"][0] == 20.0 and arrays["speed"][0] == 4.5
+        assert (arrays["freeflow"][0], arrays["seglen"][0], arrays["seq"][0]) == (9.0, 80.0, 7)
 
 
 # ------------------------------------------------------------ fallback
