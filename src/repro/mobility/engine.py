@@ -25,34 +25,36 @@ free speed, segment length, desired speed, vid, lane-head and multilane
 flags).  Each edge's occupancy is two slot arrays, the live prefixes of
 grow-only buffers: its lanes front to back, which is the gather order,
 and on multilane edges its overtake ranking.  Entering, leaving and
-changing lanes each update them in place: with cc inside a native pass
-(the transit pass's rows, the lane pass's moves), with an insert/remove
-pair in NumPy otherwise.  A step gathers every
+changing lanes update them in place, inside the step's passes (the
+transit pass's rows, the lane pass's moves).  A step gathers every
 non-empty edge's lane array, in edge order, and scatters back with one
 bulk write; nothing is rebuilt.  The ``Vehicle`` objects' kinematic fields
 become lazily synced mirrors (refreshed by any public accessor; see
-:attr:`TrafficEngine.vehicles`).  Because each lane advances front to back against its leader's
-post-step state, the update is not a single elementwise pass: the compiled
-kernel (:mod:`repro.mobility.kernels`, the default) sweeps the gather order
-in place in one native call, and the NumPy path it falls back to resolves
-lane heads and provably unconstrained/stopped followers in one vectorized
-pass, then exact vectorized rounds for followers whose leader is already
-final, and finally a scalar tail for short chained runs at queue boundaries
-— both bit-for-bit identical to the per-vehicle engine's advance.  The
-lane-change pass runs the blocked-follower predicate over the gathered
-order, and only actual candidates run the target-lane choice, consuming the
-RNG in reference order.  Overtakes are detected by checking each multilane
-segment's (position, vid) ranking for inversions instead of comparing all
-pairs.  With cc each of these two passes is one native call, the lane pass
-drawing from the engine generator's own bit generator; the NumPy path runs
-them in Python (:meth:`TrafficEngine._lane_change_batch`,
-:meth:`TrafficEngine._emit_overtakes`), their oracle.  Intersections only
-consider the vehicles actually waiting at a stop line, lane heads all.
-With cc the intersection phase is two native calls, admission and then the
-step's transitions with their lane draws, around the crossings' Python
-decisions (:meth:`TrafficEngine._process_intersections_cc`); the NumPy
-path (:meth:`TrafficEngine._process_intersections_indexed`) is their
-oracle.  In batched mode
+:attr:`TrafficEngine.vehicles`).
+
+A step is one code path over six operations that the engine binds once: the
+gather, the lane-change pass, the advance, the overtake pass, the
+admission and the transit pass.  With the compiled kernel
+(:mod:`repro.mobility.kernels`, the default) each is one native call;
+without it each is a NumPy method of the engine (``_gather_np`` …
+``_transit_pass_np``) that reads and writes the same buffers and returns
+the same, and that is the native call's oracle.  Because each lane
+advances front to back against its leader's post-step state, the advance
+is not a single elementwise pass: cc sweeps the gather order in place, and
+the NumPy advance resolves lane heads and provably unconstrained/stopped
+followers in one vectorized pass, then exact vectorized rounds for
+followers whose leader is already final, and finally a scalar tail for
+short chained runs at queue boundaries — both bit-for-bit identical to the
+per-vehicle engine's advance.  The lane-change pass runs the
+blocked-follower predicate over the gathered order, and only actual
+candidates run the target-lane choice, consuming the RNG in reference
+order.  Overtakes are detected by checking each multilane segment's
+(position, vid) ranking for inversions instead of comparing all pairs.
+Intersections only consider the vehicles waiting at a stop line, lane
+heads all: the admission fixes the step's crossing set, the crossings'
+Python decisions run in order (:meth:`TrafficEngine._cross`), and the
+transit pass then runs their leaves and entries with their lane draws
+(:meth:`TrafficEngine._process_intersections_batch`).  In batched mode
 :meth:`TrafficEngine.step_batch` emits plain crossings as index arrays
 (:class:`~repro.mobility.events.StepBatch`) consumed directly by the
 counting protocol — no per-crossing event objects.
@@ -65,9 +67,10 @@ it event for event except at one known positional tie (see
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -168,10 +171,11 @@ class TrafficEngine:
         recurrence, the overtake pass, the intersection admission and the
         step's transitions each run as one native call into a small C
         library built with the system compiler on first use.  When it
-        cannot load, the engine runs its NumPy path,
-        bit-for-bit identical and slower, and the first such fallback in a
-        process warns with the reason.  :attr:`kernel_backend` says which
-        path runs and :attr:`kernel_fallback_reason` why it is not cc.
+        cannot load, the same step runs each of these operations as a
+        NumPy method, bit-for-bit identical and slower, and the first such
+        fallback in a process warns with the reason.
+        :attr:`kernel_backend` says which path runs and
+        :attr:`kernel_fallback_reason` why it is not cc.
     """
 
     def __init__(
@@ -187,8 +191,8 @@ class TrafficEngine:
         vectorized: bool = True,
         compiled: bool = True,
     ) -> None:
-        if dt_s <= 0:
-            raise MobilityError(f"dt_s must be positive, got {dt_s!r}")
+        if not (dt_s > 0 and math.isfinite(dt_s)):
+            raise MobilityError(f"dt_s must be positive and finite, got {dt_s!r}")
         if not net.frozen:
             net.freeze()
         self.net = net
@@ -238,14 +242,10 @@ class TrafficEngine:
         # Lane changes and overtakes can happen only on a network with a
         # multilane segment.
         self._multilane_net = any(seg.lanes > 1 for seg in self._segs)
-        # Sparse: edges with vehicles waiting at the stop line, and those
-        # vehicles themselves (always their lane's head).  The NumPy path's
-        # admission reads it; cc's reads the lane heads' ``_wait_flag``.
-        self._waiting: Dict[Tuple[object, object], List[Vehicle]] = {}
-        # Intersection tables for cc's admission and transit passes: each
+        # Intersection tables for the admission and transit passes: each
         # edge's head node index, length and speed limit, and each node's
         # crossing delay and admissions per step, which
-        # set_intersection_policy keeps current; then the admission pass's
+        # set_intersection_policy keeps current; then cc's admission pass's
         # per-node scratch (a mark, -1 between calls, and a two-column
         # buffer).
         self._nodes: List[object] = list(net.nodes)
@@ -273,7 +273,7 @@ class TrafficEngine:
         # ``_desired`` and ``_vid`` are fixed at spawn.  ``_seq`` is the
         # placement number of each slot's current edge entry, so an edge's
         # slots sorted by it follow its flat ``_occupancy`` list, which is
-        # the overtake pass's pair order on cc.
+        # the pair order of cc's overtake pass.
         self._capacity = 0
         self._next_slot = 0
         self._free_slots: List[int] = []
@@ -292,7 +292,8 @@ class TrafficEngine:
         #: advance can mask already-waiting vehicles without touching the
         #: Vehicle objects (cleared on every placement, set when a vehicle
         #: reaches a stop line), and ``_since``, the mirror of
-        #: ``waiting_since_s`` where it is set; cc's advance writes both.
+        #: ``waiting_since_s`` where it is set; the advance writes both, and
+        #: the admission reads them from the lane heads.
         self._wait_flag = np.empty(0, dtype=bool)
         self._since = np.empty(0, dtype=np.float64)
         # Per-edge occupancy (vectorized engine only) — the state itself,
@@ -304,9 +305,9 @@ class TrafficEngine:
         # multilane edges ``_rank_store[e][:_lane_len[e]]`` holds them in
         # ascending (position, vid) order as of the last overtake scan, the
         # overtake ranking.  Both buffers are ``_lane_cap[e]`` long, grow
-        # together (:meth:`_grow_edge`) and are updated in place by cc's
-        # occupancy transitions or the NumPy splice pair, which keep
-        # ``_is_head``, ``_occ_lanes`` (non-empty lanes per edge),
+        # together (:meth:`_grow_edge`) and are updated in place by the
+        # transit and lane passes (on NumPy, through the splice pair), which
+        # keep ``_is_head``, ``_occ_lanes`` (non-empty lanes per edge),
         # ``_rank_elig`` and ``_lane_len`` current.
         self._lane_store: List[np.ndarray] = [_NO_SLOTS] * n_edges
         self._rank_store: List[np.ndarray] = [_NO_SLOTS] * n_edges
@@ -318,12 +319,12 @@ class TrafficEngine:
         self._occ_lanes = np.zeros(n_edges, dtype=np.int64)
         # Capacity-sized per-step scratch buffers (reallocated, not
         # preserved, on growth): the gather index vector, the advance
-        # arrival mask and, for cc's passes, the lane-change candidate mask,
-        # the lane moves as (slot, from, to) rows, the sort order of the
-        # overtake and admission passes, the admission candidates as (slot,
-        # edge, lane) rows and the transition rows, (slot, source edge,
-        # lane, node, target edge, placement number), which Python reaches
-        # through ``_rows``, a flat view made when the kernel binds them.
+        # arrival mask, the lane moves as (slot, from, to) rows and the
+        # transition rows, (slot, source edge, lane, node, target edge,
+        # placement number), which Python reaches through ``_rows``, a flat
+        # view made on growth; and for cc's passes, the lane-change
+        # candidate mask, the sort order of the overtake and admission
+        # passes and the admission candidates as (slot, edge, lane) rows.
         # The compiled kernel binds them once per capacity change, so each
         # per-step native call passes only the count.
         self._idx_buf = np.empty(0, dtype=np.intp)
@@ -333,7 +334,7 @@ class TrafficEngine:
         self._order_buf = np.empty(0, dtype=np.int64)
         self._cands_buf = np.empty((0, 3), dtype=np.int64)
         self._rows_buf = np.empty((0, 6), dtype=np.int64)
-        # cc's overtake pairs, (edge, passer slot, passee slot) rows: at
+        # The overtake pairs, (edge, passer slot, passee slot) rows: at
         # least a row per slot, doubled whenever one step's pairs overflow.
         self._pairs_buf = np.empty((0, 3), dtype=np.int64)
         # Pointer tables for the compiled kernel's full-edge sweeps: per-edge
@@ -352,8 +353,7 @@ class TrafficEngine:
             [b.ctypes.data for b in self._bounds_np], dtype=np.int64
         )
         self._rank_elig = np.zeros(n_edges, dtype=np.uint8)
-        if self._kernel is not None:
-            self._bind_kernel()
+        self._bind_kernel()
         self._kinematics_stale = False
         #: event sink for the current step_batch() call (None => step()
         #: materializes scalar CrossingEvent objects).
@@ -500,24 +500,25 @@ class TrafficEngine:
         self._order_buf = np.empty(capacity, dtype=np.int64)
         self._cands_buf = np.empty((capacity, 3), dtype=np.int64)
         self._rows_buf = np.empty((capacity, 6), dtype=np.int64)
+        # Python reads and writes the transition rows through a flat int64
+        # view, a fraction of the cost of NumPy's scalar indexing.
+        self._rows = memoryview(self._rows_buf).cast("B").cast("q")
         if self._pairs_buf.shape[0] < capacity:
             self._pairs_buf = np.empty((capacity, 3), dtype=np.int64)
-        if self._kernel is not None:
-            self._bind_kernel()
+        self._bind_kernel()
 
     def _bind_kernel(self) -> None:
-        """(Re-)bind the compiled kernel to the current resident arrays.
+        """(Re-)bind the compiled kernel to the current resident arrays,
+        and the step's six operations to its entry points.
 
         Called whenever any bound array is reallocated (capacity growth,
         or a pair buffer that filled up); afterwards each step's native call
-        passes only the element count.
+        passes only the element count.  Without the kernel the operations
+        stay the NumPy methods, which read the arrays through the engine.
         """
         kernel = self._kernel
-        assert kernel is not None
-        if self._rows_buf.size:
-            # Python reads and writes the transition rows through a flat
-            # int64 view, a fraction of the cost of NumPy's scalar indexing.
-            self._rows = memoryview(self._rows_buf).cast("B").cast("q")
+        if kernel is None:
+            return
         lc = self.lane_change
         kernel.bind(
             idx_buf=self._idx_buf,
@@ -560,6 +561,12 @@ class TrafficEngine:
             gap_half_m=lc.required_gap_m / 2.0,
             politeness=lc.politeness,
         )
+        self._gather = kernel.gather_bound
+        self._lane_pass = kernel.lane_pass_bound
+        self._advance = kernel.advance_bound
+        self._overtake_pass = kernel.overtake_bound
+        self._admit_pass = kernel.admit_bound
+        self._transit_pass = kernel.transit_bound
 
     def _sync_kinematics(self) -> None:
         """Refresh the Vehicle mirrors of the resident kinematic arrays.
@@ -634,7 +641,7 @@ class TrafficEngine:
             seg = self.net.segment(spec.origin, next_node)
             pos = float(self.rng.uniform(0.0, seg.length_m * 0.9)) if initial else 0.0
         ei, seq = self._place(vehicle, spec.origin, next_node, pos_m=pos)
-        if self._kernel is not None:
+        if self.vectorized:
             self._transit(vehicle, -1, ei, seq)
         return vehicle
 
@@ -644,55 +651,37 @@ class TrafficEngine:
         """Put ``vehicle`` on segment ``(tail, head)`` at ``pos_m`` (clamped
         to its length), at half its free speed.
 
-        Returns the segment's edge index and the placement's number.  On cc
-        the slot arrays and the lane draw are left to the transition row the
-        caller runs (:meth:`_run_rows`), which sets ``vehicle.lane``; the
-        other engines draw the lane here, and the NumPy path splices the
-        slot in.
+        Returns the segment's edge index and the placement's number.  The
+        vectorized engine leaves the slot arrays and the lane draw to the
+        transition row the caller runs (:meth:`_run_rows`), which sets
+        ``vehicle.lane``; the reference engine draws the lane here.
         """
         seg = self._segments.get((tail, head))
         if seg is None:
             seg = self.net.segment(tail, head)  # raises MobilityError
         key = seg.key
         vehicle.edge = key
-        lanes = seg.lanes
-        kernel = self._kernel
-        if kernel is None:
+        if not self.vectorized:
             # integers(1) is 0 without a draw, so skipping it leaves the
             # stream as it was (a unit test pins that NumPy behaviour).
+            lanes = seg.lanes
             vehicle.lane = int(self.rng.integers(lanes)) if lanes > 1 else 0
         vehicle.pos_m = min(pos_m, seg.length_m)
-        free = min(vehicle.desired_speed_mps, seg.speed_limit_mps)
-        vehicle.speed_mps = free * 0.5
+        vehicle.speed_mps = min(vehicle.desired_speed_mps, seg.speed_limit_mps) * 0.5
         vehicle.previous_node = tail
         vehicle.waiting_since_s = None
         self._occupancy[key].append(vehicle.vid)
-        ei = self._edge_order[key]
         seq = self._placements
         self._placements = seq + 1
-        if kernel is None and self.vectorized:
-            slot = vehicle.slot
-            self._seq[slot] = seq
-            self._pos[slot] = vehicle.pos_m
-            self._speed[slot] = vehicle.speed_mps
-            self._freeflow[slot] = free
-            self._seglen[slot] = seg.length_m
-            self._ml[slot] = lanes > 1
-            self._wait_flag[slot] = False
-            if lanes > 1:
-                self._rank_insert(ei, slot)
-            self._lane_insert(ei, vehicle.lane, slot)
-        return ei, seq
+        return self._edge_order[key], seq
 
     def _leave_edge(self, vehicle: Vehicle) -> None:
         """Take ``vehicle`` off its segment.
 
-        On cc the slot arrays are left to the transition row the caller
-        runs; the NumPy path splices the slot out and drops it from
-        ``_waiting``.
+        The vectorized engine leaves the slot arrays to the transition row
+        the caller runs.
         """
-        edge = vehicle.edge
-        self._occupancy[edge].remove(vehicle.vid)
+        self._occupancy[vehicle.edge].remove(vehicle.vid)
         if self.vectorized:
             # Materialize the departing vehicle's kinematics so exit events
             # and the departed pool carry its final state even though the
@@ -700,37 +689,26 @@ class TrafficEngine:
             slot = vehicle.slot
             vehicle.pos_m = self._pos.item(slot)
             vehicle.speed_mps = self._speed.item(slot)
-            if self._kernel is None:
-                ei = self._edge_order[edge]
-                self._wait_flag[slot] = False
-                if self._segs[ei].lanes > 1:
-                    self._rank_remove(ei, slot)
-                self._lane_remove(ei, vehicle.lane, slot)
-                if vehicle.waiting_since_s is not None:
-                    queue = self._waiting[edge]
-                    queue.remove(vehicle)
-                    if not queue:
-                        del self._waiting[edge]
 
     def _run_rows(self, start: int, stop: int) -> None:
         """Run transition rows ``start`` .. ``stop - 1`` of ``_rows_buf`` in
-        cc's transit pass, growing each target edge it finds full
-        (:meth:`_grow_edge`) and resuming at that row."""
-        kernel = self._kernel
-        assert kernel is not None
+        the transit pass, growing each target edge it finds full
+        (:meth:`_grow_edge`) and resuming at that row.  The pass draws the
+        entries' lanes, so the bit generator's lock is held across it."""
+        transit = self._transit_pass
         with self._bit_generator.lock:
             while True:
-                got = kernel.transit_bound(start, stop - start)
+                got = transit(start, stop - start)
                 if got >= 0:
                     return
                 start = ~got
                 self._grow_edge(self._rows[6 * start + 4])
 
     def _transit(self, vehicle: Vehicle, src: int, target: int, seq: int) -> None:
-        """One transition row, run now on cc: ``vehicle`` leaves its lane of
-        edge ``src`` (unless -1), then enters edge ``target`` (unless -1)
-        with placement number ``seq``, in the lane the pass draws, at 0 m
-        after a leave, as a crossing does, and otherwise at its ``pos_m``."""
+        """One transition row, run now: ``vehicle`` leaves its lane of edge
+        ``src`` (unless -1), then enters edge ``target`` (unless -1) with
+        placement number ``seq``, in the lane the pass draws, at 0 m after a
+        leave, as a crossing does, and otherwise at its ``pos_m``."""
         slot = vehicle.slot
         self._pos[slot] = vehicle.pos_m
         rows = self._rows
@@ -741,8 +719,9 @@ class TrafficEngine:
         vehicle.lane = rows[2]
 
     # ------------------------------------------------ per-edge slot arrays
-    # The NumPy splice pair, also the oracle of cc's transit pass.
-    # The ranking is spliced first, while ``_lane_len`` is still its length.
+    # The NumPy splice pair, which the NumPy transit and lane passes run and
+    # which is the oracle of cc's.  The ranking is spliced first, while
+    # ``_lane_len`` is still its length.
     def _grow_edge(self, ei: int) -> None:
         """Double edge ``ei``'s lane and (multilane) ranking buffers, for the
         NumPy splice and for cc's transit pass alike, and rewrite their
@@ -939,10 +918,7 @@ class TrafficEngine:
     def _step_core(self, events: List) -> None:
         if self.vectorized:
             self._advance_segments_batch(events)
-            if self._kernel is not None:
-                self._process_intersections_cc(events)
-            else:
-                self._process_intersections_indexed(events)
+            self._process_intersections_batch(events)
         else:
             self._advance_segments(events)
             self._process_intersections(events)
@@ -961,33 +937,13 @@ class TrafficEngine:
     def _advance_segments_batch(self, events: List[TrafficEvent]) -> None:
         """Advance every occupied segment (the vectorized step).
 
-        Gather every non-empty edge's lane slot array (:meth:`_gather`; a
-        follower's in-lane leader is simply the previous gather index),
-        mark the lane-change candidates with the blocked-follower
-        predicate, and run the lane-change pass; when it re-orders some
-        lanes the gather is redone.  The step then takes one of two
-        equivalent forms:
-
-        * **compiled kernel** (``MobilityConfig.compiled``, the default, and
-          cc loaded): the lane pass is one native call (the kernel's
-          ``lane_change_pass``, which draws from the engine generator's bit
-          generator under its lock and hands back its moves, so the moved
-          vehicles' ``lane`` is set here); a second sweeps the gather order
-          updating the resident position/speed arrays *in place* — each
-          follower naturally reads its leader's already-written post-step
-          state, so the whole front-to-back recurrence runs in one pass,
-          returning the arrival mask;
-        * **NumPy**: the lane pass is :meth:`_lane_change_batch`; then
-          compute every free-flow candidate vectorized, resolve the
-          provably unconstrained and provably stopped followers vectorized
-          (:meth:`SimplifiedIDM.batch_classify`), settle followers whose
-          leader is final in exact vectorized rounds, run the scalar
-          recurrence only for the short chained tail at queue boundaries,
-          and fold the arrival bookkeeping into one vectorized pass over
-          the ``_wait_flag`` mirror.
-
-        Both produce bit-identical state, events and generator state
-        (golden-trace pinned).
+        ``_gather`` flattens every non-empty edge's lanes into ``_idx_buf`` (a
+        follower's in-lane leader is the previous gather index), ``_lane_pass``
+        moves the blocked followers it picks, drawing from the engine generator
+        under its lock, and hands the moves back, and ``_advance`` writes the
+        post-step positions and speeds in place and marks the vehicles that
+        reached their stop line waiting; only their ``Vehicle`` mirrors are set
+        here.
 
         Overtake detection afterwards (:meth:`_detect_overtakes_fast`)
         skips multilane segments whose vehicles currently share a single
@@ -1004,150 +960,41 @@ class TrafficEngine:
         but changes pinned benchmark digests, so it waits for a change
         that may re-pin them.
         """
-        dt = self.dt_s
-        cf = self.car_following
         n = self._gather()
         if n == 0:
             return
-        idx = self._idx_buf[:n]
         # While no multilane edge is occupied, the lane-change and overtake
         # passes find nothing and draw nothing: every vehicle's ``_ml`` byte
         # is clear, so none is a candidate, and no ``_rank_elig`` byte is
         # set.  So a network-wide flag gates them.
         watching = self.allow_overtaking and self._multilane_net
-
-        pos_a = self._pos
-        speed_a = self._speed
-        wait_flag = self._wait_flag
-        kernel = self._kernel
-        if kernel is not None:
-            # The kernel path never gathers kinematic columns: the lane
-            # pass reads the resident arrays, and redoes the gather itself
-            # when it moved anyone (lane changes move no vehicle across or
-            # along a segment, so the count is unchanged).
-            if watching:
-                with self._bit_generator.lock:
-                    moved = kernel.lane_pass_bound(n)
-                if moved:
-                    slot_vehicle = self._slot_vehicle
-                    for slot, _, lane in self._moves_buf[:moved].tolist():
-                        mover = slot_vehicle[slot]
-                        assert mover is not None
-                        mover.lane = lane
-            # One native call: in-place resident-array sweep in gather
-            # order (the exact reference recurrence), arrivals marked
-            # waiting, arrival mask out.  The return value is the
-            # newly-arrived count, so the no-arrival common case skips the
-            # mask reduction too.
-            n_newly = kernel.advance_bound(n, self.time_s)
-            newly = self._newly_buf[:n] if n_newly else None
-        else:
-            pos = pos_a[idx]
-            speed = speed_a[idx]
-            if watching:
-                lc = self.lane_change
-                desired = self._desired[idx]
-                cand = np.zeros(n, dtype=bool)
-                cand[1:] = ((pos[:-1] - pos[1:]) <= lc.blocked_distance_m) & (
-                    (desired[1:] - speed[:-1]) > lc.speed_gain_threshold_mps
-                )
-                cand &= self._ml[idx] & ~self._is_head[idx]
-                if cand.any() and self._lane_change_batch(idx, cand):
-                    # Same re-gather as the kernel path; the columns then
-                    # follow the new lane order.
-                    self._gather()
-                    pos = pos_a[idx]
-                    speed = speed_a[idx]
-            free = self._freeflow[idx]
-            length = self._seglen[idx]
-            heads = self._is_head[idx]
-
-            vfree = cf.batch_free_speed(speed, free, dt)
-            cand_speed = np.maximum(0.0, vfree)
-            cand_raw = pos + cand_speed * dt
-            cand_pos = np.minimum(cand_raw, length)
-
-            unconstrained_f, stopped_f = cf.batch_classify(
-                pos[1:], vfree[1:], cand_raw[1:], pos[:-1], cand_pos[:-1], dt
-            )
-            stopped = np.zeros(n, dtype=bool)
-            stopped[1:] = stopped_f
-            stopped[heads] = False
-            resolved = np.empty(n, dtype=bool)
-            resolved[0] = False
-            resolved[1:] = unconstrained_f | stopped_f
-            resolved[heads] = True
-
-            new_pos = np.where(stopped, pos, cand_pos)
-            new_speed = np.where(stopped, 0.0, cand_speed)
-
-            residual = np.nonzero(~resolved)[0]
-            while residual.size > 24:
-                ready = resolved[residual - 1]
-                if not ready.any():
-                    break
-                ridx = residual[ready]
-                lidx = ridx - 1
-                new_pos[ridx], new_speed[ridx] = cf.batch_follow(
-                    pos[ridx], vfree[ridx], new_pos[lidx], new_speed[lidx],
-                    length[ridx], dt,
-                )
-                resolved[ridx] = True
-                residual = residual[~ready]
-
-            if residual.size:
-                follow = cf.follow_scalar
-                for i in residual.tolist():
-                    new_pos[i], new_speed[i] = follow(
-                        pos[i], vfree[i], new_pos[i - 1], new_speed[i - 1],
-                        length[i], dt,
-                    )
-
-            # All arrivals in one vectorized pass: ``_wait_flag`` mirrors
-            # ``waiting_since_s is not None``, so no per-vehicle probing.
-            newly = (new_pos >= length - _ARRIVAL_EPS_M) & ~wait_flag[idx]
-            if not newly.any():
-                newly = None
-            pos_a[idx] = new_pos
-            speed_a[idx] = new_speed
-
-        if newly is not None:
-            time_s = self.time_s
-            slot_vehicle = self._slot_vehicle
-            arrived = idx[newly]
-            if kernel is not None:
-                # The advance marked them; cc's admission reads the marks.
-                for slot in arrived.tolist():
-                    v = slot_vehicle[slot]
-                    assert v is not None
-                    v.waiting_since_s = time_s
-            else:
-                wait_flag[arrived] = True
-                self._since[arrived] = time_s
-                waiting = self._waiting
-                for slot in arrived.tolist():
-                    v = slot_vehicle[slot]
-                    assert v is not None
-                    v.waiting_since_s = time_s
-                    waiting.setdefault(v.edge, []).append(v)
-
+        slot_vehicle = self._slot_vehicle
+        if watching:
+            # A pass that moved anyone redid the gather; lane changes move
+            # no vehicle across or along a segment, so ``n`` still holds.
+            with self._bit_generator.lock:
+                moved = self._lane_pass(n)
+            if moved:
+                for slot, _, lane in self._moves_buf[:moved].tolist():
+                    mover = slot_vehicle[slot]
+                    assert mover is not None
+                    mover.lane = lane
+        # The return value is the newly-arrived count, so the no-arrival
+        # common case skips the mask too.
+        time_s = self.time_s
+        if self._advance(n, time_s):
+            for slot in self._idx_buf[:n][self._newly_buf[:n]].tolist():
+                v = slot_vehicle[slot]
+                assert v is not None
+                v.waiting_since_s = time_s
         self._kinematics_stale = True
-
         if watching:
             self._detect_overtakes_fast(events)
 
-    def _gather(self) -> int:
-        """Flatten every non-empty edge's lane slot array into ``_idx_buf``.
-
-        The walk visits the edges whose ``_lane_len`` is non-zero, in edge
-        order: one bound native call over the pointer table with cc,
-        otherwise one ``np.concatenate`` of their live prefixes into the
-        persistent capacity-sized index buffer.  Returns the gathered
-        element count (0 = nothing occupied).
-        """
-        kernel = self._kernel
-        if kernel is not None:
-            return kernel.gather_bound()
+    def _gather_np(self) -> int:
+        """cc's ``gather_all`` in NumPy: every non-empty edge's live lane
+        slots, in edge order, into ``_idx_buf`` with one ``np.concatenate``;
+        returns their count (0 = nothing occupied)."""
         lens = self._lane_len
         occupied = lens.nonzero()[0]
         counts = lens[occupied].tolist()
@@ -1160,34 +1007,37 @@ class TrafficEngine:
             )
         return total
 
-    def _lane_change_batch(self, idx: np.ndarray, cand: np.ndarray) -> bool:
-        """The NumPy lane-change pass: pick target lanes for the candidates.
+    def _lane_pass_np(self, n: int) -> int:
+        """cc's ``lane_change_pass`` in NumPy, over the gather
+        ``_idx_buf[:n]``.
 
-        The oracle of cc's ``lane_change_pass``.  ``cand`` is the
-        gather-aligned mask of the blocked-follower predicate
-        (:meth:`LaneChangeModel.wants_to_change`).  Candidates are visited
-        in gather order, which is the reference engine's
-        segment-by-segment, lane-by-lane, front-to-back scan order, so the
-        RNG stream is consumed identically.  Target-lane viability reads
-        the candidate's edge's lane slots and lane bounds through
-        :func:`lane_options_np`, which gives the bits of
-        :func:`lane_options_py`, whose gap test is the scalar model's exact
-        float sequence.  Decisions within a segment read the pre-change
-        lanes (the reference applies its moves only after scanning the
-        whole segment), so accepted moves are buffered per segment — the
-        gather is edge-block ordered, so each candidate's own edge delimits
-        the segments — and applied at the segment boundary.
-        Returns whether any segment's lane order changed; the caller then
-        redoes the gather.
+        The candidates are the followers on multilane segments whose in-lane
+        leader is close and slow (:meth:`LaneChangeModel.wants_to_change`).
+        They are visited in gather order, the reference engine's segment by
+        segment, lane by lane, front to back scan, so the RNG stream is
+        consumed identically.  Target-lane viability is
+        :func:`lane_options_np`, whose bits are :func:`lane_options_py`'s, the
+        scalar model's exact float sequence.  Decisions within a segment read
+        the pre-change lanes (the reference applies its moves after scanning
+        the whole segment), so a segment's moves are applied when the walk
+        leaves it.  Writes (slot, from, to) per move to ``_moves_buf``, redoes
+        the gather when anything moved, and returns the move count.
         """
+        idx = self._idx_buf[:n]
+        lc = self.lane_change
+        pos = self._pos[idx]
+        cand = np.zeros(n, dtype=bool)
+        cand[1:] = ((pos[:-1] - pos[1:]) <= lc.blocked_distance_m) & (
+            (self._desired[idx][1:] - self._speed[idx][:-1]) > lc.speed_gain_threshold_mps
+        )
+        cand &= self._ml[idx] & ~self._is_head[idx]
         slot_vehicle = self._slot_vehicle
         edge_order = self._edge_order
-        pos_a = self._pos
-        politeness = self.lane_change.politeness
+        politeness = lc.politeness
         rng = self.rng
         cur = -1
         pending: List[Tuple[Vehicle, int]] = []
-        patched = False
+        moves: List[Tuple[int, int, int]] = []
         for i in cand.nonzero()[0].tolist():
             v = slot_vehicle[int(idx[i])]
             assert v is not None
@@ -1196,7 +1046,6 @@ class TrafficEngine:
                 if pending:
                     self._apply_lane_moves(cur, pending)
                     pending = []
-                    patched = True
                 cur = ei
             # Inline scalar target-lane choice: politeness veto first (one
             # uniform per candidate, like the reference scan), then the
@@ -1204,7 +1053,7 @@ class TrafficEngine:
             # both neighbours are viable — identical RNG stream.
             if rng.random() < politeness:
                 continue
-            opts = self._lane_options_np(ei, v.lane, float(pos_a[v.slot]))
+            opts = self._lane_options_np(ei, v.lane, float(self._pos[v.slot]))
             if opts == 0:
                 continue
             if opts == 3:
@@ -1214,10 +1063,13 @@ class TrafficEngine:
             else:
                 target = v.lane - 1
             pending.append((v, target))
-        if pending:
-            self._apply_lane_moves(cur, pending)
-            patched = True
-        return patched
+            moves.append((v.slot, v.lane, target))
+        if not moves:
+            return 0
+        self._apply_lane_moves(cur, pending)
+        self._moves_buf[:len(moves)] = moves
+        self._gather_np()
+        return len(moves)
 
     def _lane_options_np(self, ei: int, lane: int, own: float) -> int:
         """:func:`lane_options_np` on edge ``ei`` (the lane bounds delimit
@@ -1239,49 +1091,124 @@ class TrafficEngine:
             self._lane_insert(ei, target, v.slot)
             v.lane = target
 
+    def _advance_np(self, n: int, now: float) -> int:
+        """cc's ``advance_chain`` in NumPy, over the gather ``_idx_buf[:n]``.
+
+        Every free-flow candidate is computed vectorized, the provably
+        unconstrained and stopped followers are resolved vectorized
+        (:meth:`SimplifiedIDM.batch_classify`), followers whose leader is final
+        settle in exact vectorized rounds, and only the short chained tail at
+        queue boundaries runs the scalar recurrence.  Arrivals are marked
+        waiting since ``now`` and counted; ``_newly_buf[:n]`` is written only
+        when the count is not zero.
+        """
+        dt = self.dt_s
+        cf = self.car_following
+        idx = self._idx_buf[:n]
+        pos_a = self._pos
+        speed_a = self._speed
+        pos = pos_a[idx]
+        speed = speed_a[idx]
+        free = self._freeflow[idx]
+        length = self._seglen[idx]
+        heads = self._is_head[idx]
+
+        vfree = cf.batch_free_speed(speed, free, dt)
+        cand_speed = np.maximum(0.0, vfree)
+        cand_raw = pos + cand_speed * dt
+        cand_pos = np.minimum(cand_raw, length)
+
+        unconstrained_f, stopped_f = cf.batch_classify(
+            pos[1:], vfree[1:], cand_raw[1:], pos[:-1], cand_pos[:-1], dt
+        )
+        stopped = np.zeros(n, dtype=bool)
+        stopped[1:] = stopped_f
+        stopped[heads] = False
+        resolved = np.empty(n, dtype=bool)
+        resolved[0] = False
+        resolved[1:] = unconstrained_f | stopped_f
+        resolved[heads] = True
+
+        new_pos = np.where(stopped, pos, cand_pos)
+        new_speed = np.where(stopped, 0.0, cand_speed)
+
+        residual = (~resolved).nonzero()[0]
+        while residual.size > 24:
+            ready = resolved[residual - 1]
+            if not ready.any():
+                break
+            ridx = residual[ready]
+            lidx = ridx - 1
+            new_pos[ridx], new_speed[ridx] = cf.batch_follow(
+                pos[ridx], vfree[ridx], new_pos[lidx], new_speed[lidx],
+                length[ridx], dt,
+            )
+            resolved[ridx] = True
+            residual = residual[~ready]
+
+        if residual.size:
+            follow = cf.follow_scalar
+            for i in residual.tolist():
+                new_pos[i], new_speed[i] = follow(
+                    pos[i], vfree[i], new_pos[i - 1], new_speed[i - 1],
+                    length[i], dt,
+                )
+
+        pos_a[idx] = new_pos
+        speed_a[idx] = new_speed
+        # All arrivals in one vectorized pass: ``_wait_flag`` mirrors
+        # ``waiting_since_s is not None``, so no per-vehicle probing.
+        newly = (new_pos >= length - _ARRIVAL_EPS_M) & ~self._wait_flag[idx]
+        n_newly = int(np.count_nonzero(newly))
+        if n_newly:
+            self._newly_buf[:n] = newly
+            arrived = idx[newly]
+            self._wait_flag[arrived] = True
+            self._since[arrived] = now
+        return n_newly
+
     def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
         """Post-step overtake scan over the per-edge rankings.
 
         ``_rank_store`` holds each multilane segment's slots in ascending
         (position, vid) order as of the last scan; car following preserves
-        in-lane order and lane changes do not move vehicles
-        longitudinally, so one monotonicity scan of the post-step
-        positions confirms it.  Only segments where the scan finds an
-        inversion — an actual overtake — enumerate their flipped pairs and
-        re-sort their ranking (:meth:`_emit_overtakes`).  The scan covers
-        the segments flagged in ``_rank_elig``, those with vehicles in more
-        than one lane; skipping the one-lane segments diverges from the
-        reference at a positional tie (see :meth:`_advance_segments_batch`).
-        Positional ties count as inversions when their vid order disagrees.
-        With cc the whole pass is one native call (the kernel's
-        ``overtake_pass``), which hands back each flipped pair as an (edge,
-        passer slot, passee slot) row, in :meth:`_emit_overtakes`'s order,
-        taking the pairs' placement order from ``_seq``; the events are
-        built here.  The NumPy path concatenates the eligible rankings in
-        edge order (the gather's, so cross-edge event order is unchanged)
-        and scans them vectorized.
+        in-lane order and lane changes do not move vehicles longitudinally, so
+        one monotonicity scan of the post-step positions confirms it.  Only
+        segments where the scan finds an inversion (a positional tie counts
+        when its vid order disagrees) enumerate their flipped pairs and re-sort
+        their ranking.  The scan covers the segments flagged in ``_rank_elig``,
+        those with vehicles in more than one lane; skipping the one-lane
+        segments diverges from the reference at a positional tie (see
+        :meth:`_advance_segments_batch`).  The pass (``_overtake_pass``) hands
+        back each flipped pair as an (edge, passer slot, passee slot) row, in
+        the reference engine's event order; the events are built here.
         """
-        kernel = self._kernel
-        if kernel is not None:
-            while True:
-                got = kernel.overtake_bound()
-                n_pairs = got if got >= 0 else ~got
-                if n_pairs:
-                    self.stats.overtakes += n_pairs
-                    for ei, a, b in self._pairs_buf[:n_pairs].tolist():
-                        passer, passee = self._slot_vehicle[a], self._slot_vehicle[b]
-                        assert passer is not None and passee is not None
-                        events.append(OvertakeEvent(time_s=self.time_s, edge=self._segs[ei].key,
-                                                    passer=passer, passee=passee))
-                if got >= 0:
-                    return
-                # One edge's pairs did not fit: the edges before it are
-                # done, so grow the buffer and let the pass carry on.
-                self._pairs_buf = np.empty((2 * self._pairs_buf.shape[0], 3), dtype=np.int64)
-                self._bind_kernel()
-        elig = np.flatnonzero(self._rank_elig)
+        while True:
+            got = self._overtake_pass()
+            n_pairs = got if got >= 0 else ~got
+            if n_pairs:
+                self.stats.overtakes += n_pairs
+                for ei, a, b in self._pairs_buf[:n_pairs].tolist():
+                    passer, passee = self._slot_vehicle[a], self._slot_vehicle[b]
+                    assert passer is not None and passee is not None
+                    events.append(OvertakeEvent(time_s=self.time_s, edge=self._segs[ei].key,
+                                                passer=passer, passee=passee))
+            if got >= 0:
+                return
+            # One edge's pairs did not fit: the edges before it are done,
+            # so grow the buffer and let the pass carry on.
+            self._pairs_buf = np.empty((2 * self._pairs_buf.shape[0], 3), dtype=np.int64)
+            self._bind_kernel()
+
+    def _overtake_pass_np(self) -> int:
+        """cc's ``overtake_pass`` in NumPy: the eligible rankings, concatenated
+        in edge order, are scanned vectorized, and each inverted one's edge
+        writes its flipped pairs (:meth:`_flip_pairs_np`).  Returns the pair
+        count, or ``~count`` when an edge's pairs do not fit in ``_pairs_buf``,
+        the edges before it done and that edge untouched."""
+        elig = self._rank_elig.nonzero()[0]
         if not elig.size:
-            return
+            return 0
         eis = elig.tolist()
         lens = self._lane_len[elig]
         store = self._rank_store
@@ -1296,46 +1223,48 @@ class TrafficEngine:
         np.logical_or(bad, ties, out=bad)
         bounds = np.cumsum(lens)
         bad[bounds[:-1] - 1] = False
-        hits = np.flatnonzero(bad)
+        hits = bad.nonzero()[0]
         if hits.size == 0:
-            return
+            return 0
+        n_pairs = 0
         for j in np.unique(np.searchsorted(bounds, hits, side="right")).tolist():
-            self._emit_overtakes(eis[j], events)
+            got = self._flip_pairs_np(eis[j], n_pairs)
+            if got < 0:
+                return ~n_pairs
+            n_pairs = got
+        return n_pairs
 
-    def _emit_overtakes(self, ei: int, events: List[TrafficEvent]) -> None:
-        """Enumerate the flipped pairs of one segment and re-sort its ranking
-        (the NumPy path, and the oracle of cc's ``overtake_pass``).
+    def _flip_pairs_np(self, ei: int, n_pairs: int) -> int:
+        """Write edge ``ei``'s flipped pairs to ``_pairs_buf`` from row
+        ``n_pairs`` and re-sort its ranking; returns the new row count, or -1,
+        having changed nothing, when they do not fit.
 
-        The ranking still holds the pre-step order; comparing each
-        vehicle's index in it with its index in the re-sorted ranking is
-        equivalent to the reference engine's (position, vid) tuple
-        comparisons, because both rankings are strict total orders.  Pairs
-        are scanned in the flat insertion order the reference engine used,
-        so simultaneous events come out in the same sequence.
+        A pair flipped when its two slots' order in the ranking, which still
+        holds the pre-step order, disagrees with their order in the re-sorted
+        one; both are strict total orders, so that is the reference engine's
+        (position, vid) tuple comparison.  Pairs are scanned in the edge's
+        ``_occupancy`` order, the reference engine's event order.
         """
         ranking = self._rank_store[ei][:self._lane_len[ei]]
-        before = self._vid[ranking]
-        resort = np.lexsort((before, self._pos[ranking]))
-        ranking[:] = ranking[resort]
-        rank_before = {vid: r for r, vid in enumerate(before.tolist())}
-        rank_after = {vid: r for r, vid in enumerate(before[resort].tolist())}
-        seg = self._segs[ei]
-        order = [self._vehicles[vid] for vid in self._occupancy[seg.key]]
-        n = len(order)
-        vids = [v.vid for v in order]
-        for i in range(n):
-            rb_a = rank_before[vids[i]]
-            ra_a = rank_after[vids[i]]
-            for j in range(i + 1, n):
-                was_a_ahead = rb_a > rank_before[vids[j]]
-                now_a_ahead = ra_a > rank_after[vids[j]]
-                if was_a_ahead == now_a_ahead:
+        after = ranking[np.lexsort((self._vid[ranking], self._pos[ranking]))]
+        rank_before = {slot: r for r, slot in enumerate(ranking.tolist())}
+        rank_after = {slot: r for r, slot in enumerate(after.tolist())}
+        order = [self._vehicles[vid].slot for vid in self._occupancy[self._segs[ei].key]]
+        flat: List[int] = []
+        for i, a in enumerate(order):
+            rb_a = rank_before[a]
+            ra_a = rank_after[a]
+            for b in order[i + 1:]:
+                now_a_ahead = ra_a > rank_after[b]
+                if (rb_a > rank_before[b]) == now_a_ahead:
                     continue
-                passer, passee = (order[i], order[j]) if now_a_ahead else (order[j], order[i])
-                self.stats.overtakes += 1
-                events.append(
-                    OvertakeEvent(time_s=self.time_s, edge=seg.key, passer=passer, passee=passee)
-                )
+                flat += (ei, a, b) if now_a_ahead else (ei, b, a)
+        end = n_pairs + len(flat) // 3
+        if end > self._pairs_buf.shape[0]:
+            return -1
+        self._pairs_buf.reshape(-1)[3 * n_pairs:3 * end] = flat
+        ranking[:] = after
+        return end
 
     # --------------------------------------- segment dynamics (per vehicle)
     def _advance_segments(self, events: List[TrafficEvent]) -> None:
@@ -1419,42 +1348,6 @@ class TrafficEngine:
                 )
 
     # -------------------------------------------------- intersection crossing
-    def _process_intersections_indexed(self, events: List[TrafficEvent]) -> None:
-        """Admission control scanning only the vehicles actually waiting.
-
-        ``_waiting`` indexes the vehicles at a stop line per segment (each is
-        necessarily the head of its lane: followers are held at least a
-        vehicle length behind, and a vehicle at the stop line has no leader
-        to trigger a lane change), so admission never touches free-flowing
-        traffic.
-        """
-        candidates: Dict[object, List[Tuple[float, int, object]]] = {}
-        time_s = self.time_s
-        dt = self.dt_s
-        waiting = self._waiting
-        waiting_edges = (
-            # Candidate collection must follow the network's segment order
-            # (it fixes which edge first registers each node, and thereby
-            # the crossing-event order of the step).
-            sorted(waiting, key=self._edge_order.__getitem__)
-            if len(waiting) > 1
-            else list(waiting)
-        )
-        segments = self._segments
-        overrides = self._policies
-        default_delay = self.default_policy.crossing_delay_s
-        for edge_key in waiting_edges:
-            node = segments[edge_key].head
-            if overrides:
-                delay = overrides.get(node, self.default_policy).crossing_delay_s
-            else:
-                delay = default_delay
-            for v in waiting[edge_key]:
-                since = v.waiting_since_s
-                if time_s - since + dt >= delay:
-                    candidates.setdefault(node, []).append((since, v.vid, edge_key))
-        self._admit(candidates, events)
-
     def _process_intersections(self, events: List[TrafficEvent]) -> None:
         """Seed reference implementation: scan every occupied segment."""
         candidates: Dict[object, List[Tuple[float, int, object]]] = {}
@@ -1477,23 +1370,22 @@ class TrafficEngine:
                     candidates.setdefault(node, []).append((v.waiting_since_s, v.vid, edge_key))
         self._admit(candidates, events)
 
-    def _process_intersections_cc(self, events: List[TrafficEvent]) -> None:
-        """The intersection phase on cc: two native calls around the
-        crossings' Python decisions.
+    def _process_intersections_batch(self, events: List[TrafficEvent]) -> None:
+        """The intersection phase: admission, the crossings' Python decisions,
+        then the transit pass.
 
-        The admission pass (the kernel's ``admit_pass``) fixes the step's
-        crossing set before any crossing runs and writes it as rows, (slot,
-        edge, lane, node), in the order :meth:`_process_intersections_indexed`
-        and :meth:`_admit` produce.  :meth:`_cross` then decides each row in
-        order (exit or next hop, the event, the bookkeeping) and gives it
-        its target edge and placement number.  The transit pass
-        (:meth:`_run_rows`) then runs the rows' leaves and entries, drawing
-        each entry's lane from the engine generator in row order, the
-        order the NumPy path draws them in, and the lanes are read back.
+        The admission (``_admit_pass``) fixes the step's crossing set before
+        any crossing runs and writes it as rows, (slot, edge, lane, node), in
+        the order :meth:`_process_intersections` and :meth:`_admit` produce.
+        :meth:`_cross` decides each row in order (exit or next hop, the event,
+        the bookkeeping) and gives it its target edge and placement number. The
+        transit pass (:meth:`_run_rows`) then runs the rows' leaves and
+        entries, drawing the entries' lanes from the engine generator in row
+        order, and the lanes are read back.  Routers draw from their own
+        generator, so drawing the lanes after every decision leaves the engine
+        generator's stream as the reference engine's.
         """
-        kernel = self._kernel
-        assert kernel is not None
-        m = kernel.admit_bound(self.time_s)
+        m = self._admit_pass(self.time_s)
         if not m:
             return
         rows = self._rows
@@ -1508,6 +1400,101 @@ class TrafficEngine:
         self._run_rows(0, m)
         for r, vehicle in zip(range(2, 6 * m, 6), crossing):
             vehicle.lane = rows[r]
+
+    def _admit_pass_np(self, now: float) -> int:
+        """cc's ``admit_pass`` in NumPy: the step's crossing set.
+
+        A vehicle waiting at a stop line is its lane's head (followers are held
+        at least a vehicle length behind, and a vehicle at the stop line has
+        no leader to trigger a lane change), marked by the advance in
+        ``_wait_flag`` and ``_since``.  One whose dwell, ``now - since + dt``, has reached its
+        edge's head node's delay is a candidate; candidates are taken in edge
+        order, and a node registers at its first.  Node by node, in
+        registration order, candidates sort by (since, vid), and the first
+        ``_adm[node]`` become rows of ``_rows_buf``: (slot, edge, lane, node).
+        Returns the row count.
+        """
+        waiting = self._wait_flag.nonzero()[0]
+        if not waiting.size:
+            return 0
+        slot_vehicle = self._slot_vehicle
+        edge_order = self._edge_order
+        heads = []
+        for slot in waiting.tolist():
+            v = slot_vehicle[slot]
+            assert v is not None
+            heads.append((edge_order[v.edge], v.lane, slot))
+        heads.sort()
+        head_node, delay, since, vid = self._head_node, self._delay, self._since, self._vid
+        dt = self.dt_s
+        candidates: Dict[int, List[Tuple[float, int, int, int, int]]] = {}
+        for ei, lane, slot in heads:
+            node = head_node.item(ei)
+            t = since.item(slot)
+            if now - t + dt >= delay.item(node):
+                candidates.setdefault(node, []).append((t, vid.item(slot), slot, ei, lane))
+        rows = self._rows
+        r = 0
+        for node, queue in candidates.items():
+            queue.sort()
+            for _, _, slot, ei, lane in queue[:self._adm.item(node)]:
+                rows[r], rows[r + 1], rows[r + 2], rows[r + 3] = slot, ei, lane, node
+                r += 6
+        return r // 6
+
+    def _transit_pass_np(self, start: int, m: int) -> int:
+        """cc's ``transit_pass`` in NumPy, over ``m`` rows of ``_rows_buf``
+        from row ``start``.
+
+        Each row's slot leaves its lane of the source edge through the splice
+        pair, unless the source is -1 (a spawn); then, unless the target is -1
+        (an exit), it enters the target edge with the row's placement number,
+        at the position and speed :meth:`_place` gave it, in a lane drawn as
+        ``Generator.integers(nlanes)`` (no draw on a one-lane edge), which the
+        row's lane column takes.  A full target edge grows in place, so this
+        returns ``start + m``.  The caller holds the bit generator's lock,
+        which the ``Generator`` method takes again (it is re-entrant).
+        """
+        rows = self._rows
+        segs = self._segs
+        rng = self.rng
+        for r in range(6 * start, 6 * (start + m), 6):
+            slot, src, ei = rows[r], rows[r + 1], rows[r + 4]
+            if src >= 0:
+                self._wait_flag[slot] = False
+                if segs[src].lanes > 1:
+                    self._rank_remove(src, slot)
+                self._lane_remove(src, rows[r + 2], slot)
+            if ei < 0:
+                continue
+            seg = segs[ei]
+            lanes = seg.lanes
+            lane = int(rng.integers(lanes)) if lanes > 1 else 0
+            rows[r + 2] = lane
+            vehicle = self._slot_vehicle[slot]
+            assert vehicle is not None
+            self._seq[slot] = rows[r + 5]
+            self._pos[slot] = vehicle.pos_m
+            self._speed[slot] = vehicle.speed_mps
+            self._freeflow[slot] = min(vehicle.desired_speed_mps, seg.speed_limit_mps)
+            self._seglen[slot] = seg.length_m
+            self._ml[slot] = lanes > 1
+            self._wait_flag[slot] = False
+            if lanes > 1:
+                self._rank_insert(ei, slot)
+            self._lane_insert(ei, lane, slot)
+        return start + m
+
+    # The step's six operations, one code path for both backends: these
+    # NumPy methods, unless _bind_kernel sets cc's entry points on the engine
+    # (each takes and returns what its entry point does; see StepKernel).
+    # As class attributes they put the engine in no reference cycle.
+    _gather: Callable[..., int] = _gather_np
+    _lane_pass: Callable[..., int] = _lane_pass_np
+    _advance: Callable[..., int] = _advance_np
+    _overtake_pass: Callable[..., int] = _overtake_pass_np
+    _admit_pass: Callable[..., int] = _admit_pass_np
+    _transit_pass: Callable[..., int] = _transit_pass_np
 
     def _admit(
         self,

@@ -17,6 +17,7 @@ once, which the multi-target camera handles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -46,10 +47,14 @@ class IntersectionPolicy:
     name: str = "simple"
 
     def __post_init__(self) -> None:
-        if self.admissions_per_step < 1:
-            raise ConfigurationError("admissions_per_step must be at least 1")
-        if self.crossing_delay_s < 0:
-            raise ConfigurationError("crossing_delay_s cannot be negative")
+        # Only an int cap (not a bool) and a finite delay: cc's int64 table
+        # truncates a fractional cap where the other engines fail on it,
+        # and a NaN delay admits no vehicle at all.
+        cap, delay = self.admissions_per_step, self.crossing_delay_s
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise ConfigurationError(f"admissions_per_step must be an int >= 1, got {cap!r}")
+        if not (delay >= 0 and math.isfinite(delay)):
+            raise ConfigurationError(f"crossing_delay_s must be finite and >= 0, got {delay!r}")
 
 
 def simple_policy() -> IntersectionPolicy:

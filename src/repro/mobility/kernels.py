@@ -15,24 +15,27 @@ points are ``gather_all``, which walks the engine's per-edge pointer
 tables; the two passes around the advance, ``lane_change_pass`` (the
 blocked-follower predicate, each candidate's target lane and RNG draws,
 the moves and the re-gather) and ``overtake_pass`` (the ranking scan, each
-inverted ranking's flipped pairs and its re-sort), the engine's NumPy
-``_lane_change_batch`` and ``_emit_overtakes`` in C; and the two calls of
-the intersection phase, ``admit_pass`` (the step's crossing set, the
-engine's NumPy ``_process_intersections_indexed`` and ``_admit``) and
+inverted ranking's flipped pairs and its re-sort); and the two calls of
+the intersection phase, ``admit_pass`` (the step's crossing set) and
 ``transit_pass`` (the crossings' leaves and entries with their lane
-draws, and any one spawn's entry).  The NumPy methods stay the engine's
-compiler-less path and the passes' oracles.  The transitions inside
-``transit_pass`` (the static helpers ``occ_enter`` and ``occ_leave``) have
-the semantics of the engine's NumPy splice pair
-(``TrafficEngine._lane_insert`` and friends, their oracle).
+draws, and any one spawn's entry).  These six are the operations of the
+engine's one step code path, and each has a NumPy twin, a
+``TrafficEngine`` method that reads and writes the same buffers and
+returns the same: ``_gather_np``, ``_lane_pass_np``, ``_advance_np``,
+``_overtake_pass_np``, ``_admit_pass_np`` and ``_transit_pass_np``.  The
+twins are the engine's compiler-less path and each entry point's oracle.
+The transitions inside ``transit_pass`` (the static helpers ``occ_enter``
+and ``occ_leave``) and ``lane_change_pass`` have the semantics of the
+engine's NumPy splice pair (``TrafficEngine._lane_insert`` and friends,
+their oracle).
 
 The intersection phase
 ----------------------
-On cc the engine runs Alg. 1's intersection phase as two native calls,
-with the decisions that must stay in Python between them, like the
-synchronous update of a probabilistic cellular automaton: the step's
-crossing set is fixed before any crossing runs, and the randomness is
-drawn in a fixed order.  ``admit_pass(now)`` walks each occupied edge's
+The engine runs Alg. 1's intersection phase as two passes, on cc two
+native calls, with the decisions that must stay in Python between them,
+like the synchronous update of a probabilistic cellular automaton: the
+step's crossing set is fixed before any crossing runs, and the randomness
+is drawn in a fixed order.  ``admit_pass(now)`` walks each occupied edge's
 waiting lane heads in edge order and writes the admitted crossings as
 rows of ``rows_buf``, (slot, edge, lane, node), node by node in the order
 of their first candidate and, within a node, by (since, vid) up to its
@@ -107,10 +110,12 @@ draw per entry onto a multilane edge, none onto a one-lane edge) leave
 the stream, every event and the generator's state (PCG64's buffered
 32-bit half included) bit for bit those of the NumPy path; unit tests
 pin the NumPy behaviour through ``BitGenerator.ctypes`` without a
-compiler, and the rejection loop through a scripted ``bitgen_t``.  The engine holds the bit generator's ``lock``, the lock
-every ``Generator`` method takes, across each call, and binds the
-generator once, at construction, so ``engine.rng`` must not be replaced
-on a live engine.  Because the transit pass draws every crossing's lane
+compiler, and the rejection loop through a scripted ``bitgen_t``.  The
+engine holds the bit generator's ``lock``, the lock every ``Generator``
+method takes, across each pass of either backend (the NumPy twins'
+``Generator`` calls take it again: it is re-entrant, which a unit test
+pins), and binds the generator once, at construction, so ``engine.rng``
+must not be replaced on a live engine.  Because the transit pass draws every crossing's lane
 after the Python decisions, a router must not draw from the engine's
 generator: its ``next_hop`` draws would move ahead of the lanes.
 
@@ -508,8 +513,9 @@ typedef struct {
 #define ROW 6
 #define CAND 3
 
-/* The advance over idx[:n]; a vehicle that reaches its stop line is marked
- * waiting (waitflag, and since = now) and flagged in newly. */
+/* The advance over idx[:n] (TrafficEngine._advance_np's twin); a vehicle
+ * that reaches its stop line is marked waiting (waitflag, and since = now)
+ * and flagged in newly. */
 int64_t advance_chain(const tables *t, int64_t n, double now)
 {
     const int64_t *idx = t->idx;
@@ -596,7 +602,8 @@ static int64_t lane_change_candidates(const tables *t, int64_t n)
     return n_cand;
 }
 
-/* Every edge's live lane slots, back to back in edge order, into idx. */
+/* Every edge's live lane slots, back to back in edge order, into idx
+ * (TrafficEngine._gather_np's twin). */
 int64_t gather_all(const tables *t)
 {
     const int64_t *ptrs = t->lane_ptr, *lens = t->lane_len;
@@ -764,7 +771,7 @@ static void lane_moves(const tables *t, int64_t e, const int64_t *mv, int64_t co
     }
 }
 
-/* TrafficEngine._lane_change_batch over the gather idx[:n].  Candidates are
+/* TrafficEngine._lane_pass_np over the gather idx[:n].  Candidates are
  * visited in gather order, the reference's segment by segment, lane by lane,
  * front to back scan; the gather is edge-block ordered, so lane_len walks
  * each candidate to its edge and the edge's bounds to its lane.  Each
@@ -772,9 +779,9 @@ static void lane_moves(const tables *t, int64_t e, const int64_t *mv, int64_t co
  * and, when both neighbour lanes are viable, a tie (Generator.integers(2),
  * one next_uint32: the rejection threshold (2**32 - 2) % 2 is 0).  Decisions
  * read the pre-change lanes, so an edge's moves are applied when the walk
- * leaves it, and the gather is redone when anything moved.  Writes (slot, from, to) per move to
- * moves and returns the move count.  The caller holds the bit generator's
- * lock. */
+ * leaves it, and the gather is redone when anything moved.  Writes (slot,
+ * from, to) per move to moves and returns the move count.  The caller holds
+ * the bit generator's lock. */
 int64_t lane_change_pass(const tables *t, int64_t n)
 {
     if (!lane_change_candidates(t, n)) return 0;
@@ -864,7 +871,7 @@ static void rank_sort(const tables *t, int64_t e)
     }
 }
 
-/* TrafficEngine._detect_overtakes_fast: every edge whose rank_elig byte is
+/* TrafficEngine._overtake_pass_np: every edge whose rank_elig byte is
  * set (multilane, more than one occupied lane) and whose ranking is
  * inverted writes its flipped pairs, in edge order, and has its ranking
  * re-sorted.  Returns the pair count, or, when an edge's pairs do not fit,
@@ -892,17 +899,16 @@ static int admitted_before(const tables *t, const int64_t *a, const int64_t *b)
     return sa < sb || (sa == sb && t->vid[a[0]] < t->vid[b[0]]);
 }
 
-/* TrafficEngine._process_intersections_indexed and _admit, the step's
- * admission.  A lane head flagged waiting whose dwell, now - since + dt, has
- * reached the delay of its edge's head node is a candidate; candidates are
- * found in edge order, lane by lane, and a node registers at its first.  Node
- * by node, in registration order, candidates sort by (since, vid) and the
- * first adm[node] become rows of rows: (slot, edge, lane, node), the target
- * and placement number left to the engine.  A counting sort by node puts the
- * candidates' indices in order (node_mark holds each node's registration
- * number, -1 between calls; node_buf holds (node, bucket bound) per
- * registration), and an insertion sort orders each node's few.  Returns the
- * row count. */
+/* TrafficEngine._admit_pass_np, the step's admission.  A lane head flagged
+ * waiting whose dwell, now - since + dt, has reached the delay of its edge's
+ * head node is a candidate; candidates are found in edge order, lane by lane,
+ * and a node registers at its first.  Node by node, in registration order,
+ * candidates sort by (since, vid) and the first adm[node] become rows of
+ * rows: (slot, edge, lane, node), the target and placement number left to the
+ * engine.  A counting sort by node puts the candidates' indices in order
+ * (node_mark holds each node's registration number, -1 between calls;
+ * node_buf holds (node, bucket bound) per registration), and an insertion
+ * sort orders each node's few.  Returns the row count. */
 int64_t admit_pass(const tables *t, double now)
 {
     const int64_t *lane_len = t->lane_len, *nlanes = t->nlanes, *head_node = t->head_node;
@@ -963,16 +969,16 @@ int64_t admit_pass(const tables *t, double now)
     return n_rows;
 }
 
-/* Run transition rows start .. start + m - 1, in order.  A row's slot leaves
- * its lane of the source edge, unless the source is -1 (a spawn); then,
- * unless the target is -1 (an exit), it enters the target edge with the
- * row's placement number, in a lane drawn as Generator.integers(nlanes)
- * draws it (none on a one-lane edge), which the row's lane column takes:
- * at 0 m, or at pos[slot] for a spawn, at half its free speed, the lesser
- * of its desired speed and the edge's limit.  Returns start + m, or ~i,
- * having done nothing for row i, when row i's target edge is full
- * (lane_len == lane_cap): the engine grows the edge and calls again from row
- * i.  The caller holds the bit generator's lock. */
+/* TrafficEngine._transit_pass_np: run transition rows start .. start + m - 1,
+ * in order.  A row's slot leaves its lane of the source edge, unless the
+ * source is -1 (a spawn); then, unless the target is -1 (an exit), it enters
+ * the target edge with the row's placement number, in a lane drawn as
+ * Generator.integers(nlanes) draws it (none on a one-lane edge), which the
+ * row's lane column takes: at 0 m, or at pos[slot] for a spawn, at half its
+ * free speed, the lesser of its desired speed and the edge's limit.  Returns
+ * start + m, or ~i, having done nothing for row i, when row i's target edge
+ * is full (lane_len == lane_cap): the engine grows the edge and calls again
+ * from row i.  The caller holds the bit generator's lock. */
 int64_t transit_pass(const tables *t, int64_t start, int64_t m)
 {
     bitgen_t *bg = t->bitgen;
@@ -1052,7 +1058,8 @@ class StepKernel:
 
     The engine holds one instance per run (the model parameters never
     change mid-run) and re-:meth:`bind`\\ s it whenever its resident arrays
-    are reallocated; :meth:`bind` installs the calls below.
+    are reallocated; :meth:`bind` installs the calls below, which the
+    engine then binds as its step's six operations.
     """
 
     #: the backend that loaded (cc is the only compiled one)

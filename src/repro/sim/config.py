@@ -9,6 +9,7 @@ regenerate the paper's figures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence
 
@@ -16,6 +17,7 @@ from ..core.patrol import PatrolPlan
 from ..core.protocol import ProtocolConfig
 from ..errors import ConfigurationError
 from ..mobility.demand import DemandConfig
+from ..mobility.intersections import IntersectionPolicy
 from ..serde import kwargs_from, shallow_asdict
 from ..units import minutes_to_seconds
 
@@ -69,12 +71,11 @@ class MobilityConfig:
     compiled: bool = True
 
     def __post_init__(self) -> None:
-        if self.dt_s <= 0:
-            raise ConfigurationError("dt_s must be positive")
-        if self.admissions_per_step < 1:
-            raise ConfigurationError("admissions_per_step must be at least 1")
-        if self.crossing_delay_s < 0:
-            raise ConfigurationError("crossing_delay_s cannot be negative")
+        if not (self.dt_s > 0 and math.isfinite(self.dt_s)):
+            raise ConfigurationError(f"dt_s must be positive and finite, got {self.dt_s!r}")
+        # The admission fields make the engine's default intersection policy
+        # (see Simulation), which checks them.
+        IntersectionPolicy(self.admissions_per_step, self.crossing_delay_s)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (see ``repro.serde`` for the conventions)."""

@@ -108,8 +108,7 @@ def check_occupancy_state(engine):
     the order in which cc's overtake pass reports pairs.  The waiting state:
     ``_wait_flag`` is set exactly on the vehicles whose ``waiting_since_s``
     is set, ``_since`` holds it, and each of them is its lane's head, which
-    is all cc's admission pass reads; the NumPy path's ``_waiting`` index
-    must hold exactly them, and cc keeps none.
+    is all the admission pass reads, on cc and NumPy alike.
     """
     pos, vid, is_head, seq = engine._pos, engine._vid, engine._is_head, engine._seq
     for ei, seg in enumerate(engine._segs):
@@ -159,17 +158,6 @@ def check_occupancy_state(engine):
     for v in waiting:
         assert engine._since[v.slot] == v.waiting_since_s, v.vid
         assert is_head[v.slot], v.vid
-    if engine._kernel is not None:
-        # cc's admission reads the lane heads' flags; no index is kept.
-        assert engine._waiting == {}
-        return
-    queued = []
-    for edge, queue in engine._waiting.items():
-        assert queue, edge
-        for v in queue:
-            assert v.edge == edge, v.vid
-            queued.append(v.vid)
-    assert sorted(queued) == flagged
 
 
 @pytest.fixture(scope="session")

@@ -338,11 +338,13 @@ def test_engine_occupancy_state_holds_every_step(
     NumPy simulation step in lockstep, and after every step their lanes,
     bounds and rankings, the step's events (each overtake's passer and
     passee included, in order) and the states of the engine and demand
-    generators must be equal: cc's lane and transit passes draw from the
-    engine generator in C, its admission pass picks the crossings where
-    NumPy reads ``_waiting``, and its overtake pass orders pairs by ``_seq``
-    where NumPy reads ``_occupancy`` (where cc does not load, both run
-    NumPy).  The intersection policy is drawn, with some single nodes
+    generators must be equal: both run the same step code over their own
+    gather, lane, advance, overtake, admission and transit passes, cc's in
+    C (its lane and transit passes drawing from the engine generator's bit
+    generator, its overtake pass ordering pairs by ``_seq``) and NumPy's
+    in Python (drawing through ``Generator`` methods, ordering pairs by
+    ``_occupancy``); where cc does not load, both run NumPy.  The
+    intersection policy is drawn, with some single nodes
     overridden, so caps bind, queues outlast a step and (since, vid) ties
     arise; the default's 0.5 s delay and 4 admissions almost never queue."""
     from repro.core.patrol import PatrolPlan

@@ -19,17 +19,19 @@ compiler-less lane viability check (``lane_options_np``) is held to the
 same ``lane_options`` oracle, so it runs on every host.  The lane and
 transit passes draw from the engine generator's bit generator in C;
 ``TestBridge`` pins the NumPy behaviour that makes those draws the
-``Generator`` methods' own, and the capsule address the kernel binds,
-without a compiler, and ``TestLaneDraw`` the rejection loop through a
-scripted ``bitgen_t``.  The transit pass (whose static helpers
+``Generator`` methods' own, the capsule address the kernel binds and the
+re-entrant lock the engine holds around both backends' passes, without a
+compiler, and ``TestLaneDraw`` the rejection loop through a scripted
+``bitgen_t``.  The transit pass (whose static helpers
 ``occ_enter``/``occ_leave`` do the splices), the admission pass and the
-lane and overtake passes are held to the engine's NumPy path instead: a
-cc engine and a ``compiled=False`` engine go through the same scripted
-entries, exits, lane moves, passes and steps, and every table either
-writes, every event and the generator's state must be equal after each
-one.  Every entry point keeps the GIL (the library is a ``ctypes.PyDLL``):
-one test reads each symbol's flags, and another steps cc engines on six
-threads at a 10 µs switch interval against the same seeds stepped alone.
+lane and overtake passes are held to their NumPy twins, the engine's
+``*_np`` methods, instead: a cc engine and a ``compiled=False`` engine go
+through the same scripted entries, exits, lane moves, passes and steps,
+each through its own passes, and every table either writes, every event
+and the generator's state must be equal after each one.  Every entry
+point keeps the GIL (the library is a ``ctypes.PyDLL``): one test reads
+each symbol's flags, and another steps cc engines on six threads at a
+10 µs switch interval against the same seeds stepped alone.
 
 When cc does not load, the loader must return ``None`` with a recorded
 reason, the engine must run its NumPy path (``kernel_backend == "numpy"``)
@@ -299,6 +301,29 @@ class TestBridge:
         for seed in range(3):
             bits = make(seed)
             assert kernels.bitgen_address(bits) == bits.ctypes.bit_generator.value
+
+    @pytest.mark.parametrize("make", [np.random.PCG64, np.random.Philox], ids=["pcg64", "philox"])
+    def test_generator_methods_draw_under_the_held_lock(self, make):
+        """The engine holds its bit generator's ``lock`` across the lane and
+        transit passes, and the NumPy passes draw through ``Generator``
+        methods, which take that lock again: it must be re-entrant, and
+        the draws made under it the ones made without it.  They run in a
+        worker thread joined with a timeout, so a lock that is not
+        re-entrant fails here instead of hanging the suite."""
+        free, held = np.random.Generator(make(3)), np.random.Generator(make(3))
+        expect = [(free.random(), int(free.integers(3))) for _ in range(50)]
+        got = []
+
+        def draw():
+            with held.bit_generator.lock:
+                got.extend((held.random(), int(held.integers(3))) for _ in range(50))
+
+        worker = threading.Thread(target=draw, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "a Generator method blocked on the held lock"
+        assert got == expect
+        assert _state(held.bit_generator) == _state(free.bit_generator)
 
 
 class TestAdvanceChain:
@@ -650,27 +675,31 @@ def _occupancy_tables(eng):
 class _Twins:
     """A cc engine and a ``compiled=False`` engine on twin networks, driven
     through the same scripted transitions — leaves and entries, lane moves,
-    the two passes and whole steps — and compared after every one of them.
-    A leave or an entry runs the engine's Python half (``_leave_edge``,
-    ``_place``) on both engines, and on cc one transition row of the
-    transit pass (``_transit``): a leave is a row with no target, an entry
-    a row with no source.  A scripted lane move (:meth:`move`) is the
-    NumPy splice pair on both engines: cc moves lanes only inside its lane
-    pass, which :meth:`step` runs."""
+    the passes and whole steps — and compared after every one of them.  A
+    leave or an entry runs the engine's Python half (``_leave_edge``,
+    ``_place``), then one transition row (``_transit``) through the
+    engine's own transit pass, cc's or NumPy's: a leave is a row with no
+    target, an entry a row with no source.  A scripted lane move
+    (:meth:`move`) is the NumPy splice pair on both engines: cc moves lanes
+    only inside its lane pass, which :meth:`step` runs.  With ``compiled=
+    (False,)`` the NumPy engine runs alone, on hosts without a compiler
+    too."""
 
-    def __init__(self, lanes=2, seed=0, politeness=None):
+    def __init__(self, lanes=2, seed=0, politeness=None, compiled=(True, False)):
         from repro.mobility.car_following import LaneChangeModel
         from repro.mobility.engine import TrafficEngine
         from repro.roadnet.builders import grid_network
 
-        _cc_kernel()
+        if compiled[0]:
+            _cc_kernel()
         model = {} if politeness is None else dict(politeness=politeness)
         self.engines = [
             TrafficEngine(grid_network(2, 3, lanes=lanes), np.random.default_rng(seed),
-                          compiled=compiled, lane_change=LaneChangeModel(**model))
-            for compiled in (True, False)
+                          compiled=flag, lane_change=LaneChangeModel(**model))
+            for flag in compiled
         ]
-        assert [e.kernel_backend for e in self.engines] == ["cc", "numpy"]
+        assert [e.kernel_backend for e in self.engines] == [
+            "cc" if flag else "numpy" for flag in compiled]
         self.rngs = [np.random.default_rng(99) for _ in self.engines]
         self.check()
 
@@ -679,8 +708,8 @@ class _Twins:
         return self.engines[0]
 
     def check(self):
-        cc, ref = (_occupancy_tables(e) for e in self.engines)
-        assert cc == ref
+        first, *others = (_occupancy_tables(e) for e in self.engines)
+        assert all(other == first for other in others)
 
     def each(self, fn, both=False):
         out = [fn(eng) for eng in self.engines]
@@ -710,16 +739,13 @@ class _Twins:
             vehicle = eng._vehicles[vid]
             src = eng._edge_order[vehicle.edge]
             eng._leave_edge(vehicle)
-            if eng._kernel is not None:
-                eng._transit(vehicle, src, -1, -1)
+            eng._transit(vehicle, src, -1, -1)
         self.each(run)
 
     def enter(self, vid, edge, pos):
         def run(eng):
             vehicle = eng._vehicles[vid]
-            ei, seq = eng._place(vehicle, *edge, pos_m=pos)
-            if eng._kernel is not None:
-                eng._transit(vehicle, -1, ei, seq)
+            eng._transit(vehicle, -1, *eng._place(vehicle, *edge, pos_m=pos))
         self.each(run)
 
     def relocate(self, vid, edge, pos):
@@ -739,7 +765,7 @@ class _Twins:
     def step(self):
         """One engine step on both; the events, as (kind, edge, vids)."""
         logs = self.each(lambda eng: [_event_key(e) for e in eng.step()], both=True)
-        assert logs[0] == logs[1]
+        assert all(log == logs[0] for log in logs)
         return logs[0]
 
     def overtakes(self):
@@ -749,7 +775,7 @@ class _Twins:
             eng._detect_overtakes_fast(events)
             return [_event_key(e) for e in events]
         logs = self.each(run, both=True)
-        assert logs[0] == logs[1]
+        assert all(log == logs[0] for log in logs)
         return logs[0]
 
     def lanes(self, ei):
@@ -944,14 +970,24 @@ class TestLanePass:
 
 
 class TestOvertakePass:
-    """cc's ``overtake_pass`` against ``_emit_overtakes`` on twin engines."""
+    """cc's ``overtake_pass`` against ``_overtake_pass_np`` on twin
+    engines."""
 
     def test_pairs_come_out_in_placement_order(self):
         """``x`` passes ``z`` and ``y``, which entered before and after it:
         the pairs follow the edge's placement order, z, x, y, which cc reads
         from ``_seq`` and NumPy from ``_occupancy``, not the vid order x, y,
         z."""
-        twins = _Twins(3)
+        self._pull_ahead(_Twins(3))
+
+    def test_numpy_pairs_come_out_in_placement_order(self):
+        """The same on the NumPy engine alone, so that a host without a
+        compiler checks its pair order too (the golden traces never reach
+        two flipped pairs whose placement and vid orders differ)."""
+        self._pull_ahead(_Twins(3, compiled=(False,)))
+
+    @staticmethod
+    def _pull_ahead(twins):
         x, y, z = (twins.spawn() for _ in range(3))
         edge = ((1, 0), (1, 1))
         for vid, lane, pos in ((z, 0, 40.0), (x, 1, 20.0), (y, 2, 30.0)):
@@ -1002,32 +1038,31 @@ class TestOvertakePass:
         assert twins.overtakes() == []
 
 
-def _admitted(eng):
-    """The crossings the engine's admission would start now, as (vid, node)
-    pairs in order, starting none of them: cc's admission pass (whose rows
-    must name each vehicle's edge and lane), or the NumPy path's
-    ``_process_intersections_indexed`` with ``_cross`` recording instead of
-    crossing."""
-    if eng._kernel is not None:
-        rows = eng._rows_buf[:eng._kernel.admit_bound(eng.time_s)].tolist()
-        out = []
-        for slot, edge, lane, node, _, _ in rows:
+def _recorded_admissions(eng):
+    """Record the rows each call of the engine's admission pass writes,
+    (slot, edge, lane, node) in order, each of which must name its
+    vehicle's edge and lane; returns the list it fills, a list of rows per
+    call.  Install it after the last spawn: growing the fleet re-binds
+    cc's passes over it."""
+    calls = []
+    admit = eng._admit_pass
+
+    def recorded(now):
+        m = admit(now)
+        rows = [tuple(row[:4]) for row in eng._rows_buf[:m].tolist()]
+        for slot, edge, lane, _ in rows:
             vehicle = eng._slot_vehicle[slot]
             assert (edge, lane) == (eng._edge_order[vehicle.edge], vehicle.lane)
-            out.append((vehicle.vid, eng._nodes[node]))
-        return out
-    calls = []
-    eng._cross = lambda vehicle, node, events: calls.append((vehicle.vid, node))
-    try:
-        eng._process_intersections_indexed([])
-    finally:
-        del eng._cross
+        calls.append(rows)
+        return m
+
+    eng._admit_pass = recorded
     return calls
 
 
 class TestAdmitPass:
-    """cc's ``admit_pass`` against ``_process_intersections_indexed`` and
-    ``_admit`` on twin engines, and the steps around it.  Three-lane
+    """cc's ``admit_pass`` against ``_admit_pass_np`` on twin engines,
+    row for row, and the steps around it.  Three-lane
     approaches into (1, 1) hold four heads at the stop line, more than its
     override's cap of 2, all arriving in one step, so only their vids order
     them, and the vids run against the pass's edge-and-lane scan; (0, 1),
@@ -1058,15 +1093,16 @@ class TestAdmitPass:
         assert max(wave2) < min(wave1)
         for vid, (_, lane, edge) in zip(wave1, first):
             twins.put(vid, edge, lane, eng._segments[edge].length_m)
+        admitted = [_recorded_admissions(e) for e in twins.engines]
         crossed = []
         for step in range(4):
             if step == 1:
                 for vid, edge in zip(wave2, second):
                     twins.put(vid, edge, 0, eng._segments[edge].length_m)
-            expect = _admitted(twins.engines[1])
-            assert _admitted(eng) == expect, step
             crossed.append([event[1:] for event in twins.step()
                             if event[0] == "CrossingEvent"])
+            assert admitted[0][-1] == admitted[1][-1], step
+        assert all(admitted[0][:3])
         into = [[vid for vid, node in step if node == (1, 1)] for step in crossed]
         # the first wave's four heads, by vid although scanned the other
         # way, two a step; then the second wave, whose heads came later
@@ -1080,14 +1116,13 @@ class TestAdmitPass:
 
 def _scripted_batch(twins, script):
     """One batch of transitions on both engines: ``script`` holds (vid,
-    leaves, enters) rows, ``enters`` an (edge, pos) pair or None.  Both
-    engines run each row's Python half in order; the NumPy engine splices
-    as it goes, and cc then runs all the rows in one ``_run_rows``, whose
-    ``transit_bound`` returns are recorded and returned."""
-    returns = []
+    leaves, enters) rows, ``enters`` an (edge, pos) pair or None.  Each
+    engine runs every row's Python half in order, then all the rows in one
+    ``_run_rows`` through its own transit pass, whose returns are recorded
+    and returned, cc's first."""
 
     def run(eng):
-        rows, moved = [], []
+        rows, moved, log = [], [], []
         for vid, leaves, enters in script:
             vehicle = eng._vehicles[vid]
             src = eng._edge_order[vehicle.edge] if leaves else -1
@@ -1095,35 +1130,34 @@ def _scripted_batch(twins, script):
             if leaves:
                 eng._leave_edge(vehicle)
             ei, seq = eng._place(vehicle, *enters[0], pos_m=enters[1]) if enters else (-1, -1)
-            if eng._kernel is not None and src < 0:
+            if src < 0:
                 eng._pos[vehicle.slot] = vehicle.pos_m
             rows.append((vehicle.slot, src, lane, -1, ei, seq))
             moved.append(vehicle)
-        if eng._kernel is None:
-            return
         eng._rows_buf[:len(rows)] = rows
-        transit = eng._kernel.transit_bound
+        transit = eng._transit_pass
 
         def recorded(start, m):
-            returns.append(transit(start, m))
-            return returns[-1]
+            log.append(transit(start, m))
+            return log[-1]
 
-        eng._kernel.transit_bound = recorded
+        eng._transit_pass = recorded
         try:
             eng._run_rows(0, len(rows))
         finally:
-            eng._kernel.transit_bound = transit
+            eng._transit_pass = transit
         for vehicle, lane in zip(moved, eng._rows_buf[:len(rows), 2].tolist()):
             vehicle.lane = lane
+        return log
 
-    twins.each(run)
-    return returns
+    return twins.each(run, both=True)
 
 
 class TestTransitPass:
-    """cc's ``transit_pass`` against the NumPy splice pair on twin engines:
-    a batch of crossing, exit and spawn rows whose target edge fills up
-    mid-batch."""
+    """cc's ``transit_pass`` against ``_transit_pass_np`` on twin engines:
+    one batch of crossing, exit and spawn rows whose target edge fills up
+    mid-batch.  cc refuses a full edge, and the engine grows it and
+    resumes; NumPy grows it in place."""
 
     def test_full_target_mid_batch_grows_and_resumes(self, occupancy_state_check):
         twins = _Twins(3)
@@ -1144,8 +1178,7 @@ class TestTransitPass:
             (vids[6], True, (target, 0.0)),       # with no buffer yet: ~3
         ]
         assert eng._lane_cap[eng._edge_order[elsewhere]] == 0
-        returns = _scripted_batch(twins, script)
-        assert returns == [~1, ~3, 5]
+        assert _scripted_batch(twins, script) == [[~1, ~3, 5], [5]]
         assert (eng._lane_len[ei], eng._lane_cap[ei]) == (6, 8)
         assert eng._pos[eng._vehicles[spawned].slot] == 12.5
         assert eng._vehicles[spawned].edge == elsewhere

@@ -51,8 +51,9 @@ class TestSpawning:
             eng.spawn(spec_at(small_grid, rng, "nowhere"))
 
     def test_invalid_dt_rejected(self, small_grid, rng):
-        with pytest.raises(MobilityError):
-            TrafficEngine(small_grid, rng, dt_s=0.0)
+        for dt_s in (0.0, float("nan"), float("inf")):
+            with pytest.raises(MobilityError):
+                TrafficEngine(small_grid, rng, dt_s=dt_s)
 
     def test_spawn_patrol_not_counted_inside(self, small_grid, rng):
         from repro.core.patrol import CyclePatrolRouter, build_patrol_cycle

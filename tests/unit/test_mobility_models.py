@@ -217,12 +217,16 @@ class TestDemand:
 
 class TestIntersectionPolicyValidation:
     def test_invalid_admissions(self):
-        with pytest.raises(ConfigurationError):
-            IntersectionPolicy(admissions_per_step=0)
+        # a fractional cap would be truncated by cc and fail on NumPy
+        for cap in (0, 1.5, False, True):
+            with pytest.raises(ConfigurationError):
+                IntersectionPolicy(admissions_per_step=cap)
 
     def test_negative_delay(self):
-        with pytest.raises(ConfigurationError):
-            IntersectionPolicy(crossing_delay_s=-1.0)
+        # a NaN delay would admit nobody
+        for delay in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                IntersectionPolicy(crossing_delay_s=delay)
 
     def test_roundabout_has_high_throughput(self):
         assert roundabout_policy().admissions_per_step >= 4

@@ -1,5 +1,6 @@
 """Simulation harness units: rng, config, results, metrics, runner."""
 
+import json
 import math
 
 import numpy as np
@@ -54,6 +55,17 @@ class TestConfigs:
             MobilityConfig(dt_s=0.0)
         with pytest.raises(ConfigurationError):
             MobilityConfig(admissions_per_step=0)
+        # values the engines would read differently: cc's int64 table
+        # truncates a fractional cap, NumPy and the reference slice with it
+        for bad in ({"admissions_per_step": 2.5}, {"admissions_per_step": True},
+                    {"crossing_delay_s": math.nan}, {"crossing_delay_s": math.inf},
+                    {"crossing_delay_s": -0.5}, {"dt_s": math.nan}, {"dt_s": math.inf}):
+            with pytest.raises(ConfigurationError):
+                MobilityConfig(**bad)
+        # JSON's NaN loads as a float, so a spec file can carry it
+        with pytest.raises(ConfigurationError):
+            MobilityConfig.from_dict(json.loads('{"crossing_delay_s": NaN}'))
+        assert MobilityConfig(admissions_per_step=2, crossing_delay_s=0).admissions_per_step == 2
 
     def test_scenario_validation(self):
         with pytest.raises(ConfigurationError):
