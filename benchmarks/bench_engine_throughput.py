@@ -4,7 +4,7 @@ Measures ``TrafficEngine.step`` throughput on the full-size midtown network
 (``build_midtown_grid()``'s default scale — the paper's evaluation region) at
 100 % traffic volume, and the quick-sweep wall clock of the serial vs.
 parallel :class:`ExperimentRunner`.  Results are appended to
-``BENCH_engine.json`` via :mod:`repro.bench` so the perf trajectory is
+``BENCH_engine.json`` via :mod:`benchrecord` so the perf trajectory is
 tracked from PR to PR.
 
 The primary scenario uses the memoryless random-turn router so the numbers
@@ -22,12 +22,13 @@ import os
 
 import numpy as np
 
-from repro.bench import compare_steps_per_sec, record, time_call
 from repro.mobility.demand import DemandConfig, DemandModel
 from repro.mobility.engine import TrafficEngine
 from repro.roadnet.manhattan import build_midtown_grid
 from repro.sim.config import ScenarioConfig
 from repro.sim.runner import ExperimentRunner, SweepSpec
+
+from benchrecord import compare_steps_per_sec, record, time_call
 
 #: Default ratio the vectorized engine must beat.  CI smoke runs override
 #: this downward: shared runners are too noisy for a perf gate, and the

@@ -44,9 +44,10 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List
 
-from repro.bench import record
 from repro.scenarios import get_scenario
 from repro.sim.simulator import Simulation
+
+from benchrecord import record
 
 QUICK = "--quick" in sys.argv or os.environ.get(
     "REPRO_BENCH_QUICK", ""

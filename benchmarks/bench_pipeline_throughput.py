@@ -29,10 +29,11 @@ from __future__ import annotations
 import os
 import sys
 
-from repro.bench import compare_steps_per_sec, record
 from repro.roadnet.manhattan import build_midtown_grid
 from repro.sim.config import MobilityConfig, ScenarioConfig
 from repro.sim.simulator import Simulation
+
+from benchrecord import compare_steps_per_sec, record
 
 MIN_PIPELINE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_PIPELINE_SPEEDUP", "1.8"))
 

@@ -22,10 +22,11 @@ import time
 
 import numpy as np
 
-from repro.bench import record
 from repro.mobility.demand import DemandConfig, DemandModel
 from repro.mobility.engine import TrafficEngine
 from repro.roadnet.synth import synthetic_city
+
+from benchrecord import record
 
 #: Wall-clock budget of the --quick smoke rung (seconds).  Generous for
 #: shared CI runners; a scaling cliff blows through it anyway — the quick

@@ -20,9 +20,10 @@ import time
 from dataclasses import replace
 
 from repro.analysis.report import correctness_summary
-from repro.bench import record
 from repro.scenarios import iter_scenarios
 from repro.sim.simulator import Simulation
+
+from benchrecord import record
 
 SPEEDUP_WARMUP_STEPS = 30
 SPEEDUP_STEPS = 120

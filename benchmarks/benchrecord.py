@@ -24,7 +24,7 @@ import subprocess
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ._version import __version__
+from repro._version import __version__
 
 __all__ = [
     "DEFAULT_BENCH_PATH",

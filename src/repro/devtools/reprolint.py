@@ -14,8 +14,8 @@ The analyzer enforces the repository's reproducibility contracts over
     No nondeterminism sources — ``time.time``, ``datetime.now``,
     ``os.urandom``, ``uuid.uuid4``, environment reads — inside the
     deterministic core (``core/``, ``mobility/``, ``wireless/``,
-    ``surveillance/``, ``sim/``).  ``bench``, the stores and the CLI are
-    outside that scope and may read clocks for provenance.
+    ``surveillance/``, ``sim/``).  The stores and the CLI are outside that
+    scope and may read clocks for provenance.
 
 ``D3`` (``unsorted-iteration``)
     No iteration-order hazards: ``for``/comprehensions over a bare ``set``

@@ -58,9 +58,12 @@ transit pass then runs their leaves and entries with their lane draws
 :meth:`TrafficEngine.step_batch` emits plain crossings as index arrays
 (:class:`~repro.mobility.events.StepBatch`) consumed directly by the
 counting protocol — no per-crossing event objects.
-``vectorized=False`` selects the original seed per-vehicle loops, kept
-verbatim as the reference implementation for the golden-trace equivalence
-tests and the throughput benchmark baseline.  The vectorized engines match
+``TrafficEngine(..., vectorized=False)`` builds the original seed
+per-vehicle engine instead, a
+:class:`~repro.mobility.reference.ReferenceEngine`: the seed loops, kept
+verbatim in their own module as the reference implementation for the
+golden-trace equivalence tests and the throughput benchmark baseline, so
+this module holds the one production step.  The vectorized engines match
 it event for event except at one known positional tie (see
 :meth:`TrafficEngine._advance_segments_batch`).
 """
@@ -144,12 +147,12 @@ class TrafficEngine:
     net:
         The (frozen) road network.
     rng:
-        Random generator for placement, lane choice and lane-change noise.
-        With cc the lane-change and transit passes draw from its bit
-        generator in C, bound at construction, so do not replace
-        :attr:`rng` on a live engine.  The transit pass draws a step's
-        placement lanes after every crossing's next hop is decided, so a
-        router must not draw from this generator.
+        Random generator for placement, lane choice and lane-change noise,
+        held as the read-only :attr:`rng`: with cc the lane-change and
+        transit passes draw from its bit generator in C, bound at
+        construction.  The transit pass draws a step's placement lanes
+        after every crossing's next hop is decided, so a router must not
+        draw from this generator.
     dt_s:
         Simulation step in seconds.
     policy:
@@ -160,11 +163,13 @@ class TrafficEngine:
         Master switch for lane changes.  ``False`` reproduces the paper's
         simple road model where traffic is strictly FIFO on every segment.
     vectorized:
-        Use the batch NumPy hot path (default).  ``False`` selects the
-        original per-vehicle reference loops; both modes produce identical
-        event streams and state for the same RNG, except for the overtakes a
-        positional tie hides on a segment whose vehicles share one lane
-        (see :meth:`_advance_segments_batch`).
+        Build this engine (default).  ``False`` builds the seed reference
+        engine instead, a :class:`~repro.mobility.reference.ReferenceEngine`
+        (:meth:`__new__` picks the class, as ``pathlib.Path()`` returns a
+        ``PosixPath``), which runs the original per-vehicle loops; both
+        produce identical event streams and state for the same RNG, except
+        for the overtakes a positional tie hides on a segment whose vehicles
+        share one lane (see :meth:`_advance_segments_batch`).
     compiled:
         Use the compiled inner step kernel (:mod:`repro.mobility.kernels`,
         default): the gather, the lane-change pass, the whole advance
@@ -177,6 +182,16 @@ class TrafficEngine:
         :attr:`kernel_backend` says which path runs and
         :attr:`kernel_fallback_reason` why it is not cc.
     """
+
+    #: ``False`` on the seed reference engine.
+    vectorized = True
+
+    def __new__(cls, *args: Any, vectorized: bool = True, **kwargs: Any) -> TrafficEngine:
+        if not vectorized and cls is TrafficEngine:
+            from .reference import ReferenceEngine
+
+            return object.__new__(ReferenceEngine)
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -198,7 +213,7 @@ class TrafficEngine:
         self.net = net
         # The network is frozen, so its gates are fixed (``net.gates`` copies).
         self._gates = net.gates
-        self.rng = rng
+        self._rng = rng
         # cc's lane and transit passes draw from this bit generator, bound
         # once here.
         self._bit_generator = rng.bit_generator
@@ -207,10 +222,9 @@ class TrafficEngine:
         self.car_following = car_following if car_following is not None else SimplifiedIDM()
         self.lane_change = lane_change if lane_change is not None else LaneChangeModel()
         self.allow_overtaking = bool(allow_overtaking)
-        self.vectorized = bool(vectorized)
         self.compiled = bool(compiled)
         self._kernel: Optional[StepKernel] = None
-        if self.compiled and self.vectorized:
+        if self.compiled:
             cf = self.car_following
             self._kernel = load_step_kernel(
                 dt_s=self.dt_s,
@@ -369,23 +383,32 @@ class TrafficEngine:
 
     @property
     def kernel_backend(self) -> str:
-        """The step path that runs: ``"cc"``, ``"numpy"`` or ``"scalar"``."""
+        """The step path that runs: ``"cc"``, ``"numpy"`` or, on the
+        reference engine, ``"scalar"``."""
         if self._kernel is not None:
             return self._kernel.backend
-        return "numpy" if self.vectorized else "scalar"
+        return "numpy"
 
     @property
     def kernel_fallback_reason(self) -> Optional[str]:
         """Why the engine does not run the compiled kernel (None when it does)."""
         if self._kernel is not None:
             return None
-        if not self.vectorized:
-            return "vectorized=False selects the scalar reference engine"
         if not self.compiled:
             return "compiled=False"
         return fallback_reason()
 
     # ----------------------------------------------------------- configure
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator given at construction.
+
+        Read-only, because cc draws from its bit generator, bound at
+        construction: a replaced generator would split cc's stream from
+        NumPy's and the reference engine's.
+        """
+        return self._rng
+
     @property
     def default_policy(self) -> IntersectionPolicy:
         """The admission policy of every intersection without an override.
@@ -608,8 +631,7 @@ class TrafficEngine:
             entered_at_s=self.time_s,
         )
         self._vehicles[vid] = vehicle
-        if self.vectorized:
-            self._alloc_slot(vehicle)
+        self._alloc_slot(vehicle)
         self.stats.spawned += 1
         if spec.is_patrol:
             self._spawned_patrol += 1
@@ -641,8 +663,7 @@ class TrafficEngine:
             seg = self.net.segment(spec.origin, next_node)
             pos = float(self.rng.uniform(0.0, seg.length_m * 0.9)) if initial else 0.0
         ei, seq = self._place(vehicle, spec.origin, next_node, pos_m=pos)
-        if self.vectorized:
-            self._transit(vehicle, -1, ei, seq)
+        self._transit(vehicle, -1, ei, seq)
         return vehicle
 
     def _place(
@@ -652,20 +673,14 @@ class TrafficEngine:
         to its length), at half its free speed.
 
         Returns the segment's edge index and the placement's number.  The
-        vectorized engine leaves the slot arrays and the lane draw to the
-        transition row the caller runs (:meth:`_run_rows`), which sets
-        ``vehicle.lane``; the reference engine draws the lane here.
+        slot arrays and the lane draw are left to the transition row the
+        caller runs (:meth:`_run_rows`), which sets ``vehicle.lane``.
         """
         seg = self._segments.get((tail, head))
         if seg is None:
             seg = self.net.segment(tail, head)  # raises MobilityError
         key = seg.key
         vehicle.edge = key
-        if not self.vectorized:
-            # integers(1) is 0 without a draw, so skipping it leaves the
-            # stream as it was (a unit test pins that NumPy behaviour).
-            lanes = seg.lanes
-            vehicle.lane = int(self.rng.integers(lanes)) if lanes > 1 else 0
         vehicle.pos_m = min(pos_m, seg.length_m)
         vehicle.speed_mps = min(vehicle.desired_speed_mps, seg.speed_limit_mps) * 0.5
         vehicle.previous_node = tail
@@ -676,19 +691,15 @@ class TrafficEngine:
         return self._edge_order[key], seq
 
     def _leave_edge(self, vehicle: Vehicle) -> None:
-        """Take ``vehicle`` off its segment.
-
-        The vectorized engine leaves the slot arrays to the transition row
-        the caller runs.
-        """
+        """Take ``vehicle`` off its segment, leaving the slot arrays to the
+        transition row the caller runs."""
         self._occupancy[vehicle.edge].remove(vehicle.vid)
-        if self.vectorized:
-            # Materialize the departing vehicle's kinematics so exit events
-            # and the departed pool carry its final state even though the
-            # resident arrays are the in-run source of truth.
-            slot = vehicle.slot
-            vehicle.pos_m = self._pos.item(slot)
-            vehicle.speed_mps = self._speed.item(slot)
+        # Materialize the departing vehicle's kinematics so exit events
+        # and the departed pool carry its final state even though the
+        # resident arrays are the in-run source of truth.
+        slot = vehicle.slot
+        vehicle.pos_m = self._pos.item(slot)
+        vehicle.speed_mps = self._speed.item(slot)
 
     def _run_rows(self, start: int, stop: int) -> None:
         """Run transition rows ``start`` .. ``stop - 1`` of ``_rows_buf`` in
@@ -916,12 +927,8 @@ class TrafficEngine:
         return batch
 
     def _step_core(self, events: List) -> None:
-        if self.vectorized:
-            self._advance_segments_batch(events)
-            self._process_intersections_batch(events)
-        else:
-            self._advance_segments(events)
-            self._process_intersections(events)
+        self._advance_segments_batch(events)
+        self._process_intersections_batch(events)
         self.time_s += self.dt_s
         self.stats.steps += 1
 
@@ -1266,117 +1273,15 @@ class TrafficEngine:
         ranking[:] = after
         return end
 
-    # --------------------------------------- segment dynamics (per vehicle)
-    def _advance_segments(self, events: List[TrafficEvent]) -> None:
-        """Seed reference implementation, kept verbatim.
-
-        Per-vehicle loops with per-step lane rebuilds and sorting — the
-        pre-vectorization engine.  It is the baseline the golden-trace tests
-        and ``benchmarks/bench_engine_throughput.py`` compare against, so it
-        must not be optimized.
-        """
-        for edge_key, vids in self._occupancy.items():
-            if not vids:
-                continue
-            seg = self.net.segment(*edge_key)
-            vehicles = [self._vehicles[v] for v in vids]
-            before = {v.vid: (v.pos_m, v.vid) for v in vehicles}
-
-            lanes_occ: List[List[Vehicle]] = [[] for _ in range(seg.lanes)]
-            for v in vehicles:
-                if v.lane >= seg.lanes:
-                    v.lane = seg.lanes - 1
-                lanes_occ[v.lane].append(v)
-            for lane in lanes_occ:
-                lane.sort(key=lambda v: (-v.pos_m, v.vid))
-
-            if self.allow_overtaking and seg.lanes > 1:
-                self._lane_changes(seg, lanes_occ)
-                lanes_occ = [[] for _ in range(seg.lanes)]
-                for v in vehicles:
-                    lanes_occ[v.lane].append(v)
-                for lane in lanes_occ:
-                    lane.sort(key=lambda v: (-v.pos_m, v.vid))
-
-            for lane in lanes_occ:
-                leader: Optional[Vehicle] = None
-                for v in lane:
-                    self.car_following.advance(v, leader, seg.speed_limit_mps, seg.length_m, self.dt_s)
-                    if v.pos_m >= seg.length_m - _ARRIVAL_EPS_M and v.waiting_since_s is None:
-                        v.waiting_since_s = self.time_s
-                    leader = v
-
-            if self.allow_overtaking and seg.lanes > 1 and len(vehicles) > 1:
-                self._detect_overtakes(seg, vehicles, before, events)
-
-    def _lane_changes(self, seg: DirectedSegment, lanes_occ: List[List[Vehicle]]) -> None:
-        for lane_vehicles in lanes_occ:
-            for idx, v in enumerate(lane_vehicles):
-                leader = lane_vehicles[idx - 1] if idx > 0 else None
-                if leader is None or not self.lane_change.wants_to_change(v, leader):
-                    continue
-                target = self.lane_change.target_lane(v, seg.lanes, lanes_occ, self.rng)
-                if target is not None:
-                    v.lane = target
-
-    def _detect_overtakes(
-        self,
-        seg: DirectedSegment,
-        vehicles: List[Vehicle],
-        before: Dict[int, Tuple[float, int]],
-        events: List[TrafficEvent],
-    ) -> None:
-        after = {v.vid: (v.pos_m, v.vid) for v in vehicles}
-        by_vid = {v.vid: v for v in vehicles}
-        vids = list(by_vid.keys())
-        for i in range(len(vids)):
-            for j in range(i + 1, len(vids)):
-                a, b = vids[i], vids[j]
-                was_a_ahead = before[a] > before[b]
-                now_a_ahead = after[a] > after[b]
-                if was_a_ahead == now_a_ahead:
-                    continue
-                passer, passee = (a, b) if now_a_ahead else (b, a)
-                self.stats.overtakes += 1
-                events.append(
-                    OvertakeEvent(
-                        time_s=self.time_s,
-                        edge=seg.key,
-                        passer=by_vid[passer],
-                        passee=by_vid[passee],
-                    )
-                )
-
     # -------------------------------------------------- intersection crossing
-    def _process_intersections(self, events: List[TrafficEvent]) -> None:
-        """Seed reference implementation: scan every occupied segment."""
-        candidates: Dict[object, List[Tuple[float, int, object]]] = {}
-        for edge_key, vids in self._occupancy.items():
-            if not vids:
-                continue
-            seg = self.net.segment(*edge_key)
-            node = seg.head
-            policy = self.policy_for(node)
-            front_per_lane: Dict[int, Vehicle] = {}
-            for vid in vids:
-                v = self._vehicles[vid]
-                if v.waiting_since_s is None:
-                    continue
-                best = front_per_lane.get(v.lane)
-                if best is None or v.pos_m > best.pos_m:
-                    front_per_lane[v.lane] = v
-            for v in front_per_lane.values():
-                if self.time_s - v.waiting_since_s + self.dt_s >= policy.crossing_delay_s:
-                    candidates.setdefault(node, []).append((v.waiting_since_s, v.vid, edge_key))
-        self._admit(candidates, events)
-
     def _process_intersections_batch(self, events: List[TrafficEvent]) -> None:
         """The intersection phase: admission, the crossings' Python decisions,
         then the transit pass.
 
         The admission (``_admit_pass``) fixes the step's crossing set before
         any crossing runs and writes it as rows, (slot, edge, lane, node), in
-        the order :meth:`_process_intersections` and :meth:`_admit` produce.
+        the order the reference engine's ``_process_intersections`` and
+        ``_admit`` produce.
         :meth:`_cross` decides each row in order (exit or next hop, the event,
         the bookkeeping) and gives it its target edge and placement number. The
         transit pass (:meth:`_run_rows`) then runs the rows' leaves and
@@ -1496,22 +1401,6 @@ class TrafficEngine:
     _admit_pass: Callable[..., int] = _admit_pass_np
     _transit_pass: Callable[..., int] = _transit_pass_np
 
-    def _admit(
-        self,
-        candidates: Dict[object, List[Tuple[float, int, object]]],
-        events: List[TrafficEvent],
-    ) -> None:
-        for node, waiting in candidates.items():
-            policy = self.policy_for(node)
-            # Plain tuple sort: identical order to sorting by (time, vid)
-            # because vids are unique, so the edge key is never compared.
-            waiting.sort()
-            for _, vid, edge_key in waiting[: policy.admissions_per_step]:
-                vehicle = self._vehicles.get(vid)
-                if vehicle is None or vehicle.edge != edge_key:
-                    continue
-                self._cross(vehicle, node, events)
-
     def _cross(
         self, vehicle: Vehicle, node: object, events: List[TrafficEvent]
     ) -> Tuple[int, int]:
@@ -1520,8 +1409,8 @@ class TrafficEngine:
         event and bookkeeping.
 
         Returns the entered segment's edge index and placement number
-        (:meth:`_place`), or ``(-1, -1)`` for an exit.  On cc the slot
-        arrays are left to the caller's transition row.
+        (:meth:`_place`), or ``(-1, -1)`` for an exit.  The slot arrays are
+        left to the caller's transition row.
         """
         assert vehicle.edge is not None
         tail = vehicle.edge[0]
@@ -1534,8 +1423,7 @@ class TrafficEngine:
         if gate is not None and gate.outbound and wants_exit and not vehicle.is_patrol:
             vehicle.exited_at_s = self.time_s
             del self._vehicles[vehicle.vid]
-            if self.vectorized:
-                self._release_slot(vehicle)
+            self._release_slot(vehicle)
             self._departed[vehicle.vid] = vehicle
             self._inside_nonpatrol -= 1
             self.stats.exits += 1

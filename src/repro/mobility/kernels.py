@@ -52,11 +52,13 @@ for that row; the engine grows the edge (``TrafficEngine._grow_edge``)
 and calls again from that row.
 
 The engine uses it by default (``MobilityConfig.compiled=True``).  The
-ladder is **cc → NumPy**, with ``vectorized=False`` the scalar reference
-below both: **cc** is a small C translation unit compiled with the system
-C compiler in a temporary directory and loaded through :mod:`ctypes`; the
-directory is removed as soon as the library is loaded (a loaded shared
-object stays mapped after its file is gone).  It is compiled with
+ladder is **cc → NumPy**, with the seed reference engine
+(``vectorized=False``, :mod:`repro.mobility.reference`) below both, which
+loads no kernel: **cc** is a small C translation unit compiled with the
+system C compiler in a temporary directory and loaded through
+:mod:`ctypes`; the directory is removed as soon as the library is loaded
+(a loaded shared object stays mapped after its file is gone).  It is
+compiled with
 ``-ffp-contract=off`` and no ``-ffast-math``/``-march``, so every
 operation is a plain IEEE-754 double op in source order (no FMA
 contraction), and with explicit ternary min/max that return the *first*
@@ -115,7 +117,7 @@ engine holds the bit generator's ``lock``, the lock every ``Generator``
 method takes, across each pass of either backend (the NumPy twins'
 ``Generator`` calls take it again: it is re-entrant, which a unit test
 pins), and binds the generator once, at construction, so ``engine.rng``
-must not be replaced on a live engine.  Because the transit pass draws every crossing's lane
+is read-only.  Because the transit pass draws every crossing's lane
 after the Python decisions, a router must not draw from the engine's
 generator: its ``next_hop`` draws would move ahead of the lanes.
 

@@ -52,15 +52,17 @@ class WirelessConfig:
 class MobilityConfig:
     """Traffic engine settings.
 
-    ``vectorized`` selects the engine's batch NumPy hot path (default); the
-    scalar per-vehicle reference engine (``vectorized=False``) produces a
-    bit-for-bit identical event stream and is kept as the equivalence
-    baseline exercised by the dual-engine test matrix.  ``compiled``
-    (default) runs the compiled inner step kernel, a C library built with
-    the system compiler on first use (see :mod:`repro.mobility.kernels`).
-    When it cannot load, the engine runs the NumPy path, which is
-    bit-for-bit identical and slower, and warns once per process with the
-    reason; ``TrafficEngine.kernel_backend`` reports what ran.
+    ``vectorized`` selects the engine's batch hot path (default); with
+    ``vectorized=False`` the engine is the scalar per-vehicle reference
+    engine (:class:`~repro.mobility.reference.ReferenceEngine`, in its own
+    module), which produces a bit-for-bit identical event stream and is
+    kept as the equivalence baseline exercised by the dual-engine test
+    matrix.  ``compiled`` (default) runs the compiled inner step kernel, a
+    C library built with the system compiler on first use (see
+    :mod:`repro.mobility.kernels`).  When it cannot load, the engine runs
+    the NumPy path, which is bit-for-bit identical and slower, and warns
+    once per process with the reason; ``TrafficEngine.kernel_backend``
+    reports what ran.
     """
 
     dt_s: float = 0.5

@@ -1375,16 +1375,37 @@ class TestFallback:
         assert requested[0], "scenario produced no events — not a real check"
         assert requested == _stepped(3, 4, compiled=False)
 
-    def test_backend_names(self):
-        from repro.mobility.engine import TrafficEngine
+    def test_backend_names(self, monkeypatch):
+        from repro.mobility import engine
+        from repro.mobility.demand import DemandConfig, DemandModel
+        from repro.mobility.reference import ReferenceEngine
         from repro.roadnet.builders import grid_network
 
-        scalar = TrafficEngine(grid_network(3, 3), np.random.default_rng(0), vectorized=False)
-        assert scalar.kernel_backend == "scalar"
-        assert "vectorized=False" in scalar.kernel_fallback_reason
+        assert not isinstance(_engine(), ReferenceEngine)
         numpy_engine = _engine(compiled=False)
+        assert not isinstance(numpy_engine, ReferenceEngine)
         assert numpy_engine.kernel_backend == "numpy"
         assert numpy_engine.kernel_fallback_reason == "compiled=False"
+
+        def load_step_kernel(**params):
+            raise AssertionError("the reference engine asked for the kernel")
+
+        # The reference neither loads the kernel, even when asked to, nor
+        # gives any vehicle a resident slot.
+        monkeypatch.setattr(engine, "load_step_kernel", load_step_kernel)
+        net = grid_network(3, 3, lanes=2)
+        scalar = engine.TrafficEngine(
+            net, np.random.default_rng(0), vectorized=False, compiled=True
+        )
+        assert isinstance(scalar, ReferenceEngine)
+        assert scalar.kernel_backend == "scalar"
+        assert "vectorized=False" in scalar.kernel_fallback_reason
+        demand = DemandModel(net, DemandConfig(volume_fraction=0.7), np.random.default_rng(1))
+        scalar.spawn_initial(demand.initial_fleet())
+        for _ in range(50):
+            scalar.step()
+        assert scalar.stats.crossings > 0
+        assert {v.slot for v in scalar.iter_active()} == {-1}
 
     def test_available_backends_reports_this_environment(self):
         # Load-bearing: on any host with a system C compiler the cc kernel

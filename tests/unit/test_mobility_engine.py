@@ -330,6 +330,13 @@ class TestDeterminism:
 
         assert run(True) == run(False)
 
+    def test_rng_cannot_be_replaced(self, small_grid):
+        # cc draws from the bit generator bound at construction, so a new
+        # generator would split its stream from the NumPy path's.
+        eng = make_engine(small_grid)
+        with pytest.raises(AttributeError):
+            eng.rng = np.random.default_rng(1)
+
 
 class TestOneLaneTie:
     """Two vehicles spawned at one origin in one step start tied at 0.0 m.
@@ -396,7 +403,7 @@ class TestOneLaneTie:
 
 
 class TestLaneDraw:
-    """``_place`` draws a lane only on multilane segments.  That leaves every
+    """A placement draws a lane only on multilane segments.  That leaves every
     stream unchanged because NumPy answers ``integers(1)`` without touching
     the generator; a NumPy release that changes this fails here instead of
     silently shifting every run."""
@@ -412,8 +419,14 @@ class TestLaneDraw:
         assert gen.integers(1) == 0
         assert gen.bit_generator.state == buffered
 
-    def test_single_lane_placement_draws_nothing(self, small_grid, rng):
-        eng = make_engine(small_grid)
+    # Each engine draws its placement lane in a different place: cc and NumPy
+    # in their transit passes (cc's is native), the reference in ``_place``.
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"compiled": False}, {"vectorized": False}],
+        ids=["cc", "numpy", "reference"],
+    )
+    def test_single_lane_placement_draws_nothing(self, small_grid, rng, kwargs):
+        eng = make_engine(small_grid, **kwargs)
         state = eng.rng.bit_generator.state
         eng.spawn(spec_at(small_grid, rng, (0, 0)))
         assert eng.rng.bit_generator.state == state

@@ -121,7 +121,7 @@ class TestD2WallClock:
         assert _rules_of(findings) == ["D2"]
 
     def test_clean_outside_core_scope(self, tmp_path):
-        # The stores / bench / CLI may read clocks for provenance.
+        # The stores and the CLI may read clocks for provenance.
         findings, _ = _lint_source(
             tmp_path,
             "experiments/foo.py",
