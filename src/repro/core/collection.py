@@ -93,6 +93,12 @@ class CollectionManager:
         self.report_sent: Dict[object, bool] = {node: False for node in checkpoints}
         #: seed -> simulation time at which its subtree total became complete
         self.seed_completed_at: Dict[object, float] = {}
+        #: seeds not yet complete -> the (checkpoint revision, #child
+        #: reports) fingerprint of their last "not complete" verdict
+        #: (``None`` before the first); see :meth:`update`.
+        self._pending: Dict[object, Optional[Tuple[int, int]]] = dict.fromkeys(
+            self.seeds
+        )
         #: node -> (verdict, checkpoint revision, #child reports, sent flag)
         #: memo for :meth:`ready_to_report_cached`; an entry is valid only
         #: while all three dependency fingerprints still match.
@@ -156,7 +162,7 @@ class CollectionManager:
 
     def all_seeds_done(self) -> bool:
         """Whether every seed has obtained its complete subtree total."""
-        return all(seed in self.seed_completed_at for seed in self.seeds)
+        return not self._pending
 
     def completion_time(self) -> Optional[float]:
         """Time at which the last seed completed, or ``None`` if not yet done."""
@@ -239,11 +245,23 @@ class CollectionManager:
 
     # --------------------------------------------------------------- updates
     def update(self, time_s: float) -> None:
-        """Check whether any seed has just obtained its complete subtree."""
+        """Check whether any seed has just obtained its complete subtree.
+
+        :meth:`collection_complete` reads only the seed checkpoint's
+        stability and parent knowledge, which move its ``_rev`` (activation,
+        a stop, a learnt parent), and the child reports received here, which
+        only grow.  So a seed is re-derived only when that fingerprint moved
+        since its last "not complete" verdict; the result is the same as
+        re-deriving every pending seed on every call.
+        """
         if not self.enabled:
             return
-        for seed in self.seeds:
-            if seed in self.seed_completed_at:
+        for seed, seen in list(self._pending.items()):
+            mark = (self.checkpoints[seed]._rev, len(self.child_reports[seed]))
+            if mark == seen:
                 continue
             if self.collection_complete(seed):
                 self.seed_completed_at[seed] = time_s
+                del self._pending[seed]
+            else:
+                self._pending[seed] = mark

@@ -27,11 +27,12 @@ The protocol consumes an engine step's event list through one of two
 bit-for-bit equivalent entry points: :meth:`CountingProtocol.handle_events`,
 the scalar per-event reference path, and
 :meth:`CountingProtocol.process_batch`, the batched per-step pipeline
-(buffered plain crossings, vectorized wireless/recognition draws — see the
-method docstring and DESIGN.md "Protocol batch pipeline").  Equivalence —
-counts, adjustments, stabilization times, exchange statistics and RNG
-stream positions — is pinned by ``tests/fixtures/golden_protocol_traces.json``
-and randomized property tests.
+(plain crossings settled in place by a draw-free tally, block-drawn
+wireless exchanges for the rest — see the method docstring and DESIGN.md
+"Protocol batch pipeline").  Equivalence — counts, adjustments,
+stabilization times, exchange statistics and RNG stream positions — is
+pinned by ``tests/fixtures/golden_protocol_traces.json`` and randomized
+property tests.
 
 Adjustment modes
 ----------------
@@ -72,7 +73,7 @@ from ..mobility.vehicle import Vehicle
 from ..roadnet.graph import RoadNetwork
 from ..surveillance.attributes import ExteriorSignature
 from ..surveillance.camera import IntersectionCamera
-from ..surveillance.recognition import Recognizer, observe_many
+from ..surveillance.recognition import Recognizer
 from ..wireless.exchange import ExchangeService
 from ..wireless.messages import LabelToken
 from .checkpoint import Checkpoint, DirectionState
@@ -179,6 +180,33 @@ class ProtocolStats:
         return self.corrections_plus + self.corrections_minus
 
 
+class _Progress:
+    """Activation and stabilization tallies the checkpoints report into.
+
+    The checkpoints' ``on_first_active``/``on_first_stable`` callbacks are
+    this object's methods, not the protocol's: a bound method of the
+    protocol would close the cycle protocol -> checkpoint -> protocol, and
+    a finished run would then stay alive until a cyclic garbage collection
+    instead of being freed by reference counting.
+    """
+
+    __slots__ = ("n_active", "n_stable", "activation_rev")
+
+    def __init__(self) -> None:
+        self.n_active = 0
+        self.n_stable = 0
+        #: bumped once per activation, so observers (ConvergenceMonitor)
+        #: rescan the counting directions only when a checkpoint activated.
+        self.activation_rev = 0
+
+    def note_active(self, _cp: Checkpoint) -> None:
+        self.n_active += 1
+        self.activation_rev += 1
+
+    def note_stable(self, _cp: Checkpoint) -> None:
+        self.n_stable += 1
+
+
 class CountingProtocol:
     """Fully-distributed vehicle counting over a road network.
 
@@ -243,14 +271,10 @@ class CountingProtocol:
         # monotone and each checkpoint reports them exactly once, so
         # all_active()/all_stable() are O(1) comparisons instead of per-step
         # scans over every checkpoint (which dominated city-scale steps).
-        # ``activation_rev`` lets observers (ConvergenceMonitor) rescan the
-        # counting directions only when a new checkpoint actually activated.
-        self._n_active = 0
-        self._n_stable = 0
-        self._activation_rev = 0
+        self._progress = _Progress()
         for cp in self.checkpoints.values():
-            cp.on_first_active = self._note_first_active
-            cp.on_first_stable = self._note_first_stable
+            cp.on_first_active = self._progress.note_active
+            cp.on_first_stable = self._progress.note_stable
 
         for seed in self.seeds:
             self.checkpoints[seed].activate_as_seed(0.0, tree_id=seed)
@@ -267,8 +291,8 @@ class CountingProtocol:
         target = self.config.count_target
         #: wildcard target with noise-free cameras: every observation is a
         #: match and the recognizers never touch their RNG, so the batched
-        #: pipeline can tally observations per checkpoint instead of running
-        #: the recognizer per vehicle.
+        #: pipeline can tally each observation itself instead of running the
+        #: recognizer.
         self._recognition_trivial = (
             (target is None or target.is_wildcard)
             # repro-lint: ignore[D4] -- exact sentinel: 0.0 means "noise disabled"
@@ -305,41 +329,27 @@ class CountingProtocol:
 
         Bit-for-bit equivalent to :meth:`handle_events` — same counts,
         adjustments, stabilization times, exchange and recognition
-        statistics, and the same RNG stream positions — but engineered for
-        throughput:
+        statistics, and the same RNG stream positions — but a step pays
+        only for the events it carries:
 
-        * the step's wireless exchanges are resolved from vectorized
-          Bernoulli block draws (:meth:`ExchangeService.batched_draws`) that
-          consume the named RNG stream in exactly the reference per-event,
-          per-attempt order;
         * *plain* crossings — no carried labels or reports, no pending
           phase-2 label for the chosen outbound direction, no report ready
-          to attach — are accumulated into a structure-of-arrays buffer and
-          settled in one flush: grouped camera tallies, one vectorized
-          recognizer pass (:func:`observe_many`), and a tight counting loop
-          over the snapshot of per-direction states;
-        * irregular events (label handling, collection transport, patrol
-          sync, border events, overtakes) run through the scalar handlers
-          verbatim.  With trivial recognition (the default wiring) the flush
-          is *draw-free*, so every RNG draw happens inline in stream order
-          no matter when the buffer is settled — an irregular event then
-          forces a flush only when it is genuinely *order-entangled* with
-          the buffer: it touches a buffered vehicle's counted bit, or reads
-          a buffered checkpoint's counter subtree (patrol sync / report
-          attachment).  Everything else — entries, exits and overtakes of
-          un-buffered vehicles, label deliveries, patrol syncs at quiet
-          intersections — runs inline over the buffer, because all the
-          state it can reach is either mutated only inline (direction and
-          activation state, pending labels, collection readiness, carried
-          labels) or commutes with the flush (counter and statistics
-          increments).  With recognition noise enabled the flush draws from
-          the recognizer stream, so every irregular event is a barrier.
-
-        Plainness is sound because plain crossings mutate only counters,
-        adjustments and their own vehicle's counted bit — never direction
-        states, pending labels or collection readiness — so the per-event
-        snapshots taken while buffering stay valid until the flush, and
-        events are never reordered across a barrier.
+          to attach — are settled where they stand.  They change only their
+          checkpoint's counters and adjustments and their own vehicle's
+          counted bit, so settling each in stream order is exactly the
+          scalar order.  With trivial recognition (wildcard target,
+          noise-free cameras: the default) this is a draw-free tally —
+          camera bookkeeping, recognizer statistics, then the phase-5 count
+          and the Alg. 3 corrections — with no :class:`Observation` object;
+          with recognition noise it is the scalar :meth:`_count_arrival`;
+        * every other event (label handling, collection transport, patrol
+          sync, border events, overtakes) runs through the scalar handlers
+          verbatim, its wireless exchanges resolved from vectorized
+          Bernoulli block draws (:meth:`ExchangeService.batched_draws`),
+          which consume the named RNG stream in exactly the reference
+          per-event, per-attempt order.  The block context is entered only
+          at the step's first such event, so an empty step or one of plain
+          crossings alone never sets it up.
 
         One wiring cannot be batched: an exchange service sharing its
         generator object with the recognizers while recognition noise is
@@ -366,6 +376,8 @@ class CountingProtocol:
             cross_vehicle = cross_node = cross_from = cross_to = ()
             exit_vehicle = exit_gate = exit_from = ()
             step_time = None
+        if not items:
+            return
         if self._batched_unsafe:
             return self._handle_items_scalar(
                 items,
@@ -379,148 +391,96 @@ class CountingProtocol:
                 step_time,
             )
         checkpoints = self.checkpoints
-        collection = self.collection
-        coll_enabled = collection.enabled
-        ready_cached = collection.ready_to_report_cached
+        cameras = self.cameras
+        stats = self.stats
+        coll_enabled = self.collection.enabled
+        ready_cached = self.collection.ready_to_report_cached
         counting_state = DirectionState.COUNTING
-        # Granular barriers are only sound when the flush consumes no RNG
-        # (see the docstring); with recognition noise every irregular event
-        # stays a full barrier.
-        granular = self._recognition_trivial
-        # structure-of-arrays buffer of plain crossings awaiting a flush
-        b_cp: List[Checkpoint] = []
-        b_veh: List[Vehicle] = []
-        b_from: List[Optional[object]] = []
-        b_counting: List[bool] = []
-        b_active: List[bool] = []
-        b_time: List[float] = []
-        buffers = (b_cp, b_veh, b_from, b_counting, b_active, b_time)
-        # Entanglement index of the buffer: vehicles whose counted bit the
-        # flush will write, and checkpoints whose counters/adjustments it
-        # will bump (only *arrivals* do either — an injected crossing
-        # contributes nothing but a statistics increment).
-        buffered_vids: set = set()
-        buffered_nodes: set = set()
-        last_time = None
-        with self.exchange.batched_draws():
+        trivial = self._recognition_trivial
+        exact = self._exact
+        draws = None
+        try:
             for event in items:
                 if type(event) is int:
-                    if event < 0:
-                        j = -1 - event
-                        if granular:
-                            need_flush = exit_vehicle[j].vid in buffered_vids
-                        else:
-                            need_flush = True
-                        if need_flush and b_cp:
-                            self._flush_plain(*buffers)
-                            for buf in buffers:
-                                del buf[:]
-                            buffered_vids.clear()
-                            buffered_nodes.clear()
-                        self._exit_scalar(
-                            exit_vehicle[j], exit_gate[j], exit_from[j], step_time
-                        )
-                        last_time = step_time
-                        continue
-                    vehicle = cross_vehicle[event]
-                    node = cross_node[event]
-                    from_node = cross_from[event]
-                    to_node = cross_to[event]
-                    time_s = step_time
-                    is_crossing = True
+                    if event >= 0:
+                        vehicle: Optional[Vehicle] = cross_vehicle[event]
+                        node = cross_node[event]
+                        from_node = cross_from[event]
+                        to_node = cross_to[event]
+                        time_s = step_time
+                    else:
+                        vehicle = None
+                elif type(event) is CrossingEvent:
+                    vehicle = event.vehicle
+                    node = event.node
+                    from_node = event.from_node
+                    to_node = event.to_node
+                    time_s = event.time_s
                 else:
-                    cls = event.__class__
-                    is_crossing = cls is CrossingEvent
-                    if is_crossing:
-                        vehicle = event.vehicle
-                        node = event.node
-                        from_node = event.from_node
-                        to_node = event.to_node
-                        time_s = event.time_s
-                if is_crossing:
+                    vehicle = None
+                if vehicle is not None:
                     cp = checkpoints[node]
-                    if (
-                        not vehicle.is_patrol
-                        and not vehicle.labels
-                        and not vehicle.reports
-                        and not (cp.active and cp.pending_labels.get(to_node, False))
-                        and not (
+                    if not (
+                        vehicle.is_patrol
+                        or vehicle.labels
+                        or vehicle.reports
+                        or (cp.active and cp.pending_labels.get(to_node, False))
+                        or (
                             coll_enabled
                             and to_node == cp.predecessor
                             and ready_cached(node)
                         )
                     ):
-                        b_cp.append(cp)
-                        b_veh.append(vehicle)
-                        b_from.append(from_node)
-                        b_counting.append(
-                            cp.active
-                            and from_node is not None
-                            and cp.direction_state.get(from_node) is counting_state
-                        )
-                        b_active.append(cp.active)
-                        b_time.append(time_s)
-                        if granular and from_node is not None:
-                            buffered_vids.add(vehicle.vid)
-                            buffered_nodes.add(node)
-                        last_time = time_s
+                        stats.crossings_processed += 1
+                        if from_node is None:
+                            continue  # an injection: nothing is observed
+                        if not trivial:
+                            self._count_arrival(cp, vehicle, from_node, time_s)
+                            continue
+                        camera = cameras[node]
+                        camera.note_crossings(1, time_s)
+                        rec_stats = camera.recognizer.stats
+                        rec_stats.observations += 1
+                        rec_stats.matches += 1
+                        if cp.active and cp.direction_state.get(from_node) is counting_state:
+                            cp.counters[from_node] += 1
+                            if exact and vehicle.counted:
+                                # Already counted upstream: cancel the double
+                                # count (Alg. 3 line 8 / lossy compensation).
+                                cp.adjustments -= 1
+                                stats.corrections_minus += 1
+                            else:
+                                vehicle.counted = True
+                        elif exact and cp.active and not vehicle.counted:
+                            # Safety net mirroring Alg. 3 line 7 (see
+                            # _count_arrival).
+                            cp.adjustments += 1
+                            stats.corrections_plus += 1
+                            vehicle.counted = True
                         continue
-                    if granular:
-                        # Order-entangled only if this crossing reads a
-                        # buffered vehicle's counted bit, or reads the
-                        # counter subtree of a buffered checkpoint (patrol
-                        # sync and predecessor-bound report attachment are
-                        # the only subtree readers on the crossing path).
-                        need_flush = vehicle.vid in buffered_vids or (
-                            node in buffered_nodes
-                            and (
-                                vehicle.is_patrol
-                                or (
-                                    coll_enabled
-                                    and to_node == cp.predecessor
-                                    and ready_cached(node)
-                                )
-                            )
-                        )
-                    else:
-                        need_flush = True
-                elif granular:
-                    if cls is OvertakeEvent:
-                        need_flush = (
-                            event.passer.vid in buffered_vids
-                            or event.passee.vid in buffered_vids
-                        )
-                    elif cls is EntryEvent or cls is ExitEvent:
-                        need_flush = event.vehicle.vid in buffered_vids
-                    else:
-                        raise ProtocolError(f"unknown traffic event {event!r}")
-                else:
-                    need_flush = True
-                # Settle the buffered crossings before an entangled event
-                # can observe or mutate state they would have written.
-                if need_flush and b_cp:
-                    self._flush_plain(*buffers)
-                    for buf in buffers:
-                        del buf[:]
-                    buffered_vids.clear()
-                    buffered_nodes.clear()
-                if is_crossing:
+                if draws is None:
+                    draws = self.exchange.batched_draws()
+                    draws.__enter__()
+                if vehicle is not None:
                     self._crossing_scalar(vehicle, node, from_node, to_node, time_s)
-                    last_time = time_s
+                elif type(event) is int:
+                    j = -1 - event
+                    self._exit_scalar(
+                        exit_vehicle[j], exit_gate[j], exit_from[j], step_time
+                    )
+                elif type(event) is OvertakeEvent:
+                    self.on_overtake(event)
+                elif type(event) is EntryEvent:
+                    self.on_entry(event)
+                elif type(event) is ExitEvent:
+                    self.on_exit(event)
                 else:
-                    if cls is OvertakeEvent:
-                        self.on_overtake(event)
-                    elif cls is EntryEvent:
-                        self.on_entry(event)
-                    elif cls is ExitEvent:
-                        self.on_exit(event)
-                    else:
-                        raise ProtocolError(f"unknown traffic event {event!r}")
-                    last_time = event.time_s
-            if b_cp:
-                self._flush_plain(*buffers)
-        if last_time is not None:
-            self.collection.update(last_time)
+                    raise ProtocolError(f"unknown traffic event {event!r}")
+        finally:
+            if draws is not None:
+                draws.__exit__(None, None, None)
+        last = items[-1]
+        self.collection.update(step_time if type(last) is int else last.time_s)
 
     def _handle_items_scalar(
         self,
@@ -571,79 +531,6 @@ class CountingProtocol:
             last_time = event.time_s
         if last_time is not None:
             self.collection.update(last_time)
-
-    def _flush_plain(
-        self,
-        cps: List[Checkpoint],
-        vehicles: List[Vehicle],
-        from_nodes: List[Optional[object]],
-        countings: List[bool],
-        actives: List[bool],
-        times: List[float],
-    ) -> None:
-        """Settle a buffer of plain crossings (see :meth:`process_batch`)."""
-        n = len(cps)
-        self.stats.crossings_processed += n
-        # Phase-5 camera observations happen only for actual arrivals (a
-        # crossing with from_node=None is an injection, never observed).
-        arrivals = [i for i in range(n) if from_nodes[i] is not None]
-        if not arrivals:
-            return
-        cameras = self.cameras
-        t0 = times[0]
-        uniform_time = all(t == t0 for t in times)
-        counts: Dict[object, int] = {}
-        if uniform_time:
-            for i in arrivals:
-                node = cps[i].node
-                counts[node] = counts.get(node, 0) + 1
-            for node, cnt in counts.items():
-                cameras[node].note_crossings(cnt, t0)
-        else:  # pragma: no cover - engine steps are single-instant
-            for i in arrivals:
-                cameras[cps[i].node].note_crossings(1, times[i])
-        if self._recognition_trivial:
-            is_target: Optional[List[bool]] = None
-            if uniform_time:
-                for node, cnt in counts.items():
-                    stats = cameras[node].recognizer.stats
-                    stats.observations += cnt
-                    stats.matches += cnt
-            else:  # pragma: no cover - engine steps are single-instant
-                for i in arrivals:
-                    stats = cameras[cps[i].node].recognizer.stats
-                    stats.observations += 1
-                    stats.matches += 1
-        else:
-            is_target = observe_many(
-                [cameras[cps[i].node].recognizer for i in arrivals],
-                [vehicles[i].signature for i in arrivals],
-            )
-        exact = self._exact
-        plus = minus = 0
-        for j, i in enumerate(arrivals):
-            if is_target is not None and not is_target[j]:
-                continue
-            vehicle = vehicles[i]
-            cp = cps[i]
-            if countings[i]:
-                cp.counters[from_nodes[i]] += 1
-                if exact and vehicle.counted:
-                    # Already counted upstream: cancel the double count
-                    # (Alg. 3 line 8 / lossy compensation).
-                    cp.adjustments -= 1
-                    minus += 1
-                else:
-                    vehicle.counted = True
-            elif exact and actives[i] and not vehicle.counted:
-                # Safety net mirroring Alg. 3 line 7 (see _count_arrival).
-                cp.adjustments += 1
-                plus += 1
-                vehicle.counted = True
-        if plus:
-            self.stats.corrections_plus += plus
-        if minus:
-            self.stats.corrections_minus += minus
 
     # ------------------------------------------------------------- crossings
     def on_crossing(self, event: CrossingEvent) -> None:
@@ -899,13 +786,6 @@ class CountingProtocol:
         """The checkpoint deployed at ``node``."""
         return self.checkpoints[node]
 
-    def _note_first_active(self, _cp: Checkpoint) -> None:
-        self._n_active += 1
-        self._activation_rev += 1
-
-    def _note_first_stable(self, _cp: Checkpoint) -> None:
-        self._n_stable += 1
-
     @property
     def activation_rev(self) -> int:
         """Bumped once per checkpoint activation.
@@ -914,16 +794,16 @@ class CountingProtocol:
         otherwise only shrinks), so an observer whose last scan saw this
         revision has seen every counting segment that will ever exist.
         """
-        return self._activation_rev
+        return self._progress.activation_rev
 
     def all_active(self) -> bool:
         """Whether the frontier wave has reached every checkpoint."""
-        return self._n_active == len(self.checkpoints)
+        return self._progress.n_active == len(self.checkpoints)
 
     def all_stable(self) -> bool:
         """Whether every checkpoint's local counting has stabilized
         (the closed system's convergence / the open system's complete status)."""
-        return self._n_stable == len(self.checkpoints)
+        return self._progress.n_stable == len(self.checkpoints)
 
     def stabilization_times(self) -> Dict[object, Optional[float]]:
         """Per-checkpoint stabilization time (``None`` when not yet stable)."""

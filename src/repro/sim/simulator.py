@@ -266,15 +266,12 @@ class Simulation:
             batch = self.engine.step_batch()
             if injected:
                 batch.items[:0] = injected
-            cross_from = batch.cross_from
-            cross_node = batch.cross_node
+            # Only the batch's crossing arrays can carry traffic: the injected
+            # gate crossings come in with from_node=None, which the monitor
+            # ignores.
             time_s = batch.time_s
-            for item in batch.items:
-                if type(item) is int:
-                    if item >= 0:
-                        note_traffic(cross_from[item], cross_node[item], time_s)
-                elif isinstance(item, CrossingEvent):
-                    note_traffic(item.from_node, item.node, item.time_s)
+            for from_node, node in zip(batch.cross_from, batch.cross_node):
+                note_traffic(from_node, node, time_s)
             self.protocol.process_batch(batch)
         else:
             events = injected + self.engine.step()

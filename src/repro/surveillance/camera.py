@@ -102,8 +102,9 @@ class IntersectionCamera:
         Updates the observation counter and the simultaneous-crossing peak
         exactly as ``count`` consecutive :meth:`observe_crossing` calls at
         ``time_s`` would, without materializing :class:`Observation` objects
-        or invoking the recognizer — the batched protocol pipeline runs the
-        recognizer separately as one vectorized pass.
+        or invoking the recognizer — with a recognizer that counts
+        everything, the batched protocol pipeline tallies its statistics
+        itself.
         """
         if count <= 0:
             return

@@ -65,9 +65,9 @@ class TestLateArrivalAfterReport:
     but collect one short.  For rng seed 6226, leaf (0, 2) becomes stable
     and sends its report, value 1, in the step that ends at t = 125.5 s; in
     the step that ends at t = 127.0 s the safety net (``cp.adjustments +=
-    1`` in ``CountingProtocol._flush_plain`` and ``_count_arrival``,
-    mirroring Alg. 3 line 7) counts a late, uncounted arrival there, so its
-    subtree holds 2 while the seed collected 1.  For
+    1`` in ``CountingProtocol.process_batch``'s plain-crossing tally and in
+    ``_count_arrival``, mirroring Alg. 3 line 7) counts a late, uncounted
+    arrival there, so its subtree holds 2 while the seed collected 1.  For
     228 the leaf is (1, 0).  cc, NumPy and the reference engine agree.  A
     fix may move pinned benchmark digests, so the defect is pinned here
     until a change that may re-pin them.

@@ -21,7 +21,7 @@ Five scenarios are pinned, covering the protocol regimes that matter:
   collection, border flow on the paper's map), run past convergence;
 * ``patrol-open`` — the registry's worst-case irregular-event workload:
   open two-lane grid, patrol ferrying, lossy wireless, overtakes — the
-  densest mix of flush-barrier events the engine produces.
+  densest mix of irregular events the engine produces.
 
 Re-record (only when an *intentional* behaviour change is made) with::
 

@@ -95,3 +95,27 @@ def test_every_scenario_counts_exactly_on_the_full_matrix(name):
     reference = traces["vec-engine-batched"]
     for combo, trace in traces.items():
         assert trace == reference, f"{name} [{combo}] diverged from the reference"
+
+
+@pytest.mark.parametrize("name", ["one-way-ring", "patrol-open"])
+def test_finished_simulation_is_freed_by_reference_counting(name):
+    """A finished run holds no reference cycle through its protocol, so
+    dropping the simulation frees the protocol and the exchange service at
+    once, not at the next cyclic garbage collection (the checkpoints'
+    convergence callbacks must not be bound methods of the protocol)."""
+    import gc
+    import weakref
+
+    sim = get_scenario(name).simulation()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert sim.run().is_exact
+        protocol = weakref.ref(sim.protocol)
+        exchange = weakref.ref(sim.exchange)
+        del sim
+        assert protocol() is None
+        assert exchange() is None
+    finally:
+        if was_enabled:
+            gc.enable()

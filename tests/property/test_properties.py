@@ -162,7 +162,10 @@ def test_closed_counting_exact_on_random_scenarios(
 
 
 def _pipeline_trace(sim) -> dict:
-    """Everything the protocol layer computed, in exactly comparable form."""
+    """Everything the protocol layer computed, in exactly comparable form:
+    counters, statistics, both protocol generators' states, each camera's
+    bookkeeping and the convergence monitor's traffic feed (in insertion
+    order)."""
     exchange_stats = sim.exchange.stats.as_dict()
     return {
         "counters": {
@@ -175,6 +178,17 @@ def _pipeline_trace(sim) -> dict:
         "global_count": sim.protocol.global_count(),
         "adjustments": sim.protocol.total_adjustments(),
         "seed_completed_at": dict(sim.protocol.collection.seed_completed_at),
+        "wireless_rng": sim.exchange.rng.bit_generator.state,
+        "recognition_rng": sim.protocol.rng.bit_generator.state,
+        "cameras": {
+            repr(node): (
+                camera.observed,
+                camera.simultaneous_peak,
+                camera.recognizer.stats.as_dict(),
+            )
+            for node, camera in sim.protocol.cameras.items()
+        },
+        "last_traffic": list(sim.monitor._last_traffic.items()),
     }
 
 

@@ -105,6 +105,60 @@ class TestCollectionManager:
         manager.sync_with_patrol(checkpoints["u"], digest, 6.0)
         assert manager.has_all_child_reports("u")
 
+    @pytest.mark.parametrize(
+        "last", ["stop", "label-parent", "patrol-parent", "child-report"]
+    )
+    def test_seed_completes_at_first_update_after_last_dependency(self, last):
+        """Seed ``s`` completes once its counting from ``b`` stopped, it
+        knows ``p(b)`` and its only child ``a`` reported (``a`` is settled
+        up front); ``z`` has nothing to wait for.  Whichever dependency
+        lands last, ``s`` is recorded at the first update after it and at
+        no update before, however often the verdict was memoized."""
+        checkpoints = {
+            "s": Checkpoint("s", inbound=["a", "b"], outbound=["a", "b"]),
+            "z": Checkpoint("z", inbound=[], outbound=[]),
+        }
+        for seed, seed_cp in checkpoints.items():
+            seed_cp.activate_as_seed(0.0, tree_id=seed)
+        cp = checkpoints["s"]
+        cp.receive_label("a", origin_parent="s", tree_id="s", time_s=0.5)
+        manager = CollectionManager(
+            checkpoints, ["s", "z"], ExchangeService.perfect(np.random.default_rng(0))
+        )
+        land = {
+            "stop": lambda t: cp.stop_direction("b", t),
+            # b's direction is already stopped, so the label only teaches p(b)
+            "label-parent": lambda t: cp.receive_label(
+                "b", origin_parent="a", tree_id="s", time_s=t
+            ),
+            "patrol-parent": lambda t: cp.note_parent_of("b", "a"),
+            "child-report": lambda t: manager.receive_report(
+                "s", CounterReport(reporter="a", destination="s", value=1), t
+            ),
+        }
+        parent = last if last.endswith("parent") else "patrol-parent"
+        first = [dep for dep in ("stop", parent, "child-report") if dep != last]
+
+        def agrees():
+            return manager.all_seeds_done() == all(
+                seed in manager.seed_completed_at for seed in manager.seeds
+            )
+
+        t = 1.0
+        for dep in first:
+            manager.update(t)
+            land[dep](t + 0.25)
+            manager.update(t + 0.5)
+            assert "s" not in manager.seed_completed_at
+            assert not manager.all_seeds_done() and agrees()
+            t += 1.0
+        land[last](t)
+        manager.update(t + 0.5)
+        # receive_report runs its own update at the report's time
+        at = t if last == "child-report" else t + 0.5
+        assert manager.seed_completed_at == {"z": 1.0, "s": at}
+        assert manager.all_seeds_done() and agrees()
+
     def test_disabled_manager_is_inert(self):
         checkpoints, _ = self._setup()
         exchange = ExchangeService.perfect(np.random.default_rng(0))

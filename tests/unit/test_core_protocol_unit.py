@@ -10,7 +10,13 @@ import pytest
 
 from repro.core.protocol import AdjustmentMode, CountingProtocol, ProtocolConfig
 from repro.errors import ConfigurationError, ProtocolError
-from repro.mobility.events import CrossingEvent, EntryEvent, ExitEvent, OvertakeEvent
+from repro.mobility.events import (
+    CrossingEvent,
+    EntryEvent,
+    ExitEvent,
+    OvertakeEvent,
+    StepBatch,
+)
 from repro.mobility.vehicle import Vehicle
 from repro.roadnet.builders import grid_network, triangle_network
 from repro.roadnet.graph import Gate
@@ -404,3 +410,55 @@ class TestBatchedPipelineFallback:
             config=ProtocolConfig(recognition_false_negative=0.1),
         )
         assert default._batched_unsafe
+
+
+class TestBatchedPipelineDraws:
+    """process_batch sets up the wireless block draws only for a step that
+    carries an event which may draw."""
+
+    @staticmethod
+    def _lossy_protocol(monkeypatch):
+        from repro.wireless.channel import BernoulliLossChannel
+
+        rng = np.random.default_rng(0)
+        proto = CountingProtocol(
+            triangle_network(),
+            [1],
+            rng,
+            exchange=ExchangeService(
+                BernoulliLossChannel(0.3), np.random.default_rng(5)
+            ),
+        )
+
+        def no_draws():
+            raise AssertionError("batched_draws() entered")
+
+        monkeypatch.setattr(proto.exchange, "batched_draws", no_draws)
+        return proto
+
+    def test_empty_and_plain_batches_never_enter_batched_draws(self, monkeypatch):
+        proto = self._lossy_protocol(monkeypatch)
+        state = proto.exchange.rng.bit_generator.state
+        proto.process_batch(StepBatch(1.0))
+        # Plain crossings at the two inactive checkpoints, one of them an
+        # injection (from_node=None): nothing to deliver, label or attach.
+        batch = StepBatch(2.0)
+        v1, v2, v3 = make_vehicle(1), make_vehicle(2), make_vehicle(3)
+        batch.items.append(batch.add_crossing(v1, 2, 1, 3))
+        batch.items.append(batch.add_crossing(v2, 3, 2, 1))
+        batch.items.append(batch.add_crossing(v3, 2, None, 1))
+        proto.process_batch(batch)
+        assert proto.exchange.rng.bit_generator.state == state
+        assert proto.exchange.stats.exchanges == 0
+        assert proto.stats.crossings_processed == 3
+        assert proto.cameras[2].observed == 1
+        assert proto.cameras[3].observed == 1
+        assert not (v1.counted or v2.counted or v3.counted)
+
+    def test_irregular_crossing_enters_batched_draws(self, monkeypatch):
+        proto = self._lossy_protocol(monkeypatch)
+        # The seed's first departure toward 3 must be labelled (phase 2).
+        batch = StepBatch(1.0)
+        batch.items.append(batch.add_crossing(make_vehicle(1), 1, 2, 3))
+        with pytest.raises(AssertionError, match="batched_draws"):
+            proto.process_batch(batch)
