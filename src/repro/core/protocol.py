@@ -23,13 +23,15 @@ counters.
 
 Two pipelines
 -------------
-The protocol consumes an engine step's event list through one of two
+The protocol consumes an engine step's events through one of two
 bit-for-bit equivalent entry points: :meth:`CountingProtocol.handle_events`,
-the scalar per-event reference path, and
-:meth:`CountingProtocol.process_batch`, the batched per-step pipeline
-(plain crossings settled in place by a draw-free tally, block-drawn
-wireless exchanges for the rest — see the method docstring and DESIGN.md
-"Protocol batch pipeline").  Equivalence — counts, adjustments,
+the scalar per-event reference loop over event objects, and
+:meth:`CountingProtocol.process_batch`, the batched per-step pipeline over
+the engine's :class:`~repro.mobility.events.StepBatch` (plain crossings
+settled in place by a draw-free tally, block-drawn wireless exchanges for
+the rest — see the method docstring and DESIGN.md "Protocol batch
+pipeline").  The scalar path takes the same batch's stream as objects
+(``StepBatch.iter_events()``).  Equivalence — counts, adjustments,
 stabilization times, exchange statistics and RNG stream positions — is
 pinned by ``tests/fixtures/golden_protocol_traces.json`` and randomized
 property tests.
@@ -56,7 +58,7 @@ Adjustment modes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -305,32 +307,42 @@ class CountingProtocol:
         #: generator (the default wiring: ``ExchangeService.perfect(rng)``)
         #: and recognition actually draws, those pre-draws would interleave
         #: with recognition draws and diverge from the scalar order, so
-        #: process_batch must fall back.
+        #: process_batch must fall back to handle_events.
         self._batched_unsafe = (
             self.exchange.rng is rng and not self._recognition_trivial
         )
 
     # ------------------------------------------------------------------ main
     def handle_events(self, events: Iterable[TrafficEvent]) -> None:
-        """Process a batch of engine events in order (scalar reference path)."""
-        self._handle_items_scalar(list(events), (), (), (), (), (), (), (), None)
+        """Process one step's events in order (the scalar reference path)."""
+        last_time = None
+        for event in events:
+            if isinstance(event, CrossingEvent):
+                self.on_crossing(event)
+            elif isinstance(event, OvertakeEvent):
+                self.on_overtake(event)
+            elif isinstance(event, EntryEvent):
+                self.on_entry(event)
+            elif isinstance(event, ExitEvent):
+                self.on_exit(event)
+            else:
+                raise ProtocolError(f"unknown traffic event {event!r}")
+            last_time = event.time_s
+        if last_time is not None:
+            self.collection.update(last_time)
 
     # ----------------------------------------------------- batched pipeline
-    def process_batch(
-        self, events: Union[Sequence[TrafficEvent], StepBatch]
-    ) -> None:
-        """Process one step's events through the batched pipeline.
+    def process_batch(self, batch: StepBatch) -> None:
+        """Process one step's :class:`~repro.mobility.events.StepBatch`
+        through the batched pipeline.
 
-        Accepts either a plain event sequence or a
-        :class:`~repro.mobility.events.StepBatch` — the engine's fast-path
-        form, where plain crossings arrive as *indices* into parallel
-        arrays instead of :class:`CrossingEvent` objects (no per-crossing
+        Plain crossings and exits arrive as *indices* into the batch's
+        parallel arrays instead of event objects (no per-crossing
         allocation anywhere between the intersection and the counters).
-
-        Bit-for-bit equivalent to :meth:`handle_events` — same counts,
-        adjustments, stabilization times, exchange and recognition
-        statistics, and the same RNG stream positions — but a step pays
-        only for the events it carries:
+        Bit-for-bit equivalent to :meth:`handle_events` over
+        ``batch.iter_events()`` — same counts, adjustments, stabilization
+        times, exchange and recognition statistics, and the same RNG stream
+        positions — but a step pays only for the events it carries:
 
         * *plain* crossings — no carried labels or reports, no pending
           phase-2 label for the chosen outbound direction, no report ready
@@ -358,38 +370,19 @@ class CountingProtocol:
         wiring is one (``ExchangeService.perfect(rng)`` on the recognizers'
         generator), so ``CountingProtocol(net, seeds, rng,
         config=ProtocolConfig(recognition_false_negative=0.1))`` takes this
-        path.  It falls back to the scalar per-event order, keeping the
-        equivalence guarantee unconditional.
+        path.  It runs :meth:`handle_events` over ``batch.iter_events()``
+        instead, keeping the equivalence guarantee unconditional.
         """
-        if isinstance(events, StepBatch):
-            items: Sequence[object] = events.items
-            cross_vehicle = events.cross_vehicle
-            cross_node = events.cross_node
-            cross_from = events.cross_from
-            cross_to = events.cross_to
-            exit_vehicle = events.exit_vehicle
-            exit_gate = events.exit_gate
-            exit_from = events.exit_from
-            step_time = events.time_s
-        else:
-            items = events
-            cross_vehicle = cross_node = cross_from = cross_to = ()
-            exit_vehicle = exit_gate = exit_from = ()
-            step_time = None
+        items = batch.items
         if not items:
             return
         if self._batched_unsafe:
-            return self._handle_items_scalar(
-                items,
-                cross_vehicle,
-                cross_node,
-                cross_from,
-                cross_to,
-                exit_vehicle,
-                exit_gate,
-                exit_from,
-                step_time,
-            )
+            return self.handle_events(batch.iter_events())
+        cross_vehicle = batch.cross_vehicle
+        cross_node = batch.cross_node
+        cross_from = batch.cross_from
+        cross_to = batch.cross_to
+        step_time = batch.time_s
         checkpoints = self.checkpoints
         cameras = self.cameras
         stats = self.stats
@@ -466,7 +459,7 @@ class CountingProtocol:
                 elif type(event) is int:
                     j = -1 - event
                     self._exit_scalar(
-                        exit_vehicle[j], exit_gate[j], exit_from[j], step_time
+                        batch.exit_vehicle[j], batch.exit_gate[j], batch.exit_from[j], step_time
                     )
                 elif type(event) is OvertakeEvent:
                     self.on_overtake(event)
@@ -481,56 +474,6 @@ class CountingProtocol:
                 draws.__exit__(None, None, None)
         last = items[-1]
         self.collection.update(step_time if type(last) is int else last.time_s)
-
-    def _handle_items_scalar(
-        self,
-        items: Sequence[object],
-        cross_vehicle: Sequence[Vehicle],
-        cross_node: Sequence[object],
-        cross_from: Sequence[Optional[object]],
-        cross_to: Sequence[object],
-        exit_vehicle: Sequence[Vehicle],
-        exit_gate: Sequence[object],
-        exit_from: Sequence[Optional[object]],
-        step_time: Optional[float],
-    ) -> None:
-        """Scalar per-event processing of a (possibly index-form) item stream.
-
-        The ``_batched_unsafe`` fallback: identical to
-        :meth:`handle_events`, but able to resolve the engine fast path's
-        crossing and exit indices.
-        """
-        last_time = None
-        for event in items:
-            if type(event) is int:
-                if event >= 0:
-                    self._crossing_scalar(
-                        cross_vehicle[event],
-                        cross_node[event],
-                        cross_from[event],
-                        cross_to[event],
-                        step_time,
-                    )
-                else:
-                    j = -1 - event
-                    self._exit_scalar(
-                        exit_vehicle[j], exit_gate[j], exit_from[j], step_time
-                    )
-                last_time = step_time
-                continue
-            if isinstance(event, CrossingEvent):
-                self.on_crossing(event)
-            elif isinstance(event, OvertakeEvent):
-                self.on_overtake(event)
-            elif isinstance(event, EntryEvent):
-                self.on_entry(event)
-            elif isinstance(event, ExitEvent):
-                self.on_exit(event)
-            else:
-                raise ProtocolError(f"unknown traffic event {event!r}")
-            last_time = event.time_s
-        if last_time is not None:
-            self.collection.update(last_time)
 
     # ------------------------------------------------------------- crossings
     def on_crossing(self, event: CrossingEvent) -> None:

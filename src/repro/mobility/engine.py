@@ -54,10 +54,11 @@ Intersections only consider the vehicles waiting at a stop line, lane
 heads all: the admission fixes the step's crossing set, the crossings'
 Python decisions run in order (:meth:`TrafficEngine._cross`), and the
 transit pass then runs their leaves and entries with their lane draws
-(:meth:`TrafficEngine._process_intersections_batch`).  In batched mode
-:meth:`TrafficEngine.step_batch` emits plain crossings as index arrays
-(:class:`~repro.mobility.events.StepBatch`) consumed directly by the
-counting protocol — no per-crossing event objects.
+(:meth:`TrafficEngine._process_intersections_batch`).  A step emits its
+events as one :class:`~repro.mobility.events.StepBatch`
+(:meth:`TrafficEngine.step_batch`), plain crossings and exits as index
+arrays that the counting protocol consumes directly;
+:meth:`TrafficEngine.step` materializes its stream as event objects.
 ``TrafficEngine(..., vectorized=False)`` builds the original seed
 per-vehicle engine instead, a
 :class:`~repro.mobility.reference.ReferenceEngine`: the seed loops, kept
@@ -82,14 +83,7 @@ from ..roadnet.graph import DirectedSegment, RoadNetwork
 from ..roadnet.routing import Router
 from .car_following import LaneChangeModel, SimplifiedIDM
 from .demand import VehicleSpec
-from .events import (
-    CrossingEvent,
-    EntryEvent,
-    ExitEvent,
-    OvertakeEvent,
-    StepBatch,
-    TrafficEvent,
-)
+from .events import CrossingEvent, EntryEvent, OvertakeEvent, StepBatch, TrafficEvent
 from .intersections import IntersectionPolicy, simple_policy
 from .kernels import StepKernel, fallback_reason, lane_options_np, load_step_kernel
 from .vehicle import MIN_GAP_M, VEHICLE_LENGTH_M, Vehicle
@@ -239,17 +233,13 @@ class TrafficEngine:
         self.time_s: float = 0.0
         self._vehicles: Dict[int, Vehicle] = {}
         self._departed: Dict[int, Vehicle] = {}
-        # Flat per-segment occupancy in insertion order: the reference
-        # engine's event order, and the overtake scan's pair order.  Every
-        # per-edge structure is indexed in ``net.segments()`` order, which
-        # fixes the RNG-consumption and event order of the step.
-        self._occupancy: Dict[Tuple[object, object], List[int]] = {}
+        # Every per-edge structure is indexed in ``net.segments()`` order,
+        # which fixes the RNG-consumption and event order of the step.
         self._segments: Dict[Tuple[object, object], DirectedSegment] = {}
         self._edge_order: Dict[Tuple[object, object], int] = {}
         #: the segment at each edge index
         self._segs: List[DirectedSegment] = list(net.segments())
         for i, seg in enumerate(self._segs):
-            self._occupancy[seg.key] = []
             self._segments[seg.key] = seg
             self._edge_order[seg.key] = i
         n_edges = len(self._segs)
@@ -286,8 +276,9 @@ class TrafficEngine:
         # per-current-segment invariants rewritten on every placement;
         # ``_desired`` and ``_vid`` are fixed at spawn.  ``_seq`` is the
         # placement number of each slot's current edge entry, so an edge's
-        # slots sorted by it follow its flat ``_occupancy`` list, which is
-        # the pair order of cc's overtake pass.
+        # slots sorted by it are its vehicles in entry order
+        # (:meth:`_entry_order`): the order of :meth:`occupancy` and the
+        # pair order of both overtake passes.
         self._capacity = 0
         self._next_slot = 0
         self._free_slots: List[int] = []
@@ -369,9 +360,6 @@ class TrafficEngine:
         self._rank_elig = np.zeros(n_edges, dtype=np.uint8)
         self._bind_kernel()
         self._kinematics_stale = False
-        #: event sink for the current step_batch() call (None => step()
-        #: materializes scalar CrossingEvent objects).
-        self._sink: Optional[StepBatch] = None
 
         self._policies: Dict[object, IntersectionPolicy] = {}
         self._next_vid = 0
@@ -685,7 +673,6 @@ class TrafficEngine:
         vehicle.speed_mps = min(vehicle.desired_speed_mps, seg.speed_limit_mps) * 0.5
         vehicle.previous_node = tail
         vehicle.waiting_since_s = None
-        self._occupancy[key].append(vehicle.vid)
         seq = self._placements
         self._placements = seq + 1
         return self._edge_order[key], seq
@@ -693,7 +680,6 @@ class TrafficEngine:
     def _leave_edge(self, vehicle: Vehicle) -> None:
         """Take ``vehicle`` off its segment, leaving the slot arrays to the
         transition row the caller runs."""
-        self._occupancy[vehicle.edge].remove(vehicle.vid)
         # Materialize the departing vehicle's kinematics so exit events
         # and the departed pool carry its final state even though the
         # resident arrays are the in-run source of truth.
@@ -896,39 +882,39 @@ class TrafficEngine:
         return self._spawned_nonpatrol
 
     def occupancy(self, edge: Tuple[object, object]) -> List[Vehicle]:
-        """Vehicles currently on ``edge`` (unspecified order)."""
+        """Vehicles currently on ``edge``, in the order they entered it."""
         self._sync_kinematics()
-        return [self._vehicles[vid] for vid in self._occupancy[edge]]
+        vids = self._vid[self._entry_order(self._edge_order[edge])].tolist()
+        return [self._vehicles[vid] for vid in vids]
+
+    def _entry_order(self, ei: int) -> List[int]:
+        """Edge ``ei``'s slots in the order their vehicles entered it, which
+        is ascending ``_seq`` (placement numbers are never reused)."""
+        slots = self._lane_store[ei][:self._lane_len[ei]]
+        return slots[np.argsort(self._seq[slots])].tolist()
 
     # ------------------------------------------------------------------ step
     def step(self) -> List[TrafficEvent]:
-        """Advance the world by one time step and return the events produced."""
-        events: List[TrafficEvent] = []
-        self._step_core(events)
-        return events
+        """Advance the world by one time step and return the events produced:
+        :meth:`step_batch`'s stream as event objects."""
+        return list(self.step_batch().iter_events())
 
     def step_batch(self) -> StepBatch:
-        """Advance one time step, emitting events in batch form.
+        """Advance one time step and return its events.
 
-        The fast-path counterpart of :meth:`step` used by the batched
-        pipeline: plain intersection crossings are appended to the returned
-        :class:`~repro.mobility.events.StepBatch`'s parallel arrays (no
-        per-crossing :class:`CrossingEvent` objects); irregular events —
-        exits, overtakes — stay scalar objects in the same ordered stream.
-        ``batch.iter_events()`` reproduces exactly what :meth:`step` would
-        have returned.
+        Plain intersection crossings and border exits are appended to the
+        returned :class:`~repro.mobility.events.StepBatch`'s parallel arrays
+        (no per-crossing :class:`CrossingEvent` objects) and enter its
+        ordered stream as indices; overtakes stay event objects in the same
+        stream.  ``batch.iter_events()`` materializes the stream.
         """
         batch = StepBatch(self.time_s)
-        self._sink = batch
-        try:
-            self._step_core(batch.items)
-        finally:
-            self._sink = None
+        self._step_core(batch)
         return batch
 
-    def _step_core(self, events: List) -> None:
-        self._advance_segments_batch(events)
-        self._process_intersections_batch(events)
+    def _step_core(self, batch: StepBatch) -> None:
+        self._advance_segments_batch(batch.items)
+        self._process_intersections_batch(batch)
         self.time_s += self.dt_s
         self.stats.steps += 1
 
@@ -1250,13 +1236,14 @@ class TrafficEngine:
         holds the pre-step order, disagrees with their order in the re-sorted
         one; both are strict total orders, so that is the reference engine's
         (position, vid) tuple comparison.  Pairs are scanned in the edge's
-        ``_occupancy`` order, the reference engine's event order.
+        entry order (:meth:`_entry_order`), the reference engine's event
+        order, as cc's pass does.
         """
         ranking = self._rank_store[ei][:self._lane_len[ei]]
         after = ranking[np.lexsort((self._vid[ranking], self._pos[ranking]))]
         rank_before = {slot: r for r, slot in enumerate(ranking.tolist())}
         rank_after = {slot: r for r, slot in enumerate(after.tolist())}
-        order = [self._vehicles[vid].slot for vid in self._occupancy[self._segs[ei].key]]
+        order = self._entry_order(ei)
         flat: List[int] = []
         for i, a in enumerate(order):
             rb_a = rank_before[a]
@@ -1274,7 +1261,7 @@ class TrafficEngine:
         return end
 
     # -------------------------------------------------- intersection crossing
-    def _process_intersections_batch(self, events: List[TrafficEvent]) -> None:
+    def _process_intersections_batch(self, batch: StepBatch) -> None:
         """The intersection phase: admission, the crossings' Python decisions,
         then the transit pass.
 
@@ -1301,7 +1288,7 @@ class TrafficEngine:
             vehicle = slot_vehicle[rows[r]]
             assert vehicle is not None
             crossing.append(vehicle)
-            rows[r + 4], rows[r + 5] = self._cross(vehicle, nodes[rows[r + 3]], events)
+            rows[r + 4], rows[r + 5] = self._cross(vehicle, nodes[rows[r + 3]], batch)
         self._run_rows(0, m)
         for r, vehicle in zip(range(2, 6 * m, 6), crossing):
             vehicle.lane = rows[r]
@@ -1401,12 +1388,10 @@ class TrafficEngine:
     _admit_pass: Callable[..., int] = _admit_pass_np
     _transit_pass: Callable[..., int] = _transit_pass_np
 
-    def _cross(
-        self, vehicle: Vehicle, node: object, events: List[TrafficEvent]
-    ) -> Tuple[int, int]:
+    def _cross(self, vehicle: Vehicle, node: object, batch: StepBatch) -> Tuple[int, int]:
         """Cross ``node`` from the vehicle's segment: exit through an
         outbound gate, or enter the next hop's segment at 0 m, with its
-        event and bookkeeping.
+        event in ``batch`` and the bookkeeping.
 
         Returns the entered segment's edge index and placement number
         (:meth:`_place`), or ``(-1, -1)`` for an exit.  The slot arrays are
@@ -1427,36 +1412,13 @@ class TrafficEngine:
             self._departed[vehicle.vid] = vehicle
             self._inside_nonpatrol -= 1
             self.stats.exits += 1
-            sink = self._sink
-            if sink is None:
-                events.append(
-                    ExitEvent(
-                        time_s=self.time_s, vehicle=vehicle, gate_node=node, from_node=tail
-                    )
-                )
-            else:
-                # Fast path: typed exit arrays, encoded as a negative index.
-                events.append(sink.add_exit(vehicle, node, tail))
+            batch.items.append(batch.add_exit(vehicle, node, tail))
             return _EXITED
 
         assert vehicle.router is not None
         next_node = vehicle.router.next_hop(node, vehicle.plan, previous=tail)
         self.stats.crossings += 1
-        sink = self._sink
-        if sink is None:
-            events.append(
-                CrossingEvent(
-                    time_s=self.time_s,
-                    vehicle=vehicle,
-                    node=node,
-                    from_node=tail,
-                    to_node=next_node,
-                )
-            )
-        else:
-            # Fast path: record the crossing in the step batch's parallel
-            # arrays; the int index keeps the event-stream ordering.
-            events.append(sink.add_crossing(vehicle, node, tail, next_node))
+        batch.items.append(batch.add_crossing(vehicle, node, tail, next_node))
         return self._place(vehicle, node, next_node, pos_m=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

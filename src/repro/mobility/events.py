@@ -92,10 +92,10 @@ TrafficEvent = Union[CrossingEvent, OvertakeEvent, EntryEvent, ExitEvent]
 class StepBatch:
     """One engine step's events with plain crossings in structure-of-arrays form.
 
-    The fast path between :meth:`TrafficEngine.step_batch` and
-    :meth:`CountingProtocol.process_batch`: instead of materializing one
-    :class:`CrossingEvent` object per intersection crossing, the engine
-    appends the crossing's fields to four parallel arrays
+    The engine's one event form (:meth:`TrafficEngine.step_batch`), which
+    :meth:`CountingProtocol.process_batch` consumes: instead of
+    materializing one :class:`CrossingEvent` object per intersection
+    crossing, the engine appends the crossing's fields to four parallel arrays
     (``cross_vehicle`` / ``cross_node`` / ``cross_from`` / ``cross_to``) and
     records the *index* in the ordered ``items`` stream.  Border exits get
     the same treatment through three exit arrays (``exit_vehicle`` /
@@ -108,7 +108,8 @@ class StepBatch:
 
     All events of one step share the same timestamp, so ``time_s`` is stored
     once on the batch.  :meth:`iter_events` materializes the equivalent
-    plain event list for consumers that want objects (tracing, debugging).
+    plain event stream for consumers that want objects
+    (:meth:`TrafficEngine.step`, the scalar protocol path, tracing).
     """
 
     __slots__ = (

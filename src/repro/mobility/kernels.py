@@ -141,7 +141,10 @@ and :func:`lane_change_candidates_py`, :func:`lane_options_py` and
 viability check and ranking scan: plain Python floats, no NumPy ufuncs,
 usable as property-test oracles against the compiled kernel.
 :func:`lane_options_np` is the NumPy path's lane viability check, held to
-the same oracle as the C one.
+the same oracle as the C one.  The gather has no such specification: its
+twin, ``TrafficEngine._gather_np``, is one ``np.concatenate`` of the live
+prefixes, and the unit suite checks ``gather_all`` against that
+concatenation directly.
 
 Calling convention
 ------------------
@@ -181,7 +184,6 @@ import numpy as np
 __all__ = [
     "advance_chain_py",
     "lane_change_candidates_py",
-    "gather_all_py",
     "rank_scan_all_py",
     "lane_options_py",
     "lane_options_np",
@@ -331,23 +333,6 @@ def _deref_i64(addr: int, n: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     ptr = ctypes.cast(int(addr), ctypes.POINTER(ctypes.c_int64))
     return np.ctypeslib.as_array(ptr, shape=(n,))
-
-
-def gather_all_py(ptrs: Any, lens: Any, out: Any) -> int:
-    """Reference pointer-table gather (Python + ctypes dereference).
-
-    ``ptrs[e]`` / ``lens[e]`` give the address and live length of edge
-    ``e``'s lane slot array.  Walks every edge in index order, copies each
-    non-empty one's live prefix back to back into ``out`` (an edge of length
-    0 is skipped, whatever its address) and returns the total element count
-    — exactly what the engine's per-edge ``np.concatenate`` walk produces.
-    """
-    total = 0
-    for e in range(lens.shape[0]):
-        ln = int(lens[e])
-        out[total:total + ln] = _deref_i64(int(ptrs[e]), ln)
-        total += ln
-    return total
 
 
 def lane_options_py(

@@ -7,11 +7,13 @@ stepped by the pre-vectorization seed loops (``_advance_segments``,
 baseline of ``benchmarks/bench_irregular.py``, so it must not be optimized.
 ``TrafficEngine(..., vectorized=False)`` builds one.
 
-Everything that does not diverge is shared: spawning, the queries,
+Everything that does not diverge is shared: spawning, the other queries,
 ``step``/``step_batch`` and the decisions of ``TrafficEngine._cross``.  The
 overrides are the seed's side of the rest: no kernel (whatever ``compiled``
-says), no resident slot and so no transition row, a lane drawn in
-``_place``, and a ``_leave_edge`` that only updates ``_occupancy``.
+says), no resident slot and so no transition row, and ``_occupancy``, each
+edge's vids in entry order, kept by ``_place`` (which draws the lane) and
+``_leave_edge``, and read by the seed loops and ``occupancy()``; the
+production engine's ``_seq`` order is tested against it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..roadnet.graph import DirectedSegment
 from .engine import _ARRIVAL_EPS_M, TrafficEngine
-from .events import OvertakeEvent, TrafficEvent
+from .events import OvertakeEvent, StepBatch, TrafficEvent
 from .vehicle import Vehicle
 
 __all__ = ["ReferenceEngine"]
@@ -36,6 +38,11 @@ class ReferenceEngine(TrafficEngine):
         # The seed loops run no kernel, so none is loaded.
         super().__init__(*args, compiled=False, **kwargs)
         self.compiled = bool(compiled)
+        # Flat per-segment occupancy in entry order, in ``net.segments()``
+        # order: the seed loops' iteration and event order.
+        self._occupancy: Dict[Tuple[object, object], List[int]] = {
+            seg.key: [] for seg in self._segs
+        }
 
     @property
     def kernel_backend(self) -> str:
@@ -56,23 +63,28 @@ class ReferenceEngine(TrafficEngine):
     def _transit(self, vehicle: Vehicle, src: int, target: int, seq: int) -> None:
         pass
 
+    def occupancy(self, edge: Tuple[object, object]) -> List[Vehicle]:
+        return [self._vehicles[vid] for vid in self._occupancy[edge]]
+
     def _place(
         self, vehicle: Vehicle, tail: object, head: object, *, pos_m: float
     ) -> Tuple[int, int]:
-        """:meth:`TrafficEngine._place`, then the lane draw."""
+        """:meth:`TrafficEngine._place`, then the occupancy list and the
+        lane draw."""
         placed = super()._place(vehicle, tail, head, pos_m=pos_m)
+        seg = self._segs[placed[0]]
+        self._occupancy[seg.key].append(vehicle.vid)
         # integers(1) is 0 without a draw, so skipping it leaves the
         # stream as it was (a unit test pins that NumPy behaviour).
-        lanes = self._segs[placed[0]].lanes
-        vehicle.lane = int(self.rng.integers(lanes)) if lanes > 1 else 0
+        vehicle.lane = int(self.rng.integers(seg.lanes)) if seg.lanes > 1 else 0
         return placed
 
     def _leave_edge(self, vehicle: Vehicle) -> None:
         self._occupancy[vehicle.edge].remove(vehicle.vid)
 
-    def _step_core(self, events: List) -> None:
-        self._advance_segments(events)
-        self._process_intersections(events)
+    def _step_core(self, batch: StepBatch) -> None:
+        self._advance_segments(batch.items)
+        self._process_intersections(batch)
         self.time_s += self.dt_s
         self.stats.steps += 1
 
@@ -158,7 +170,7 @@ class ReferenceEngine(TrafficEngine):
                 )
 
     # -------------------------------------------------- intersection crossing
-    def _process_intersections(self, events: List[TrafficEvent]) -> None:
+    def _process_intersections(self, batch: StepBatch) -> None:
         """Seed reference implementation: scan every occupied segment."""
         candidates: Dict[object, List[Tuple[float, int, object]]] = {}
         for edge_key, vids in self._occupancy.items():
@@ -178,12 +190,12 @@ class ReferenceEngine(TrafficEngine):
             for v in front_per_lane.values():
                 if self.time_s - v.waiting_since_s + self.dt_s >= policy.crossing_delay_s:
                     candidates.setdefault(node, []).append((v.waiting_since_s, v.vid, edge_key))
-        self._admit(candidates, events)
+        self._admit(candidates, batch)
 
     def _admit(
         self,
         candidates: Dict[object, List[Tuple[float, int, object]]],
-        events: List[TrafficEvent],
+        batch: StepBatch,
     ) -> None:
         for node, waiting in candidates.items():
             policy = self.policy_for(node)
@@ -194,4 +206,4 @@ class ReferenceEngine(TrafficEngine):
                 vehicle = self._vehicles.get(vid)
                 if vehicle is None or vehicle.edge != edge_key:
                     continue
-                self._cross(vehicle, node, events)
+                self._cross(vehicle, node, batch)

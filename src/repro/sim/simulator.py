@@ -27,7 +27,6 @@ from ..core.seeds import select_seeds
 from ..errors import ConfigurationError, ConvergenceError
 from ..mobility.demand import DemandModel
 from ..mobility.engine import TrafficEngine
-from ..mobility.events import CrossingEvent
 from ..mobility.intersections import IntersectionPolicy
 from ..roadnet.graph import RoadNetwork
 from ..wireless.channel import BernoulliLossChannel, PerfectChannel
@@ -244,15 +243,15 @@ class Simulation:
     def step(self) -> None:
         """Advance the scenario by one engine time step.
 
-        The step's whole event stream is handed to the counting protocol in
-        one call.  With ``config.batched`` (the default) the engine emits a
-        :class:`~repro.mobility.events.StepBatch` — plain crossings as
-        indices into parallel arrays, no per-crossing event objects — which
-        goes straight into the batched pipeline
-        (:meth:`~repro.core.protocol.CountingProtocol.process_batch`).
-        Otherwise the scalar per-event reference path runs
+        The engine emits the step's events, after its border arrivals, as
+        one :class:`~repro.mobility.events.StepBatch` — plain crossings as
+        indices into parallel arrays, no per-crossing event objects — whose
+        whole stream is handed to the counting protocol in one call: with
+        ``config.batched`` (the default) the batched pipeline
+        (:meth:`~repro.core.protocol.CountingProtocol.process_batch`),
+        otherwise the scalar per-event reference path
         (:meth:`~repro.core.protocol.CountingProtocol.handle_events`) over
-        materialized event objects.  The two are bit-for-bit equivalent.
+        its materialized event objects.  The two are bit-for-bit equivalent.
         """
         if not self._populated:
             self.populate()
@@ -261,24 +260,20 @@ class Simulation:
             for spec in self.demand.border_arrivals(self.engine.dt_s, t_s=self.engine.time_s):
                 _vehicle, events = self.engine.spawn(spec)
                 injected.extend(events)
+        batch = self.engine.step_batch()
+        if injected:
+            batch.items[:0] = injected
+        # Only the batch's crossing arrays can carry traffic: the injected
+        # gate crossings come in with from_node=None, which the monitor
+        # ignores.
         note_traffic = self.monitor.note_traffic
+        time_s = batch.time_s
+        for from_node, node in zip(batch.cross_from, batch.cross_node):
+            note_traffic(from_node, node, time_s)
         if self.config.batched:
-            batch = self.engine.step_batch()
-            if injected:
-                batch.items[:0] = injected
-            # Only the batch's crossing arrays can carry traffic: the injected
-            # gate crossings come in with from_node=None, which the monitor
-            # ignores.
-            time_s = batch.time_s
-            for from_node, node in zip(batch.cross_from, batch.cross_node):
-                note_traffic(from_node, node, time_s)
             self.protocol.process_batch(batch)
         else:
-            events = injected + self.engine.step()
-            for event in events:
-                if isinstance(event, CrossingEvent):
-                    note_traffic(event.from_node, event.node, event.time_s)
-            self.protocol.handle_events(events)
+            self.protocol.handle_events(batch.iter_events())
         self.monitor.observe(self.engine.time_s)
 
     def run(

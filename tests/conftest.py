@@ -98,22 +98,29 @@ def extended_model_config(engine_vectorized):
 def check_occupancy_state(engine):
     """Recompute a vectorized engine's occupancy state and assert it holds.
 
-    The ground truth is ``_occupancy`` (which vehicles are on each edge),
-    each vehicle's ``lane`` and ``slot``, and the resident ``_pos``/``_vid``
+    The ground truth is each vehicle's ``edge`` (which vehicles are on each
+    edge), ``lane`` and ``slot``, and the resident ``_pos``/``_vid``
     arrays; every other per-edge and per-slot structure must follow from
     them.  Each edge's lanes and ranking are the live ``_lane_len`` prefix
     of its buffers.  Only the ranking's membership is checked: its order is
     the overtake scan's, which the golden traces' overtake events pin.  An
-    edge's slots in ``_seq`` order must give its ``_occupancy`` vid order,
-    the order in which cc's overtake pass reports pairs.  The waiting state:
+    edge's ``_seq`` values, which order its vehicles by entry for
+    ``occupancy()`` and both overtake passes, are distinct placement
+    numbers, each below ``_placements``; their order is checked against the
+    reference engine's ``_occupancy`` lists by
+    ``test_occupancy_order_matches_reference``.  The waiting state:
     ``_wait_flag`` is set exactly on the vehicles whose ``waiting_since_s``
     is set, ``_since`` holds it, and each of them is its lane's head, which
     is all the admission pass reads, on cc and NumPy alike.
     """
     pos, vid, is_head, seq = engine._pos, engine._vid, engine._is_head, engine._seq
+    inside = engine._vehicles.values()
+    on_edge = {seg.key: [] for seg in engine._segs}
+    for v in inside:
+        on_edge[v.edge].append(v)
     for ei, seg in enumerate(engine._segs):
         where = f"edge {ei} {seg.key}"
-        vehicles = [engine._vehicles[v] for v in engine._occupancy[seg.key]]
+        vehicles = on_edge[seg.key]
         lanes = [
             sorted((v.slot for v in vehicles if v.lane == lane),
                    key=lambda s: (-pos[s], vid[s]))
@@ -125,8 +132,9 @@ def check_occupancy_state(engine):
         assert lane_buf.shape[0] == cap, where
         slots = lane_buf[:k]
         assert slots.tolist() == [s for lane in lanes for s in lane], where
-        placed = sorted(slots.tolist(), key=seq.__getitem__)
-        assert vid[placed].tolist() == engine._occupancy[seg.key], where
+        placed = seq[slots].tolist()
+        assert len(set(placed)) == len(placed), where
+        assert all(0 <= s < engine._placements for s in placed), where
         bounds = np.cumsum([0] + [len(lane) for lane in lanes])
         assert engine._bounds_np[ei].tolist() == bounds.tolist(), where
         assert engine._bounds_ptr[ei] == engine._bounds_np[ei].ctypes.data, where
@@ -147,8 +155,7 @@ def check_occupancy_state(engine):
                 assert engine._rank_ptr[ei] == rank_buf.ctypes.data, where
         else:
             assert engine._lane_ptr[ei] == 0 and engine._rank_ptr[ei] == 0, where
-    inside = engine._vehicles.values()
-    assert sum(len(flat) for flat in engine._occupancy.values()) == len(inside)
+    assert int(engine._lane_len.sum()) == len(inside)
     for v in inside:
         assert engine._slot_vehicle[v.slot] is v and vid[v.slot] == v.vid, v.vid
     assert sum(x is not None for x in engine._slot_vehicle) == len(inside)

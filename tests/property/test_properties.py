@@ -355,10 +355,11 @@ def test_engine_occupancy_state_holds_every_step(
     generators must be equal: both run the same step code over their own
     gather, lane, advance, overtake, admission and transit passes, cc's in
     C (its lane and transit passes drawing from the engine generator's bit
-    generator, its overtake pass ordering pairs by ``_seq``) and NumPy's
-    in Python (drawing through ``Generator`` methods, ordering pairs by
-    ``_occupancy``); where cc does not load, both run NumPy.  The
-    intersection policy is drawn, with some single nodes
+    generator) and NumPy's in Python (drawing through ``Generator``
+    methods); both overtake passes order pairs by ``_seq``, which
+    ``test_occupancy_order_matches_reference`` checks against the
+    reference engine's own record.  Where cc does not load, both run
+    NumPy.  The intersection policy is drawn, with some single nodes
     overridden, so caps bind, queues outlast a step and (since, vid) ties
     arise; the default's 0.5 s delay and 4 admissions almost never queue."""
     from repro.core.patrol import PatrolPlan

@@ -352,11 +352,10 @@ class TestBatchedPipelineFallback:
         )
         engine.spawn_initial(demand.initial_fleet())
         for _ in range(240):
-            events = engine.step()
             if batched:
-                proto.process_batch(events)
+                proto.process_batch(engine.step_batch())
             else:
-                proto.handle_events(events)
+                proto.handle_events(engine.step())
         return {
             "counters": {
                 repr(n): (dict(cp.counters), cp.adjustments, cp.stabilized_at)
