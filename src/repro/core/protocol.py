@@ -28,10 +28,11 @@ bit-for-bit equivalent entry points: :meth:`CountingProtocol.handle_events`,
 the scalar per-event reference loop over event objects, and
 :meth:`CountingProtocol.process_batch`, the batched per-step pipeline over
 the engine's :class:`~repro.mobility.events.StepBatch` (plain crossings
-settled in place by a draw-free tally, block-drawn wireless exchanges for
-the rest — see the method docstring and DESIGN.md "Protocol batch
-pipeline").  The scalar path takes the same batch's stream as objects
-(``StepBatch.iter_events()``).  Equivalence — counts, adjustments,
+settled in place by a draw-free tally, the scalar handlers for the rest —
+see the method docstring and DESIGN.md "Protocol batch pipeline").  The
+scalar path takes the same batch's stream as objects
+(``StepBatch.iter_events()``).  Both draw their randomness one scalar draw
+at a time, in stream order.  Equivalence — counts, adjustments,
 stabilization times, exchange statistics and RNG stream positions — is
 pinned by ``tests/fixtures/golden_protocol_traces.json`` and randomized
 property tests.
@@ -290,27 +291,11 @@ class CountingProtocol:
 
         # Precomputed invariants of the batched pipeline ----------------------
         self._exact = self.config.adjustment_mode == AdjustmentMode.EXACT
-        target = self.config.count_target
         #: wildcard target with noise-free cameras: every observation is a
         #: match and the recognizers never touch their RNG, so the batched
         #: pipeline can tally each observation itself instead of running the
-        #: recognizer.
-        self._recognition_trivial = (
-            (target is None or target.is_wildcard)
-            # repro-lint: ignore[D4] -- exact sentinel: 0.0 means "noise disabled"
-            and self.config.recognition_false_negative == 0.0
-            # repro-lint: ignore[D4] -- exact sentinel: 0.0 means "noise disabled"
-            and self.config.recognition_false_positive == 0.0
-        )
-        #: the batched pipeline block-draws the wireless stream ahead of
-        #: consumption; if the exchange service shares the recognizers'
-        #: generator (the default wiring: ``ExchangeService.perfect(rng)``)
-        #: and recognition actually draws, those pre-draws would interleave
-        #: with recognition draws and diverge from the scalar order, so
-        #: process_batch must fall back to handle_events.
-        self._batched_unsafe = (
-            self.exchange.rng is rng and not self._recognition_trivial
-        )
+        #: recognizer.  Every camera's recognizer has the same settings.
+        self._recognition_trivial = self.cameras[self.seeds[0]].recognizer.counts_everything
 
     # ------------------------------------------------------------------ main
     def handle_events(self, events: Iterable[TrafficEvent]) -> None:
@@ -338,7 +323,8 @@ class CountingProtocol:
 
         Plain crossings and exits arrive as *indices* into the batch's
         parallel arrays instead of event objects (no per-crossing
-        allocation anywhere between the intersection and the counters).
+        allocation anywhere between the intersection and the counters), and
+        every item is stamped with the batch's one ``time_s``.
         Bit-for-bit equivalent to :meth:`handle_events` over
         ``batch.iter_events()`` — same counts, adjustments, stabilization
         times, exchange and recognition statistics, and the same RNG stream
@@ -356,28 +342,16 @@ class CountingProtocol:
           with recognition noise it is the scalar :meth:`_count_arrival`;
         * every other event (label handling, collection transport, patrol
           sync, border events, overtakes) runs through the scalar handlers
-          verbatim, its wireless exchanges resolved from vectorized
-          Bernoulli block draws (:meth:`ExchangeService.batched_draws`),
-          which consume the named RNG stream in exactly the reference
-          per-event, per-attempt order.  The block context is entered only
-          at the step's first such event, so an empty step or one of plain
-          crossings alone never sets it up.
+          verbatim.
 
-        One wiring cannot be batched: an exchange service sharing its
-        generator object with the recognizers while recognition noise is
-        enabled — the wireless block pre-draws would interleave with
-        recognition draws on the shared stream.  The constructor's default
-        wiring is one (``ExchangeService.perfect(rng)`` on the recognizers'
-        generator), so ``CountingProtocol(net, seeds, rng,
-        config=ProtocolConfig(recognition_false_negative=0.1))`` takes this
-        path.  It runs :meth:`handle_events` over ``batch.iter_events()``
-        instead, keeping the equivalence guarantee unconditional.
+        Every draw, wireless or recognition, is a scalar draw made where the
+        scalar loop makes it, so the stream order is the same even when the
+        exchange service and the recognizers share one generator (the
+        constructor's default wiring).
         """
         items = batch.items
         if not items:
             return
-        if self._batched_unsafe:
-            return self.handle_events(batch.iter_events())
         cross_vehicle = batch.cross_vehicle
         cross_node = batch.cross_node
         cross_from = batch.cross_from
@@ -391,89 +365,75 @@ class CountingProtocol:
         counting_state = DirectionState.COUNTING
         trivial = self._recognition_trivial
         exact = self._exact
-        draws = None
-        try:
-            for event in items:
-                if type(event) is int:
-                    if event >= 0:
-                        vehicle: Optional[Vehicle] = cross_vehicle[event]
-                        node = cross_node[event]
-                        from_node = cross_from[event]
-                        to_node = cross_to[event]
-                        time_s = step_time
-                    else:
-                        vehicle = None
-                elif type(event) is CrossingEvent:
-                    vehicle = event.vehicle
-                    node = event.node
-                    from_node = event.from_node
-                    to_node = event.to_node
-                    time_s = event.time_s
+        for event in items:
+            if type(event) is int:
+                if event >= 0:
+                    vehicle: Optional[Vehicle] = cross_vehicle[event]
+                    node = cross_node[event]
+                    from_node = cross_from[event]
+                    to_node = cross_to[event]
                 else:
                     vehicle = None
-                if vehicle is not None:
-                    cp = checkpoints[node]
-                    if not (
-                        vehicle.is_patrol
-                        or vehicle.labels
-                        or vehicle.reports
-                        or (cp.active and cp.pending_labels.get(to_node, False))
-                        or (
-                            coll_enabled
-                            and to_node == cp.predecessor
-                            and ready_cached(node)
-                        )
-                    ):
-                        stats.crossings_processed += 1
-                        if from_node is None:
-                            continue  # an injection: nothing is observed
-                        if not trivial:
-                            self._count_arrival(cp, vehicle, from_node, time_s)
-                            continue
-                        camera = cameras[node]
-                        camera.note_crossings(1, time_s)
-                        rec_stats = camera.recognizer.stats
-                        rec_stats.observations += 1
-                        rec_stats.matches += 1
-                        if cp.active and cp.direction_state.get(from_node) is counting_state:
-                            cp.counters[from_node] += 1
-                            if exact and vehicle.counted:
-                                # Already counted upstream: cancel the double
-                                # count (Alg. 3 line 8 / lossy compensation).
-                                cp.adjustments -= 1
-                                stats.corrections_minus += 1
-                            else:
-                                vehicle.counted = True
-                        elif exact and cp.active and not vehicle.counted:
-                            # Safety net mirroring Alg. 3 line 7 (see
-                            # _count_arrival).
-                            cp.adjustments += 1
-                            stats.corrections_plus += 1
-                            vehicle.counted = True
-                        continue
-                if draws is None:
-                    draws = self.exchange.batched_draws()
-                    draws.__enter__()
-                if vehicle is not None:
-                    self._crossing_scalar(vehicle, node, from_node, to_node, time_s)
-                elif type(event) is int:
-                    j = -1 - event
-                    self._exit_scalar(
-                        batch.exit_vehicle[j], batch.exit_gate[j], batch.exit_from[j], step_time
+            elif type(event) is CrossingEvent:
+                vehicle = event.vehicle
+                node = event.node
+                from_node = event.from_node
+                to_node = event.to_node
+            else:
+                vehicle = None
+            if vehicle is not None:
+                cp = checkpoints[node]
+                if not (
+                    vehicle.is_patrol
+                    or vehicle.labels
+                    or vehicle.reports
+                    or (cp.active and cp.pending_labels.get(to_node, False))
+                    or (
+                        coll_enabled
+                        and to_node == cp.predecessor
+                        and ready_cached(node)
                     )
-                elif type(event) is OvertakeEvent:
-                    self.on_overtake(event)
-                elif type(event) is EntryEvent:
-                    self.on_entry(event)
-                elif type(event) is ExitEvent:
-                    self.on_exit(event)
-                else:
-                    raise ProtocolError(f"unknown traffic event {event!r}")
-        finally:
-            if draws is not None:
-                draws.__exit__(None, None, None)
-        last = items[-1]
-        self.collection.update(step_time if type(last) is int else last.time_s)
+                ):
+                    stats.crossings_processed += 1
+                    if from_node is None:
+                        continue  # an injection: nothing is observed
+                    if not trivial:
+                        self._count_arrival(cp, vehicle, from_node, step_time)
+                        continue
+                    camera = cameras[node]
+                    camera.note_crossing(step_time)
+                    rec_stats = camera.recognizer.stats
+                    rec_stats.observations += 1
+                    rec_stats.matches += 1
+                    if cp.active and cp.direction_state.get(from_node) is counting_state:
+                        cp.counters[from_node] += 1
+                        if exact and vehicle.counted:
+                            # Already counted upstream: cancel the double
+                            # count (Alg. 3 line 8 / lossy compensation).
+                            cp.adjustments -= 1
+                            stats.corrections_minus += 1
+                        else:
+                            vehicle.counted = True
+                    elif exact and cp.active and not vehicle.counted:
+                        # Safety net mirroring Alg. 3 line 7 (see
+                        # _count_arrival).
+                        cp.adjustments += 1
+                        stats.corrections_plus += 1
+                        vehicle.counted = True
+                    continue
+                self._crossing_scalar(vehicle, node, from_node, to_node, step_time)
+            elif type(event) is int:
+                j = -1 - event
+                self._exit_scalar(
+                    batch.exit_vehicle[j], batch.exit_gate[j], batch.exit_from[j], step_time
+                )
+            elif type(event) is OvertakeEvent:
+                self.on_overtake(event)
+            elif type(event) is EntryEvent:
+                self.on_entry(event)
+            else:
+                raise ProtocolError(f"unknown traffic event {event!r}")
+        self.collection.update(step_time)
 
     # ------------------------------------------------------------- crossings
     def on_crossing(self, event: CrossingEvent) -> None:

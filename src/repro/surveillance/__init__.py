@@ -2,7 +2,7 @@
 
 from .attributes import BODY_TYPES, COLORS, MAKES, WHITE_VAN, ExteriorSignature, random_signature
 from .camera import IntersectionCamera, Observation
-from .recognition import RecognitionStats, Recognizer, observe_many
+from .recognition import RecognitionStats, Recognizer
 
 __all__ = [
     "BODY_TYPES",
@@ -15,5 +15,4 @@ __all__ = [
     "Observation",
     "RecognitionStats",
     "Recognizer",
-    "observe_many",
 ]

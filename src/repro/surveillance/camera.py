@@ -80,13 +80,7 @@ class IntersectionCamera:
         time_s: float,
     ) -> Observation:
         """Create the observation for one crossing event."""
-        if self._last_step_time == time_s:
-            self._pending_this_step += 1
-        else:
-            self._last_step_time = time_s
-            self._pending_this_step = 1
-        self.simultaneous_peak = max(self.simultaneous_peak, self._pending_this_step)
-        self.observed += 1
+        self.note_crossing(time_s)
         return Observation(
             vehicle_id=vehicle_id,
             from_node=from_node,
@@ -96,25 +90,22 @@ class IntersectionCamera:
             signature=signature,
         )
 
-    def note_crossings(self, count: int, time_s: float) -> None:
-        """Batch bookkeeping for ``count`` same-instant crossings.
+    def note_crossing(self, time_s: float) -> None:
+        """Bookkeeping for one crossing at ``time_s``.
 
-        Updates the observation counter and the simultaneous-crossing peak
-        exactly as ``count`` consecutive :meth:`observe_crossing` calls at
-        ``time_s`` would, without materializing :class:`Observation` objects
-        or invoking the recognizer — with a recognizer that counts
-        everything, the batched protocol pipeline tallies its statistics
-        itself.
+        Updates the observation counter and the simultaneous-crossing peak,
+        as :meth:`observe_crossing` does, without materializing an
+        :class:`Observation` or invoking the recognizer — with a recognizer
+        that counts everything, the batched protocol pipeline tallies its
+        statistics itself.
         """
-        if count <= 0:
-            return
         if self._last_step_time == time_s:
-            self._pending_this_step += count
+            self._pending_this_step += 1
         else:
             self._last_step_time = time_s
-            self._pending_this_step = count
+            self._pending_this_step = 1
         self.simultaneous_peak = max(self.simultaneous_peak, self._pending_this_step)
-        self.observed += count
+        self.observed += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"IntersectionCamera(node={self.node!r}, observed={self.observed})"

@@ -22,15 +22,15 @@ synchronization layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from .attributes import ExteriorSignature
 
-__all__ = ["RecognitionStats", "Recognizer", "observe_many"]
+__all__ = ["RecognitionStats", "Recognizer"]
 
 
 @dataclass
@@ -113,76 +113,9 @@ class Recognizer:
             return True
         return False
 
-    def observe_batch(self, signatures: Sequence[ExteriorSignature]) -> List[bool]:
-        """Vectorized :meth:`observe` over a sequence of signatures.
-
-        Bit-for-bit identical to calling :meth:`observe` once per signature
-        in order — same verdicts, same statistics, same RNG consumption (the
-        error draws come from one block ``rng.random(k)``, which produces
-        the same values as ``k`` scalar calls).
-        """
-        return observe_many([self] * len(signatures), signatures)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Recognizer(target={self.target.describe()!r}, "
             f"fn={self.false_negative_rate}, fp={self.false_positive_rate})"
         )
 
-
-def observe_many(
-    recognizers: Sequence[Recognizer], signatures: Sequence[ExteriorSignature]
-) -> List[bool]:
-    """One vectorized observation pass over ``(recognizer, signature)`` pairs.
-
-    The counting protocol attaches one :class:`Recognizer` per checkpoint but
-    feeds them all from a single named RNG stream; a batched step therefore
-    has to draw the recognition errors for the *interleaved* event sequence
-    in event order.  This helper does exactly that: it decides per pair
-    whether the scalar path would consume a uniform, draws all needed
-    uniforms with one ``rng.random(k)`` call (bit-identical to ``k`` scalar
-    draws), and updates each recognizer's statistics as the scalar path
-    would.  All recognizers must share the same generator object.
-    """
-    n = len(signatures)
-    if n == 0:
-        return []
-    rng = recognizers[0].rng
-    truly = [r.target.matches(s) for r, s in zip(recognizers, signatures)]
-    needs_draw = [
-        # repro-lint: ignore[D4] -- exact sentinel: only a strictly-zero rate skips the draw
-        (r.false_negative_rate != 0.0) if t else (r.false_positive_rate != 0.0)
-        for r, t in zip(recognizers, truly)
-    ]
-    k = sum(needs_draw)
-    if k:
-        if any(r.rng is not rng for r in recognizers):
-            # Heterogeneous streams cannot be block-drawn in one order;
-            # fall back to the scalar reference (still exact, just slower).
-            return [r.observe(s) for r, s in zip(recognizers, signatures)]
-        draws = rng.random(k)
-    j = 0
-    out: List[bool] = []
-    for rec, t, need in zip(recognizers, truly, needs_draw):
-        stats = rec.stats
-        stats.observations += 1
-        if t:
-            if need:
-                u = draws[j]
-                j += 1
-                if u < rec.false_negative_rate:
-                    stats.false_negatives += 1
-                    out.append(False)
-                    continue
-            stats.matches += 1
-            out.append(True)
-        else:
-            if need:
-                u = draws[j]
-                j += 1
-                if u < rec.false_positive_rate:
-                    stats.false_positives += 1
-                    out.append(True)
-                    continue
-            out.append(False)
-    return out

@@ -7,7 +7,7 @@ control protocol of reference [6].
 """
 
 from .channel import BernoulliLossChannel, ChannelModel, PerfectChannel, RangeLimitedChannel
-from .exchange import ExchangeOutcome, ExchangeService, ExchangeStats, UniformBlock
+from .exchange import ExchangeOutcome, ExchangeService, ExchangeStats
 from .messages import CounterReport, LabelToken, StatusDigest
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "ExchangeOutcome",
     "ExchangeService",
     "ExchangeStats",
-    "UniformBlock",
     "CounterReport",
     "LabelToken",
     "StatusDigest",

@@ -17,7 +17,6 @@ simple road model of Alg. 1 and by unit tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,36 +33,14 @@ __all__ = [
 class ChannelModel:
     """Interface: decides whether a single transmission attempt succeeds.
 
-    Besides the scalar :meth:`attempt_succeeds`, every channel exposes the
-    *batch* contract used by the protocol's batched event pipeline:
-    :meth:`draws_per_attempt` states how many uniform variates one attempt
-    consumes from the RNG stream (0 or 1), and :meth:`attempt_succeeds_from`
-    computes the outcome from a pre-drawn uniform.  The invariant
-
-    ``attempt_succeeds(rng, d) ==
-    attempt_succeeds_from(rng.random() if draws_per_attempt(d) else None, d)``
-
-    lets the exchange service pre-draw whole blocks of uniforms with one
-    vectorized call while consuming the named RNG stream in exactly the
-    per-event, per-attempt order of the scalar reference path.
+    :meth:`attempt_succeeds` draws at most one uniform, from the generator
+    it is given, as the attempt is made: both pipelines of the counting
+    protocol consume the wireless stream in the one per-event, per-attempt
+    order.
     """
 
     def attempt_succeeds(self, rng: np.random.Generator, distance_m: float = 0.0) -> bool:
         """Whether one transmission attempt at ``distance_m`` gets through."""
-        raise NotImplementedError
-
-    def draws_per_attempt(self, distance_m: float = 0.0) -> int:
-        """How many uniforms one attempt at ``distance_m`` consumes (0 or 1)."""
-        raise NotImplementedError
-
-    def attempt_succeeds_from(
-        self, u: Optional[float], distance_m: float = 0.0
-    ) -> bool:
-        """Outcome of one attempt given the uniform it would have drawn.
-
-        ``u`` is ignored (and may be ``None``) when
-        :meth:`draws_per_attempt` is 0 for this distance.
-        """
         raise NotImplementedError
 
     @property
@@ -76,12 +53,6 @@ class PerfectChannel(ChannelModel):
     """A channel that never loses a frame (the simple road model)."""
 
     def attempt_succeeds(self, rng: np.random.Generator, distance_m: float = 0.0) -> bool:
-        return True
-
-    def draws_per_attempt(self, distance_m: float = 0.0) -> int:
-        return 0
-
-    def attempt_succeeds_from(self, u: Optional[float], distance_m: float = 0.0) -> bool:
         return True
 
     @property
@@ -107,12 +78,6 @@ class BernoulliLossChannel(ChannelModel):
 
     def attempt_succeeds(self, rng: np.random.Generator, distance_m: float = 0.0) -> bool:
         return bool(rng.random() >= self.loss_prob)
-
-    def draws_per_attempt(self, distance_m: float = 0.0) -> int:
-        return 1
-
-    def attempt_succeeds_from(self, u: Optional[float], distance_m: float = 0.0) -> bool:
-        return bool(u >= self.loss_prob)
 
     @property
     def loss_probability(self) -> float:
@@ -143,18 +108,6 @@ class RangeLimitedChannel(ChannelModel):
             return False
         frac = 1.0 - (distance_m / self.range_m) ** 2
         return bool(rng.random() < (1.0 - self.loss_prob) * frac)
-
-    def draws_per_attempt(self, distance_m: float = 0.0) -> int:
-        # At or beyond the range limit no frame can get through, so the
-        # scalar path returns without touching the RNG; the batch contract
-        # must consume exactly the same number of draws.
-        return 0 if distance_m >= self.range_m else 1
-
-    def attempt_succeeds_from(self, u: Optional[float], distance_m: float = 0.0) -> bool:
-        if distance_m >= self.range_m:
-            return False
-        frac = 1.0 - (distance_m / self.range_m) ** 2
-        return bool(u < (1.0 - self.loss_prob) * frac)
 
     @property
     def loss_probability(self) -> float:

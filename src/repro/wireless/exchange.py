@@ -25,67 +25,15 @@ The service also keeps aggregate statistics used by the metrics module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import TracebackType
-from typing import Any, Dict, Optional, Type
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..errors import WirelessError
 from .channel import BernoulliLossChannel, ChannelModel, PerfectChannel
 
-__all__ = ["ExchangeOutcome", "ExchangeStats", "ExchangeService", "UniformBlock"]
-
-
-class UniformBlock:
-    """Order-exact, block-drawn uniforms over one generator.
-
-    Scalar ``rng.random()`` calls are the per-attempt hot path of the lossy
-    channel; this helper replaces them with vectorized block draws while
-    keeping the stream *exactly* where the scalar path would leave it: the
-    generator state is saved up front, uniforms are vended one by one from
-    pre-drawn blocks (``rng.random(n)`` produces bit-identical values to
-    ``n`` scalar calls), and :meth:`close` rewinds the generator and
-    re-advances it by exactly the number of uniforms actually consumed.
-    Unconsumed buffer tail draws therefore never perturb later draws.
-    """
-
-    __slots__ = ("rng", "_state", "_buf", "_pos", "_consumed", "_block_size")
-
-    def __init__(self, rng: np.random.Generator, block_size: int = 64) -> None:
-        self.rng = rng
-        # Captured lazily on the first block draw: reading
-        # ``bit_generator.state`` builds a dict, which would otherwise be a
-        # fixed per-step cost on the (common) steps that draw nothing.
-        self._state: Optional[Dict[str, Any]] = None
-        self._buf: Optional[np.ndarray] = None  # drawn lazily on first use
-        self._pos = 0
-        self._consumed = 0
-        self._block_size = int(block_size)
-
-    def draw(self) -> float:
-        """The next uniform of the stream (identical to ``rng.random()``)."""
-        buf = self._buf
-        if buf is None or self._pos >= len(buf):
-            if self._state is None:
-                self._state = self.rng.bit_generator.state
-            self._buf = buf = self.rng.random(self._block_size)
-            self._block_size *= 2
-            self._pos = 0
-        u = buf[self._pos]
-        self._pos += 1
-        self._consumed += 1
-        return float(u)
-
-    def close(self) -> None:
-        """Leave the generator exactly where scalar consumption would."""
-        if self._buf is None:
-            return  # nothing drawn: state untouched
-        assert self._state is not None
-        self.rng.bit_generator.state = self._state
-        if self._consumed:
-            self.rng.random(self._consumed)
-        self._buf = None
+__all__ = ["ExchangeOutcome", "ExchangeStats", "ExchangeService"]
 
 
 @dataclass(frozen=True)
@@ -165,47 +113,11 @@ class ExchangeService:
         self.attempts_per_contact = int(attempts_per_contact)
         self.reliable_within_window = bool(reliable_within_window)
         self.stats = ExchangeStats()
-        self._block: Optional[UniformBlock] = None
 
     @classmethod
     def perfect(cls, rng: Optional[np.random.Generator] = None) -> "ExchangeService":
         """A lossless service (the simple road model of Alg. 1)."""
         return cls(PerfectChannel(), rng, attempts_per_contact=1)
-
-    # ------------------------------------------------------------- batching
-    def batched_draws(self) -> "_BatchedDraws":
-        """Resolve the exchanges inside this context from vectorized draws.
-
-        Inside the context every :meth:`exchange` / :meth:`single_attempt`
-        vends its Bernoulli uniforms from block draws (see
-        :class:`UniformBlock`) instead of per-attempt scalar ``rng.random()``
-        calls.  Outcomes, statistics and — crucially — the generator state
-        left behind are bit-for-bit identical to the scalar path: the stream
-        is consumed in the same per-event, per-attempt order.  Used by the
-        counting protocol's batched per-step pipeline (once per step — hence
-        the hand-rolled context manager instead of ``@contextmanager``,
-        whose generator machinery would be a fixed per-step cost).
-        """
-        return _BatchedDraws(self)
-
-    def _channel_supports_batch(self) -> bool:
-        """Whether the channel implements the batch draw contract.
-
-        True only when ``draws_per_attempt`` is actually overridden —
-        resolving to the :class:`ChannelModel` stub (or being absent on a
-        duck-typed channel) means the channel predates the contract.
-        """
-        method = getattr(type(self.channel), "draws_per_attempt", None)
-        return method is not None and method is not ChannelModel.draws_per_attempt
-
-    def _attempt(self, distance_m: float) -> bool:
-        """One channel attempt, drawn scalar or from the active batch block."""
-        block = self._block
-        if block is None:
-            return self.channel.attempt_succeeds(self.rng, distance_m)
-        if self.channel.draws_per_attempt(distance_m):
-            return self.channel.attempt_succeeds_from(block.draw(), distance_m)
-        return self.channel.attempt_succeeds_from(None, distance_m)
 
     # ------------------------------------------------------------- exchanges
     def exchange(self, distance_m: float = 0.0) -> ExchangeOutcome:
@@ -214,7 +126,7 @@ class ExchangeService:
         attempts = 0
         for _ in range(self.attempts_per_contact):
             attempts += 1
-            if self._attempt(distance_m):
+            if self.channel.attempt_succeeds(self.rng, distance_m):
                 self.stats.successes += 1
                 self.stats.total_attempts += attempts
                 return ExchangeOutcome(success=True, attempts=attempts)
@@ -233,7 +145,7 @@ class ExchangeService:
         accounting, where each *failed* attempt costs a −1 correction)."""
         self.stats.exchanges += 1
         self.stats.total_attempts += 1
-        ok = self._attempt(distance_m)
+        ok = self.channel.attempt_succeeds(self.rng, distance_m)
         if ok:
             self.stats.successes += 1
         else:
@@ -247,43 +159,3 @@ class ExchangeService:
             f"reliable_within_window={self.reliable_within_window})"
         )
 
-
-class _BatchedDraws:
-    """Hand-rolled context manager behind :meth:`ExchangeService.batched_draws`.
-
-    Entered once per simulation step by the batched protocol pipeline; a
-    plain object with ``__enter__``/``__exit__`` keeps that fixed cost to an
-    attribute flip (no generator frame).  Entering installs a
-    :class:`UniformBlock` on the service when the channel supports block
-    draws — a channel written against the pre-batch interface stays on
-    scalar draws inside the context, correct by construction — and exiting
-    closes it, leaving the generator exactly where scalar consumption would.
-    """
-
-    __slots__ = ("_service", "_active")
-
-    def __init__(self, service: ExchangeService) -> None:
-        self._service = service
-        self._active = False
-
-    def __enter__(self) -> ExchangeService:
-        service = self._service
-        if service._block is not None:
-            raise WirelessError("batched_draws() does not nest")
-        if service._channel_supports_batch():
-            service._block = UniformBlock(service.rng)
-            self._active = True
-        return service
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        if self._active:
-            service = self._service
-            block, service._block = service._block, None
-            self._active = False
-            if block is not None:
-                block.close()

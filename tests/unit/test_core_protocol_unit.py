@@ -324,11 +324,14 @@ class TestQueries:
         assert proto.complete_status_time() is None
 
 
+WHITE = ExteriorSignature(color="white")  # about one vehicle in six
+
+
 class TestBatchedPipelineFallback:
     """process_batch must keep the equivalence guarantee unconditional."""
 
     @staticmethod
-    def _run(batched, *, shared_rng, fn_rate):
+    def _run(batched, *, shared_rng, fn_rate, **config_kw):
         from repro.mobility.demand import DemandConfig, DemandModel
         from repro.mobility.engine import TrafficEngine
         from repro.wireless.channel import BernoulliLossChannel
@@ -344,7 +347,7 @@ class TestBatchedPipelineFallback:
             [(0, 0)],
             rng,
             exchange=exchange,
-            config=ProtocolConfig(recognition_false_negative=fn_rate),
+            config=ProtocolConfig(recognition_false_negative=fn_rate, **config_kw),
         )
         engine = TrafficEngine(net, np.random.default_rng(7))
         demand = DemandModel(
@@ -374,53 +377,69 @@ class TestBatchedPipelineFallback:
         # Wiring the exchange service to the *same* generator as the
         # recognizers (what the constructor's default
         # ``ExchangeService.perfect(rng)`` does too; here a lossy channel
-        # makes the exchange actually draw) would interleave the wireless
-        # block pre-draws with recognition draws; process_batch must detect
-        # this and fall back to the scalar path rather than silently diverge.
+        # makes the exchange actually draw) interleaves wireless and
+        # recognition draws on one stream.  process_batch makes every draw
+        # where the scalar loop makes it, so it needs no fallback.
         scalar = self._run(False, shared_rng=shared_rng, fn_rate=0.1)
         batched = self._run(True, shared_rng=shared_rng, fn_rate=0.1)
         assert batched == scalar
 
-    def test_separate_streams_use_the_batched_path(self):
-        # Sanity: the guard only fires for the shared-generator wiring.
-        net = grid_network(3, 3, lanes=1)
-        rng = np.random.default_rng(1)
-        proto = CountingProtocol(
-            net,
-            [(0, 0)],
-            rng,
-            exchange=ExchangeService(rng=np.random.default_rng(2)),
-            config=ProtocolConfig(recognition_false_negative=0.1),
+    @pytest.mark.parametrize(
+        "fn_rate, config_kw",
+        [
+            (0.0, {"recognition_false_positive": 0.2}),
+            (0.0, {"count_target": WHITE}),
+            (0.3, {"count_target": WHITE, "recognition_false_positive": 0.2}),
+        ],
+        ids=["false-positives", "target", "target-and-noise"],
+    )
+    def test_batched_equals_scalar_with_shared_generator_under_any_recognition(
+        self, fn_rate, config_kw
+    ):
+        # Non-trivial recognition sends plain crossings through
+        # _count_arrival on the batched pipeline too; its draws interleave
+        # with the lossy exchange's on the one generator.
+        scalar = self._run(False, shared_rng=True, fn_rate=fn_rate, **config_kw)
+        batched = self._run(True, shared_rng=True, fn_rate=fn_rate, **config_kw)
+        assert batched == scalar
+        observations = sum(r["observations"] for r in scalar["recognition"])
+        matches = sum(r["matches"] for r in scalar["recognition"])
+        assert 0 < matches <= observations
+        assert (matches < observations) == ("count_target" in config_kw)
+
+
+class TestTrivialRecognition:
+    """The batched pipeline tallies an observation itself only when the
+    cameras' recognizers count everything."""
+
+    @pytest.mark.parametrize(
+        "config_kw, trivial",
+        [
+            ({}, True),
+            ({"recognition_false_negative": 0.1}, False),
+            ({"recognition_false_positive": 0.1}, False),
+            ({"count_target": WHITE_VAN}, False),
+        ],
+        ids=["wildcard", "false-negatives", "false-positives", "target"],
+    )
+    def test_read_from_the_cameras_recognizers(self, config_kw, trivial):
+        proto = make_protocol(**config_kw)
+        assert proto._recognition_trivial is trivial
+        assert all(
+            cam.recognizer.counts_everything is trivial for cam in proto.cameras.values()
         )
-        assert not proto._batched_unsafe
-        shared = CountingProtocol(
-            net,
-            [(0, 0)],
-            rng,
-            exchange=ExchangeService(rng=rng),
-            config=ProtocolConfig(recognition_false_negative=0.1),
-        )
-        assert shared._batched_unsafe
-        # The default wiring shares the generator as well.
-        default = CountingProtocol(
-            net,
-            [(0, 0)],
-            rng,
-            config=ProtocolConfig(recognition_false_negative=0.1),
-        )
-        assert default._batched_unsafe
 
 
 class TestBatchedPipelineDraws:
-    """process_batch sets up the wireless block draws only for a step that
-    carries an event which may draw."""
+    """process_batch draws from the wireless stream only for an event that
+    runs an exchange."""
 
     @staticmethod
-    def _lossy_protocol(monkeypatch):
+    def _lossy_protocol():
         from repro.wireless.channel import BernoulliLossChannel
 
         rng = np.random.default_rng(0)
-        proto = CountingProtocol(
+        return CountingProtocol(
             triangle_network(),
             [1],
             rng,
@@ -429,14 +448,8 @@ class TestBatchedPipelineDraws:
             ),
         )
 
-        def no_draws():
-            raise AssertionError("batched_draws() entered")
-
-        monkeypatch.setattr(proto.exchange, "batched_draws", no_draws)
-        return proto
-
-    def test_empty_and_plain_batches_never_enter_batched_draws(self, monkeypatch):
-        proto = self._lossy_protocol(monkeypatch)
+    def test_empty_and_plain_batches_draw_nothing(self):
+        proto = self._lossy_protocol()
         state = proto.exchange.rng.bit_generator.state
         proto.process_batch(StepBatch(1.0))
         # Plain crossings at the two inactive checkpoints, one of them an
@@ -454,10 +467,11 @@ class TestBatchedPipelineDraws:
         assert proto.cameras[3].observed == 1
         assert not (v1.counted or v2.counted or v3.counted)
 
-    def test_irregular_crossing_enters_batched_draws(self, monkeypatch):
-        proto = self._lossy_protocol(monkeypatch)
+    def test_labelled_departure_runs_one_exchange(self):
+        proto = self._lossy_protocol()
         # The seed's first departure toward 3 must be labelled (phase 2).
         batch = StepBatch(1.0)
         batch.items.append(batch.add_crossing(make_vehicle(1), 1, 2, 3))
-        with pytest.raises(AssertionError, match="batched_draws"):
-            proto.process_batch(batch)
+        proto.process_batch(batch)
+        assert proto.exchange.stats.exchanges == 1
+        assert proto.stats.labels_installed + proto.stats.labeling_failures == 1

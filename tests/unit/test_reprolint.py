@@ -455,7 +455,7 @@ class TestSelfCheck:
         # suppression left behind by a refactor shows up as a diff here.
         report = lint_paths(semantic=False)
         assert report.ok
-        assert report.suppressed == 10
+        assert report.suppressed == 6
 
 
 # ---------------------------------------------------------------- typing gate

@@ -125,6 +125,33 @@ class TestSimulationFacade:
         assert 0 <= vans <= total
 
 
+    def test_spliced_border_arrivals_carry_the_batch_time(self, gated_grid):
+        # Simulation.step spawns the border arrivals at the step's start
+        # time and splices their events into the engine's batch, so every
+        # item process_batch sees carries batch.time_s.
+        from repro.mobility.events import CrossingEvent, EntryEvent, ExitEvent, OvertakeEvent
+
+        cfg = ScenarioConfig(
+            rng_seed=5,
+            open_system=True,
+            demand=DemandConfig(volume_fraction=1.0, entry_rate_veh_per_s_at_full=0.4),
+        )
+        sim = Simulation(gated_grid, cfg)
+        process_batch = sim.protocol.process_batch
+        kinds = set()
+
+        def checked(batch):
+            for event in batch.iter_events():
+                kinds.add(type(event))
+                assert event.time_s == batch.time_s
+            process_batch(batch)
+
+        sim.protocol.process_batch = checked
+        for _ in range(120):
+            sim.step()
+        assert kinds == {CrossingEvent, EntryEvent, ExitEvent, OvertakeEvent}
+
+
 class TestResults:
     def _result(self, **overrides):
         defaults = dict(

@@ -13,7 +13,7 @@ from repro.surveillance.attributes import (
     random_signature,
 )
 from repro.surveillance.camera import IntersectionCamera
-from repro.surveillance.recognition import Recognizer, observe_many
+from repro.surveillance.recognition import Recognizer
 
 
 class TestSignatures:
@@ -97,67 +97,63 @@ class TestRecognizer:
         with pytest.raises(ConfigurationError):
             Recognizer(false_positive_rate=-0.2)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"false_negative_rate": 0.1},
+            {"false_positive_rate": 0.1},
+            {"target": WHITE_VAN},
+        ],
+        ids=["false-negatives", "false-positives", "target"],
+    )
+    def test_noise_or_a_target_means_not_everything_counts(self, kwargs):
+        assert not Recognizer(**kwargs).counts_everything
 
-class TestBatchedRecognition:
-    """observe_batch / observe_many must equal per-signature scalar calls."""
+
+class TestRecognitionDrawOrder:
+    """observe draws one uniform, as the observation is made, exactly when a
+    noise rate applies to the signature's true verdict."""
 
     @staticmethod
-    def _signatures(rng, n=64):
-        return [random_signature(rng) for _ in range(n)]
+    def _signatures(n=64):
+        rng = np.random.default_rng(4)
+        sigs = [random_signature(rng) for _ in range(n)]
+        # Every fourth vehicle is a white van, so both verdicts occur.
+        for i in range(0, n, 4):
+            sigs[i] = ExteriorSignature(color="white", make=sigs[i].make, body_type="van")
+        return sigs
 
     @pytest.mark.parametrize("fn,fp", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.3, 0.2)])
-    def test_observe_batch_matches_scalar(self, fn, fp):
-        sigs = self._signatures(np.random.default_rng(4))
-        scalar = Recognizer(
+    def test_observe_draws_only_where_noise_applies(self, fn, fp):
+        rec = Recognizer(
             WHITE_VAN, false_negative_rate=fn, false_positive_rate=fp,
             rng=np.random.default_rng(11),
         )
-        batch = Recognizer(
-            WHITE_VAN, false_negative_rate=fn, false_positive_rate=fp,
-            rng=np.random.default_rng(11),
-        )
-        expected = [scalar.observe(s) for s in sigs]
-        assert batch.observe_batch(sigs) == expected
-        assert batch.stats.as_dict() == scalar.stats.as_dict()
-        # identical residual stream: the batch drew exactly the same uniforms
-        assert batch.rng.random() == scalar.rng.random()
+        replay = np.random.default_rng(11)
+        flips = {True: 0, False: 0}
+        for sig in self._signatures():
+            truth = WHITE_VAN.matches(sig)
+            rate = fn if truth else fp
+            flipped = bool(rate) and replay.random() < rate
+            flips[truth] += flipped
+            assert rec.observe(sig) is (truth != flipped)
+            assert rec.rng.bit_generator.state == replay.bit_generator.state
+        assert rec.stats.false_negatives == flips[True]
+        assert rec.stats.false_positives == flips[False]
+        assert rec.stats.observations == 64
+        assert (flips[True] > 0) == (fn > 0) and (flips[False] > 0) == (fp > 0)
 
-    def test_observe_many_interleaves_recognizers_in_event_order(self):
-        # The protocol feeds one recognizer per checkpoint from a single
-        # named RNG stream; the batched pass must draw the interleaved
-        # sequence exactly as scalar event-order processing would.
-        sigs = self._signatures(np.random.default_rng(6), n=40)
-
-        def build(seed):
-            shared = np.random.default_rng(seed)
-            recs = [
-                Recognizer(false_negative_rate=0.4, rng=shared) for _ in range(3)
-            ]
-            return [recs[i % 3] for i in range(len(sigs))]
-
-        scalar_recs = build(21)
-        expected = [r.observe(s) for r, s in zip(scalar_recs, sigs)]
-        batch_recs = build(21)
-        assert observe_many(batch_recs, sigs) == expected
-        for a, b in zip(scalar_recs[:3], batch_recs[:3]):
-            assert a.stats.as_dict() == b.stats.as_dict()
-
-    def test_observe_many_empty(self, rng):
-        assert observe_many([], []) == []
-
-    def test_observe_many_heterogeneous_streams_fall_back(self):
-        sigs = self._signatures(np.random.default_rng(8), n=10)
-        recs = [
-            Recognizer(false_negative_rate=0.5, rng=np.random.default_rng(i))
-            for i in range(10)
-        ]
-        reference = [
-            Recognizer(false_negative_rate=0.5, rng=np.random.default_rng(i))
-            for i in range(10)
-        ]
-        expected = [r.observe(s) for r, s in zip(reference, sigs)]
-        assert observe_many(recs, sigs) == expected
-
+    def test_recognizers_sharing_a_generator_draw_in_call_order(self):
+        # The protocol gives every checkpoint's recognizer one stream; the
+        # observations interleave their draws in event order.
+        shared = np.random.default_rng(21)
+        recs = [Recognizer(false_negative_rate=0.4, rng=shared) for _ in range(3)]
+        replay = np.random.default_rng(21)
+        sigs = self._signatures(40)
+        verdicts = [recs[i % 3].observe(sig) for i, sig in enumerate(sigs)]
+        assert verdicts == [bool(replay.random() >= 0.4) for _ in sigs]
+        assert shared.bit_generator.state == replay.bit_generator.state
+        assert [r.stats.observations for r in recs] == [14, 13, 13]
 
 class TestCamera:
     def test_observation_fields(self, rng):
@@ -183,14 +179,18 @@ class TestCamera:
         for time_s, count in schedule:
             for vid in range(count):
                 scalar.observe_crossing(vid, random_signature(rng), "a", "b", time_s)
-            batched.note_crossings(count, time_s)
+                batched.note_crossing(time_s)
         assert batched.observed == scalar.observed
         assert batched.simultaneous_peak == scalar.simultaneous_peak
         assert batched._pending_this_step == scalar._pending_this_step
         assert batched._last_step_time == scalar._last_step_time
 
-    def test_note_crossings_ignores_non_positive_counts(self, rng):
-        cam = IntersectionCamera("x", Recognizer(rng=rng))
-        cam.note_crossings(0, 5.0)
-        cam.note_crossings(-2, 5.0)
-        assert cam.observed == 0 and cam.simultaneous_peak == 0
+    def test_note_crossing_leaves_the_recognizer_alone(self, rng):
+        cam = IntersectionCamera("x", Recognizer(false_negative_rate=0.5, rng=rng))
+        state = rng.bit_generator.state
+        for time_s in (1.0, 1.0, 2.0):
+            cam.note_crossing(time_s)
+        assert (cam.observed, cam.simultaneous_peak) == (3, 2)
+        assert (cam._pending_this_step, cam._last_step_time) == (1, 2.0)
+        assert rng.bit_generator.state == state
+        assert cam.recognizer.stats.observations == 0

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import WirelessError
-from repro.wireless.channel import BernoulliLossChannel, PerfectChannel, RangeLimitedChannel
-from repro.wireless.exchange import ExchangeService, UniformBlock
+from repro.wireless.channel import (
+    BernoulliLossChannel,
+    ChannelModel,
+    PerfectChannel,
+    RangeLimitedChannel,
+)
+from repro.wireless.exchange import ExchangeService
 from repro.wireless.messages import CounterReport, LabelToken, StatusDigest
 
 
@@ -153,13 +158,15 @@ class TestContactWindowBoundary:
         # has decayed to zero — no draw is consumed and the attempt fails —
         # while epsilon inside the range a frame still costs one draw.
         ch = RangeLimitedChannel(loss_prob=0.0, range_m=150.0)
-        assert ch.draws_per_attempt(150.0) == 0
-        assert ch.attempt_succeeds_from(None, 150.0) is False
         state = rng.bit_generator.state
         assert ch.attempt_succeeds(rng, 150.0) is False
+        assert ch.attempt_succeeds(rng, 151.0) is False
         assert rng.bit_generator.state == state  # no uniform consumed
-        assert ch.draws_per_attempt(149.999) == 1
-        assert ch.draws_per_attempt(151.0) == 0
+        ch.attempt_succeeds(rng, 149.999)
+        one_draw = np.random.default_rng()
+        one_draw.bit_generator.state = state
+        one_draw.random()
+        assert rng.bit_generator.state == one_draw.bit_generator.state
 
     def test_range_limited_just_inside_range_is_nearly_hopeless(self):
         ch = RangeLimitedChannel(loss_prob=0.0, range_m=100.0)
@@ -169,79 +176,69 @@ class TestContactWindowBoundary:
         assert successes < 25
 
 
-class TestBatchDrawContract:
-    """The channel/exchange batch API must mirror the scalar draws exactly."""
+class TestScalarDrawOrder:
+    """A channel draws at most one uniform per attempt, as the attempt is
+    made, so every caller of one generator consumes it in call order."""
 
     @pytest.mark.parametrize(
-        "channel, distance",
+        "channel, distance, decide",
         [
-            (PerfectChannel(), 0.0),
-            (BernoulliLossChannel(0.3), 0.0),
-            (RangeLimitedChannel(0.3, range_m=150.0), 40.0),
-            (RangeLimitedChannel(0.3, range_m=150.0), 150.0),
+            (PerfectChannel(), 0.0, None),
+            (BernoulliLossChannel(0.3), 0.0, lambda u: u >= 0.3),
+            (
+                RangeLimitedChannel(0.3, range_m=150.0),
+                40.0,
+                lambda u: u < 0.7 * (1.0 - (40.0 / 150.0) ** 2),
+            ),
+            (RangeLimitedChannel(0.3, range_m=150.0), 150.0, None),
         ],
+        ids=["perfect", "bernoulli", "range-inside", "range-at-limit"],
     )
-    def test_attempt_succeeds_from_matches_scalar(self, channel, distance):
-        scalar_rng = np.random.default_rng(77)
-        batch_rng = np.random.default_rng(77)
+    def test_attempt_draws_at_most_one_uniform(self, channel, distance, decide):
+        # ``decide`` maps the attempt's one uniform to its outcome; None
+        # means the attempt draws nothing (its outcome is fixed).
+        rng = np.random.default_rng(77)
+        replay = np.random.default_rng(77)
+        outcomes = set()
         for _ in range(200):
-            expected = channel.attempt_succeeds(scalar_rng, distance)
-            u = batch_rng.random() if channel.draws_per_attempt(distance) else None
-            assert channel.attempt_succeeds_from(u, distance) == expected
-        # Both generators consumed the stream identically.
-        assert scalar_rng.random() == batch_rng.random()
-
-    def test_uniform_block_vends_the_scalar_stream(self):
-        reference = np.random.default_rng(5)
-        rng = np.random.default_rng(5)
-        block = UniformBlock(rng, block_size=4)  # force several refills
-        vended = [block.draw() for _ in range(11)]
-        block.close()
-        assert vended == [reference.random() for _ in range(11)]
-        # After close() the generator sits exactly where scalar use left it.
-        assert rng.random() == reference.random()
-
-    def test_uniform_block_unused_leaves_state_untouched(self):
-        rng = np.random.default_rng(9)
-        state = rng.bit_generator.state
-        UniformBlock(rng).close()
-        assert rng.bit_generator.state == state
-
-    def test_batched_draws_reproduces_scalar_exchanges(self):
-        def run(batched):
-            svc = ExchangeService(
-                BernoulliLossChannel(0.4),
-                np.random.default_rng(123),
-                attempts_per_contact=4,
-                reliable_within_window=False,
-            )
-            outcomes = []
-
-            def interact():
-                for i in range(60):
-                    if i % 3 == 0:
-                        outcomes.append(svc.single_attempt())
-                    else:
-                        out = svc.exchange()
-                        outcomes.append((out.success, out.attempts, out.forced))
-
-            if batched:
-                with svc.batched_draws():
-                    interact()
+            if decide is None:
+                expected = isinstance(channel, PerfectChannel)
             else:
-                interact()
-            return outcomes, svc.stats.as_dict(), svc.rng.random()
+                expected = decide(replay.random())
+            outcome = channel.attempt_succeeds(rng, distance)
+            assert outcome is expected
+            assert rng.bit_generator.state == replay.bit_generator.state
+            outcomes.add(outcome)
+        assert len(outcomes) == (1 if decide is None else 2)
 
-        assert run(False) == run(True)
+    def test_exchange_draws_one_uniform_per_attempt(self):
+        svc = ExchangeService(
+            BernoulliLossChannel(0.4),
+            np.random.default_rng(123),
+            attempts_per_contact=4,
+            reliable_within_window=False,
+        )
+        replay = np.random.default_rng(123)
+        failures = 0
+        for i in range(60):
+            if i % 3 == 0:
+                assert svc.single_attempt() is bool(replay.random() >= 0.4)
+                continue
+            attempts, success = 0, False
+            while attempts < 4 and not success:
+                attempts += 1
+                success = bool(replay.random() >= 0.4)
+            failures += not success
+            out = svc.exchange()
+            assert (out.success, out.attempts, out.forced) == (success, attempts, False)
+            assert svc.rng.bit_generator.state == replay.bit_generator.state
+        assert svc.stats.exchanges == 60
+        assert failures > 0  # 40 exchanges at 0.4 ** 4: some lose all four
 
-    def test_legacy_channel_without_batch_contract_still_works(self):
-        # A channel written against the pre-batch interface (only
-        # attempt_succeeds) must keep working inside batched_draws() —
-        # the service detects the missing contract and stays on scalar
-        # draws instead of raising NotImplementedError mid-run.
-        from repro.wireless.channel import ChannelModel
-
-        class LegacyChannel(ChannelModel):
+    def test_minimal_channel_contract_suffices(self):
+        # A channel that implements only the interface's two members works
+        # with the service exactly like the built-in channel it mimics.
+        class CoinChannel(ChannelModel):
             def attempt_succeeds(self, rng, distance_m=0.0):
                 return bool(rng.random() >= 0.5)
 
@@ -249,23 +246,28 @@ class TestBatchDrawContract:
             def loss_probability(self):
                 return 0.5
 
-        def run(batched):
-            svc = ExchangeService(LegacyChannel(), np.random.default_rng(3))
-            if batched:
-                with svc.batched_draws():
-                    outcomes = [svc.exchange().attempts for _ in range(30)]
+        def run(channel):
+            svc = ExchangeService(channel, np.random.default_rng(3))
+            attempts = [svc.exchange().attempts for _ in range(30)]
+            return attempts, svc.stats.as_dict(), svc.rng.random()
+
+        assert run(CoinChannel()) == run(BernoulliLossChannel(0.5))
+
+    def test_services_sharing_a_generator_draw_in_call_order(self):
+        # The counting protocol's default wiring hands one generator to
+        # several consumers; their draws interleave in call order.
+        shared = np.random.default_rng(9)
+        near = ExchangeService(BernoulliLossChannel(0.3), shared, attempts_per_contact=1)
+        far = ExchangeService(RangeLimitedChannel(0.3, range_m=100.0), shared)
+        replay = np.random.default_rng(9)
+        for i in range(40):
+            if i % 2:
+                expected = bool(replay.random() < 0.7 * (1.0 - 0.5**2))
+                assert far.single_attempt(50.0) is expected
             else:
-                outcomes = [svc.exchange().attempts for _ in range(30)]
-            return outcomes, svc.stats.as_dict(), svc.rng.random()
-
-        assert run(True) == run(False)
-
-    def test_batched_draws_does_not_nest(self, rng):
-        svc = ExchangeService.perfect(rng)
-        with svc.batched_draws():
-            with pytest.raises(WirelessError):
-                with svc.batched_draws():
-                    pass  # pragma: no cover
+                assert near.single_attempt() is bool(replay.random() >= 0.3)
+            assert shared.bit_generator.state == replay.bit_generator.state
+        assert near.stats.exchanges == far.stats.exchanges == 20
 
 
 class TestMessages:
