@@ -424,10 +424,12 @@ def _store_for(spec: ExperimentSpec, save: Optional[str]) -> Optional[ResultStor
 
 
 class _KernelProbe(Observer):
-    """Records the step path a run's engine took, for the summary."""
+    """Records the step path a run's engine took, for the summary, and
+    where its crossings were decided (``TrafficEngine.decisions``)."""
 
     def __init__(self) -> None:
         self.line: Optional[str] = None
+        self.decisions: Optional[str] = None
 
     def on_run_start(self, sim: Any) -> None:
         engine = sim.engine
@@ -435,6 +437,12 @@ class _KernelProbe(Observer):
         self.line = f"kernel                : {engine.kernel_backend}" + (
             f" ({reason})" if reason is not None else ""
         )
+
+    def on_run_end(self, sim: Any, result: Any) -> None:
+        if sim.engine.vectorized:
+            self.decisions = "decisions             : " + ", ".join(
+                f"{reason} {count}" for reason, count in sim.engine.decisions.items()
+            )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -458,8 +466,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(json.dumps(result.as_dict(), sort_keys=True))
         else:
             print(describe_run(result))
-            if probe.line is not None:
-                print(probe.line)
+            for line in (probe.line, probe.decisions):
+                if line is not None:
+                    print(line)
             if store is not None:
                 print(f"(result stored in {store.root})")
         return 0 if result.is_exact else 1

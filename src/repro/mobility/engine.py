@@ -28,17 +28,19 @@ and on multilane edges its overtake ranking.  Entering, leaving and
 changing lanes update them in place, inside the step's passes (the
 transit pass's rows, the lane pass's moves).  A step gathers every
 non-empty edge's lane array, in edge order, and scatters back with one
-bulk write; nothing is rebuilt.  The ``Vehicle`` objects' kinematic fields
-become lazily synced mirrors (refreshed by any public accessor; see
+bulk write; nothing is rebuilt.  Each vehicle's route plan is resident
+too (a cursor and end into one route pool, and its exit node), and the
+``Vehicle`` objects' kinematic fields and plans become lazily synced
+mirrors (refreshed by any public accessor; see
 :attr:`TrafficEngine.vehicles`).
 
-A step is one code path over six operations that the engine binds once: the
-gather, the lane-change pass, the advance, the overtake pass, the
-admission and the transit pass.  With the compiled kernel
-(:mod:`repro.mobility.kernels`, the default) each is one native call;
-without it each is a NumPy method of the engine (``_gather_np`` …
-``_transit_pass_np``) that reads and writes the same buffers and returns
-the same, and that is the native call's oracle.  Because each lane
+A step is one code path over seven operations that the engine binds once:
+the gather, the lane-change pass, the advance, the overtake pass, the
+admission, the decision pass and the transit pass.  With the compiled
+kernel (:mod:`repro.mobility.kernels`, the default) each is one native
+call; without it each is a NumPy method of the engine (``_gather_np`` …
+``_decide_pass_np``, ``_transit_pass_np``) that reads and writes the same
+buffers and returns the same, and that is the native call's oracle.  Because each lane
 advances front to back against its leader's post-step state, the advance
 is not a single elementwise pass: cc sweeps the gather order in place, and
 the NumPy advance resolves lane heads and provably unconstrained/stopped
@@ -51,9 +53,14 @@ candidates run the target-lane choice, consuming the RNG in reference
 order.  Overtakes are detected by checking each multilane segment's
 (position, vid) ranking for inversions instead of comparing all pairs.
 Intersections only consider the vehicles waiting at a stop line, lane
-heads all: the admission fixes the step's crossing set, the crossings'
-Python decisions run in order (:meth:`TrafficEngine._cross`), and the
-transit pass then runs their leaves and entries with their lane draws
+heads all: the admission fixes the step's crossing set, the decision pass
+decides each crossing in order as the vehicle's router would, from the
+resident plans and a route table that caches
+:func:`~repro.roadnet.routing.shortest_path`, and
+hands the rows it does not decide (exits, patrol cars and other routers,
+trips that ran out, route-table misses) to
+:meth:`TrafficEngine._decide_in_python`, and the transit pass then runs
+their leaves and entries with their lane draws
 (:meth:`TrafficEngine._process_intersections_batch`).  A step emits its
 events as one :class:`~repro.mobility.events.StepBatch`
 (:meth:`TrafficEngine.step_batch`), plain crossings and exits as index
@@ -71,16 +78,24 @@ it event for event except at one known positional tie (see
 
 from __future__ import annotations
 
+import contextlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import MobilityError
+from ..errors import MobilityError, RoutingError
+from ..roadnet import routing
 from ..roadnet.graph import DirectedSegment, RoadNetwork
-from ..roadnet.routing import Router
+from ..roadnet.routing import (
+    FixedTripRouter,
+    RandomTurnRouter,
+    RandomWaypointRouter,
+    RoutePlan,
+    Router,
+)
 from .car_following import LaneChangeModel, SimplifiedIDM
 from .demand import VehicleSpec
 from .events import CrossingEvent, EntryEvent, OvertakeEvent, StepBatch, TrafficEvent
@@ -100,9 +115,33 @@ _INITIAL_CAPACITY = 64
 #: first insert finds it full and allocates the edge its own buffer.
 _NO_SLOTS = np.empty(0, dtype=np.intp)
 
-#: What :meth:`TrafficEngine._cross` returns for a vehicle that exits: no
-#: edge entered, no placement number.
-_EXITED = (-1, -1)
+#: A slot's router kind, which says how the decision pass decides its
+#: crossings (the C source's ``KIND_*``): in Python, along a
+#: :class:`FixedTripRouter` plan, along a :class:`RandomWaypointRouter` plan
+#: with its replans, or by a :class:`RandomTurnRouter` draw.
+_KIND_OTHER, _KIND_TRIP, _KIND_WAYPOINT, _KIND_TURN = range(4)
+_NATIVE_KINDS = {
+    FixedTripRouter: _KIND_TRIP,
+    RandomWaypointRouter: _KIND_WAYPOINT,
+    RandomTurnRouter: _KIND_TURN,
+}
+#: Why the decision pass handed a row to Python (``WHY_*``): a router it
+#: does not run, a plan not yet installed, an exit, a trip whose plan ran
+#: out, a route-table miss, or a replan whose every draw failed.
+_WHY_ROUTER, _WHY_INSTALL, _WHY_EXIT, _WHY_TRIP, _WHY_MISS, _WHY_NO_ROUTE = range(6)
+#: The decision pass's cells in ``_decide_state`` (``DECIDE_*``): a
+#: route-table miss's row, destination and attempt, the last hand-back's
+#: reason, and the next placement number.
+_ROW, _DEST, _ATTEMPT, _WHY, _PLACEMENTS = range(5)
+#: :meth:`RandomWaypointRouter.plan_from`'s destination draws.
+_REPLAN_ATTEMPTS = 16
+#: Initial size of the route pool, grown by doubling.
+_INITIAL_POOL = 256
+
+
+def _view(arr: np.ndarray) -> memoryview:
+    """A flat int64 view of ``arr``'s buffer."""
+    return memoryview(arr.reshape(-1)).cast("B").cast("q")
 
 
 def _splice_out(buf: np.ndarray, k: int, i: int) -> None:
@@ -146,7 +185,9 @@ class TrafficEngine:
         transit passes draw from its bit generator in C, bound at
         construction.  The transit pass draws a step's placement lanes
         after every crossing's next hop is decided, so a router must not
-        draw from this generator.
+        draw from this generator.  The routers the decision pass runs draw
+        from one routing generator of their own, which the first of them
+        binds (:meth:`_router_kind`).
     dt_s:
         Simulation step in seconds.
     policy:
@@ -167,8 +208,9 @@ class TrafficEngine:
     compiled:
         Use the compiled inner step kernel (:mod:`repro.mobility.kernels`,
         default): the gather, the lane-change pass, the whole advance
-        recurrence, the overtake pass, the intersection admission and the
-        step's transitions each run as one native call into a small C
+        recurrence, the overtake pass, the intersection admission, the
+        crossings' decisions and the step's transitions each run as one
+        native call into a small C
         library built with the system compiler on first use.  When it
         cannot load, the same step runs each of these operations as a
         NumPy method, bit-for-bit identical and slower, and the first such
@@ -266,12 +308,52 @@ class TrafficEngine:
         self._adm = np.full(n_nodes, self._default_policy.admissions_per_step, dtype=np.int64)
         self._node_mark = np.full(n_nodes, -1, dtype=np.int64)
         self._node_buf = np.empty((n_nodes, 2), dtype=np.int64)
+        # The decision pass's network tables: each edge's key and tail node
+        # index, each node's outbound edges in ``outbound_neighbors`` order
+        # (``_out_node``/``_out_edge`` from ``_out_start[u]`` to
+        # ``_out_start[u + 1]``) and its outbound-gate flag.
+        index = self._node_index
+        self._edge_keys = [seg.key for seg in self._segs]
+        self._edge_tail = np.array([index[seg.tail] for seg in self._segs], dtype=np.int64)
+        outs = [net.outbound_neighbors(node) for node in self._nodes]
+        self._out_start = np.cumsum([0] + [len(out) for out in outs], dtype=np.int64)
+        self._out_node = np.array([index[v] for out in outs for v in out], dtype=np.int64)
+        self._out_edge = np.array(
+            [self._edge_order[(u, v)] for u, out in zip(self._nodes, outs) for v in out],
+            dtype=np.int64,
+        )
+        self._gate_out = np.array(
+            [node in self._gates and self._gates[node].outbound for node in self._nodes],
+            dtype=np.uint8,
+        )
+        # The route state: the (origin, destination) route table, a cache of
+        # ``shortest_path`` that holds 0 (unknown), -1 (unreachable) or the
+        # route's offset in the pool, where the route is its length and then
+        # its nodes after the origin, each stored once; the pool's used
+        # length (cell 0 is never a route) and route count; and the decision
+        # pass's cells.  The routers' generator is bound by the first router
+        # the pass runs (:meth:`_router_kind`).
+        self._n_nodes = n_nodes
+        self._route_table = np.zeros(n_nodes * n_nodes, dtype=np.int64)
+        self._route_pool = np.zeros(_INITIAL_POOL, dtype=np.int64)
+        self._pool_len = 1
+        self._n_routes = 0
+        self._decide_state = np.array([-1, 0, 0, 0, 0], dtype=np.int64)
+        self._route_rng: Optional[np.random.Generator] = None
+        self._route_lock: ContextManager[Any] = contextlib.nullcontext()
+        self._plans_stale = False
+        #: Rows decided by the decision pass, and rows Python decided, by
+        #: reason; ``route_miss`` counts the route-table entries Python
+        #: filled for the pass.  Kept out of :attr:`stats`.
+        self.decisions: Dict[str, int] = dict.fromkeys(
+            ("pass", "exit", "other_router", "trip_replan", "route_miss"), 0
+        )
 
         # Resident structure-of-arrays state (vectorized engine only).  One
         # slot per vehicle currently inside, allocated from a free list and
         # grown by capacity doubling; ``_pos``/``_speed`` are the *source of
         # truth* for kinematics while the engine runs — the mirror fields on
-        # the Vehicle objects are refreshed lazily (``_sync_kinematics``)
+        # the Vehicle objects are refreshed lazily (``_sync_mirrors``)
         # before any public read.  ``_freeflow``/``_seglen``/``_ml`` are
         # per-current-segment invariants rewritten on every placement;
         # ``_desired`` and ``_vid`` are fixed at spawn.  ``_seq`` is the
@@ -290,7 +372,14 @@ class TrafficEngine:
         self._desired = np.empty(0, dtype=np.float64)
         self._vid = np.empty(0, dtype=np.int64)
         self._seq = np.empty(0, dtype=np.int64)
-        self._placements = 0
+        # Each slot's router kind and resident plan, the route pool's cells
+        # ``_plan_cur`` to ``_plan_end`` (``_plan_cur`` -1 until the plan is
+        # installed, at the vehicle's first crossing), and its exit node (-1
+        # for none); ``Vehicle.plan`` mirrors them (:meth:`_sync_plans`).
+        self._kind = np.empty(0, dtype=np.uint8)
+        self._plan_cur = np.empty(0, dtype=np.int64)
+        self._plan_end = np.empty(0, dtype=np.int64)
+        self._exit_node = np.empty(0, dtype=np.int64)
         self._is_head = np.empty(0, dtype=bool)
         self._ml = np.empty(0, dtype=bool)
         #: mirror of ``waiting_since_s is not None`` per slot, so the fast
@@ -358,7 +447,8 @@ class TrafficEngine:
             [b.ctypes.data for b in self._bounds_np], dtype=np.int64
         )
         self._rank_elig = np.zeros(n_edges, dtype=np.uint8)
-        self._bind_kernel()
+        # The first fleet's capacity, which binds the kernel.
+        self._grow(_INITIAL_CAPACITY)
         self._kinematics_stale = False
 
         self._policies: Dict[object, IntersectionPolicy] = {}
@@ -465,7 +555,8 @@ class TrafficEngine:
 
     # -------------------------------------------------------- slot management
     def _alloc_slot(self, vehicle: Vehicle) -> int:
-        """Assign the vehicle a slot in the resident arrays (vectorized)."""
+        """Assign the vehicle a slot in the resident arrays (vectorized),
+        with its router's kind and its plan left to install."""
         if self._free_slots:
             slot = self._free_slots.pop()
         else:
@@ -477,7 +568,30 @@ class TrafficEngine:
         vehicle.slot = slot
         self._desired[slot] = vehicle.desired_speed_mps
         self._vid[slot] = vehicle.vid
+        self._kind_v[slot] = self._router_kind(vehicle)
+        self._cur_v[slot] = -1
         return slot
+
+    def _router_kind(self, vehicle: Vehicle) -> int:
+        """The kind of ``vehicle``'s router, :data:`_KIND_OTHER` unless the
+        decision pass can run it: a router of exactly one of the three
+        native classes, on this engine's network, drawing from the engine's
+        one routing generator, which the first such router binds, and not a
+        patrol car's (patrol cars never exit, which the pass does not
+        test)."""
+        router = vehicle.router
+        kind = _NATIVE_KINDS.get(type(router), _KIND_OTHER)
+        if kind == _KIND_OTHER or vehicle.is_patrol or router.net is not self.net:
+            return _KIND_OTHER
+        rng = router.rng
+        if self._route_rng is None:
+            self._route_rng = rng
+            self._route_lock = rng.bit_generator.lock
+            if self._kernel is not None:
+                self._kernel.bind_route_generator(rng.bit_generator)
+        elif rng.bit_generator is not self._route_rng.bit_generator:
+            return _KIND_OTHER
+        return kind
 
     def _release_slot(self, vehicle: Vehicle) -> None:
         slot = vehicle.slot
@@ -497,6 +611,10 @@ class TrafficEngine:
         ipad = np.zeros(extra, dtype=np.int64)
         self._vid = np.concatenate((self._vid, ipad))
         self._seq = np.concatenate((self._seq, ipad))
+        self._plan_cur = np.concatenate((self._plan_cur, ipad))
+        self._plan_end = np.concatenate((self._plan_end, ipad))
+        self._exit_node = np.concatenate((self._exit_node, ipad))
+        self._kind = np.concatenate((self._kind, np.zeros(extra, dtype=np.uint8)))
         bpad = np.zeros(extra, dtype=bool)
         self._is_head = np.concatenate((self._is_head, bpad))
         self._ml = np.concatenate((self._ml, bpad))
@@ -511,22 +629,31 @@ class TrafficEngine:
         self._order_buf = np.empty(capacity, dtype=np.int64)
         self._cands_buf = np.empty((capacity, 3), dtype=np.int64)
         self._rows_buf = np.empty((capacity, 6), dtype=np.int64)
-        # Python reads and writes the transition rows through a flat int64
-        # view, a fraction of the cost of NumPy's scalar indexing.
-        self._rows = memoryview(self._rows_buf).cast("B").cast("q")
         if self._pairs_buf.shape[0] < capacity:
             self._pairs_buf = np.empty((capacity, 3), dtype=np.int64)
         self._bind_kernel()
 
     def _bind_kernel(self) -> None:
         """(Re-)bind the compiled kernel to the current resident arrays,
-        and the step's six operations to its entry points.
+        and the step's seven operations to its entry points.
 
-        Called whenever any bound array is reallocated (capacity growth,
-        or a pair buffer that filled up); afterwards each step's native call
+        Called whenever any bound array is reallocated (capacity growth, a
+        pair buffer that filled up, a grown or reset route pool);
+        afterwards each step's native call
         passes only the element count.  Without the kernel the operations
         stay the NumPy methods, which read the arrays through the engine.
+        Either way Python's flat views of the arrays it reads and writes
+        item by item are made anew: memoryview indexing costs a fraction
+        of NumPy's scalar indexing.
         """
+        self._rows = _view(self._rows_buf)
+        self._kind_v = memoryview(self._kind)
+        self._cur_v = _view(self._plan_cur)
+        self._end_v = _view(self._plan_end)
+        self._exit_v = _view(self._exit_node)
+        self._pool_v = _view(self._route_pool)
+        self._table_v = _view(self._route_table)
+        self._state = _view(self._decide_state)
         kernel = self._kernel
         if kernel is None:
             return
@@ -566,7 +693,22 @@ class TrafficEngine:
             adm=self._adm,
             node_mark=self._node_mark,
             node_buf=self._node_buf,
+            kind=self._kind,
+            plan_cur=self._plan_cur,
+            plan_end=self._plan_end,
+            exit_node=self._exit_node,
+            edge_tail=self._edge_tail,
+            out_start=self._out_start,
+            out_node=self._out_node,
+            out_edge=self._out_edge,
+            gate_out=self._gate_out,
+            route_table=self._route_table,
+            route_pool=self._route_pool,
+            decide_state=self._decide_state,
             bit_generator=self._bit_generator,
+            route_bit_generator=(
+                None if self._route_rng is None else self._route_rng.bit_generator
+            ),
             blocked_m=lc.blocked_distance_m,
             gain_mps=lc.speed_gain_threshold_mps,
             gap_half_m=lc.required_gap_m / 2.0,
@@ -577,16 +719,20 @@ class TrafficEngine:
         self._advance = kernel.advance_bound
         self._overtake_pass = kernel.overtake_bound
         self._admit_pass = kernel.admit_bound
+        self._decide_pass = kernel.decide_bound
         self._transit_pass = kernel.transit_bound
 
-    def _sync_kinematics(self) -> None:
-        """Refresh the Vehicle mirrors of the resident kinematic arrays.
+    def _sync_mirrors(self) -> None:
+        """Refresh the Vehicle mirrors of the resident kinematic arrays and
+        route plans.
 
         Called lazily by the public accessors; the hot step never pays for
         it.  Values are copied bit for bit (plain ``float``), so anything
-        reading ``Vehicle.pos_m`` / ``speed_mps`` afterwards sees exactly
-        the state the reference engine would have stored.
+        reading ``Vehicle.pos_m`` / ``speed_mps`` / ``plan`` afterwards sees
+        exactly the state the reference engine would have stored.
         """
+        if self._plans_stale:
+            self._sync_plans()
         if not self._kinematics_stale:
             return
         pos = self._pos
@@ -596,6 +742,27 @@ class TrafficEngine:
             v.pos_m = float(pos[slot])
             v.speed_mps = float(speed[slot])
         self._kinematics_stale = False
+
+    def _sync_plans(self) -> None:
+        """Refresh every resident plan's ``Vehicle.plan``."""
+        for v in self._vehicles.values():
+            if self._has_resident_plan(v.slot):
+                self._sync_plan(v.slot, v.plan)
+        self._plans_stale = False
+
+    def _has_resident_plan(self, slot: int) -> bool:
+        """Whether slot ``slot`` holds an installed plan: a trip's or a
+        random waypoint's, once its vehicle first crossed."""
+        return self._kind_v[slot] in (_KIND_TRIP, _KIND_WAYPOINT) and self._cur_v[slot] >= 0
+
+    def _sync_plan(self, slot: int, plan: RoutePlan) -> None:
+        """Set ``plan`` from slot ``slot``'s installed resident plan."""
+        nodes = self._nodes
+        plan.waypoints = [
+            nodes[i] for i in self._route_pool[self._cur_v[slot]:self._end_v[slot]].tolist()
+        ]
+        exit_node = self._exit_v[slot]
+        plan.exits_at = nodes[exit_node] if exit_node >= 0 else None
 
     def _insert(
         self,
@@ -673,19 +840,20 @@ class TrafficEngine:
         vehicle.speed_mps = min(vehicle.desired_speed_mps, seg.speed_limit_mps) * 0.5
         vehicle.previous_node = tail
         vehicle.waiting_since_s = None
-        seq = self._placements
-        self._placements = seq + 1
-        return self._edge_order[key], seq
+        return self._edge_order[key], self._next_placement()
 
-    def _leave_edge(self, vehicle: Vehicle) -> None:
-        """Take ``vehicle`` off its segment, leaving the slot arrays to the
-        transition row the caller runs."""
-        # Materialize the departing vehicle's kinematics so exit events
-        # and the departed pool carry its final state even though the
-        # resident arrays are the in-run source of truth.
-        slot = vehicle.slot
-        vehicle.pos_m = self._pos.item(slot)
-        vehicle.speed_mps = self._speed.item(slot)
+    def _next_placement(self) -> int:
+        """Take the next placement number: one sequence, which spawns, the
+        decision pass and Python's decisions share."""
+        state = self._state
+        seq = state[_PLACEMENTS]
+        state[_PLACEMENTS] = seq + 1
+        return seq
+
+    @property
+    def _placements(self) -> int:
+        """How many placement numbers have been taken."""
+        return self._state[_PLACEMENTS]
 
     def _run_rows(self, start: int, stop: int) -> None:
         """Run transition rows ``start`` .. ``stop - 1`` of ``_rows_buf`` in
@@ -839,7 +1007,7 @@ class TrafficEngine:
         exact per-vehicle state.  Engine internals use ``_vehicles``
         directly and read the arrays instead.
         """
-        self._sync_kinematics()
+        self._sync_mirrors()
         return self._vehicles
 
     def active_vehicles(self, *, include_patrol: bool = True) -> List[Vehicle]:
@@ -852,7 +1020,7 @@ class TrafficEngine:
 
     def iter_active(self, *, include_patrol: bool = True) -> Iterator[Vehicle]:
         """Iterate over the vehicles currently inside without building a list."""
-        self._sync_kinematics()
+        self._sync_mirrors()
         if include_patrol:
             return iter(self._vehicles.values())
         return (v for v in self._vehicles.values() if not v.is_patrol)
@@ -883,7 +1051,7 @@ class TrafficEngine:
 
     def occupancy(self, edge: Tuple[object, object]) -> List[Vehicle]:
         """Vehicles currently on ``edge``, in the order they entered it."""
-        self._sync_kinematics()
+        self._sync_mirrors()
         vids = self._vid[self._entry_order(self._edge_order[edge])].tolist()
         return [self._vehicles[vid] for vid in vids]
 
@@ -1262,36 +1430,227 @@ class TrafficEngine:
 
     # -------------------------------------------------- intersection crossing
     def _process_intersections_batch(self, batch: StepBatch) -> None:
-        """The intersection phase: admission, the crossings' Python decisions,
-        then the transit pass.
+        """The intersection phase: admission, the decision pass, then the
+        transit pass, and the step's crossings and exits in one loop.
 
         The admission (``_admit_pass``) fixes the step's crossing set before
         any crossing runs and writes it as rows, (slot, edge, lane, node), in
         the order the reference engine's ``_process_intersections`` and
-        ``_admit`` produce.
-        :meth:`_cross` decides each row in order (exit or next hop, the event,
-        the bookkeeping) and gives it its target edge and placement number. The
-        transit pass (:meth:`_run_rows`) then runs the rows' leaves and
-        entries, drawing the entries' lanes from the engine generator in row
-        order, and the lanes are read back.  Routers draw from their own
-        generator, so drawing the lanes after every decision leaves the engine
-        generator's stream as the reference engine's.
+        ``_admit`` produce.  The decision pass (``_decide_pass``) gives each
+        row, in order, its target edge and placement number, as the
+        vehicle's router would at the row's node, and hands back every row
+        it does not decide, which :meth:`_decide_in_python` decides before
+        the pass resumes; it draws from the routing generator, whose lock is
+        held across it.  The transit pass (:meth:`_run_rows`) then runs the
+        rows' leaves and entries, drawing the entries' lanes from the engine
+        generator in row order.  Routers draw from their own generator, so
+        drawing the lanes after every decision leaves the engine generator's
+        stream as the reference engine's.  Last, each row becomes its event
+        in ``batch``, and its vehicle's ``edge``, ``lane``, ``previous_node``
+        and ``waiting_since_s`` (or its exit) are set.
         """
         m = self._admit_pass(self.time_s)
         if not m:
             return
+        in_python = 0
+        with self._route_lock:
+            start = 0
+            while start < m:
+                got = self._decide_pass(start, m - start)
+                if got >= 0:
+                    break
+                start = ~got
+                if not self._decide_in_python(start):
+                    in_python += 1
+                    start += 1
+        self.decisions["pass"] += m - in_python
+        self._plans_stale = True
+        self._run_rows(0, m)
         rows = self._rows
         slot_vehicle = self._slot_vehicle
         nodes = self._nodes
-        crossing: List[Vehicle] = []
+        keys = self._edge_keys
+        items = batch.items
+        add_crossing = batch.add_crossing
+        crossings = 0
         for r in range(0, 6 * m, 6):
             vehicle = slot_vehicle[rows[r]]
-            assert vehicle is not None
-            crossing.append(vehicle)
-            rows[r + 4], rows[r + 5] = self._cross(vehicle, nodes[rows[r + 3]], batch)
-        self._run_rows(0, m)
-        for r, vehicle in zip(range(2, 6 * m, 6), crossing):
-            vehicle.lane = rows[r]
+            assert vehicle is not None and vehicle.edge is not None
+            node = nodes[rows[r + 3]]
+            tail = vehicle.edge[0]
+            ei = rows[r + 4]
+            if ei < 0:
+                self._exit(vehicle, node, tail, batch)
+                continue
+            key = keys[ei]
+            vehicle.edge = key
+            vehicle.lane = rows[r + 2]
+            vehicle.previous_node = node
+            vehicle.waiting_since_s = None
+            items.append(add_crossing(vehicle, node, tail, key[1]))
+            crossings += 1
+        self.stats.crossings += crossings
+
+    def _exit(self, vehicle: Vehicle, node: object, tail: object, batch: StepBatch) -> None:
+        """Take ``vehicle``, whose transition row has run, out of the open
+        system through gate ``node``, with its exit event in ``batch``."""
+        # Materialize the departing vehicle's kinematics so exit events
+        # and the departed pool carry its final state even though the
+        # resident arrays are the in-run source of truth.
+        slot = vehicle.slot
+        vehicle.pos_m = self._pos.item(slot)
+        vehicle.speed_mps = self._speed.item(slot)
+        vehicle.edge = None
+        vehicle.waiting_since_s = None
+        vehicle.exited_at_s = self.time_s
+        del self._vehicles[vehicle.vid]
+        self._release_slot(vehicle)
+        self._departed[vehicle.vid] = vehicle
+        self._inside_nonpatrol -= 1
+        self.stats.exits += 1
+        batch.items.append(batch.add_exit(vehicle, node, tail))
+
+    def _decide_in_python(self, i: int) -> bool:
+        """Decide row ``i``, which the decision pass handed back, and say
+        whether the pass must resume at row ``i`` (True) or after it.
+
+        A route-table miss is filled from ``shortest_path`` (or marked
+        unreachable) and the pass resumes at the row with the draw it
+        stashed; a plan not yet installed is installed and the pass resumes
+        too.  A replan whose every draw failed raises, as
+        :meth:`RandomWaypointRouter.plan_from` does.  Any other row is
+        decided here as the seed engine decides it: an exit through an
+        outbound gate, or the router's next hop, with the row's target edge
+        and the next placement number; a resident plan is synced to
+        ``Vehicle.plan`` before and installed from it after.
+        """
+        state = self._state
+        why = state[_WHY]
+        rows = self._rows
+        r = 6 * i
+        slot, node_i = rows[r], rows[r + 3]
+        if why == _WHY_MISS:
+            self._resolve_route(node_i, state[_DEST])
+            self.decisions["route_miss"] += 1
+            return True
+        node = self._nodes[node_i]
+        if why == _WHY_NO_ROUTE:
+            raise RoutingError(f"could not find any destination reachable from {node!r}")
+        vehicle = self._slot_vehicle[slot]
+        assert vehicle is not None and vehicle.edge is not None
+        tail, head = vehicle.edge
+        plan = vehicle.plan
+        if why == _WHY_INSTALL:
+            # The plan as made at spawn, at the segment's tail.
+            self._install_plan(slot, tail, head, plan)
+            return True
+        resident = self._has_resident_plan(slot)
+        if resident:
+            self._sync_plan(slot, plan)
+        gate = self._gates.get(node)
+        if (gate is not None and gate.outbound and plan.exits_at == node and plan.empty
+                and not vehicle.is_patrol):
+            rows[r + 4] = rows[r + 5] = -1
+            self.decisions["exit"] += 1
+            return False
+        assert vehicle.router is not None
+        next_node = vehicle.router.next_hop(node, plan, previous=tail)
+        seg = self._segments.get((node, next_node))
+        if seg is None:
+            seg = self.net.segment(node, next_node)  # raises MobilityError
+        rows[r + 4] = self._edge_order[seg.key]
+        rows[r + 5] = self._next_placement()
+        if resident:
+            self._install_plan(slot, node, next_node, plan)
+        self.decisions["trip_replan" if why == _WHY_TRIP else "other_router"] += 1
+        return False
+
+    def _install_plan(self, slot: int, origin: object, hop: object, plan: RoutePlan) -> None:
+        """Make ``plan`` slot ``slot``'s resident plan: the plan its router
+        made at ``origin``, its first node ``hop`` taken.
+
+        A native router's plan is made by a replan, so the plan with ``hop``
+        before it is the route from ``origin`` to its last node, which the
+        route table then points at (it is stored once if the table does not
+        know it yet) and the slot's plan points into.
+        """
+        index = self._node_index
+        exits_at = plan.exits_at
+        self._exit_v[slot] = -1 if exits_at is None else index[exits_at]
+        waypoints = plan.waypoints
+        cur = end = 0
+        if waypoints:
+            key = index[origin] * self._n_nodes + index[waypoints[-1]]
+            at = self._table_v[key]
+            if at <= 0:
+                at = self._store_route([hop, *waypoints])
+                self._table_v[key] = at
+            cur = at + 2
+            end = at + 1 + self._pool_v[at]
+        self._cur_v[slot] = cur
+        self._end_v[slot] = end
+
+    def _resolve_route(self, origin: int, destination: int) -> None:
+        """Fill the route table's (``origin``, ``destination``) entry, a
+        miss of the decision pass, from ``shortest_path``: the route,
+        or -1 when there is none."""
+        nodes = self._nodes
+        try:
+            # Through the module, as the routers call it, so that wrapping
+            # ``routing.shortest_path`` sees these lookups too.
+            path = routing.shortest_path(self.net, nodes[origin], nodes[destination])
+        except RoutingError:
+            at = -1
+        else:
+            at = self._store_route(path[1:])
+        self._table_v[origin * self._n_nodes + destination] = at
+
+    def _store_route(self, route: List[object]) -> int:
+        """Append ``route`` (nodes) to the route pool as its length and its
+        node indices; returns its offset.
+
+        The table only caches routes, so when it holds
+        ``net.route_cache_limit`` of them it starts over: it forgets them
+        all and the pool keeps only the live plans (:meth:`_reset_routes`).
+        """
+        limit = self.net.route_cache_limit
+        if limit is not None and self._n_routes >= limit:
+            self._reset_routes()
+        at = self._pool_len
+        end = at + 1 + len(route)
+        if end > self._route_pool.shape[0]:
+            pool = np.zeros(max(end, 2 * self._route_pool.shape[0]), dtype=np.int64)
+            pool[:at] = self._route_pool[:at]
+            self._route_pool = pool
+            self._bind_kernel()
+        index = self._node_index
+        self._route_pool[at:end] = [len(route), *[index[node] for node in route]]
+        self._pool_len = end
+        self._n_routes += 1
+        return at
+
+    def _reset_routes(self) -> None:
+        """Forget every route: a zeroed table, and a pool holding only each
+        installed plan's remaining nodes, copied, with the plans pointed at
+        their copies."""
+        old = self._route_pool
+        live = [
+            (v.slot, self._cur_v[v.slot], self._end_v[v.slot])
+            for v in self._vehicles.values() if self._has_resident_plan(v.slot)
+        ]
+        size = 1 + sum(end - cur for _, cur, end in live)
+        pool = np.zeros(max(_INITIAL_POOL, 2 * size), dtype=np.int64)
+        at = 1
+        for slot, cur, end in live:
+            pool[at:at + end - cur] = old[cur:end]
+            self._cur_v[slot] = at
+            at += end - cur
+            self._end_v[slot] = at
+        self._route_pool = pool
+        self._pool_len = at
+        self._n_routes = 0
+        self._route_table = np.zeros_like(self._route_table)
+        self._bind_kernel()
 
     def _admit_pass_np(self, now: float) -> int:
         """cc's ``admit_pass`` in NumPy: the step's crossing set.
@@ -1343,9 +1702,11 @@ class TrafficEngine:
         (an exit), it enters the target edge with the row's placement number,
         at the position and speed :meth:`_place` gave it, in a lane drawn as
         ``Generator.integers(nlanes)`` (no draw on a one-lane edge), which the
-        row's lane column takes.  A full target edge grows in place, so this
-        returns ``start + m``.  The caller holds the bit generator's lock,
-        which the ``Generator`` method takes again (it is re-entrant).
+        row's lane column takes: at 0 m after a leave, as a crossing does,
+        and otherwise (a spawn) at the position its slot holds, at half its
+        free speed.  A full target edge grows in place, so this returns
+        ``start + m``.  The caller holds the bit generator's lock, which the
+        ``Generator`` method takes again (it is re-entrant).
         """
         rows = self._rows
         segs = self._segs
@@ -1363,12 +1724,12 @@ class TrafficEngine:
             lanes = seg.lanes
             lane = int(rng.integers(lanes)) if lanes > 1 else 0
             rows[r + 2] = lane
-            vehicle = self._slot_vehicle[slot]
-            assert vehicle is not None
+            free = min(self._desired.item(slot), seg.speed_limit_mps)
             self._seq[slot] = rows[r + 5]
-            self._pos[slot] = vehicle.pos_m
-            self._speed[slot] = vehicle.speed_mps
-            self._freeflow[slot] = min(vehicle.desired_speed_mps, seg.speed_limit_mps)
+            if src >= 0:
+                self._pos[slot] = min(0.0, seg.length_m)
+            self._speed[slot] = free * 0.5
+            self._freeflow[slot] = free
             self._seglen[slot] = seg.length_m
             self._ml[slot] = lanes > 1
             self._wait_flag[slot] = False
@@ -1377,7 +1738,112 @@ class TrafficEngine:
             self._lane_insert(ei, lane, slot)
         return start + m
 
-    # The step's six operations, one code path for both backends: these
+    def _decide_pass_np(self, start: int, m: int) -> int:
+        """cc's ``decide_pass`` in NumPy, over ``m`` rows of ``_rows_buf``
+        from row ``start``: each row's target edge and placement number, as
+        its vehicle's router decides at the row's node, from the resident
+        route state (the C source has the contract).  Returns ``start + m``,
+        or ``~row`` when Python must decide that row, with the reason, and
+        for a route-table miss the stashed draw, in ``_decide_state``.  The
+        caller holds the routing generator's lock, which ``Generator``
+        methods take again.
+        """
+        state = self._state
+        stash = state[_ROW]
+        state[_ROW] = -1
+        rows = self._rows
+        for i in range(start, start + m):
+            e = self._decide_row_np(i, i == stash)
+            if e < 0:
+                return ~i
+            rows[6 * i + 4] = e
+            rows[6 * i + 5] = self._next_placement()
+        return start + m
+
+    def _decide_row_np(self, i: int, resume: bool) -> int:
+        """Row ``i``'s target edge, or -1 with the reason in
+        ``_decide_state`` (cc's ``decide_row``)."""
+        rows = self._rows
+        state = self._state
+        slot, node = rows[6 * i], rows[6 * i + 3]
+        prev = self._edge_tail.item(rows[6 * i + 1])
+        kind = self._kind_v[slot]
+        if kind == _KIND_OTHER:
+            state[_WHY] = _WHY_ROUTER
+            return -1
+        if kind == _KIND_TURN:
+            e = self._random_turn_np(node, prev)
+            if e < 0:
+                state[_WHY] = _WHY_ROUTER
+            return e
+        cur = self._cur_v[slot]
+        if cur < 0:
+            state[_WHY] = _WHY_INSTALL
+            return -1
+        pool = self._pool_v
+        e = -1
+        if cur == self._end_v[slot]:
+            if self._exit_v[slot] == node and self._gate_out[node]:
+                state[_WHY] = _WHY_EXIT
+                return -1
+        else:
+            e = self._edge_between_np(node, pool[cur])
+        if e >= 0:
+            self._cur_v[slot] = cur + 1
+            return e
+        if kind == _KIND_TRIP:
+            state[_WHY] = _WHY_TRIP
+            return -1
+        n_nodes = self._n_nodes
+        at = 0
+        attempt = state[_ATTEMPT] if resume else 0
+        while attempt < _REPLAN_ATTEMPTS:
+            if resume:
+                dest = state[_DEST]
+                resume = False
+            else:
+                assert self._route_rng is not None
+                dest = int(self._route_rng.integers(n_nodes)) if n_nodes > 1 else 0
+            if dest != node:
+                at = self._table_v[node * n_nodes + dest]
+                if at == 0:
+                    state[_ROW], state[_DEST], state[_ATTEMPT] = i, dest, attempt
+                    state[_WHY] = _WHY_MISS
+                    return -1
+                if at > 0:
+                    break
+            attempt += 1
+        if attempt == _REPLAN_ATTEMPTS:
+            state[_WHY] = _WHY_NO_ROUTE
+            return -1
+        # The replanned route's first node is a neighbour, popped like a hop.
+        self._cur_v[slot] = at + 2
+        self._end_v[slot] = at + 1 + pool[at]
+        e = self._edge_between_np(node, pool[at + 1])
+        return e if e >= 0 else self._random_turn_np(node, prev)
+
+    def _edge_between_np(self, u: int, v: int) -> int:
+        """The edge from node ``u`` to node ``v``, or -1 (cc's
+        ``edge_between``)."""
+        out_node = self._out_node
+        for k in range(self._out_start.item(u), self._out_start.item(u + 1)):
+            if out_node.item(k) == v:
+                return self._out_edge.item(k)
+        return -1
+
+    def _random_turn_np(self, u: int, prev: int) -> int:
+        """An outbound edge of node ``u`` drawn as
+        :meth:`RandomTurnRouter.next_hop` draws it, arrived from ``prev``,
+        or -1 when ``u`` has none (cc's ``random_turn``)."""
+        lo, hi = self._out_start.item(u), self._out_start.item(u + 1)
+        options = list(zip(self._out_node[lo:hi].tolist(), self._out_edge[lo:hi].tolist()))
+        pool = [e for v, e in options if v != prev] or [e for _, e in options]
+        if len(pool) < 2:
+            return pool[0] if pool else -1
+        assert self._route_rng is not None
+        return pool[int(self._route_rng.integers(len(pool)))]
+
+    # The step's seven operations, one code path for both backends: these
     # NumPy methods, unless _bind_kernel sets cc's entry points on the engine
     # (each takes and returns what its entry point does; see StepKernel).
     # As class attributes they put the engine in no reference cycle.
@@ -1386,40 +1852,8 @@ class TrafficEngine:
     _advance: Callable[..., int] = _advance_np
     _overtake_pass: Callable[..., int] = _overtake_pass_np
     _admit_pass: Callable[..., int] = _admit_pass_np
+    _decide_pass: Callable[..., int] = _decide_pass_np
     _transit_pass: Callable[..., int] = _transit_pass_np
-
-    def _cross(self, vehicle: Vehicle, node: object, batch: StepBatch) -> Tuple[int, int]:
-        """Cross ``node`` from the vehicle's segment: exit through an
-        outbound gate, or enter the next hop's segment at 0 m, with its
-        event in ``batch`` and the bookkeeping.
-
-        Returns the entered segment's edge index and placement number
-        (:meth:`_place`), or ``(-1, -1)`` for an exit.  The slot arrays are
-        left to the caller's transition row.
-        """
-        assert vehicle.edge is not None
-        tail = vehicle.edge[0]
-        self._leave_edge(vehicle)
-        vehicle.edge = None
-        vehicle.waiting_since_s = None
-
-        gate = self._gates.get(node)
-        wants_exit = vehicle.plan.exits_at == node and vehicle.plan.empty
-        if gate is not None and gate.outbound and wants_exit and not vehicle.is_patrol:
-            vehicle.exited_at_s = self.time_s
-            del self._vehicles[vehicle.vid]
-            self._release_slot(vehicle)
-            self._departed[vehicle.vid] = vehicle
-            self._inside_nonpatrol -= 1
-            self.stats.exits += 1
-            batch.items.append(batch.add_exit(vehicle, node, tail))
-            return _EXITED
-
-        assert vehicle.router is not None
-        next_node = vehicle.router.next_hop(node, vehicle.plan, previous=tail)
-        self.stats.crossings += 1
-        batch.items.append(batch.add_crossing(vehicle, node, tail, next_node))
-        return self._place(vehicle, node, next_node, pos_m=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

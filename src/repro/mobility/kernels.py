@@ -15,15 +15,17 @@ points are ``gather_all``, which walks the engine's per-edge pointer
 tables; the two passes around the advance, ``lane_change_pass`` (the
 blocked-follower predicate, each candidate's target lane and RNG draws,
 the moves and the re-gather) and ``overtake_pass`` (the ranking scan, each
-inverted ranking's flipped pairs and its re-sort); and the two calls of
-the intersection phase, ``admit_pass`` (the step's crossing set) and
+inverted ranking's flipped pairs and its re-sort); and the three calls
+of the intersection phase, ``admit_pass`` (the step's crossing set),
+``decide_pass`` (each crossing's next edge, as its router decides it) and
 ``transit_pass`` (the crossings' leaves and entries with their lane
-draws, and any one spawn's entry).  These six are the operations of the
+draws, and any one spawn's entry).  These seven are the operations of the
 engine's one step code path, and each has a NumPy twin, a
 ``TrafficEngine`` method that reads and writes the same buffers and
 returns the same: ``_gather_np``, ``_lane_pass_np``, ``_advance_np``,
-``_overtake_pass_np``, ``_admit_pass_np`` and ``_transit_pass_np``.  The
-twins are the engine's compiler-less path and each entry point's oracle.
+``_overtake_pass_np``, ``_admit_pass_np``, ``_decide_pass_np`` and
+``_transit_pass_np``.  The twins are the engine's compiler-less path and
+each entry point's oracle.
 The transitions inside ``transit_pass`` (the static helpers ``occ_enter``
 and ``occ_leave``) and ``lane_change_pass`` have the semantics of the
 engine's NumPy splice pair (``TrafficEngine._lane_insert`` and friends,
@@ -31,18 +33,26 @@ their oracle).
 
 The intersection phase
 ----------------------
-The engine runs Alg. 1's intersection phase as two passes, on cc two
-native calls, with the decisions that must stay in Python between them,
-like the synchronous update of a probabilistic cellular automaton: the
-step's crossing set is fixed before any crossing runs, and the randomness
-is drawn in a fixed order.  ``admit_pass(now)`` walks each occupied edge's
-waiting lane heads in edge order and writes the admitted crossings as
-rows of ``rows_buf``, (slot, edge, lane, node), node by node in the order
-of their first candidate and, within a node, by (since, vid) up to its
-admissions per step.  The engine decides each row in order
-(``TrafficEngine._cross``: exit or next hop, the event, the bookkeeping)
-and fills in its target edge (-1 for an exit) and placement number.
-``transit_pass(start, m)`` then runs rows ``start`` to ``start + m - 1``:
+The engine runs Alg. 1's intersection phase as three passes, on cc
+three native calls, like the synchronous update of a probabilistic
+cellular automaton: the step's crossing set is fixed before any crossing
+runs, and the randomness is drawn in a fixed order.  ``admit_pass(now)``
+walks each occupied edge's waiting lane heads in edge order and writes
+the admitted crossings as rows of ``rows_buf``, (slot, edge, lane, node),
+node by node in the order of their first candidate and, within a node, by
+(since, vid) up to its admissions per step.  ``decide_pass(start, m)``
+then decides rows ``start`` to ``start + m - 1`` in order, as each
+vehicle's router would (a plan hop, a random turn, or a random-waypoint
+replan whose destinations it draws from the routers' generator and whose
+routes it reads from the engine's route table), and fills in each row's
+target edge and placement number.  A row it does not decide (an exit, a
+router it does not run, a trip whose plan ran out, a route-table miss)
+it hands back as ``~row``; the engine decides it in Python
+(``TrafficEngine._decide_in_python``, which writes -1 as an exit's
+target) and calls again from the next row, or, having filled the missed
+route-table entry, from that row, whose replan resumes with the draw it
+stashed.  ``transit_pass(start, m)`` then runs rows ``start`` to
+``start + m - 1``:
 each slot leaves its source edge and, unless it exits, enters its target
 at 0 m in a lane drawn from the engine generator, which the row's lane
 column takes and the engine reads back.  A spawn is one row with no
@@ -91,7 +101,10 @@ interpreter's 5 ms switch interval.  The longest call measured is a
 longest took 0.27 ms; a whole transition step, its growth retries and
 their Python between the calls included, took up to 2.3 ms (652 rows, 35
 retries).  The longest sweep, ``gather_all`` at 8,000 vehicles on the
-11,132-edge city, takes 41 µs.
+11,132-edge city, takes 41 µs.  The longest ``decide_pass`` call in 200
+steps at the 25k-vehicle city took 65 µs (180 rows; the pass hands a row
+back to Python at each route-table miss and plan install, so its calls
+are short).
 NumPy is not held to that rule: a sort such as ``np.lexsort`` releases
 the GIL even on a five-element array, so the Python overtake emission,
 which sorts each inverted ranking, can let a waiting thread in mid-step,
@@ -100,7 +113,9 @@ where the native pass holds it like every other call.
 Drawing from the engine's generator
 -----------------------------------
 ``lane_change_pass`` and ``transit_pass`` draw from the engine's own
-generator: the struct holds the address of its bit generator's
+generator, and ``decide_pass`` from the routers' (``route_bitgen``, bound
+by the engine's first router that the pass runs): the struct holds the
+address of each bit generator's
 ``bitgen_t`` (:func:`bitgen_address` reads it from the bit generator's
 ``capsule``, NumPy's interface for drawing from C), and the passes call
 its function pointers.  ``Generator.random()`` is one ``next_double``
@@ -118,8 +133,12 @@ method takes, across each pass of either backend (the NumPy twins'
 ``Generator`` calls take it again: it is re-entrant, which a unit test
 pins), and binds the generator once, at construction, so ``engine.rng``
 is read-only.  Because the transit pass draws every crossing's lane
-after the Python decisions, a router must not draw from the engine's
-generator: its ``next_hop`` draws would move ahead of the lanes.
+after the decisions, a router must not draw from the engine's
+generator: its ``next_hop`` draws would move ahead of the lanes.  The
+decision pass draws a random turn or a replan's destination as
+``Generator.integers(n)`` does (none when ``n`` is 1), in row order, and
+the engine holds the routers' generator's lock across it, which the
+Python rows' routers take again.
 
 Bitwise-equivalence contract
 ----------------------------
@@ -465,10 +484,19 @@ typedef struct {
  * bounds_ptr[e], a multilane edge's ranking is rank_ptr[e][:lane_len[e]], and
  * the edge leads to node head_node[e] and is edge_len[e] m long with limit
  * edge_limit[e].  The per-node tables hold each node's crossing delay and
- * admissions per step, and the admission pass's scratch.  Addresses arrive as
- * int64 values (numpy owns the arrays and keeps them alive); a table entry
- * changes only when its buffer is reallocated.  bitgen is the engine
- * generator's bit generator.  The sweeps copy what they use into locals,
+ * admissions per step, and the admission pass's scratch.  Then the route
+ * state the decision pass reads: each slot's router kind, its plan (the
+ * route_pool cells plan_cur .. plan_end - 1, plan_cur -1 until installed) and
+ * exit node; each edge's tail node; node u's outbound edges, out_edge[k] to
+ * out_node[k] for k in out_start[u] .. out_start[u + 1] - 1 in
+ * RoadNetwork.outbound_neighbors order, and its outbound-gate flag; the
+ * n_nodes by n_nodes route table, whose (origin, destination) entry is 0
+ * (unknown), -1 (unreachable) or the offset in route_pool of the route, its
+ * length and then its nodes after the origin; and decide_state, the pass's
+ * cells (DECIDE_*).  Addresses arrive as int64 values (numpy owns the arrays
+ * and keeps them alive); a table entry changes only when its buffer is
+ * reallocated.  bitgen is the engine generator's bit generator and
+ * route_bitgen the routers'.  The sweeps copy what they use into locals,
  * since their stores may alias the struct. */
 typedef struct {
     double *pos, *speed, *freeflow, *seglen, *since;
@@ -488,8 +516,14 @@ typedef struct {
     const double *edge_len, *edge_limit, *delay;
     const int64_t *adm;
     int64_t *node_mark, *node_buf;
-    bitgen_t *bitgen;
-    int64_t n_edges, pair_cap;
+    const unsigned char *kind;
+    int64_t *plan_cur, *plan_end;
+    const int64_t *exit_node, *edge_tail, *out_start, *out_node, *out_edge;
+    const unsigned char *gate_out;
+    const int64_t *route_table, *route_pool;
+    int64_t *decide_state;
+    bitgen_t *bitgen, *route_bitgen;
+    int64_t n_edges, pair_cap, n_nodes;
     double dt, accel_dt, decel_dt, denom, veh_len, min_gap, arrival_eps;
     double blocked_m, gain_mps, gap_half, politeness;
 } tables;
@@ -983,6 +1017,137 @@ int64_t transit_pass(const tables *t, int64_t start, int64_t m)
     }
     return start + m;
 }
+
+/* A slot's router kind (TrafficEngine._KIND_*), why decide_pass handed a row
+ * to Python (_WHY_*), and the decide_state cells: a route-table miss's row,
+ * destination and attempt, the last hand-back's why, and the next placement
+ * number, which spawns and Python rows take too. */
+enum { KIND_OTHER, KIND_TRIP, KIND_WAYPOINT, KIND_TURN };
+enum { WHY_ROUTER, WHY_INSTALL, WHY_EXIT, WHY_TRIP, WHY_MISS, WHY_NO_ROUTE };
+enum { DECIDE_ROW, DECIDE_DEST, DECIDE_ATTEMPT, DECIDE_WHY, DECIDE_PLACEMENTS };
+/* RandomWaypointRouter.plan_from's destination draws. */
+#define REPLAN_ATTEMPTS 16
+
+/* The edge from node u to node v, or -1 (RoadNetwork.has_segment). */
+static int64_t edge_between(const tables *t, int64_t u, int64_t v)
+{
+    for (int64_t k = t->out_start[u]; k < t->out_start[u + 1]; k++)
+        if (t->out_node[k] == v) return t->out_edge[k];
+    return -1;
+}
+
+/* RandomTurnRouter.next_hop at node u, arrived from prev, and the last resort
+ * of Router.next_hop: an outbound edge drawn uniformly from those not leading
+ * back to prev, or from all of them when none does (Generator.integers(n),
+ * which draws nothing when n is 1).  -1 when u has no outbound edge. */
+static int64_t random_turn(const tables *t, int64_t u, int64_t prev)
+{
+    int64_t lo = t->out_start[u], hi = t->out_start[u + 1], n = 0;
+    for (int64_t k = lo; k < hi; k++) n += t->out_node[k] != prev;
+    if (n == 0) {
+        n = hi - lo;
+        prev = -1;
+    }
+    if (n == 0) return -1;
+    int64_t pick = n > 1 ? draw_below(t->route_bitgen, (uint32_t)n) : 0;
+    for (int64_t k = lo;; k++)
+        if (t->out_node[k] != prev && pick-- == 0) return t->out_edge[k];
+}
+
+/* Row i's decision (see decide_pass): its target edge, or -1 with the
+ * reason in decide_state.  resume: row i is the stashed route-table miss,
+ * so its replan resumes at the stashed attempt with the stashed destination. */
+static int64_t decide_row(const tables *t, int64_t i, int resume)
+{
+    const int64_t *row = t->rows + ROW * i, *pool = t->route_pool;
+    int64_t *st = t->decide_state, n_nodes = t->n_nodes;
+    int64_t slot = row[0], node = row[3], prev = t->edge_tail[row[1]];
+    int64_t kind = t->kind[slot], cur = t->plan_cur[slot], e;
+    if (kind == KIND_OTHER) {
+        st[DECIDE_WHY] = WHY_ROUTER;
+        return -1;
+    }
+    if (kind == KIND_TURN) {
+        e = random_turn(t, node, prev);
+        if (e < 0) st[DECIDE_WHY] = WHY_ROUTER;  /* a dead end: the router raises */
+        return e;
+    }
+    if (cur < 0) {
+        st[DECIDE_WHY] = WHY_INSTALL;
+        return -1;
+    }
+    if (cur == t->plan_end[slot]) {
+        if (t->exit_node[slot] == node && t->gate_out[node]) {
+            st[DECIDE_WHY] = WHY_EXIT;
+            return -1;
+        }
+        e = -1;
+    } else {
+        e = edge_between(t, node, pool[cur]);
+    }
+    if (e >= 0) {
+        t->plan_cur[slot] = cur + 1;
+        return e;
+    }
+    if (kind == KIND_TRIP) {
+        st[DECIDE_WHY] = WHY_TRIP;
+        return -1;
+    }
+    int64_t at = 0, attempt = resume ? st[DECIDE_ATTEMPT] : 0;
+    for (; attempt < REPLAN_ATTEMPTS; attempt++, resume = 0) {
+        int64_t dest = resume ? st[DECIDE_DEST]
+                     : n_nodes > 1 ? draw_below(t->route_bitgen, (uint32_t)n_nodes) : 0;
+        if (dest == node) continue;
+        at = t->route_table[node * n_nodes + dest];
+        if (at == 0) {
+            st[DECIDE_ROW] = i;
+            st[DECIDE_DEST] = dest;
+            st[DECIDE_ATTEMPT] = attempt;
+            st[DECIDE_WHY] = WHY_MISS;
+            return -1;
+        }
+        if (at > 0) break;
+    }
+    if (attempt == REPLAN_ATTEMPTS) {
+        st[DECIDE_WHY] = WHY_NO_ROUTE;
+        return -1;
+    }
+    /* The replanned route's first node is a neighbour, popped like a hop. */
+    t->plan_cur[slot] = at + 2;
+    t->plan_end[slot] = at + 1 + pool[at];
+    e = edge_between(t, node, pool[at + 1]);
+    return e >= 0 ? e : random_turn(t, node, prev);
+}
+
+/* TrafficEngine._decide_pass_np, the crossings' decisions over rows start ..
+ * start + m - 1, in order: what each slot's router decides at the row's node
+ * (the router's next_hop, and TrafficEngine._decide_in_python's exit test),
+ * from the resident route state.  A FixedTripRouter or RandomWaypointRouter
+ * slot hops along its plan; with its plan run out or its next node no
+ * neighbour, a waypoint slot replans as RandomWaypointRouter.plan_from does,
+ * each destination drawn from route_bitgen and its route looked up in the
+ * route table, and a RandomTurnRouter slot draws its turn.  A decided row
+ * gets its target edge and the next placement number.  Returns start + m, or
+ * ~i, having written nothing for row i and drawn only what its replan drew,
+ * when Python must decide row i: a router of another kind, an exit, a trip
+ * whose plan ran out, a replan whose every draw failed, or a plan not yet
+ * installed; or when a replan's route is not in the table, with the row, the
+ * destination and the attempt stashed, so that a call from row i once
+ * Python has filled the entry resumes that replan without drawing again.
+ * decide_state[DECIDE_WHY] says which.  The caller holds route_bitgen's lock. */
+int64_t decide_pass(const tables *t, int64_t start, int64_t m)
+{
+    int64_t *st = t->decide_state, stash = st[DECIDE_ROW];
+    st[DECIDE_ROW] = -1;
+    for (int64_t i = start; i < start + m; i++) {
+        int64_t e = decide_row(t, i, i == stash);
+        if (e < 0) return ~i;
+        int64_t *row = t->rows + ROW * i;
+        row[4] = e;
+        row[5] = st[DECIDE_PLACEMENTS]++;
+    }
+    return start + m;
+}
 """
 
 #: Every C entry point with the argument types after its ``tables`` pointer,
@@ -994,6 +1159,7 @@ _SYMBOLS = (
     ("overtake_pass", []),
     ("admit_pass", [ctypes.c_double]),
     ("transit_pass", [ctypes.c_int64] * 2),
+    ("decide_pass", [ctypes.c_int64] * 2),
 )
 
 
@@ -1006,6 +1172,7 @@ class _CcLibrary(NamedTuple):
     overtake_pass: Any
     admit_pass: Any
     transit_pass: Any
+    decide_pass: Any
 
 
 class _Tables(ctypes.Structure):
@@ -1018,9 +1185,10 @@ class _Tables(ctypes.Structure):
             "pos speed freeflow seglen since desired vid seq heads multilane waitflag idx "
             "newly cand moves order pairs cands rows lane_ptr rank_ptr bounds_ptr nlanes "
             "lane_len lane_cap occ_lanes rank_elig head_node edge_len edge_limit delay adm "
-            "node_mark node_buf bitgen").split()),
-        ("n_edges", ctypes.c_int64),
-        ("pair_cap", ctypes.c_int64),
+            "node_mark node_buf kind plan_cur plan_end exit_node edge_tail out_start "
+            "out_node out_edge gate_out route_table route_pool decide_state bitgen "
+            "route_bitgen").split()),
+        *((name, ctypes.c_int64) for name in ("n_edges", "pair_cap", "n_nodes")),
         *((name, ctypes.c_double) for name in (
             "dt accel_dt decel_dt denom veh_len min_gap arrival_eps blocked_m "
             "gain_mps gap_half politeness").split()),
@@ -1046,7 +1214,7 @@ class StepKernel:
     The engine holds one instance per run (the model parameters never
     change mid-run) and re-:meth:`bind`\\ s it whenever its resident arrays
     are reallocated; :meth:`bind` installs the calls below, which the
-    engine then binds as its step's six operations.
+    engine then binds as its step's seven operations.
     """
 
     #: the backend that loaded (cc is the only compiled one)
@@ -1070,6 +1238,10 @@ class StepKernel:
     #: ``rows_buf``; returns ``start + m``, or ``~row`` when that row's
     #: target edge is full
     transit_bound: Callable[[int, int], int]
+    #: ``(start, m)``: decides transition rows ``start`` .. ``start + m -
+    #: 1`` of ``rows_buf``, writing their targets and placement numbers;
+    #: returns ``start + m``, or ``~row`` when Python must decide that row
+    decide_bound: Callable[[int, int], int]
 
     def __init__(
         self,
@@ -1116,7 +1288,20 @@ class StepKernel:
         adm: np.ndarray,
         node_mark: np.ndarray,
         node_buf: np.ndarray,
+        kind: np.ndarray,
+        plan_cur: np.ndarray,
+        plan_end: np.ndarray,
+        exit_node: np.ndarray,
+        edge_tail: np.ndarray,
+        out_start: np.ndarray,
+        out_node: np.ndarray,
+        out_edge: np.ndarray,
+        gate_out: np.ndarray,
+        route_table: np.ndarray,
+        route_pool: np.ndarray,
+        decide_state: np.ndarray,
         bit_generator: np.random.BitGenerator,
+        route_bit_generator: Optional[np.random.BitGenerator],
         blocked_m: float,
         gain_mps: float,
         gap_half_m: float,
@@ -1141,10 +1326,18 @@ class StepKernel:
         count, its head node's index, its length and its speed limit; their
         length is the edge count.  The node-indexed tables hold each node's
         crossing delay and admissions per step, ``node_mark`` (all -1) and
-        ``node_buf`` (two columns), the admission pass's scratch.  The lane
-        and transit passes draw from ``bit_generator``, which the kernel
-        keeps alive while bound; the caller holds its ``lock`` across each
-        of their calls.  With the model scalars they make one
+        ``node_buf`` (two columns), the admission pass's scratch.  The
+        decision pass reads the route state: per slot, ``kind``,
+        ``plan_cur``, ``plan_end`` and ``exit_node``; per edge,
+        ``edge_tail``; per node, ``out_start`` (one more than the nodes)
+        into ``out_node`` and ``out_edge`` (one per edge), and
+        ``gate_out``; ``route_table`` (nodes squared) and ``route_pool``;
+        and it keeps its cells and the placement counter in
+        ``decide_state`` (five cells).  The lane and transit passes draw
+        from ``bit_generator`` and the decision pass from
+        ``route_bit_generator`` (None until a router is bound), which the
+        kernel keeps alive while bound; the caller holds the drawn one's
+        ``lock`` across each of their calls.  With the model scalars they make one
         :class:`_Tables`, and every ``*_bound`` attribute is a C entry point
         with the struct's address bound as its first argument, so a call
         passes only what varies.  The caller must re-bind whenever any array
@@ -1156,12 +1349,14 @@ class StepKernel:
             waitflag, idx_buf, newly_buf, cand_buf, moves_buf, order_buf, pairs_buf,
             cands_buf, rows_buf, lane_ptr, rank_ptr, bounds_ptr, nlanes, lane_len, lane_cap,
             occ_lanes, rank_elig, head_node, edge_len, edge_limit, delay, adm, node_mark,
-            node_buf,
+            node_buf, kind, plan_cur, plan_end, exit_node, edge_tail, out_start, out_node,
+            out_edge, gate_out, route_table, route_pool, decide_state,
         )
-        self._bit_generator = bit_generator
+        self._bit_generators = (bit_generator, route_bit_generator)
         self._tables = tables = _Tables(
             *(arr.ctypes.data for arr in arrays), bitgen_address(bit_generator),
-            lane_len.shape[0], pairs_buf.shape[0], *self._params,
+            None if route_bit_generator is None else bitgen_address(route_bit_generator),
+            lane_len.shape[0], pairs_buf.shape[0], gate_out.shape[0], *self._params,
             blocked_m, gain_mps, gap_half_m, politeness,
         )
         ref = ctypes.c_void_p(ctypes.addressof(tables))
@@ -1172,6 +1367,13 @@ class StepKernel:
         self.overtake_bound = functools.partial(lib.overtake_pass, ref)
         self.admit_bound = functools.partial(lib.admit_pass, ref)
         self.transit_bound = functools.partial(lib.transit_pass, ref)
+        self.decide_bound = functools.partial(lib.decide_pass, ref)
+
+    def bind_route_generator(self, bit_generator: np.random.BitGenerator) -> None:
+        """Have the bound decision pass draw from ``bit_generator`` (kept
+        alive while bound); nothing else is re-bound."""
+        self._bit_generators = (self._bit_generators[0], bit_generator)
+        self._tables.route_bitgen = bitgen_address(bit_generator)
 
 
 # ------------------------------------------------------------------ loader

@@ -7,13 +7,16 @@ stepped by the pre-vectorization seed loops (``_advance_segments``,
 baseline of ``benchmarks/bench_irregular.py``, so it must not be optimized.
 ``TrafficEngine(..., vectorized=False)`` builds one.
 
-Everything that does not diverge is shared: spawning, the other queries,
-``step``/``step_batch`` and the decisions of ``TrafficEngine._cross``.  The
-overrides are the seed's side of the rest: no kernel (whatever ``compiled``
-says), no resident slot and so no transition row, and ``_occupancy``, each
-edge's vids in entry order, kept by ``_place`` (which draws the lane) and
-``_leave_edge``, and read by the seed loops and ``occupancy()``; the
-production engine's ``_seq`` order is tested against it.
+Everything that does not diverge is shared: spawning, the other queries
+and ``step``/``step_batch``.  The overrides are the seed's side of the
+rest: no kernel (whatever ``compiled`` says), no resident slot and so no
+transition row, no resident route plan and no decision pass (``_cross``
+decides each crossing through the vehicle's router, as the seed did, and
+the routers in :mod:`repro.roadnet.routing` are the definition both
+engines are tested against), and ``_occupancy``, each edge's vids in entry
+order, kept by ``_place`` (which draws the lane) and ``_leave_edge``, and
+read by the seed loops and ``occupancy()``; the production engine's
+``_seq`` order is tested against it.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ class ReferenceEngine(TrafficEngine):
         return placed
 
     def _leave_edge(self, vehicle: Vehicle) -> None:
+        """Take ``vehicle`` off its segment's occupancy list."""
         self._occupancy[vehicle.edge].remove(vehicle.vid)
 
     def _step_core(self, batch: StepBatch) -> None:
@@ -207,3 +211,30 @@ class ReferenceEngine(TrafficEngine):
                 if vehicle is None or vehicle.edge != edge_key:
                     continue
                 self._cross(vehicle, node, batch)
+
+    def _cross(self, vehicle: Vehicle, node: object, batch: StepBatch) -> None:
+        """Seed reference implementation: cross ``node`` from the vehicle's
+        segment, exiting through an outbound gate or entering the next hop's
+        segment at 0 m, with its event in ``batch`` and the bookkeeping."""
+        assert vehicle.edge is not None
+        tail = vehicle.edge[0]
+        self._leave_edge(vehicle)
+        vehicle.edge = None
+        vehicle.waiting_since_s = None
+
+        gate = self._gates.get(node)
+        wants_exit = vehicle.plan.exits_at == node and vehicle.plan.empty
+        if gate is not None and gate.outbound and wants_exit and not vehicle.is_patrol:
+            vehicle.exited_at_s = self.time_s
+            del self._vehicles[vehicle.vid]
+            self._departed[vehicle.vid] = vehicle
+            self._inside_nonpatrol -= 1
+            self.stats.exits += 1
+            batch.items.append(batch.add_exit(vehicle, node, tail))
+            return
+
+        assert vehicle.router is not None
+        next_node = vehicle.router.next_hop(node, vehicle.plan, previous=tail)
+        self.stats.crossings += 1
+        batch.items.append(batch.add_crossing(vehicle, node, tail, next_node))
+        self._place(vehicle, node, next_node, pos_m=0.0)

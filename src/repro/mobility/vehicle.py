@@ -53,7 +53,10 @@ class Vehicle:
         The driver's preferred cruising speed; the engine additionally caps
         speed at each segment's limit.
     router, plan:
-        Routing policy and its per-vehicle state.
+        Routing policy and its per-vehicle state.  In a vectorized engine
+        whose decision pass runs the router, ``plan`` is, from the
+        vehicle's first crossing on, a lazily synced mirror of the
+        engine's resident plan, like ``pos_m``.
     is_patrol:
         Police patrol cars are never counted and carry a
         :class:`~repro.wireless.messages.StatusDigest`.

@@ -586,7 +586,10 @@ class ExperimentRunner:
         raises is salvaged per cell inside its chunk and retried next round;
         a chunk whose await exceeds the timeout budget or loses its worker
         (``BrokenProcessPool``) gets the pool killed and respawned, charging
-        the implicated cells one attempt.  When the restart budget runs out,
+        the implicated cells one attempt.  A pool that breaks while a round
+        is being submitted is handled the same way: submission stops, the
+        submitted chunks are awaited and charged as above, and the chunks
+        never submitted are not charged.  When the restart budget runs out,
         the remaining cells degrade to the serial path with their attempt
         counts intact.
         """
@@ -668,20 +671,27 @@ class ExperimentRunner:
                 if round_backoff > 0:
                     time.sleep(round_backoff)
                 futures = []
+                broke_at_submit = False
                 for chunk in chunks:
                     items = [
                         (idx, *cells_axes[idx], attempts[idx] + 1) for idx in chunk
                     ]
-                    futures.append(
-                        (
-                            chunk,
-                            pool.submit(
-                                _run_cells_chunk_job, self.network_factory,
-                                self.base_config, items, replications,
-                                self.fault_plan,
-                            ),
+                    try:
+                        future = pool.submit(
+                            _run_cells_chunk_job, self.network_factory,
+                            self.base_config, items, replications,
+                            self.fault_plan,
                         )
-                    )
+                    except BrokenProcessPool:
+                        # A worker died before the round was all submitted
+                        # (a chunk already running killed it).  Stop here:
+                        # the submitted chunks are awaited below like any
+                        # others, so the one that lost its worker is
+                        # charged, and the rest wait for the next round,
+                        # uncharged.
+                        broke_at_submit = True
+                        break
+                    futures.append((chunk, future))
                 self.used_process_pool = True
 
                 incident: Optional[Tuple[str, List[int]]] = None
@@ -713,6 +723,11 @@ class ExperimentRunner:
                             later.cancel()
                         return
 
+                if incident is None and broke_at_submit:
+                    # Every submitted chunk came back, yet the pool broke:
+                    # respawn it, charging no cell.
+                    incident = ("died", [])
+                    incident_pos = len(futures) - 1
                 if incident is None:
                     continue  # next round retries any salvaged failures
 

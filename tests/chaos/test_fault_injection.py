@@ -178,6 +178,34 @@ def test_restart_budget_exhaustion_degrades_to_serial(spec, baseline):
     assert result.health.pool_restarts == 2
 
 
+def test_pool_broken_at_submit_respawns_and_charges_nothing(spec, baseline, monkeypatch):
+    # A worker can die before the round's last submit (a kill fault in the
+    # first chunk), and the submit then raises BrokenProcessPool.  Here the
+    # third submit (the canary, chunk 0, chunk 1) raises it once: chunk 0's
+    # result is kept, the pool is respawned once, and the unsubmitted
+    # chunks run in the next round, uncharged.
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.sim import runner
+
+    class BreaksOnThirdSubmit(runner.ProcessPoolExecutor):
+        submits = 0
+
+        def submit(self, *args, **kwargs):
+            BreaksOnThirdSubmit.submits += 1
+            if BreaksOnThirdSubmit.submits == 3:
+                raise BrokenProcessPool("a worker died mid-submit")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", BreaksOnThirdSubmit)
+    result = spec.run(parallel=True, max_workers=2, retry=RetryPolicy(max_attempts=2))
+    assert BreaksOnThirdSubmit.submits > 3
+    assert _canonical(result) == baseline
+    assert result.health.pool_restarts == 1
+    assert result.health.attempts == 4 and result.health.retries == 0
+    assert not result.health.serial_fallback
+
+
 def test_abort_mode_timeout_still_reaps_the_worker(spec):
     # Without keep_going, an exhausted hung cell aborts the sweep — but the
     # abort itself must not block behind the hung worker.

@@ -291,6 +291,22 @@ def _slot_arrays(engine):
     ]
 
 
+def _resident_plans(engine):
+    """Each vehicle's router kind and resident plan, by vid: the nodes from
+    its cursor to its end and its exit node (None before the plan is
+    installed)."""
+    plans = []
+    for vid, v in sorted(engine._vehicles.items()):
+        slot = v.slot
+        cur, end = int(engine._plan_cur[slot]), int(engine._plan_end[slot])
+        exit_node = int(engine._exit_node[slot])
+        resident = None
+        if cur >= 0:
+            resident = (engine._route_pool[cur:end].tolist(), exit_node)
+        plans.append((vid, int(engine._kind[slot]), resident))
+    return plans
+
+
 def _recorded_steps(engine):
     """Record each ``step_batch`` of ``engine``; returns the list it fills."""
     batches = []
@@ -324,12 +340,13 @@ def _event_keys(batch):
 )
 # Reaches, at step 13, an edge whose scan flips two pairs that its
 # placement order and its vid order put in different orders.
-@example(lanes=2, volume=0.75, through=0.75, patrol_cars=2, rng_seed=1004,
+@example(lanes=2, volume=0.75, through=0.75, turns=0.25, patrol_cars=2, rng_seed=1004,
          admissions=2, delay=1.5, overrides=[])
 @given(
     lanes=st.integers(min_value=1, max_value=3),
     volume=st.floats(min_value=0.5, max_value=1.0),
     through=st.floats(min_value=0.4, max_value=0.9),
+    turns=st.floats(min_value=0.0, max_value=1.0),
     patrol_cars=st.integers(min_value=1, max_value=2),
     rng_seed=st.integers(min_value=0, max_value=2**16),
     admissions=st.integers(min_value=1, max_value=4),
@@ -341,7 +358,7 @@ def _event_keys(batch):
     ),
 )
 def test_engine_occupancy_state_holds_every_step(
-    occupancy_state_check, lanes, volume, through, patrol_cars, rng_seed, admissions,
+    occupancy_state_check, lanes, volume, through, turns, patrol_cars, rng_seed, admissions,
     delay, overrides,
 ):
     """The vectorized engine's per-edge slot arrays and everything kept
@@ -361,7 +378,10 @@ def test_engine_occupancy_state_holds_every_step(
     reference engine's own record.  Where cc does not load, both run
     NumPy.  The intersection policy is drawn, with some single nodes
     overridden, so caps bind, queues outlast a step and (since, vid) ties
-    arise; the default's 0.5 s delay and 4 admissions almost never queue."""
+    arise; the default's 0.5 s delay and 4 admissions almost never queue.
+    The share of random-turn routers is drawn too, and both decision
+    passes must leave every vehicle the same resident plan: its router
+    kind, the nodes from its cursor to its end, and its exit node."""
     from repro.core.patrol import PatrolPlan
 
     config = ScenarioConfig(
@@ -369,7 +389,8 @@ def test_engine_occupancy_state_holds_every_step(
         rng_seed=rng_seed,
         num_seeds=1,
         open_system=True,
-        demand=DemandConfig(volume_fraction=volume, through_traffic_fraction=through),
+        demand=DemandConfig(volume_fraction=volume, through_traffic_fraction=through,
+                            random_turn_fraction=turns),
         patrol=PatrolPlan(num_cars=patrol_cars),
     )
     mobility = MobilityConfig(admissions_per_step=admissions, crossing_delay_s=delay)
@@ -391,6 +412,7 @@ def test_engine_occupancy_state_holds_every_step(
             occupancy_state_check(sim.engine)
         cc, numpy = (sim.engine for sim in sims)
         assert _slot_arrays(cc) == _slot_arrays(numpy), step
+        assert _resident_plans(cc) == _resident_plans(numpy), step
         if step:
             assert _event_keys(batches[0][-1]) == _event_keys(batches[1][-1]), step
         assert cc.rng.bit_generator.state == numpy.rng.bit_generator.state, step

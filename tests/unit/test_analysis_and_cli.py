@@ -172,6 +172,11 @@ class TestCli:
             assert kernel[0] == "kernel                : cc"
         else:
             assert kernel[0].startswith("kernel                : numpy (")
+        # under it, where the crossings were decided
+        lines = out.splitlines()
+        decisions = lines[lines.index(kernel[0]) + 1]
+        assert decisions.startswith("decisions             : pass ")
+        assert "exit 0, other_router " in decisions and "route_miss " in decisions
 
     def test_parser_rejects_bad_figure(self):
         with pytest.raises(SystemExit):

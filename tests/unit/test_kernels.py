@@ -60,6 +60,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.mobility import engine as engine_module
 from repro.mobility import kernels
 from repro.mobility.kernels import (
     advance_chain_py,
@@ -71,6 +72,7 @@ from repro.mobility.kernels import (
     load_step_kernel,
     rank_scan_all_py,
 )
+from repro.roadnet.builders import grid_network, line_network, ring_network
 
 #: Model parameters whose seven derived struct scalars (dt 0.5, accel_dt
 #: 1.0, decel_dt 2.25, denom 0.8, 4.5, 2.0, 0.6) differ from each other and
@@ -103,27 +105,33 @@ def _cc_kernel():
 #: Every array :meth:`StepKernel.bind` takes, by dtype: slot-indexed and
 #: gather-aligned ones are ``n_slots`` long (the row buffers ``n_slots``
 #: rows of their width), edge-indexed ones ``n_edges`` and node-indexed
-#: ones ``n_nodes`` (``node_buf`` rows of two).
+#: ones ``n_nodes`` (``node_buf`` rows of two, ``out_start`` one more,
+#: ``route_table`` its square); ``route_pool`` is ``n_slots`` long and
+#: ``decide_state`` five cells.
 _SLOT_ARRAYS = dict(
     idx_buf=np.intp, pos=np.float64, speed=np.float64, freeflow=np.float64,
     seglen=np.float64, since=np.float64, desired=np.float64, vid=np.int64, seq=np.int64,
     heads=np.uint8, waitflag=np.uint8, multilane=np.uint8, newly_buf=bool, cand_buf=bool,
-    order_buf=np.int64,
+    order_buf=np.int64, kind=np.uint8, plan_cur=np.int64, plan_end=np.int64,
+    exit_node=np.int64, route_pool=np.int64,
 )
 _ROW_ARRAYS = dict(moves_buf=3, pairs_buf=3, cands_buf=3, rows_buf=6)
 _EDGE_ARRAYS = dict(
     lane_ptr=np.int64, lane_len=np.int64, bounds_ptr=np.int64, rank_ptr=np.int64,
     rank_elig=np.uint8, nlanes=np.int64, lane_cap=np.int64, occ_lanes=np.int64,
-    head_node=np.int64, edge_len=np.float64, edge_limit=np.float64,
+    head_node=np.int64, edge_len=np.float64, edge_limit=np.float64, edge_tail=np.int64,
+    out_node=np.int64, out_edge=np.int64,
 )
-_NODE_ARRAYS = dict(delay=np.float64, adm=np.int64)
+_NODE_ARRAYS = dict(delay=np.float64, adm=np.int64, gate_out=np.uint8)
 
 
-def _bound(n_slots=1, n_edges=1, n_nodes=1, *, bit_generator=None, **given):
+def _bound(n_slots=1, n_edges=1, n_nodes=1, *, bit_generator=None,
+           route_bit_generator=None, **given):
     """The cc kernel bound to the ``given`` arrays and model scalars (by
     default ``LANE_CHANGE``'s), every other array zero-filled (the
     admission pass's ``node_mark`` -1-filled, as it must be between calls),
-    drawing from ``bit_generator`` (by default a fresh one).
+    drawing from ``bit_generator`` and ``route_bit_generator`` (by default
+    fresh ones).
 
     Returns the kernel and every bound array by name.  The kernel holds raw
     addresses, so the caller keeps the arrays alive while it calls.  Every
@@ -137,13 +145,19 @@ def _bound(n_slots=1, n_edges=1, n_nodes=1, *, bit_generator=None, **given):
     arrays.update({name: np.zeros(n_edges, dtype) for name, dtype in _EDGE_ARRAYS.items()})
     arrays.update({name: np.zeros(n_nodes, dtype) for name, dtype in _NODE_ARRAYS.items()})
     arrays.update(node_mark=np.full(n_nodes, -1, np.int64),
-                  node_buf=np.zeros((n_nodes, 2), np.int64))
+                  node_buf=np.zeros((n_nodes, 2), np.int64),
+                  out_start=np.zeros(n_nodes + 1, np.int64),
+                  route_table=np.zeros(n_nodes * n_nodes, np.int64),
+                  decide_state=np.zeros(5, np.int64))
     arrays.update(given)
     if bit_generator is None:
         bit_generator = np.random.PCG64(0)
-    kernel.bind(**arrays, bit_generator=bit_generator, **scalars)
+    if route_bit_generator is None:
+        route_bit_generator = np.random.PCG64(1)
+    kernel.bind(**arrays, bit_generator=bit_generator,
+                route_bit_generator=route_bit_generator, **scalars)
     fields = kernel._tables._fields_
-    assert len(fields) == len(arrays) + 1 + 2 + 11  # bitgen, two counts, scalars
+    assert len(fields) == len(arrays) + 2 + 3 + 11  # two bitgens, three counts, scalars
     assert all(getattr(kernel._tables, name) for name, kind in fields
                if kind is not ctypes.c_double)
     doubles = [getattr(kernel._tables, name) for name, kind in fields
@@ -152,8 +166,10 @@ def _bound(n_slots=1, n_edges=1, n_nodes=1, *, bit_generator=None, **given):
     if scalars == LANE_CHANGE:
         assert all(doubles) and len(set(doubles)) == 11, doubles
     assert kernel._tables.n_edges == n_edges
+    assert kernel._tables.n_nodes == arrays["gate_out"].shape[0]
     assert kernel._tables.pair_cap == arrays["pairs_buf"].shape[0]
     assert kernel._tables.bitgen == kernels.bitgen_address(bit_generator)
+    assert kernel._tables.route_bitgen == kernels.bitgen_address(route_bit_generator)
     return kernel, arrays
 
 
@@ -673,7 +689,7 @@ class _Twins:
     """A cc engine and a ``compiled=False`` engine on twin networks, driven
     through the same scripted transitions — leaves and entries, lane moves,
     the passes and whole steps — and compared after every one of them.  A
-    leave or an entry runs the engine's Python half (``_leave_edge``,
+    leave or an entry runs the engine's Python half (an entry's
     ``_place``), then one transition row (``_transit``) through the
     engine's own transit pass, cc's or NumPy's: a leave is a row with no
     target, an entry a row with no source.  A scripted lane move
@@ -735,7 +751,6 @@ class _Twins:
         def run(eng):
             vehicle = eng._vehicles[vid]
             src = eng._edge_order[vehicle.edge]
-            eng._leave_edge(vehicle)
             eng._transit(vehicle, src, -1, -1)
         self.each(run)
 
@@ -1126,8 +1141,6 @@ def _scripted_batch(twins, script):
             vehicle = eng._vehicles[vid]
             src = eng._edge_order[vehicle.edge] if leaves else -1
             lane = vehicle.lane
-            if leaves:
-                eng._leave_edge(vehicle)
             ei, seq = eng._place(vehicle, *enters[0], pos_m=enters[1]) if enters else (-1, -1)
             if src < 0:
                 eng._pos[vehicle.slot] = vehicle.pos_m
@@ -1251,6 +1264,281 @@ class TestLaneDraw:
         assert lane_buf[0] == 0 and bounds.tolist() == [0] * (lane + 1) + [1] * (nlanes - lane)
         assert arrays["pos"][0] == 20.0 and arrays["speed"][0] == 4.5
         assert (arrays["freeflow"][0], arrays["seglen"][0], arrays["seq"][0]) == (9.0, 80.0, 7)
+
+
+# ------------------------------------------------------------ decision pass
+#: The engine's router kinds, and why the pass hands a row back.
+OTHER, TRIP, WAYPOINT, TURN = (engine_module._KIND_OTHER, engine_module._KIND_TRIP,
+                               engine_module._KIND_WAYPOINT, engine_module._KIND_TURN)
+WHY = dict(router=engine_module._WHY_ROUTER, install=engine_module._WHY_INSTALL,
+           exit=engine_module._WHY_EXIT, trip=engine_module._WHY_TRIP,
+           miss=engine_module._WHY_MISS, no_route=engine_module._WHY_NO_ROUTE)
+
+
+class _Decisions:
+    """A cc engine and a ``compiled=False`` engine on twin networks, each
+    with a routing generator of the same seed bound, given scripted route
+    state (slot kinds, resident plans, route-table entries) and admitted
+    rows, which each engine's own decision pass decides.  After every call
+    the rows, the pass's cells, the plans and the routing generator's state
+    must be equal.  With ``compiled=(False,)`` the NumPy engine runs alone,
+    on hosts without a compiler too."""
+
+    SEED = 7
+
+    def __init__(self, make_net, compiled=(True, False)):
+        from types import SimpleNamespace
+
+        from repro.mobility.engine import TrafficEngine
+        from repro.roadnet.routing import RandomWaypointRouter
+
+        if compiled[0]:
+            _cc_kernel()
+        self.engines = [TrafficEngine(make_net(), np.random.default_rng(0), compiled=flag)
+                        for flag in compiled]
+        assert [e.kernel_backend for e in self.engines] == [
+            "cc" if flag else "numpy" for flag in compiled]
+        for eng in self.engines:
+            router = RandomWaypointRouter(eng.net, np.random.default_rng(self.SEED))
+            assert eng._router_kind(SimpleNamespace(router=router, is_patrol=False)) == WAYPOINT
+        self.eng = self.engines[0]
+        self.net = self.eng.net
+
+    def edge(self, tail, head):
+        return self.eng._edge_order[(tail, head)]
+
+    def slot(self, slot, kind, plan=None, exits_at=None):
+        """Give slot ``slot`` router kind ``kind`` and, unless ``plan`` is
+        None (no plan installed), the resident plan ``plan`` (nodes)."""
+        for eng in self.engines:
+            eng._kind[slot] = kind
+            eng._exit_node[slot] = -1 if exits_at is None else eng._node_index[exits_at]
+            cur = end = -1 if plan is None else 0
+            if plan:
+                cur = eng._store_route(plan) + 1
+                end = cur + len(plan)
+            eng._plan_cur[slot], eng._plan_end[slot] = cur, end
+
+    def routes(self, origin):
+        """Fill every route-table entry from ``origin`` as the engine does."""
+        for eng in self.engines:
+            o = eng._node_index[origin]
+            for d in range(eng._n_nodes):
+                if d != o:
+                    eng._resolve_route(o, d)
+
+    def rows(self, *rows):
+        """Admitted rows, each ``(slot, (tail, node))``: the slot waits on
+        segment ``(tail, node)``."""
+        for eng in self.engines:
+            for i, (slot, (tail, node)) in enumerate(rows):
+                eng._rows_buf[i] = (slot, eng._edge_order[(tail, node)], 0,
+                                    eng._node_index[node], -1, -1)
+
+    def plan(self, slot):
+        """Slot ``slot``'s resident plan, as nodes."""
+        eng = self.eng
+        cur, end = int(eng._plan_cur[slot]), int(eng._plan_end[slot])
+        return [eng._nodes[i] for i in eng._route_pool[cur:end].tolist()]
+
+    def decide(self, start, m):
+        """Each engine's decision pass over rows ``start`` ..
+        ``start + m - 1``; returns their common result."""
+        got, seen = [], []
+        for eng in self.engines:
+            with eng._route_lock:
+                got.append(eng._decide_pass(start, m))
+            seen.append((
+                eng._rows_buf[:start + m].tolist(), eng._decide_state.tolist(),
+                [self.plan(slot) for slot in range(8) if eng._plan_cur[slot] >= 0],
+                eng._plan_cur.tolist(), _state(eng._route_rng.bit_generator),
+            ))
+        assert all(g == got[0] for g in got) and all(s == seen[0] for s in seen)
+        return got[0]
+
+    def why(self):
+        """Why the last call handed its row back."""
+        return int(self.eng._decide_state[engine_module._WHY])
+
+    def replay(self):
+        """A generator of the routing generator's seed, for the routers'
+        own decisions."""
+        return np.random.default_rng(self.SEED)
+
+    def drawn_like(self, rng):
+        assert _state(self.eng._route_rng.bit_generator) == _state(rng.bit_generator)
+
+
+def _backends():
+    return [(True, False)] if available_backends() else [(False,)]
+
+
+class TestDecidePass:
+    """cc's ``decide_pass`` against ``_decide_pass_np`` on scripted rows,
+    and both against the routers of :mod:`repro.roadnet.routing`, which
+    define what a crossing decides: the target edge must be the router's
+    next hop, the resident plan its plan, and the routing generator's state
+    the state the router leaves.  Where cc does not load, the NumPy twin
+    runs alone against the routers."""
+
+    @pytest.fixture(params=_backends(), ids=lambda c: "cc+numpy" if c[0] else "numpy")
+    def compiled(self, request):
+        return request.param
+
+    def test_plan_hops_take_the_next_node(self, compiled):
+        rig = _Decisions(lambda: grid_network(3, 3), compiled)
+        rig.slot(0, TRIP, [(1, 2), (2, 2)], exits_at=(2, 2))
+        rig.slot(1, WAYPOINT, [(0, 1)])
+        rig.rows((0, ((1, 0), (1, 1))), (1, ((1, 0), (0, 0))))
+        assert rig.decide(0, 2) == 2
+        rows = rig.eng._rows_buf[:2].tolist()
+        assert [row[4:] for row in rows] == [[rig.edge((1, 1), (1, 2)), 0],
+                                            [rig.edge((0, 0), (0, 1)), 1]]
+        assert (rig.plan(0), rig.plan(1)) == ([(2, 2)], [])
+        rig.drawn_like(rig.replay())  # nothing drawn
+
+    def test_plan_node_with_no_segment_replans(self, compiled):
+        from repro.roadnet.routing import RandomWaypointRouter, RoutePlan
+
+        rig = _Decisions(lambda: grid_network(3, 3), compiled)
+        rig.routes((1, 1))
+        rig.slot(0, WAYPOINT, [(2, 2), (2, 1)])
+        rig.rows((0, ((1, 0), (1, 1))))
+        assert rig.decide(0, 1) == 1
+        rng = rig.replay()
+        plan = RoutePlan(waypoints=[(2, 2), (2, 1)])
+        hop = RandomWaypointRouter(rig.net, rng).next_hop((1, 1), plan, previous=(1, 0))
+        assert rig.eng._rows_buf[0, 4] == rig.edge((1, 1), hop)
+        assert rig.plan(0) == plan.waypoints
+        rig.drawn_like(rng)
+
+    @pytest.mark.parametrize("make, arrive, options", [
+        (lambda: line_network(3), (1, 2), 1),  # a dead end: only the U-turn
+        (lambda: ring_network(5, one_way=True), (0, 1), 1),  # one way on
+        (lambda: grid_network(3, 3), ((1, 0), (1, 1)), 3),  # a 3-way turn
+    ], ids=["uturn-only", "single-option", "three-way"])
+    def test_random_turn_is_the_routers(self, compiled, make, arrive, options):
+        from repro.roadnet.routing import RandomTurnRouter, RoutePlan
+
+        rig = _Decisions(make, compiled)
+        rig.slot(0, TURN)
+        rig.rows((0, arrive))
+        assert rig.decide(0, 1) == 1
+        rng = rig.replay()
+        tail, node = arrive
+        hop = RandomTurnRouter(rig.net, rng).next_hop(node, RoutePlan(), previous=tail)
+        assert rig.eng._rows_buf[0, 4] == rig.edge(node, hop)
+        rig.drawn_like(rng)
+        untouched = _state(rig.replay().bit_generator)
+        assert (untouched == _state(rng.bit_generator)) == (options == 1)
+
+    def test_route_table_miss_resumes_with_the_stashed_draw(self, compiled):
+        from repro.roadnet.routing import RandomTurnRouter, RandomWaypointRouter, RoutePlan
+
+        rig = _Decisions(lambda: grid_network(3, 3), compiled)
+        rig.slot(0, TRIP, [(1, 2)])
+        rig.slot(1, WAYPOINT, [])
+        rig.slot(2, TURN)
+        rig.rows((0, ((1, 0), (1, 1))), (1, ((0, 1), (0, 2))), (2, ((2, 1), (1, 1))))
+        assert rig.decide(0, 3) == ~1 and rig.why() == WHY["miss"]
+        state = rig.eng._decide_state
+        assert state[engine_module._ROW] == 1 and 0 <= state[engine_module._ATTEMPT] < 16
+        for eng in rig.engines:  # what the engine does with a miss
+            assert eng._decide_in_python(1) is True
+        assert rig.decide(1, 2) == 3
+        rng = rig.replay()
+        plan = RoutePlan()
+        hop = RandomWaypointRouter(rig.net, rng).next_hop((0, 2), plan, previous=(0, 1))
+        turn = RandomTurnRouter(rig.net, rng).next_hop((1, 1), RoutePlan(), previous=(2, 1))
+        assert rig.eng._rows_buf[:3, 4].tolist() == [
+            rig.edge((1, 1), (1, 2)), rig.edge((0, 2), hop), rig.edge((1, 1), turn)]
+        assert rig.eng._rows_buf[:3, 5].tolist() == [0, 1, 2]
+        assert rig.plan(1) == plan.waypoints
+        rig.drawn_like(rng)
+
+    def test_sixteen_failed_draws_raise_as_plan_from_does(self, compiled, monkeypatch):
+        from repro.errors import RoutingError
+        from repro.roadnet import routing
+
+        rig = _Decisions(lambda: grid_network(3, 3), compiled)
+        for eng in rig.engines:  # nothing reachable from (1, 1)
+            o = eng._node_index[(1, 1)]
+            eng._route_table[o * eng._n_nodes:(o + 1) * eng._n_nodes] = -1
+        rig.slot(0, WAYPOINT, [])
+        rig.rows((0, ((1, 0), (1, 1))))
+        assert rig.decide(0, 1) == ~0 and rig.why() == WHY["no_route"]
+        for eng in rig.engines:
+            with pytest.raises(RoutingError,
+                               match=r"could not find any destination reachable from \(1, 1\)"):
+                eng._decide_in_python(0)
+
+        def unreachable(net, origin, destination):
+            raise RoutingError(f"no route from {origin!r} to {destination!r}")
+
+        monkeypatch.setattr(routing, "shortest_path", unreachable)
+        rng = rig.replay()
+        with pytest.raises(RoutingError, match=r"could not find any destination reachable"):
+            routing.RandomWaypointRouter(rig.net, rng).plan_from((1, 1))
+        rig.drawn_like(rng)
+
+    def test_exit_install_and_other_routers_go_to_python(self, compiled):
+        rig = _Decisions(lambda: grid_network(3, 3, gates_on_border=True), compiled)
+        rig.slot(0, TRIP, [], exits_at=(0, 2))
+        rig.slot(1, OTHER)
+        rig.slot(2, TRIP)  # no plan installed yet
+        rig.slot(3, TRIP, [], exits_at=(2, 2))  # a plan that ran out elsewhere
+        rig.rows((0, ((0, 1), (0, 2))), (1, ((0, 1), (0, 2))), (2, ((0, 1), (0, 2))),
+                 (3, ((0, 1), (0, 2))))
+        for row, why in enumerate(("exit", "router", "install", "trip")):
+            assert rig.decide(row, 4 - row) == ~row and rig.why() == WHY[why]
+        rig.drawn_like(rig.replay())
+        assert rig.eng._placements == 0
+
+    def test_a_router_on_another_generator_is_decided_in_python(self, compiled):
+        from types import SimpleNamespace
+
+        from repro.roadnet.routing import RandomTurnRouter
+
+        rig = _Decisions(lambda: grid_network(3, 3), compiled)
+        for eng in rig.engines:
+            same = RandomTurnRouter(eng.net, eng._route_rng)
+            other = RandomTurnRouter(eng.net, np.random.default_rng(_Decisions.SEED))
+            assert eng._router_kind(SimpleNamespace(router=same, is_patrol=False)) == TURN
+            assert eng._router_kind(SimpleNamespace(router=other, is_patrol=False)) == OTHER
+            assert eng._router_kind(SimpleNamespace(router=same, is_patrol=True)) == OTHER
+
+    @pytest.mark.parametrize("shape, arrive", [
+        ((3, 7), ((0, 0), (0, 1))),  # a replan over 21 nodes
+        ((3, 3), ((1, 0), (1, 1))),  # a 3-way turn
+    ], ids=["replan-21", "turn-3"])
+    def test_rejection_draws_are_lemires(self, shape, arrive):
+        rig = _Decisions(lambda: grid_network(*shape), compiled=(True,))
+        eng = rig.eng
+        tail, node = arrive
+        n = eng._n_nodes if shape == (3, 7) else 3
+        values = [0, 0xC0000000, 0x40000000]
+        script = iter(values)
+        pick = _lemire(lambda: next(script), n)
+        drawn = len(values) - sum(1 for _ in script)
+        if shape == (3, 7):
+            assert eng._nodes[pick] != node
+            rig.routes(node)
+            rig.slot(0, WAYPOINT, [])
+            route = rig.plan(0)
+        else:
+            rig.slot(0, TURN)
+        rig.rows((0, arrive))
+        bits = _ScriptedBits(values)
+        eng._kernel._tables.route_bitgen = ctypes.addressof(bits)
+        assert eng._kernel.decide_bound(0, 1) == 1
+        assert bits.drawn == drawn == 2 and not bits.misused
+        if shape == (3, 7):
+            path = rig.net.route_cache()[(node, eng._nodes[pick])]
+            assert eng._rows_buf[0, 4] == rig.edge(node, path[1])
+            assert rig.plan(0) == list(path[2:])
+        else:
+            pool = [v for v in rig.net.outbound_neighbors(node) if v != tail]
+            assert eng._rows_buf[0, 4] == rig.edge(node, pool[pick])
 
 
 # ------------------------------------------------------------ fallback

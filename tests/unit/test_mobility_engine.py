@@ -11,7 +11,7 @@ from repro.mobility.events import CrossingEvent, EntryEvent, ExitEvent, Overtake
 from repro.mobility.intersections import extended_policy, simple_policy
 from repro.mobility.kernels import available_backends, fallback_reason
 from repro.mobility.vehicle import Vehicle
-from repro.roadnet.builders import grid_network, line_network
+from repro.roadnet.builders import grid_network, line_network, ring_network
 from repro.roadnet.routing import FixedTripRouter, RandomWaypointRouter
 from repro.surveillance.attributes import random_signature
 
@@ -462,3 +462,126 @@ class TestLaneDraw:
         state = eng.rng.bit_generator.state
         eng.spawn(spec_at(small_grid, rng, (0, 0)))
         assert eng.rng.bit_generator.state == state
+
+
+def _lockstep_fleets(make_net, seed):
+    """cc (where it loads), NumPy and the reference engine on twin networks,
+    each with its own demand model of one seed, which every router draws
+    from: an interior fleet (random waypoints and random turns), trips that
+    do not exit at their destination and two patrol cars, then border
+    arrivals each step on a gated network.  Returns (engine, demand) pairs."""
+    from repro.core.patrol import PatrolPlan
+
+    kinds = [{"compiled": True}] if available_backends() else []
+    runs = []
+    for kwargs in kinds + [{"compiled": False}, {"vectorized": False}]:
+        net = make_net()
+        eng = TrafficEngine(net, np.random.default_rng(seed), **kwargs)
+        dm = DemandModel(net, DemandConfig(volume_fraction=0.7, random_turn_fraction=0.4,
+                                           through_traffic_fraction=0.6),
+                         np.random.default_rng(seed + 1))
+        eng.spawn_initial(dm.initial_fleet(open_system=bool(net.gates)))
+        nodes = net.nodes
+        for k in range(6):
+            origin, dest = nodes[k % len(nodes)], nodes[(3 * k + 2) % len(nodes)]
+            router = FixedTripRouter(net, dm.rng, dest, exit_on_arrival=False)
+            eng.spawn(spec_at(net, dm.rng, origin, router=router))
+        for router in PatrolPlan(num_cars=2).routers(net, dm.rng):
+            eng.spawn_patrol(router, router.start_node)
+        runs.append((eng, dm))
+    return runs
+
+
+def _step_lockstep(runs):
+    """One step of every engine (border arrivals first), whose crossings
+    and exits, (kind, vid, node, from, to) in stream order, and engine and
+    demand generators' states must be equal; returns the crossings and
+    exits."""
+    out = []
+    for eng, dm in runs:
+        for spec in dm.border_arrivals(eng.dt_s, t_s=eng.time_s):
+            eng.spawn(spec)
+        out.append([
+            (type(e).__name__, e.vehicle.vid, e.node, e.from_node, e.to_node)
+            if isinstance(e, CrossingEvent) else
+            (type(e).__name__, e.vehicle.vid, e.gate_node, e.from_node, None)
+            for e in eng.step_batch().iter_events() if isinstance(e, (CrossingEvent, ExitEvent))
+        ])
+    first, *others = out
+    assert all(other == first for other in others)
+    for states in ([dm.rng.bit_generator.state for _, dm in runs],
+                   [eng.rng.bit_generator.state for eng, _ in runs]):
+        assert all(state == states[0] for state in states)
+    return first
+
+
+class TestCrossingDecisions:
+    """The decision pass (cc's, or its NumPy twin) decides each crossing as
+    the reference engine's ``_cross`` does through the vehicle's router:
+    the same crossings and exits, in the same order, with the routers'
+    generator in the same state after every step."""
+
+    @pytest.mark.parametrize("make_net", [
+        lambda: grid_network(3, 4, lanes=2, gates_on_border=True),
+        lambda: ring_network(6, one_way=True),
+    ], ids=["gated-two-lane-grid", "one-way-ring"])
+    def test_crossings_match_reference_every_step(self, make_net):
+        runs = _lockstep_fleets(make_net, 5)
+        assert sum(len(_step_lockstep(runs)) for _ in range(600)) > 100
+        for eng, _ in runs[:-1]:
+            # every kind of row happened: the pass's, a patrol car's, a
+            # trip that ran out (and, on the gated grid, an exit)
+            assert eng.decisions["pass"] > 80 and eng.decisions["other_router"] > 0
+            assert eng.decisions["trip_replan"] > 0 and eng.decisions["route_miss"] > 0
+            assert (eng.decisions["exit"] > 0) == bool(eng.net.gates)
+            assert sum(eng.decisions[k] for k in ("pass", "exit", "other_router", "trip_replan")) \
+                == eng.stats.crossings + eng.stats.exits - eng.stats.entries
+
+    def test_route_table_starting_over_changes_nothing(self):
+        # At net.route_cache_limit routes the table starts over and the
+        # pool keeps only the live plans: only speed may change.
+        def small_cache():
+            net = grid_network(3, 4, lanes=2, gates_on_border=True)
+            net.route_cache_limit = 4
+            return net
+
+        runs = _lockstep_fleets(small_cache, 5)
+        resets = []
+        for eng, _ in runs[:-1]:
+            reset = eng._reset_routes
+
+            def counted(reset=reset):
+                resets.append(reset())
+
+            eng._reset_routes = counted
+        for step in range(600):
+            _step_lockstep(runs)
+            assert all(eng._n_routes <= 4 for eng, _ in runs[:-1]), step
+        assert len(resets) > 10
+
+    def test_vehicle_plans_match_reference_when_read(self):
+        runs = _lockstep_fleets(lambda: grid_network(3, 4, lanes=2, gates_on_border=True), 9)
+        for step in range(120):
+            _step_lockstep(runs)
+            if step % 20:
+                continue
+            plans = [
+                sorted((vid, v.plan.waypoints, v.plan.exits_at)
+                       for vid, v in eng.vehicles.items())
+                for eng, _ in runs
+            ]
+            assert all(plan == plans[-1] for plan in plans), step
+            departed = [sorted((v.vid, v.plan.waypoints, v.plan.exits_at)
+                               for v in eng.iter_departed()) for eng, _ in runs]
+            assert all(d == departed[-1] for d in departed), step
+
+    def test_decision_counts_on_midtown_open(self):
+        from repro.scenarios import get_scenario
+
+        sim = get_scenario("midtown-open").simulation()
+        sim.run()
+        stats = sim.engine.stats
+        assert sim.engine.decisions == {
+            "pass": 37608, "exit": 365, "other_router": 412, "trip_replan": 0, "route_miss": 335,
+        }
+        assert stats.crossings + stats.exits - stats.entries == 37608 + 365 + 412
