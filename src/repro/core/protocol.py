@@ -340,9 +340,12 @@ class CountingProtocol:
           camera bookkeeping, recognizer statistics, then the phase-5 count
           and the Alg. 3 corrections — with no :class:`Observation` object;
           with recognition noise it is the scalar :meth:`_count_arrival`;
+        * an overtake row runs :meth:`on_overtake` only when the passer or
+          the passee carries a label: without one the handler changes
+          nothing (Alg. 3 lines 5–8 adjust only labels), so no
+          :class:`OvertakeEvent` is built for it;
         * every other event (label handling, collection transport, patrol
-          sync, border events, overtakes) runs through the scalar handlers
-          verbatim.
+          sync, border events) runs through the scalar handlers verbatim.
 
         Every draw, wireless or recognition, is a scalar draw made where the
         scalar loop makes it, so the stream order is the same even when the
@@ -427,8 +430,10 @@ class CountingProtocol:
                 self._exit_scalar(
                     batch.exit_vehicle[j], batch.exit_gate[j], batch.exit_from[j], step_time
                 )
-            elif type(event) is OvertakeEvent:
-                self.on_overtake(event)
+            elif type(event) is tuple:
+                _, passer, passee = event
+                if passer.labels or passee.labels:
+                    self.on_overtake(OvertakeEvent(step_time, *event))
             elif type(event) is EntryEvent:
                 self.on_entry(event)
             else:

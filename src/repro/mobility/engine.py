@@ -22,25 +22,34 @@ Hot path
 The default engine keeps a **resident** structure-of-arrays: every vehicle
 owns a slot in persistent capacity-doubling NumPy arrays (position, speed,
 free speed, segment length, desired speed, vid, lane-head and multilane
-flags).  Each edge's occupancy is two slot arrays, the live prefixes of
-grow-only buffers: its lanes front to back, which is the gather order,
-and on multilane edges its overtake ranking.  Entering, leaving and
-changing lanes update them in place, inside the step's passes (the
-transit pass's rows, the lane pass's moves).  A step gathers every
-non-empty edge's lane array, in edge order, and scatters back with one
-bulk write; nothing is rebuilt.  Each vehicle's route plan is resident
-too (a cursor and end into one route pool, and its exit node), and the
-``Vehicle`` objects' kinematic fields and plans become lazily synced
-mirrors (refreshed by any public accessor; see
-:attr:`TrafficEngine.vehicles`).
+flags, and each slot's edge index and lane).  Each edge's occupancy is
+two slot arrays, the live prefixes of grow-only buffers: its lanes front
+to back, which is the gather order, and on multilane edges its overtake
+ranking.  Entering, leaving and changing lanes update them in place,
+inside the step's passes (the transit pass's rows, the lane pass's
+moves).  A step gathers every non-empty edge's lane array, in edge order,
+and scatters back with one bulk write; nothing is rebuilt.  Each
+vehicle's route plan is resident too (a cursor and end into one route
+pool, and its exit node), and the ``Vehicle`` objects' mobility fields
+(``edge``, ``lane``, ``previous_node``, ``waiting_since_s``, ``pos_m``,
+``speed_mps``) and plans become lazily synced mirrors (refreshed by any
+public accessor; see :attr:`TrafficEngine.vehicles`): the step writes no
+``Vehicle`` field.
 
-A step is one code path over seven operations that the engine binds once:
-the gather, the lane-change pass, the advance, the overtake pass, the
-admission, the decision pass and the transit pass.  With the compiled
-kernel (:mod:`repro.mobility.kernels`, the default) each is one native
-call; without it each is a NumPy method of the engine (``_gather_np`` …
-``_decide_pass_np``, ``_transit_pass_np``) that reads and writes the same
-buffers and returns the same, and that is the native call's oracle.  Because each lane
+A step is one code path over five operations that the engine binds once:
+the movement phase (``_move_pass``: the gather, the lane-change pass, the
+advance and the overtake pass), the intersection phase (``_cross_pass``:
+the admission, the decision pass and the transit pass), and the three
+passes that resume a phase after it handed back (``_overtake_pass``,
+``_decide_pass`` and ``_transit_pass``).  With the compiled kernel
+(:mod:`repro.mobility.kernels`, the default) each is one native call, so a
+step is two native calls unless Python must decide a crossing or a buffer
+must grow; without it each is a NumPy method of the engine
+(``_move_pass_np`` … ``_transit_pass_np``) that reads and writes the same
+buffers and returns the same, and that is the native call's oracle; the
+fused twins call the pieces' twins (``_gather_np``, ``_lane_pass_np``,
+``_advance_np``, ``_overtake_pass_np``, ``_admit_pass_np``, …) in order,
+and each piece is the oracle of its C counterpart.  Because each lane
 advances front to back against its leader's post-step state, the advance
 is not a single elementwise pass: cc sweeps the gather order in place, and
 the NumPy advance resolves lane heads and provably unconstrained/stopped
@@ -58,14 +67,15 @@ decides each crossing in order as the vehicle's router would, from the
 resident plans and a route table that caches
 :func:`~repro.roadnet.routing.shortest_path`, and
 hands the rows it does not decide (exits, patrol cars and other routers,
-trips that ran out, route-table misses) to
+trips that ran out, plans not yet installed, route-table misses) to
 :meth:`TrafficEngine._decide_in_python`, and the transit pass then runs
 their leaves and entries with their lane draws
 (:meth:`TrafficEngine._process_intersections_batch`).  A step emits its
 events as one :class:`~repro.mobility.events.StepBatch`
 (:meth:`TrafficEngine.step_batch`), plain crossings and exits as index
-arrays that the counting protocol consumes directly;
-:meth:`TrafficEngine.step` materializes its stream as event objects.
+arrays and overtakes as (edge, passer, passee) rows that the counting
+protocol consumes directly; :meth:`TrafficEngine.step` materializes its
+stream as event objects.
 ``TrafficEngine(..., vectorized=False)`` builds the original seed
 per-vehicle engine instead, a
 :class:`~repro.mobility.reference.ReferenceEngine`: the seed loops, kept
@@ -82,7 +92,9 @@ import contextlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterable, Iterator, List, Optional, Tuple, cast,
+)
 
 import numpy as np
 
@@ -98,7 +110,7 @@ from ..roadnet.routing import (
 )
 from .car_following import LaneChangeModel, SimplifiedIDM
 from .demand import VehicleSpec
-from .events import CrossingEvent, EntryEvent, OvertakeEvent, StepBatch, TrafficEvent
+from .events import CrossingEvent, EntryEvent, StepBatch, TrafficEvent
 from .intersections import IntersectionPolicy, simple_policy
 from .kernels import StepKernel, fallback_reason, lane_options_np, load_step_kernel
 from .vehicle import MIN_GAP_M, VEHICLE_LENGTH_M, Vehicle
@@ -129,10 +141,13 @@ _NATIVE_KINDS = {
 #: does not run, a plan not yet installed, an exit, a trip whose plan ran
 #: out, a route-table miss, or a replan whose every draw failed.
 _WHY_ROUTER, _WHY_INSTALL, _WHY_EXIT, _WHY_TRIP, _WHY_MISS, _WHY_NO_ROUTE = range(6)
-#: The decision pass's cells in ``_decide_state`` (``DECIDE_*``): a
-#: route-table miss's row, destination and attempt, the last hand-back's
-#: reason, and the next placement number.
-_ROW, _DEST, _ATTEMPT, _WHY, _PLACEMENTS = range(5)
+#: The cells of ``_decide_state`` (``DECIDE_*``): a route-table miss's
+#: row, destination and attempt, the decision pass's last hand-back's
+#: reason, the next placement number, and the fused intersection call's row
+#: count and the pass (``PHASE_*``) that handed its row back: the decision
+#: pass, or the transit pass at a full target edge.
+_ROW, _DEST, _ATTEMPT, _WHY, _PLACEMENTS, _ROWS, _PHASE = range(7)
+_PHASE_DECIDE, _PHASE_TRANSIT = range(2)
 #: :meth:`RandomWaypointRouter.plan_from`'s destination draws.
 _REPLAN_ATTEMPTS = 16
 #: Initial size of the route pool, grown by doubling.
@@ -207,10 +222,10 @@ class TrafficEngine:
         share one lane (see :meth:`_advance_segments_batch`).
     compiled:
         Use the compiled inner step kernel (:mod:`repro.mobility.kernels`,
-        default): the gather, the lane-change pass, the whole advance
-        recurrence, the overtake pass, the intersection admission, the
-        crossings' decisions and the step's transitions each run as one
-        native call into a small C
+        default): the movement phase (the gather, the lane-change pass, the
+        whole advance recurrence and the overtake pass) and the
+        intersection phase (the admission, the crossings' decisions and the
+        step's transitions) each run as one native call into a small C
         library built with the system compiler on first use.  When it
         cannot load, the same step runs each of these operations as a
         NumPy method, bit-for-bit identical and slower, and the first such
@@ -338,29 +353,32 @@ class TrafficEngine:
         self._route_pool = np.zeros(_INITIAL_POOL, dtype=np.int64)
         self._pool_len = 1
         self._n_routes = 0
-        self._decide_state = np.array([-1, 0, 0, 0, 0], dtype=np.int64)
+        self._decide_state = np.array([-1, 0, 0, 0, 0, 0, 0], dtype=np.int64)
         self._route_rng: Optional[np.random.Generator] = None
         self._route_lock: ContextManager[Any] = contextlib.nullcontext()
         self._plans_stale = False
         #: Rows decided by the decision pass, and rows Python decided, by
         #: reason; ``route_miss`` counts the route-table entries Python
         #: filled for the pass.  Kept out of :attr:`stats`.
+        #: ``install`` counts the hand-backs at which Python installed a
+        #: resident plan for the pass, which then decides the row.
         self.decisions: Dict[str, int] = dict.fromkeys(
-            ("pass", "exit", "other_router", "trip_replan", "route_miss"), 0
+            ("pass", "exit", "other_router", "trip_replan", "route_miss", "install"), 0
         )
 
         # Resident structure-of-arrays state (vectorized engine only).  One
         # slot per vehicle currently inside, allocated from a free list and
-        # grown by capacity doubling; ``_pos``/``_speed`` are the *source of
-        # truth* for kinematics while the engine runs — the mirror fields on
-        # the Vehicle objects are refreshed lazily (``_sync_mirrors``)
-        # before any public read.  ``_freeflow``/``_seglen``/``_ml`` are
-        # per-current-segment invariants rewritten on every placement;
-        # ``_desired`` and ``_vid`` are fixed at spawn.  ``_seq`` is the
-        # placement number of each slot's current edge entry, so an edge's
-        # slots sorted by it are its vehicles in entry order
-        # (:meth:`_entry_order`): the order of :meth:`occupancy` and the
-        # pair order of both overtake passes.
+        # grown by capacity doubling; ``_pos``/``_speed`` and ``_edge``/
+        # ``_lane`` (the edge index and lane of each slot's last placement
+        # or lane change) are the *source of truth* for the vehicle's place
+        # while the engine runs — the mirror fields on the Vehicle objects
+        # are refreshed lazily (``_sync_mirrors``) before any public read.
+        # ``_freeflow``/``_seglen``/``_ml`` are per-current-segment
+        # invariants rewritten on every placement; ``_desired`` and ``_vid``
+        # are fixed at spawn.  ``_seq`` is the placement number of each
+        # slot's current edge entry, so an edge's slots sorted by it are its
+        # vehicles in entry order (:meth:`_entry_order`): the order of
+        # :meth:`occupancy` and the pair order of both overtake passes.
         self._capacity = 0
         self._next_slot = 0
         self._free_slots: List[int] = []
@@ -372,6 +390,8 @@ class TrafficEngine:
         self._desired = np.empty(0, dtype=np.float64)
         self._vid = np.empty(0, dtype=np.int64)
         self._seq = np.empty(0, dtype=np.int64)
+        self._edge = np.empty(0, dtype=np.int64)
+        self._lane = np.empty(0, dtype=np.int64)
         # Each slot's router kind and resident plan, the route pool's cells
         # ``_plan_cur`` to ``_plan_end`` (``_plan_cur`` -1 until the plan is
         # installed, at the vehicle's first crossing), and its exit node (-1
@@ -382,12 +402,11 @@ class TrafficEngine:
         self._exit_node = np.empty(0, dtype=np.int64)
         self._is_head = np.empty(0, dtype=bool)
         self._ml = np.empty(0, dtype=bool)
-        #: mirror of ``waiting_since_s is not None`` per slot, so the fast
-        #: advance can mask already-waiting vehicles without touching the
-        #: Vehicle objects (cleared on every placement, set when a vehicle
-        #: reaches a stop line), and ``_since``, the mirror of
-        #: ``waiting_since_s`` where it is set; the advance writes both, and
-        #: the admission reads them from the lane heads.
+        #: Whether each slot waits at its stop line (cleared on every
+        #: placement, set when a vehicle reaches it), and ``_since``, since
+        #: when, where it is set: ``waiting_since_s`` is their mirror.  The
+        #: advance writes both, and the admission reads them from the lane
+        #: heads.
         self._wait_flag = np.empty(0, dtype=bool)
         self._since = np.empty(0, dtype=np.float64)
         # Per-edge occupancy (vectorized engine only) — the state itself,
@@ -412,17 +431,16 @@ class TrafficEngine:
         self._lane_cap = np.zeros(n_edges, dtype=np.int64)
         self._occ_lanes = np.zeros(n_edges, dtype=np.int64)
         # Capacity-sized per-step scratch buffers (reallocated, not
-        # preserved, on growth): the gather index vector, the advance
-        # arrival mask, the lane moves as (slot, from, to) rows and the
-        # transition rows, (slot, source edge, lane, node, target edge,
-        # placement number), which Python reaches through ``_rows``, a flat
-        # view made on growth; and for cc's passes, the lane-change
-        # candidate mask, the sort order of the overtake and admission
-        # passes and the admission candidates as (slot, edge, lane) rows.
-        # The compiled kernel binds them once per capacity change, so each
-        # per-step native call passes only the count.
+        # preserved, on growth): the gather index vector, the lane moves as
+        # (slot, from, to) rows and the transition rows, (slot, source
+        # edge, lane, node, target edge, placement number), which Python
+        # reaches through ``_rows``, a flat view made on growth; and for
+        # cc's passes, the lane-change candidate mask, the sort order of the
+        # overtake and admission passes and the admission candidates as
+        # (slot, edge, lane) rows.  The compiled kernel binds them once per
+        # capacity change, so each per-step native call passes only what
+        # varies.
         self._idx_buf = np.empty(0, dtype=np.intp)
-        self._newly_buf = np.empty(0, dtype=bool)
         self._cand_buf = np.empty(0, dtype=bool)
         self._moves_buf = np.empty((0, 3), dtype=np.int64)
         self._order_buf = np.empty(0, dtype=np.int64)
@@ -447,9 +465,18 @@ class TrafficEngine:
             [b.ctypes.data for b in self._bounds_np], dtype=np.int64
         )
         self._rank_elig = np.zeros(n_edges, dtype=np.uint8)
-        # The first fleet's capacity, which binds the kernel.
+        # The first fleet's capacity, which binds the kernel, and the step's
+        # five operations: cc's entry points, bound once (the struct they
+        # take is never reallocated), or the NumPy methods below.
         self._grow(_INITIAL_CAPACITY)
-        self._kinematics_stale = False
+        if self._kernel is not None:
+            kernel = self._kernel
+            self._move_pass = kernel.move_bound
+            self._cross_pass = kernel.cross_bound
+            self._overtake_pass = kernel.overtake_bound
+            self._decide_pass = kernel.decide_bound
+            self._transit_pass = kernel.transit_bound
+        self._mirrors_stale = False
 
         self._policies: Dict[object, IntersectionPolicy] = {}
         self._next_vid = 0
@@ -611,6 +638,8 @@ class TrafficEngine:
         ipad = np.zeros(extra, dtype=np.int64)
         self._vid = np.concatenate((self._vid, ipad))
         self._seq = np.concatenate((self._seq, ipad))
+        self._edge = np.concatenate((self._edge, ipad))
+        self._lane = np.concatenate((self._lane, ipad))
         self._plan_cur = np.concatenate((self._plan_cur, ipad))
         self._plan_end = np.concatenate((self._plan_end, ipad))
         self._exit_node = np.concatenate((self._exit_node, ipad))
@@ -623,7 +652,6 @@ class TrafficEngine:
         self._slot_vehicle.extend([None] * extra)
         self._capacity = capacity
         self._idx_buf = np.empty(capacity, dtype=np.intp)
-        self._newly_buf = np.empty(capacity, dtype=bool)
         self._cand_buf = np.empty(capacity, dtype=bool)
         self._moves_buf = np.empty((capacity, 3), dtype=np.int64)
         self._order_buf = np.empty(capacity, dtype=np.int64)
@@ -634,17 +662,16 @@ class TrafficEngine:
         self._bind_kernel()
 
     def _bind_kernel(self) -> None:
-        """(Re-)bind the compiled kernel to the current resident arrays,
-        and the step's seven operations to its entry points.
+        """(Re-)bind the compiled kernel to the current resident arrays.
 
         Called whenever any bound array is reallocated (capacity growth, a
-        pair buffer that filled up, a grown or reset route pool);
-        afterwards each step's native call
-        passes only the element count.  Without the kernel the operations
-        stay the NumPy methods, which read the arrays through the engine.
-        Either way Python's flat views of the arrays it reads and writes
-        item by item are made anew: memoryview indexing costs a fraction
-        of NumPy's scalar indexing.
+        pair buffer that filled up, a grown or reset route pool); the
+        kernel rewrites only the moved arrays' addresses, and each step's
+        native calls pass only what varies.  Without the kernel the NumPy
+        operations read the arrays through the engine.  Either way
+        Python's flat views of the arrays it reads and writes item by item
+        are made anew: memoryview indexing costs a fraction of NumPy's
+        scalar indexing.
         """
         self._rows = _view(self._rows_buf)
         self._kind_v = memoryview(self._kind)
@@ -668,10 +695,11 @@ class TrafficEngine:
             desired=self._desired,
             vid=self._vid,
             seq=self._seq,
+            edge=self._edge,
+            lane=self._lane,
             heads=self._is_head,
             waitflag=self._wait_flag,
             multilane=self._ml,
-            newly_buf=self._newly_buf,
             cand_buf=self._cand_buf,
             moves_buf=self._moves_buf,
             order_buf=self._order_buf,
@@ -714,34 +742,38 @@ class TrafficEngine:
             gap_half_m=lc.required_gap_m / 2.0,
             politeness=lc.politeness,
         )
-        self._gather = kernel.gather_bound
-        self._lane_pass = kernel.lane_pass_bound
-        self._advance = kernel.advance_bound
-        self._overtake_pass = kernel.overtake_bound
-        self._admit_pass = kernel.admit_bound
-        self._decide_pass = kernel.decide_bound
-        self._transit_pass = kernel.transit_bound
 
     def _sync_mirrors(self) -> None:
-        """Refresh the Vehicle mirrors of the resident kinematic arrays and
-        route plans.
+        """Refresh the Vehicle mirrors of the resident columns and route
+        plans.
 
         Called lazily by the public accessors; the hot step never pays for
-        it.  Values are copied bit for bit (plain ``float``), so anything
-        reading ``Vehicle.pos_m`` / ``speed_mps`` / ``plan`` afterwards sees
-        exactly the state the reference engine would have stored.
+        it.  ``edge`` and ``lane`` are the slot's ``_edge`` (as its key) and
+        ``_lane``, ``previous_node`` is that edge's tail (every placement
+        sets it to the new edge's tail), ``waiting_since_s`` is ``_since``
+        where ``_wait_flag`` is set, and the kinematics are copied bit for
+        bit (plain ``float``), so anything reading them or ``plan``
+        afterwards sees exactly the state the reference engine would have
+        stored.
         """
         if self._plans_stale:
             self._sync_plans()
-        if not self._kinematics_stale:
+        if not self._mirrors_stale:
             return
-        pos = self._pos
-        speed = self._speed
+        keys = self._edge_keys
+        edge, lane = self._edge.tolist(), self._lane.tolist()
+        pos, speed = self._pos.tolist(), self._speed.tolist()
+        waiting, since = self._wait_flag.tolist(), self._since.tolist()
         for v in self._vehicles.values():
             slot = v.slot
-            v.pos_m = float(pos[slot])
-            v.speed_mps = float(speed[slot])
-        self._kinematics_stale = False
+            key = keys[edge[slot]]
+            v.edge = key
+            v.lane = lane[slot]
+            v.previous_node = key[0]
+            v.waiting_since_s = since[slot] if waiting[slot] else None
+            v.pos_m = pos[slot]
+            v.speed_mps = speed[slot]
+        self._mirrors_stale = False
 
     def _sync_plans(self) -> None:
         """Refresh every resident plan's ``Vehicle.plan``."""
@@ -829,7 +861,7 @@ class TrafficEngine:
 
         Returns the segment's edge index and the placement's number.  The
         slot arrays and the lane draw are left to the transition row the
-        caller runs (:meth:`_run_rows`), which sets ``vehicle.lane``.
+        caller runs (:meth:`_transit`), which sets ``vehicle.lane``.
         """
         seg = self._segments.get((tail, head))
         if seg is None:
@@ -859,28 +891,29 @@ class TrafficEngine:
         """Run transition rows ``start`` .. ``stop - 1`` of ``_rows_buf`` in
         the transit pass, growing each target edge it finds full
         (:meth:`_grow_edge`) and resuming at that row.  The pass draws the
-        entries' lanes, so the bit generator's lock is held across it."""
+        entries' lanes, so the caller holds the bit generator's lock."""
         transit = self._transit_pass
-        with self._bit_generator.lock:
-            while True:
-                got = transit(start, stop - start)
-                if got >= 0:
-                    return
-                start = ~got
-                self._grow_edge(self._rows[6 * start + 4])
+        while True:
+            got = transit(start, stop - start)
+            if got >= 0:
+                return
+            start = ~got
+            self._grow_edge(self._rows[6 * start + 4])
 
     def _transit(self, vehicle: Vehicle, src: int, target: int, seq: int) -> None:
         """One transition row, run now: ``vehicle`` leaves its lane of edge
         ``src`` (unless -1), then enters edge ``target`` (unless -1) with
         placement number ``seq``, in the lane the pass draws, at 0 m after a
-        leave, as a crossing does, and otherwise at its ``pos_m``."""
+        leave, as a crossing does, and otherwise at its ``pos_m``; its
+        ``lane`` mirror is set."""
         slot = vehicle.slot
         self._pos[slot] = vehicle.pos_m
         rows = self._rows
         rows[0], rows[1], rows[2], rows[3], rows[4], rows[5] = (
-            slot, src, vehicle.lane, -1, target, seq
+            slot, src, self._lane.item(slot), -1, target, seq
         )
-        self._run_rows(0, 1)
+        with self._bit_generator.lock:
+            self._run_rows(0, 1)
         vehicle.lane = rows[2]
 
     # ------------------------------------------------ per-edge slot arrays
@@ -999,13 +1032,14 @@ class TrafficEngine:
     # --------------------------------------------------------------- queries
     @property
     def vehicles(self) -> Dict[int, Vehicle]:
-        """Vehicles currently inside, by vid (kinematics freshly synced).
+        """Vehicles currently inside, by vid (mobility state freshly synced).
 
-        The vectorized engine keeps positions and speeds in resident arrays
-        during the step loop; this accessor refreshes the Vehicle mirrors
-        before handing the mapping out, so external readers always see the
-        exact per-vehicle state.  Engine internals use ``_vehicles``
-        directly and read the arrays instead.
+        The vectorized engine keeps each vehicle's edge, lane, position,
+        speed, waiting state and plan in resident arrays during the step
+        loop; this accessor refreshes the Vehicle mirrors before handing the
+        mapping out, so external readers always see the exact per-vehicle
+        state.  Engine internals use ``_vehicles`` directly and read the
+        arrays instead.
         """
         self._sync_mirrors()
         return self._vehicles
@@ -1073,16 +1107,23 @@ class TrafficEngine:
         Plain intersection crossings and border exits are appended to the
         returned :class:`~repro.mobility.events.StepBatch`'s parallel arrays
         (no per-crossing :class:`CrossingEvent` objects) and enter its
-        ordered stream as indices; overtakes stay event objects in the same
-        stream.  ``batch.iter_events()`` materializes the stream.
+        ordered stream as indices; overtakes enter it as (edge, passer,
+        passee) rows.  ``batch.iter_events()`` materializes the stream.
         """
         batch = StepBatch(self.time_s)
         self._step_core(batch)
         return batch
 
     def _step_core(self, batch: StepBatch) -> None:
-        self._advance_segments_batch(batch.items)
-        self._process_intersections_batch(batch)
+        """The step's two phases, each one native call on cc.  The engine
+        generator's lock (the lane and transit passes draw from it) and the
+        routing generator's (the decision pass draws from it) are taken once
+        for the step; the routers and ``Generator`` methods that Python
+        rows call take them again (both are re-entrant)."""
+        self._mirrors_stale = True
+        with self._bit_generator.lock, self._route_lock:
+            self._advance_segments_batch(batch)
+            self._process_intersections_batch(batch)
         self.time_s += self.dt_s
         self.stats.steps += 1
 
@@ -1095,62 +1136,52 @@ class TrafficEngine:
         return out
 
     # ------------------------------------------- segment dynamics (batched)
-    def _advance_segments_batch(self, events: List[TrafficEvent]) -> None:
-        """Advance every occupied segment (the vectorized step).
+    def _advance_segments_batch(self, batch: StepBatch) -> None:
+        """The movement phase (the vectorized step's first half).
 
-        ``_gather`` flattens every non-empty edge's lanes into ``_idx_buf`` (a
-        follower's in-lane leader is the previous gather index), ``_lane_pass``
-        moves the blocked followers it picks, drawing from the engine generator
-        under its lock, and hands the moves back, and ``_advance`` writes the
-        post-step positions and speeds in place and marks the vehicles that
-        reached their stop line waiting; only their ``Vehicle`` mirrors are set
-        here.
+        ``_move_pass`` gathers every non-empty edge's lanes into
+        ``_idx_buf`` (a follower's in-lane leader is the previous gather
+        index); while watching, the lane-change pass moves the blocked
+        followers it picks, drawing from the engine generator; the advance
+        writes the post-step positions and speeds in place and marks the
+        vehicles that reached their stop line waiting; and, while watching,
+        the overtake pass writes the step's flipped pairs, which become
+        ``batch``'s overtake rows (:meth:`_record_overtakes`).  Watching
+        means ``allow_overtaking`` on a network with a multilane segment:
+        elsewhere no vehicle's ``_ml`` byte and no ``_rank_elig`` byte is
+        set, so the two passes would find nothing and draw nothing.  No
+        ``Vehicle`` field is written.
 
-        Overtake detection afterwards (:meth:`_detect_overtakes_fast`)
-        skips multilane segments whose vehicles currently share a single
-        lane, and this is a **known divergence** from the reference engine,
-        not an equivalence.  A lane orders a positional tie by ascending
-        vid, front to back, so the lower vid is in front; the ranking
-        orders it by ascending (position, vid), so the lower vid is behind.
-        When a tied leader pulls away, the ranking flips: the reference
-        reports an overtake, and a skipped ranking keeps the stale order
-        until a later scan of that segment finds it.  Two vehicles spawned
-        at one origin in one step onto the same lane show it
-        (``TestOneLaneTie`` in ``tests/unit/test_mobility_engine.py``, a
+        The overtake pass skips multilane segments whose vehicles currently
+        share a single lane, and this is a **known divergence** from the
+        reference engine, not an equivalence.  A lane orders a positional
+        tie by ascending vid, front to back, so the lower vid is in front;
+        the ranking orders it by ascending (position, vid), so the lower vid
+        is behind.  When a tied leader pulls away, the ranking flips: the
+        reference reports an overtake, and a skipped ranking keeps the
+        stale order until a later scan of that segment finds it.  Two
+        vehicles spawned at one origin in one step onto the same lane show
+        it (``TestOneLaneTie`` in ``tests/unit/test_mobility_engine.py``, a
         strict xfail).  Scanning every occupied multilane segment fixes it
-        but changes pinned benchmark digests, so it waits for a change
-        that may re-pin them.
+        but changes pinned benchmark digests, so it waits for a change that
+        may re-pin them.
         """
-        n = self._gather()
-        if n == 0:
-            return
-        # While no multilane edge is occupied, the lane-change and overtake
-        # passes find nothing and draw nothing: every vehicle's ``_ml`` byte
-        # is clear, so none is a candidate, and no ``_rank_elig`` byte is
-        # set.  So a network-wide flag gates them.
-        watching = self.allow_overtaking and self._multilane_net
-        slot_vehicle = self._slot_vehicle
+        got = self._move_pass(self.time_s, self.allow_overtaking and self._multilane_net)
+        if got:
+            self._record_overtakes(batch, got)
+
+    def _move_pass_np(self, now: float, watching: bool) -> int:
+        """cc's ``move_pass`` in NumPy: :meth:`_gather_np`, then, when
+        ``watching``, :meth:`_lane_pass_np`, :meth:`_advance_np` and, when
+        ``watching``, :meth:`_overtake_pass_np`, whose result it returns (0
+        when not watching)."""
+        n = self._gather_np()
+        if not n:
+            return 0
         if watching:
-            # A pass that moved anyone redid the gather; lane changes move
-            # no vehicle across or along a segment, so ``n`` still holds.
-            with self._bit_generator.lock:
-                moved = self._lane_pass(n)
-            if moved:
-                for slot, _, lane in self._moves_buf[:moved].tolist():
-                    mover = slot_vehicle[slot]
-                    assert mover is not None
-                    mover.lane = lane
-        # The return value is the newly-arrived count, so the no-arrival
-        # common case skips the mask too.
-        time_s = self.time_s
-        if self._advance(n, time_s):
-            for slot in self._idx_buf[:n][self._newly_buf[:n]].tolist():
-                v = slot_vehicle[slot]
-                assert v is not None
-                v.waiting_since_s = time_s
-        self._kinematics_stale = True
-        if watching:
-            self._detect_overtakes_fast(events)
+            self._lane_pass_np(n)
+        self._advance_np(n, now)
+        return self._overtake_pass_np() if watching else 0
 
     def _gather_np(self) -> int:
         """cc's ``gather_all`` in NumPy: every non-empty edge's live lane
@@ -1192,17 +1223,15 @@ class TrafficEngine:
             (self._desired[idx][1:] - self._speed[idx][:-1]) > lc.speed_gain_threshold_mps
         )
         cand &= self._ml[idx] & ~self._is_head[idx]
-        slot_vehicle = self._slot_vehicle
-        edge_order = self._edge_order
+        edge, lane = self._edge, self._lane
         politeness = lc.politeness
         rng = self.rng
         cur = -1
-        pending: List[Tuple[Vehicle, int]] = []
+        pending: List[Tuple[int, int]] = []
         moves: List[Tuple[int, int, int]] = []
         for i in cand.nonzero()[0].tolist():
-            v = slot_vehicle[int(idx[i])]
-            assert v is not None
-            ei = edge_order[v.edge]
+            slot = idx.item(i)
+            ei = edge.item(slot)
             if ei != cur:
                 if pending:
                     self._apply_lane_moves(cur, pending)
@@ -1214,17 +1243,18 @@ class TrafficEngine:
             # both neighbours are viable — identical RNG stream.
             if rng.random() < politeness:
                 continue
-            opts = self._lane_options_np(ei, v.lane, float(self._pos[v.slot]))
+            at = lane.item(slot)
+            opts = self._lane_options_np(ei, at, self._pos.item(slot))
             if opts == 0:
                 continue
             if opts == 3:
-                target = v.lane + 1 if int(rng.integers(2)) == 0 else v.lane - 1
+                target = at + 1 if int(rng.integers(2)) == 0 else at - 1
             elif opts == 1:
-                target = v.lane + 1
+                target = at + 1
             else:
-                target = v.lane - 1
-            pending.append((v, target))
-            moves.append((v.slot, v.lane, target))
+                target = at - 1
+            pending.append((slot, target))
+            moves.append((slot, at, target))
         if not moves:
             return 0
         self._apply_lane_moves(cur, pending)
@@ -1245,12 +1275,14 @@ class TrafficEngine:
             self._pos,
         )
 
-    def _apply_lane_moves(self, ei: int, moves: List[Tuple[Vehicle, int]]) -> None:
-        """Apply one segment's accepted lane changes to its lane slots."""
-        for v, target in moves:
-            self._lane_remove(ei, v.lane, v.slot)
-            self._lane_insert(ei, target, v.slot)
-            v.lane = target
+    def _apply_lane_moves(self, ei: int, moves: List[Tuple[int, int]]) -> None:
+        """Apply one segment's accepted lane changes, (slot, target lane)
+        pairs, to its lane slots and the slots' ``_lane``."""
+        lane = self._lane
+        for slot, target in moves:
+            self._lane_remove(ei, lane.item(slot), slot)
+            self._lane_insert(ei, target, slot)
+            lane[slot] = target
 
     def _advance_np(self, n: int, now: float) -> int:
         """cc's ``advance_chain`` in NumPy, over the gather ``_idx_buf[:n]``.
@@ -1260,8 +1292,7 @@ class TrafficEngine:
         (:meth:`SimplifiedIDM.batch_classify`), followers whose leader is final
         settle in exact vectorized rounds, and only the short chained tail at
         queue boundaries runs the scalar recurrence.  Arrivals are marked
-        waiting since ``now`` and counted; ``_newly_buf[:n]`` is written only
-        when the count is not zero.
+        waiting since ``now`` and counted.
         """
         dt = self.dt_s
         cf = self.car_following
@@ -1317,19 +1348,18 @@ class TrafficEngine:
 
         pos_a[idx] = new_pos
         speed_a[idx] = new_speed
-        # All arrivals in one vectorized pass: ``_wait_flag`` mirrors
-        # ``waiting_since_s is not None``, so no per-vehicle probing.
+        # All arrivals in one vectorized pass, no per-vehicle probing.
         newly = (new_pos >= length - _ARRIVAL_EPS_M) & ~self._wait_flag[idx]
         n_newly = int(np.count_nonzero(newly))
         if n_newly:
-            self._newly_buf[:n] = newly
             arrived = idx[newly]
             self._wait_flag[arrived] = True
             self._since[arrived] = now
         return n_newly
 
-    def _detect_overtakes_fast(self, events: List[TrafficEvent]) -> None:
-        """Post-step overtake scan over the per-edge rankings.
+    def _record_overtakes(self, batch: StepBatch, got: int) -> None:
+        """Add the overtake pass's pairs to ``batch`` as rows, given the
+        pass's result ``got``.
 
         ``_rank_store`` holds each multilane segment's slots in ascending
         (position, vid) order as of the last scan; car following preserves
@@ -1340,26 +1370,27 @@ class TrafficEngine:
         their ranking.  The scan covers the segments flagged in ``_rank_elig``,
         those with vehicles in more than one lane; skipping the one-lane
         segments diverges from the reference at a positional tie (see
-        :meth:`_advance_segments_batch`).  The pass (``_overtake_pass``) hands
-        back each flipped pair as an (edge, passer slot, passee slot) row, in
-        the reference engine's event order; the events are built here.
+        :meth:`_advance_segments_batch`).  The pass hands back each flipped
+        pair as an (edge, passer slot, passee slot) row of ``_pairs_buf``, in
+        the reference engine's event order, and ``~count`` when the buffer
+        filled up: the buffer is then doubled and ``_overtake_pass`` carries
+        on from the edge that did not fit.
         """
+        keys = self._edge_keys
+        slot_vehicle = cast(List[Vehicle], self._slot_vehicle)
+        add_overtake = batch.add_overtake
         while True:
-            got = self._overtake_pass()
             n_pairs = got if got >= 0 else ~got
-            if n_pairs:
-                self.stats.overtakes += n_pairs
-                for ei, a, b in self._pairs_buf[:n_pairs].tolist():
-                    passer, passee = self._slot_vehicle[a], self._slot_vehicle[b]
-                    assert passer is not None and passee is not None
-                    events.append(OvertakeEvent(time_s=self.time_s, edge=self._segs[ei].key,
-                                                passer=passer, passee=passee))
+            self.stats.overtakes += n_pairs
+            for ei, a, b in self._pairs_buf[:n_pairs].tolist():
+                add_overtake(keys[ei], slot_vehicle[a], slot_vehicle[b])
             if got >= 0:
                 return
             # One edge's pairs did not fit: the edges before it are done,
             # so grow the buffer and let the pass carry on.
             self._pairs_buf = np.empty((2 * self._pairs_buf.shape[0], 3), dtype=np.int64)
             self._bind_kernel()
+            got = self._overtake_pass()
 
     def _overtake_pass_np(self) -> int:
         """cc's ``overtake_pass`` in NumPy: the eligible rankings, concatenated
@@ -1431,43 +1462,33 @@ class TrafficEngine:
     # -------------------------------------------------- intersection crossing
     def _process_intersections_batch(self, batch: StepBatch) -> None:
         """The intersection phase: admission, the decision pass, then the
-        transit pass, and the step's crossings and exits in one loop.
+        transit pass, in one call (``_cross_pass``), and the step's crossings
+        and exits in one loop.
 
-        The admission (``_admit_pass``) fixes the step's crossing set before
-        any crossing runs and writes it as rows, (slot, edge, lane, node), in
-        the order the reference engine's ``_process_intersections`` and
-        ``_admit`` produce.  The decision pass (``_decide_pass``) gives each
-        row, in order, its target edge and placement number, as the
-        vehicle's router would at the row's node, and hands back every row
-        it does not decide, which :meth:`_decide_in_python` decides before
-        the pass resumes; it draws from the routing generator, whose lock is
-        held across it.  The transit pass (:meth:`_run_rows`) then runs the
-        rows' leaves and entries, drawing the entries' lanes from the engine
-        generator in row order.  Routers draw from their own generator, so
-        drawing the lanes after every decision leaves the engine generator's
-        stream as the reference engine's.  Last, each row becomes its event
-        in ``batch``, and its vehicle's ``edge``, ``lane``, ``previous_node``
-        and ``waiting_since_s`` (or its exit) are set.
+        The admission fixes the step's crossing set before any crossing runs
+        and writes it as rows, (slot, edge, lane, node), in the order the
+        reference engine's ``_process_intersections`` and ``_admit``
+        produce.  The decision pass gives each row, in order, its target
+        edge and placement number, as the vehicle's router would at the
+        row's node, drawing from the routing generator; a row it does not
+        decide it hands back (:meth:`_finish_crossings`).  The transit pass
+        then runs the rows' leaves and entries, drawing the entries' lanes
+        from the engine generator in row order.  Routers draw from their own
+        generator, so drawing the lanes after every decision leaves the
+        engine generator's stream as the reference engine's.  Last, each
+        row becomes its event in ``batch``, or its vehicle exits
+        (:meth:`_exit`).
         """
-        m = self._admit_pass(self.time_s)
+        m = self._cross_pass(self.time_s)
+        if m < 0:
+            m = self._finish_crossings(~m)
+        else:
+            self.decisions["pass"] += m
         if not m:
             return
-        in_python = 0
-        with self._route_lock:
-            start = 0
-            while start < m:
-                got = self._decide_pass(start, m - start)
-                if got >= 0:
-                    break
-                start = ~got
-                if not self._decide_in_python(start):
-                    in_python += 1
-                    start += 1
-        self.decisions["pass"] += m - in_python
         self._plans_stale = True
-        self._run_rows(0, m)
         rows = self._rows
-        slot_vehicle = self._slot_vehicle
+        slot_vehicle = cast(List[Vehicle], self._slot_vehicle)
         nodes = self._nodes
         keys = self._edge_keys
         items = batch.items
@@ -1475,31 +1496,57 @@ class TrafficEngine:
         crossings = 0
         for r in range(0, 6 * m, 6):
             vehicle = slot_vehicle[rows[r]]
-            assert vehicle is not None and vehicle.edge is not None
             node = nodes[rows[r + 3]]
-            tail = vehicle.edge[0]
+            tail = keys[rows[r + 1]][0]
             ei = rows[r + 4]
             if ei < 0:
                 self._exit(vehicle, node, tail, batch)
                 continue
-            key = keys[ei]
-            vehicle.edge = key
-            vehicle.lane = rows[r + 2]
-            vehicle.previous_node = node
-            vehicle.waiting_since_s = None
-            items.append(add_crossing(vehicle, node, tail, key[1]))
+            items.append(add_crossing(vehicle, node, tail, keys[ei][1]))
             crossings += 1
         self.stats.crossings += crossings
 
+    def _finish_crossings(self, row: int) -> int:
+        """Finish the intersection phase that ``_cross_pass`` handed back at
+        row ``row``; returns the step's row count.
+
+        At a decision hand-back, :meth:`_decide_in_python` decides the row
+        and the decision pass resumes at it or after it, until every row is
+        decided; then the transit pass runs every row.  At a full target
+        edge the edge grows and the transit pass resumes at the row
+        (:meth:`_run_rows`).
+        """
+        state = self._state
+        m = state[_ROWS]
+        if state[_PHASE] == _PHASE_DECIDE:
+            in_python = 0
+            got = ~row
+            while got < 0:
+                start = ~got
+                if not self._decide_in_python(start):
+                    in_python += 1
+                    start += 1
+                got = self._decide_pass(start, m - start)
+            self.decisions["pass"] += m - in_python
+            self._run_rows(0, m)
+        else:
+            self.decisions["pass"] += m
+            self._grow_edge(self._rows[6 * row + 4])
+            self._run_rows(row, m)
+        return m
+
     def _exit(self, vehicle: Vehicle, node: object, tail: object, batch: StepBatch) -> None:
         """Take ``vehicle``, whose transition row has run, out of the open
-        system through gate ``node``, with its exit event in ``batch``."""
-        # Materialize the departing vehicle's kinematics so exit events
-        # and the departed pool carry its final state even though the
-        # resident arrays are the in-run source of truth.
+        system through gate ``node``, arriving from ``tail``, with its exit
+        event in ``batch``."""
+        # Materialize the departing vehicle's mirrors so exit events and the
+        # departed pool carry its final state even though the resident
+        # arrays are the in-run source of truth.
         slot = vehicle.slot
         vehicle.pos_m = self._pos.item(slot)
         vehicle.speed_mps = self._speed.item(slot)
+        vehicle.lane = self._lane.item(slot)
+        vehicle.previous_node = tail
         vehicle.edge = None
         vehicle.waiting_since_s = None
         vehicle.exited_at_s = self.time_s
@@ -1516,9 +1563,9 @@ class TrafficEngine:
 
         A route-table miss is filled from ``shortest_path`` (or marked
         unreachable) and the pass resumes at the row with the draw it
-        stashed; a plan not yet installed is installed and the pass resumes
-        too.  A replan whose every draw failed raises, as
-        :meth:`RandomWaypointRouter.plan_from` does.  Any other row is
+        stashed; a plan not yet installed is installed (counted under
+        ``install``) and the pass resumes too.  A replan whose every draw
+        failed raises, as :meth:`RandomWaypointRouter.plan_from` does.  Any other row is
         decided here as the seed engine decides it: an exit through an
         outbound gate, or the router's next hop, with the row's target edge
         and the next placement number; a resident plan is synced to
@@ -1537,12 +1584,13 @@ class TrafficEngine:
         if why == _WHY_NO_ROUTE:
             raise RoutingError(f"could not find any destination reachable from {node!r}")
         vehicle = self._slot_vehicle[slot]
-        assert vehicle is not None and vehicle.edge is not None
-        tail, head = vehicle.edge
+        assert vehicle is not None
+        tail, head = self._edge_keys[rows[r + 1]]
         plan = vehicle.plan
         if why == _WHY_INSTALL:
             # The plan as made at spawn, at the segment's tail.
             self._install_plan(slot, tail, head, plan)
+            self.decisions["install"] += 1
             return True
         resident = self._has_resident_plan(slot)
         if resident:
@@ -1668,14 +1716,9 @@ class TrafficEngine:
         waiting = self._wait_flag.nonzero()[0]
         if not waiting.size:
             return 0
-        slot_vehicle = self._slot_vehicle
-        edge_order = self._edge_order
-        heads = []
-        for slot in waiting.tolist():
-            v = slot_vehicle[slot]
-            assert v is not None
-            heads.append((edge_order[v.edge], v.lane, slot))
-        heads.sort()
+        heads = sorted(zip(
+            self._edge[waiting].tolist(), self._lane[waiting].tolist(), waiting.tolist()
+        ))
         head_node, delay, since, vid = self._head_node, self._delay, self._since, self._vid
         dt = self.dt_s
         candidates: Dict[int, List[Tuple[float, int, int, int, int]]] = {}
@@ -1702,11 +1745,12 @@ class TrafficEngine:
         (an exit), it enters the target edge with the row's placement number,
         at the position and speed :meth:`_place` gave it, in a lane drawn as
         ``Generator.integers(nlanes)`` (no draw on a one-lane edge), which the
-        row's lane column takes: at 0 m after a leave, as a crossing does,
-        and otherwise (a spawn) at the position its slot holds, at half its
-        free speed.  A full target edge grows in place, so this returns
-        ``start + m``.  The caller holds the bit generator's lock, which the
-        ``Generator`` method takes again (it is re-entrant).
+        row's lane column and the slot's ``_edge``/``_lane`` take: at 0 m
+        after a leave, as a crossing does, and otherwise (a spawn) at the
+        position its slot holds, at half its free speed.  A full target edge
+        grows in place, so this returns ``start + m``.  The caller holds the
+        bit generator's lock, which the ``Generator`` method takes again (it
+        is re-entrant).
         """
         rows = self._rows
         segs = self._segs
@@ -1724,6 +1768,8 @@ class TrafficEngine:
             lanes = seg.lanes
             lane = int(rng.integers(lanes)) if lanes > 1 else 0
             rows[r + 2] = lane
+            self._edge[slot] = ei
+            self._lane[slot] = lane
             free = min(self._desired.item(slot), seg.speed_limit_mps)
             self._seq[slot] = rows[r + 5]
             if src >= 0:
@@ -1737,6 +1783,25 @@ class TrafficEngine:
                 self._rank_insert(ei, slot)
             self._lane_insert(ei, lane, slot)
         return start + m
+
+    def _cross_pass_np(self, now: float) -> int:
+        """cc's ``cross_pass`` in NumPy: :meth:`_admit_pass_np`, then
+        :meth:`_decide_pass_np` and :meth:`_transit_pass_np` over its rows.
+        Returns the row count, or ``~row`` at a decision hand-back, with the
+        row count and :data:`_PHASE_DECIDE` in ``_decide_state`` (the NumPy
+        transit pass grows a full edge in place, so it never hands back)."""
+        state = self._state
+        m = self._admit_pass_np(now)
+        state[_ROWS] = m
+        if not m:
+            return 0
+        state[_PHASE] = _PHASE_DECIDE
+        got = self._decide_pass_np(0, m)
+        if got < 0:
+            return got
+        state[_PHASE] = _PHASE_TRANSIT
+        self._transit_pass_np(0, m)
+        return m
 
     def _decide_pass_np(self, start: int, m: int) -> int:
         """cc's ``decide_pass`` in NumPy, over ``m`` rows of ``_rows_buf``
@@ -1843,15 +1908,14 @@ class TrafficEngine:
         assert self._route_rng is not None
         return pool[int(self._route_rng.integers(len(pool)))]
 
-    # The step's seven operations, one code path for both backends: these
-    # NumPy methods, unless _bind_kernel sets cc's entry points on the engine
-    # (each takes and returns what its entry point does; see StepKernel).
-    # As class attributes they put the engine in no reference cycle.
-    _gather: Callable[..., int] = _gather_np
-    _lane_pass: Callable[..., int] = _lane_pass_np
-    _advance: Callable[..., int] = _advance_np
+    # The step's five operations, one code path for both backends: the two
+    # fused calls and the three resume entry points, these NumPy methods
+    # unless __init__ sets cc's entry points on the engine (each takes and
+    # returns what its entry point does; see StepKernel).  As class
+    # attributes they put the engine in no reference cycle.
+    _move_pass: Callable[..., int] = _move_pass_np
+    _cross_pass: Callable[..., int] = _cross_pass_np
     _overtake_pass: Callable[..., int] = _overtake_pass_np
-    _admit_pass: Callable[..., int] = _admit_pass_np
     _decide_pass: Callable[..., int] = _decide_pass_np
     _transit_pass: Callable[..., int] = _transit_pass_np
 

@@ -15,7 +15,7 @@ the topological context of the event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union, cast
 
 from .vehicle import Vehicle
 
@@ -101,9 +101,12 @@ class StepBatch:
     the same treatment through three exit arrays (``exit_vehicle`` /
     ``exit_gate`` / ``exit_from``); exit ``j`` appears in ``items`` as the
     negative integer ``-1 - j`` so one ``type(item) is int`` test still
-    separates the typed structure-of-arrays events from the remaining
-    scalar objects.  Only the genuinely irregular leftovers (entries,
-    overtakes) stay event objects in ``items``; the protocol replays the
+    separates the typed structure-of-arrays events from the rest.  An
+    overtake is an ``(edge, passer, passee)`` tuple in ``items``
+    (:meth:`add_overtake`): most overtakes involve no labelled vehicle, and
+    the protocol then needs no event object for them.  Only the border
+    arrivals that the simulation prepends (entries and their gate
+    crossings) are event objects in ``items``; the protocol replays the
     whole stream in exactly the event-list order either way.
 
     All events of one step share the same timestamp, so ``time_s`` is stored
@@ -127,8 +130,9 @@ class StepBatch:
     def __init__(self, time_s: float) -> None:
         self.time_s = time_s
         #: Ordered stream: ``int`` entries >= 0 index the crossing arrays,
-        #: ``int`` entries < 0 encode exit ``-1 - item``, every other entry
-        #: is a :data:`TrafficEvent` object.
+        #: ``int`` entries < 0 encode exit ``-1 - item``, ``tuple`` entries
+        #: are overtakes, and every other entry is a :data:`TrafficEvent`
+        #: object.
         self.items: List[object] = []
         self.cross_vehicle: List[Vehicle] = []
         self.cross_node: List[object] = []
@@ -166,6 +170,17 @@ class StepBatch:
         self.exit_from.append(from_node)
         return -1 - j
 
+    def add_overtake(
+        self,
+        edge: Tuple[object, object],
+        passer: Vehicle,
+        passee: Vehicle,
+    ) -> None:
+        """Append one overtake to the stream, as its ``(edge, passer,
+        passee)`` row; :meth:`iter_events` makes it an
+        :class:`OvertakeEvent`."""
+        self.items.append((edge, passer, passee))
+
     def crossing_event(self, i: int) -> CrossingEvent:
         """Materialize crossing ``i`` as a :class:`CrossingEvent` object."""
         return CrossingEvent(
@@ -195,6 +210,9 @@ class StepBatch:
                     if item >= 0
                     else self.exit_event(-1 - item)
                 )
+            elif type(item) is tuple:
+                edge, passer, passee = cast(Tuple[Tuple[object, object], Vehicle, Vehicle], item)
+                yield OvertakeEvent(self.time_s, edge, passer, passee)
             else:
                 yield item
 

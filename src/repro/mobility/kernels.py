@@ -5,40 +5,49 @@ front-to-back recurrence inside each lane (a follower's update reads its
 leader's *post-step* state) is inherently sequential, and the classify /
 round machinery that works around it still leaves a scalar tail at queue
 boundaries.  This module compiles the *whole* gather→advance→scatter inner
-step into one native call (``advance_chain``): a single sequential sweep
-over the gathered columns, lane heads delimiting the chains — exactly the
+step into native code (``advance_chain``): a single sequential sweep over
+the gathered columns, lane heads delimiting the chains — exactly the
 reference engine's per-vehicle operation sequence, so the result is
 bit-for-bit identical to both the scalar and the NumPy paths (the
 golden-trace suites pin this); it also marks each vehicle that reaches
-its stop line waiting, since the ``now`` it is passed.  The other entry
-points are ``gather_all``, which walks the engine's per-edge pointer
-tables; the two passes around the advance, ``lane_change_pass`` (the
-blocked-follower predicate, each candidate's target lane and RNG draws,
-the moves and the re-gather) and ``overtake_pass`` (the ranking scan, each
-inverted ranking's flipped pairs and its re-sort); and the three calls
-of the intersection phase, ``admit_pass`` (the step's crossing set),
+its stop line waiting, since the ``now`` it is passed.  The other pieces
+are ``gather_all``, which walks the engine's per-edge pointer tables; the
+two passes around the advance, ``lane_change_pass`` (the blocked-follower
+predicate, each candidate's target lane and RNG draws, the moves and the
+re-gather) and ``overtake_pass`` (the ranking scan, each inverted
+ranking's flipped pairs and its re-sort); and the three passes of the
+intersection phase, ``admit_pass`` (the step's crossing set),
 ``decide_pass`` (each crossing's next edge, as its router decides it) and
 ``transit_pass`` (the crossings' leaves and entries with their lane
-draws, and any one spawn's entry).  These seven are the operations of the
-engine's one step code path, and each has a NumPy twin, a
-``TrafficEngine`` method that reads and writes the same buffers and
-returns the same: ``_gather_np``, ``_lane_pass_np``, ``_advance_np``,
-``_overtake_pass_np``, ``_admit_pass_np``, ``_decide_pass_np`` and
-``_transit_pass_np``.  The twins are the engine's compiler-less path and
-each entry point's oracle.
-The transitions inside ``transit_pass`` (the static helpers ``occ_enter``
-and ``occ_leave``) and ``lane_change_pass`` have the semantics of the
-engine's NumPy splice pair (``TrafficEngine._lane_insert`` and friends,
-their oracle).
+draws, and any one spawn's entry).  A step runs them as two native calls,
+one per phase: ``move_pass(now, watching)`` runs the gather, the lane
+pass, the advance and the overtake pass, and ``cross_pass(now)`` the
+admission, the decision pass and the transit pass.  A phase that must
+hand back (a crossing Python decides, a full target edge, a full pair
+buffer) returns ``~row`` or ``~count``, and the engine resumes it through
+``decide_pass``, ``transit_pass`` or ``overtake_pass``.  The engine binds
+these five as its step's operations.  Every piece is an entry point too,
+and has a NumPy twin, a ``TrafficEngine`` method that reads and writes
+the same buffers and returns the same: ``_gather_np``,
+``_lane_pass_np``, ``_advance_np``, ``_overtake_pass_np``,
+``_admit_pass_np``, ``_decide_pass_np`` and ``_transit_pass_np``, of
+which ``_move_pass_np`` and ``_cross_pass_np``, the fused calls' twins,
+are composed.  The twins are the engine's compiler-less path and each
+entry point's oracle.  The transitions inside ``transit_pass`` (the
+static helpers ``occ_enter`` and ``occ_leave``) and ``lane_change_pass``
+have the semantics of the engine's NumPy splice pair
+(``TrafficEngine._lane_insert`` and friends, their oracle); both write
+each placed or moved slot's ``edge`` and ``lane`` columns, which the
+engine's ``Vehicle`` mirrors read.
 
 The intersection phase
 ----------------------
-The engine runs Alg. 1's intersection phase as three passes, on cc
-three native calls, like the synchronous update of a probabilistic
-cellular automaton: the step's crossing set is fixed before any crossing
-runs, and the randomness is drawn in a fixed order.  ``admit_pass(now)``
-walks each occupied edge's waiting lane heads in edge order and writes
-the admitted crossings as rows of ``rows_buf``, (slot, edge, lane, node),
+The engine runs Alg. 1's intersection phase as three passes, on cc one
+native call, like the synchronous update of a probabilistic cellular
+automaton: the step's crossing set is fixed before any crossing runs,
+and the randomness is drawn in a fixed order.  ``admit_pass(now)`` walks
+each occupied edge's waiting lane heads in edge order and writes the
+admitted crossings as rows of ``rows_buf``, (slot, edge, lane, node),
 node by node in the order of their first candidate and, within a node, by
 (since, vid) up to its admissions per step.  ``decide_pass(start, m)``
 then decides rows ``start`` to ``start + m - 1`` in order, as each
@@ -46,20 +55,24 @@ vehicle's router would (a plan hop, a random turn, or a random-waypoint
 replan whose destinations it draws from the routers' generator and whose
 routes it reads from the engine's route table), and fills in each row's
 target edge and placement number.  A row it does not decide (an exit, a
-router it does not run, a trip whose plan ran out, a route-table miss)
-it hands back as ``~row``; the engine decides it in Python
-(``TrafficEngine._decide_in_python``, which writes -1 as an exit's
-target) and calls again from the next row, or, having filled the missed
-route-table entry, from that row, whose replan resumes with the draw it
-stashed.  ``transit_pass(start, m)`` then runs rows ``start`` to
-``start + m - 1``:
+router it does not run, a trip whose plan ran out, a plan not yet
+installed, a route-table miss) it hands back as ``~row``; the engine
+decides it in Python (``TrafficEngine._decide_in_python``, which writes
+-1 as an exit's target) and calls again from the next row, or, having
+filled the missed route-table entry or installed the plan, from that
+row, whose replan resumes with the draw it stashed.
+``transit_pass(start, m)`` then runs rows ``start`` to ``start + m - 1``:
 each slot leaves its source edge and, unless it exits, enters its target
 at 0 m in a lane drawn from the engine generator, which the row's lane
-column takes and the engine reads back.  A spawn is one row with no
-source edge (-1), entering at the position its slot holds.  When a
-row's target edge is full the pass returns ``~row``, having done nothing
-for that row; the engine grows the edge (``TrafficEngine._grow_edge``)
-and calls again from that row.
+column and the slot's ``lane`` column take.  A spawn is one row with no
+source edge (-1), entering at the position its slot holds.  When a row's
+target edge is full the pass returns ``~row``, having done nothing for
+that row; the engine grows the edge (``TrafficEngine._grow_edge``) and
+calls again from that row.  ``cross_pass(now)`` runs the three in order
+and returns the row count, or ``~row`` at the first hand-back, with the
+row count and the pass that handed back in ``decide_state``: after a
+decision hand-back the engine finishes the decisions through
+``decide_pass`` and then runs ``transit_pass`` over every row.
 
 The engine uses it by default (``MobilityConfig.compiled=True``).  The
 ladder is **cc → NumPy**, with the seed reference engine
@@ -95,20 +108,18 @@ second run's worker and the NDJSON streamers woken by every step event
 wait for the GIL, each release would hand it over, one thread switch per
 call.  That sets a rule for every entry point: it holds the GIL, so it
 must never block or call into Python, and it must stay far below the
-interpreter's 5 ms switch interval.  The longest call measured is a
-``transit_pass`` call at the 25k-vehicle city (4,944 edges): 1.2 and
-1.8 ms, for 316 and 519 rows, in two runs of 200 steps whose next
-longest took 0.27 ms; a whole transition step, its growth retries and
-their Python between the calls included, took up to 2.3 ms (652 rows, 35
-retries).  The longest sweep, ``gather_all`` at 8,000 vehicles on the
-11,132-edge city, takes 41 µs.  The longest ``decide_pass`` call in 200
-steps at the 25k-vehicle city took 65 µs (180 rows; the pass hands a row
-back to Python at each route-table miss and plan install, so its calls
-are short).
+interpreter's 5 ms switch interval.  The longest calls are the fused
+ones at the 25k-vehicle city (4,944 edges, seed 0, 2-CPU Xeon host): in
+two runs of 200 steps the longest ``move_pass`` took 1.26 and 1.11 ms
+(the whole fleet's gather, lane pass, advance and overtake pass) and the
+longest ``cross_pass`` 0.22 ms both times (it stops at the first row
+Python decides or the first full edge; the ``decide_pass`` and
+``transit_pass`` calls that resume it took at most 0.17 ms).  The
+gather alone at 8,000 vehicles on the 11,132-edge city takes 41 µs.
 NumPy is not held to that rule: a sort such as ``np.lexsort`` releases
-the GIL even on a five-element array, so the Python overtake emission,
-which sorts each inverted ranking, can let a waiting thread in mid-step,
-where the native pass holds it like every other call.
+the GIL even on a five-element array, so the NumPy overtake pass, which
+sorts each inverted ranking, can let a waiting thread in mid-step, where
+the native pass holds it like every other call.
 
 Drawing from the engine's generator
 -----------------------------------
@@ -129,16 +140,16 @@ the stream, every event and the generator's state (PCG64's buffered
 pin the NumPy behaviour through ``BitGenerator.ctypes`` without a
 compiler, and the rejection loop through a scripted ``bitgen_t``.  The
 engine holds the bit generator's ``lock``, the lock every ``Generator``
-method takes, across each pass of either backend (the NumPy twins'
-``Generator`` calls take it again: it is re-entrant, which a unit test
-pins), and binds the generator once, at construction, so ``engine.rng``
-is read-only.  Because the transit pass draws every crossing's lane
-after the decisions, a router must not draw from the engine's
-generator: its ``next_hop`` draws would move ahead of the lanes.  The
-decision pass draws a random turn or a replan's destination as
-``Generator.integers(n)`` does (none when ``n`` is 1), in row order, and
-the engine holds the routers' generator's lock across it, which the
-Python rows' routers take again.
+method takes, across each step of either backend, and across a spawn's
+transit row (the NumPy twins' ``Generator`` calls take it again: it is
+re-entrant, which a unit test pins), and binds the generator once, at
+construction, so ``engine.rng`` is read-only.  Because the transit pass
+draws every crossing's lane after the decisions, a router must not draw
+from the engine's generator: its ``next_hop`` draws would move ahead of
+the lanes.  The decision pass draws a random turn or a replan's
+destination as ``Generator.integers(n)`` does (none when ``n`` is 1), in
+row order, and the engine holds the routers' generator's lock across the
+step too, which the Python rows' routers take again.
 
 Bitwise-equivalence contract
 ----------------------------
@@ -170,19 +181,21 @@ Calling convention
 Every C entry point takes one struct first: ``tables`` in C,
 :class:`_Tables` here.  It holds the address of every array the kernel
 reads or writes (the engine's resident columns, its per-step buffers and
-its per-edge pointer tables) and of the generator's ``bitgen_t``, the edge
-count, the pair buffer's row count and the eleven model scalars.
-:meth:`StepKernel.bind` fills it once per capacity change and binds each
-entry point to its address with :func:`functools.partial`, so a call
-passes only what varies: a count, a time or a row range (ctypes charges
-per argument).  Writes into bound arrays, pointer-table slots included,
-need no re-bind.  Buffers grow on demand: ``transit_pass`` returns
-``~row`` when a row's target edge is full, and the engine doubles its
-buffers (``TrafficEngine._grow_edge``, which rewrites their pointer-table
-entries and the edge's ``lane_cap``) and calls again from that row;
-``overtake_pass`` returns ``~count`` when an edge's pairs do not fit, and
-the engine doubles the pair buffer, re-binds, and calls again for the
-rest.
+its per-edge and per-node tables) and of the two generators'
+``bitgen_t``, the edge count, the pair buffer's row count, the node count
+and the eleven model scalars.  :meth:`StepKernel.bind` fills it once and
+binds each entry point to its address with :func:`functools.partial`, so
+a call passes only what varies: a time, a count or a row range (ctypes
+charges per argument); when an array is reallocated the engine binds
+again, which writes only the moved arrays' fields.  Writes into bound
+arrays, pointer-table slots included, need no re-bind.  Buffers grow on
+demand: ``transit_pass`` (and so ``cross_pass``) returns ``~row`` when a
+row's target edge is full, and the engine doubles its buffers
+(``TrafficEngine._grow_edge``, which rewrites their pointer-table entries
+and the edge's ``lane_cap``) and calls ``transit_pass`` again from that
+row; ``overtake_pass`` (and so ``move_pass``) returns ``~count`` when an
+edge's pairs do not fit, and the engine doubles the pair buffer,
+re-binds, and calls ``overtake_pass`` again for the rest.
 """
 
 from __future__ import annotations
@@ -223,7 +236,6 @@ def advance_chain_py(
     heads: Any,
     waitflag: Any,
     since: Any,
-    newly: Any,
     now: float,
     dt: float,
     accel_dt: float,
@@ -240,15 +252,13 @@ def advance_chain_py(
     chain, so the in-lane leader of a non-head gather index ``i`` is gather
     index ``i-1``.  Updates ``pos``/``speed`` in place (slot-indexed),
     which hands each follower its leader's post-step state for free, and
-    fills the *gather-aligned* ``newly`` output mask (arrived and not yet
-    flagged waiting), marking each such vehicle waiting: its ``waitflag``
-    set and its ``since`` set to ``now``.
+    marks each vehicle that arrived and was not yet flagged waiting: its
+    ``waitflag`` set and its ``since`` set to ``now``.
 
     This function is the specification the C sweep is tested against.
-    Returns the number of ``newly`` bits set (saving callers a mask
-    reduction).  Ternary ``if``/``else`` min/max (first operand on ties)
-    mirror Python's builtins — keep them, or the ``max(0.0, -0.0)`` sign bit
-    diverges from the scalar engine.
+    Returns the number of vehicles so marked.  Ternary ``if``/``else``
+    min/max (first operand on ties) mirror Python's builtins — keep them, or
+    the ``max(0.0, -0.0)`` sign bit diverges from the scalar engine.
     """
     n = idx.shape[0]
     lead_pos = 0.0
@@ -293,9 +303,7 @@ def advance_chain_py(
             nv = nv if nv > 0.0 else 0.0  # max(0.0, nv)
         pos[slot] = np_
         speed[slot] = nv
-        arrived = (np_ >= length - arrival_eps) and not waitflag[slot]
-        newly[i] = arrived
-        if arrived:
+        if np_ >= length - arrival_eps and not waitflag[slot]:
             waitflag[slot] = 1
             since[slot] = now
             n_newly += 1
@@ -475,37 +483,40 @@ typedef struct {
 
 /* Every entry point takes this struct first; StepKernel.bind fills it (the
  * _Tables class, field for field).  The slot-indexed resident columns come
- * first (since is the time a waiting vehicle reached its stop line), then
- * the per-step buffers (the gather idx, the newly and cand masks aligned with
- * it, the lane pass's moves, the sort order the overtake and admission passes
- * share, the overtake pairs, pair_cap rows, the admission candidates and the
- * transition rows), then the per-edge tables: edge e's lanes are
- * lane_ptr[e][:lane_len[e]] split by the nlanes[e] + 1 bounds at
- * bounds_ptr[e], a multilane edge's ranking is rank_ptr[e][:lane_len[e]], and
- * the edge leads to node head_node[e] and is edge_len[e] m long with limit
- * edge_limit[e].  The per-node tables hold each node's crossing delay and
- * admissions per step, and the admission pass's scratch.  Then the route
- * state the decision pass reads: each slot's router kind, its plan (the
- * route_pool cells plan_cur .. plan_end - 1, plan_cur -1 until installed) and
- * exit node; each edge's tail node; node u's outbound edges, out_edge[k] to
- * out_node[k] for k in out_start[u] .. out_start[u + 1] - 1 in
- * RoadNetwork.outbound_neighbors order, and its outbound-gate flag; the
+ * first (since is the time a waiting vehicle reached its stop line, edge and
+ * lane the edge index and lane a slot was last placed in, which occ_enter and
+ * the lane pass's moves write), then the per-step buffers (the gather idx, the
+ * cand mask aligned with it, the lane pass's moves, the sort order the
+ * overtake and admission passes share, the overtake pairs, pair_cap rows, the
+ * admission candidates and the transition rows), then the per-edge tables:
+ * edge e's lanes are lane_ptr[e][:lane_len[e]] split by the nlanes[e] + 1
+ * bounds at bounds_ptr[e], a multilane edge's ranking is
+ * rank_ptr[e][:lane_len[e]], and the edge leads to node head_node[e] and is
+ * edge_len[e] m long with limit edge_limit[e].  The per-node tables hold each
+ * node's crossing delay and admissions per step, and the admission pass's
+ * scratch.  Then the route state the decision pass reads: each slot's router
+ * kind, its plan (the route_pool cells plan_cur .. plan_end - 1, plan_cur -1
+ * until installed) and exit node; each edge's tail node; node u's outbound
+ * edges, out_edge[k] to out_node[k] for k in out_start[u] .. out_start[u + 1]
+ * - 1 in RoadNetwork.outbound_neighbors order, and its outbound-gate flag; the
  * n_nodes by n_nodes route table, whose (origin, destination) entry is 0
  * (unknown), -1 (unreachable) or the offset in route_pool of the route, its
- * length and then its nodes after the origin; and decide_state, the pass's
- * cells (DECIDE_*).  Addresses arrive as int64 values (numpy owns the arrays
- * and keeps them alive); a table entry changes only when its buffer is
- * reallocated.  bitgen is the engine generator's bit generator and
- * route_bitgen the routers'.  The sweeps copy what they use into locals,
- * since their stores may alias the struct. */
+ * length and then its nodes after the origin; and decide_state, the cells of
+ * the decision pass and of cross_pass (DECIDE_*).  Addresses arrive as int64
+ * values (numpy owns the arrays and keeps them alive).  StepKernel.bind fills
+ * the struct once and afterwards writes only the fields of reallocated
+ * arrays: the per-edge and per-node tables never move, and a pointer-table
+ * entry changes only when its buffer is reallocated.  bitgen is the engine
+ * generator's bit generator and route_bitgen the routers'.  The sweeps copy
+ * what they use into locals, since their stores may alias the struct. */
 typedef struct {
     double *pos, *speed, *freeflow, *seglen, *since;
     const double *desired;
     const int64_t *vid;
-    int64_t *seq;
+    int64_t *seq, *edge, *lane;
     unsigned char *heads, *multilane, *waitflag;
     int64_t *idx;
-    unsigned char *newly, *cand;
+    unsigned char *cand;
     int64_t *moves, *order, *pairs, *cands, *rows;
     const int64_t *lane_ptr, *rank_ptr, *bounds_ptr, *nlanes;
     int64_t *lane_len;
@@ -535,15 +546,15 @@ typedef struct {
 #define CAND 3
 
 /* The advance over idx[:n] (TrafficEngine._advance_np's twin); a vehicle
- * that reaches its stop line is marked waiting (waitflag, and since = now)
- * and flagged in newly. */
+ * that reaches its stop line is marked waiting (waitflag, and since = now).
+ * Returns the count of vehicles so marked. */
 int64_t advance_chain(const tables *t, int64_t n, double now)
 {
     const int64_t *idx = t->idx;
     double *pos = t->pos, *speed = t->speed, *since = t->since;
     const double *freeflow = t->freeflow, *seglen = t->seglen;
     const unsigned char *heads = t->heads;
-    unsigned char *waitflag = t->waitflag, *newly = t->newly;
+    unsigned char *waitflag = t->waitflag;
     double dt = t->dt, accel_dt = t->accel_dt, decel_dt = t->decel_dt;
     double denom = t->denom, veh_len = t->veh_len, min_gap = t->min_gap;
     double arrival_eps = t->arrival_eps;
@@ -583,8 +594,7 @@ int64_t advance_chain(const tables *t, int64_t n, double now)
         }
         pos[slot] = np;
         speed[slot] = nv;
-        newly[i] = (np >= length - arrival_eps) && !waitflag[slot];
-        if (newly[i]) {
+        if (np >= length - arrival_eps && !waitflag[slot]) {
             waitflag[slot] = 1;
             since[slot] = now;
             n_newly++;
@@ -723,8 +733,9 @@ static void lane_out(const tables *t, int64_t e, int64_t lane, int64_t slot)
     }
 }
 
-/* Write slot's resident columns and placement number, then insert it into
- * its lane and, on a multilane edge, into the ranking at
+/* Write slot's resident columns (its edge and lane included) and placement
+ * number, then insert it into its lane and, on a multilane edge, into the
+ * ranking at
  * bisect.bisect_right's index on the (position, vid) key, probe for probe: a
  * ranking the overtake pass skipped may be out of order, and the probes then
  * decide where the slot lands.  The edge's buffers must have room
@@ -739,6 +750,8 @@ static void occ_enter(
     t->freeflow[slot] = free;
     t->seglen[slot] = length;
     t->seq[slot] = seq;
+    t->edge[slot] = e;
+    t->lane[slot] = lane;
     t->multilane[slot] = t->nlanes[e] > 1;
     t->waitflag[slot] = 0;
     lane_in(t, e, lane, slot);
@@ -789,6 +802,7 @@ static void lane_moves(const tables *t, int64_t e, const int64_t *mv, int64_t co
     for (; count > 0; count--, mv += 3) {
         lane_out(t, e, mv[1], mv[0]);
         lane_in(t, e, mv[2], mv[0]);
+        t->lane[mv[0]] = mv[2];
     }
 }
 
@@ -913,6 +927,22 @@ int64_t overtake_pass(const tables *t)
     return n_pairs;
 }
 
+/* TrafficEngine._move_pass_np, a step's movement phase in one call: the
+ * gather, then, when watching (allow_overtaking, on a network with a multilane
+ * segment), the lane-change pass, then the advance at now, and, when watching,
+ * the overtake pass.  Returns the overtake pass's result, 0 when not watching:
+ * the pair count, or ~count when pairs_buf filled up, which the engine
+ * resumes with overtake_pass once it has grown the buffer.  The caller holds
+ * the engine generator's lock. */
+int64_t move_pass(const tables *t, double now, int64_t watching)
+{
+    int64_t n = gather_all(t);
+    if (!n) return 0;
+    if (watching) lane_change_pass(t, n);
+    advance_chain(t, n, now);
+    return watching ? overtake_pass(t) : 0;
+}
+
 /* Whether candidate a waited longer than b: (since, vid) order. */
 static int admitted_before(const tables *t, const int64_t *a, const int64_t *b)
 {
@@ -1020,11 +1050,16 @@ int64_t transit_pass(const tables *t, int64_t start, int64_t m)
 
 /* A slot's router kind (TrafficEngine._KIND_*), why decide_pass handed a row
  * to Python (_WHY_*), and the decide_state cells: a route-table miss's row,
- * destination and attempt, the last hand-back's why, and the next placement
- * number, which spawns and Python rows take too. */
+ * destination and attempt, the last hand-back's why, the next placement
+ * number, which spawns and Python rows take too, and cross_pass's row count
+ * and the pass (PHASE_*) that handed its row back. */
 enum { KIND_OTHER, KIND_TRIP, KIND_WAYPOINT, KIND_TURN };
 enum { WHY_ROUTER, WHY_INSTALL, WHY_EXIT, WHY_TRIP, WHY_MISS, WHY_NO_ROUTE };
-enum { DECIDE_ROW, DECIDE_DEST, DECIDE_ATTEMPT, DECIDE_WHY, DECIDE_PLACEMENTS };
+enum {
+    DECIDE_ROW, DECIDE_DEST, DECIDE_ATTEMPT, DECIDE_WHY, DECIDE_PLACEMENTS, DECIDE_ROWS,
+    DECIDE_PHASE
+};
+enum { PHASE_DECIDE, PHASE_TRANSIT };
 /* RandomWaypointRouter.plan_from's destination draws. */
 #define REPLAN_ATTEMPTS 16
 
@@ -1148,6 +1183,28 @@ int64_t decide_pass(const tables *t, int64_t start, int64_t m)
     }
     return start + m;
 }
+
+/* TrafficEngine._cross_pass_np, a step's intersection phase in one call: the
+ * admission at now, then the decision pass and the transit pass over its rows.
+ * Returns the row count once every row has been decided and run.  Otherwise
+ * it returns ~i, with the row count in decide_state[DECIDE_ROWS] and the pass
+ * that handed row i back in decide_state[DECIDE_PHASE]: PHASE_DECIDE when
+ * Python must decide row i (the engine does, resumes with decide_pass from row
+ * i or the next, then runs transit_pass over every row), PHASE_TRANSIT when
+ * row i's target edge is full (the engine grows it and resumes with
+ * transit_pass from row i).  The caller holds both generators' locks. */
+int64_t cross_pass(const tables *t, double now)
+{
+    int64_t *st = t->decide_state, m = admit_pass(t, now), got;
+    st[DECIDE_ROWS] = m;
+    if (!m) return 0;
+    st[DECIDE_PHASE] = PHASE_DECIDE;
+    got = decide_pass(t, 0, m);
+    if (got < 0) return got;
+    st[DECIDE_PHASE] = PHASE_TRANSIT;
+    got = transit_pass(t, 0, m);
+    return got < 0 ? got : m;
+}
 """
 
 #: Every C entry point with the argument types after its ``tables`` pointer,
@@ -1160,6 +1217,8 @@ _SYMBOLS = (
     ("admit_pass", [ctypes.c_double]),
     ("transit_pass", [ctypes.c_int64] * 2),
     ("decide_pass", [ctypes.c_int64] * 2),
+    ("move_pass", [ctypes.c_double, ctypes.c_int64]),
+    ("cross_pass", [ctypes.c_double]),
 )
 
 
@@ -1173,21 +1232,27 @@ class _CcLibrary(NamedTuple):
     admit_pass: Any
     transit_pass: Any
     decide_pass: Any
+    move_pass: Any
+    cross_pass: Any
+
+
+#: The array fields of the C ``tables`` struct, in field order.
+_ARRAY_FIELDS = (
+    "pos speed freeflow seglen since desired vid seq edge lane heads multilane waitflag idx "
+    "cand moves order pairs cands rows lane_ptr rank_ptr bounds_ptr nlanes lane_len "
+    "lane_cap occ_lanes rank_elig head_node edge_len edge_limit delay adm node_mark "
+    "node_buf kind plan_cur plan_end exit_node edge_tail out_start out_node out_edge "
+    "gate_out route_table route_pool decide_state").split()
 
 
 class _Tables(ctypes.Structure):
     """The C ``tables`` struct, field for field: the address of every array
-    the kernel reads or writes and of the engine generator's ``bitgen_t``,
-    the edge count, the pair buffer's row count and the model scalars."""
+    the kernel reads or writes and of the two generators' ``bitgen_t``, the
+    edge count, the pair buffer's row count, the node count and the model
+    scalars."""
 
     _fields_ = [
-        *((name, ctypes.c_void_p) for name in (
-            "pos speed freeflow seglen since desired vid seq heads multilane waitflag idx "
-            "newly cand moves order pairs cands rows lane_ptr rank_ptr bounds_ptr nlanes "
-            "lane_len lane_cap occ_lanes rank_elig head_node edge_len edge_limit delay adm "
-            "node_mark node_buf kind plan_cur plan_end exit_node edge_tail out_start "
-            "out_node out_edge gate_out route_table route_pool decide_state bitgen "
-            "route_bitgen").split()),
+        *((name, ctypes.c_void_p) for name in (*_ARRAY_FIELDS, "bitgen", "route_bitgen")),
         *((name, ctypes.c_int64) for name in ("n_edges", "pair_cap", "n_nodes")),
         *((name, ctypes.c_double) for name in (
             "dt accel_dt decel_dt denom veh_len min_gap arrival_eps blocked_m "
@@ -1213,14 +1278,25 @@ class StepKernel:
 
     The engine holds one instance per run (the model parameters never
     change mid-run) and re-:meth:`bind`\\ s it whenever its resident arrays
-    are reallocated; :meth:`bind` installs the calls below, which the
-    engine then binds as its step's seven operations.
+    are reallocated; the first :meth:`bind` installs the calls below, of
+    which the engine binds five as its step's operations: the two fused
+    calls and the three resume entry points (``decide_bound``,
+    ``transit_bound`` and ``overtake_bound``).  The other four are the
+    pieces the fused calls run, bound for their unit tests.
     """
 
     #: the backend that loaded (cc is the only compiled one)
     backend = "cc"
+    #: ``(now, watching)``: the movement phase, gather, lane pass (when
+    #: watching), advance and overtake pass (when watching); returns the
+    #: overtake pass's result, 0 when not watching
+    move_bound: Callable[[float, int], int]
+    #: ``(now)``: the intersection phase, admission, decision pass and
+    #: transit pass; returns the row count, or ``~row`` when a pass handed
+    #: that row back, the pass named in ``decide_state``
+    cross_bound: Callable[[float], int]
     #: ``(n, now)``: advance over ``idx_buf[:n]``, marking arrivals waiting
-    #: since ``now``; returns the newly-arrived count
+    #: since ``now``; returns their count
     advance_bound: Callable[[int, float], int]
     #: every edge's lane slots into ``idx_buf``; returns the gathered count
     gather_bound: Callable[[], int]
@@ -1250,6 +1326,9 @@ class StepKernel:
     ) -> None:
         self._lib = lib
         self._params = params
+        self._tables: Optional[_Tables] = None
+        self._arrays: Tuple[np.ndarray, ...] = ()
+        self._bit_generators: Tuple[Any, ...] = ()
 
     def bind(
         self,
@@ -1263,10 +1342,11 @@ class StepKernel:
         desired: np.ndarray,
         vid: np.ndarray,
         seq: np.ndarray,
+        edge: np.ndarray,
+        lane: np.ndarray,
         heads: np.ndarray,
         waitflag: np.ndarray,
         multilane: np.ndarray,
-        newly_buf: np.ndarray,
         cand_buf: np.ndarray,
         moves_buf: np.ndarray,
         order_buf: np.ndarray,
@@ -1311,67 +1391,88 @@ class StepKernel:
         entry point to it.
 
         The slot-indexed columns (``pos`` … ``multilane``) are the resident
-        arrays; the gather lives in ``idx_buf[:n]``, the advance and
-        candidate masks land in ``newly_buf[:n]`` / ``cand_buf[:n]``, the
-        lane pass writes its moves to ``moves_buf`` (three columns, a row
-        per slot), the overtake and admission passes sort in ``order_buf``
-        (a slot's worth), the overtake pass writes its pairs to
-        ``pairs_buf`` (three columns, as many rows as it has), and the
+        arrays, ``edge`` and ``lane`` among them; the gather lives in
+        ``idx_buf[:n]``, the lane pass's candidate mask lands in
+        ``cand_buf[:n]`` and its moves in ``moves_buf`` (three columns, a
+        row per slot), the overtake and admission passes sort in
+        ``order_buf`` (a slot's worth), the overtake pass writes its pairs
+        to ``pairs_buf`` (three columns, as many rows as it has), and the
         admission pass collects its candidates in ``cands_buf`` (three
         columns) and writes its rows to ``rows_buf`` (six columns), which
-        the transit pass runs; both have a row per slot.  The edge-indexed
-        tables hold each edge's lane slot array address and live length,
-        its lane-bounds address, its ranking address, its ranking-scan
-        eligibility byte, its lane count, its capacity, its occupied-lane
-        count, its head node's index, its length and its speed limit; their
-        length is the edge count.  The node-indexed tables hold each node's
-        crossing delay and admissions per step, ``node_mark`` (all -1) and
-        ``node_buf`` (two columns), the admission pass's scratch.  The
-        decision pass reads the route state: per slot, ``kind``,
-        ``plan_cur``, ``plan_end`` and ``exit_node``; per edge,
+        the decision and transit passes run; both have a row per slot.  The
+        edge-indexed tables hold each edge's lane slot array address and
+        live length, its lane-bounds address, its ranking address, its
+        ranking-scan eligibility byte, its lane count, its capacity, its
+        occupied-lane count, its head node's index, its length and its
+        speed limit; their length is the edge count.  The node-indexed
+        tables hold each node's crossing delay and admissions per step,
+        ``node_mark`` (all -1) and ``node_buf`` (two columns), the admission
+        pass's scratch.  The decision pass reads the route state: per slot,
+        ``kind``, ``plan_cur``, ``plan_end`` and ``exit_node``; per edge,
         ``edge_tail``; per node, ``out_start`` (one more than the nodes)
         into ``out_node`` and ``out_edge`` (one per edge), and
         ``gate_out``; ``route_table`` (nodes squared) and ``route_pool``;
         and it keeps its cells and the placement counter in
-        ``decide_state`` (five cells).  The lane and transit passes draw
-        from ``bit_generator`` and the decision pass from
-        ``route_bit_generator`` (None until a router is bound), which the
-        kernel keeps alive while bound; the caller holds the drawn one's
-        ``lock`` across each of their calls.  With the model scalars they make one
-        :class:`_Tables`, and every ``*_bound`` attribute is a C entry point
-        with the struct's address bound as its first argument, so a call
-        passes only what varies.  The caller must re-bind whenever any array
-        is *reallocated* (the engine does so on capacity growth); in-place
-        writes — including pointer-table slot updates — need no re-bind.
+        ``decide_state`` (seven cells, cross_pass's two among them).  The
+        lane and transit passes draw from ``bit_generator`` and the decision
+        pass from ``route_bit_generator`` (None until a router is bound),
+        which the kernel keeps alive while bound; the caller holds the drawn
+        one's ``lock`` across each of their calls.
+
+        The first call makes one :class:`_Tables` with the model scalars and
+        sets every ``*_bound`` attribute to a C entry point with the
+        struct's address bound as its first argument, so a call passes only
+        what varies.  The caller must call again whenever any array is
+        *reallocated* (the engine does so on capacity growth, a grown pair
+        buffer and a grown or reset route pool); a later call writes only
+        the fields of the arrays and bit generators that are not the ones
+        bound (an address costs about a microsecond to read), and the
+        struct, its counts, its scalars and the bound calls stay.  In-place
+        writes, pointer-table slot updates included, need no call.
         """
         arrays = (  # in _Tables field order
-            pos, speed, freeflow, seglen, since, desired, vid, seq, heads, multilane,
-            waitflag, idx_buf, newly_buf, cand_buf, moves_buf, order_buf, pairs_buf,
+            pos, speed, freeflow, seglen, since, desired, vid, seq, edge, lane, heads,
+            multilane, waitflag, idx_buf, cand_buf, moves_buf, order_buf, pairs_buf,
             cands_buf, rows_buf, lane_ptr, rank_ptr, bounds_ptr, nlanes, lane_len, lane_cap,
             occ_lanes, rank_elig, head_node, edge_len, edge_limit, delay, adm, node_mark,
             node_buf, kind, plan_cur, plan_end, exit_node, edge_tail, out_start, out_node,
             out_edge, gate_out, route_table, route_pool, decide_state,
         )
-        self._bit_generators = (bit_generator, route_bit_generator)
-        self._tables = tables = _Tables(
-            *(arr.ctypes.data for arr in arrays), bitgen_address(bit_generator),
-            None if route_bit_generator is None else bitgen_address(route_bit_generator),
-            lane_len.shape[0], pairs_buf.shape[0], gate_out.shape[0], *self._params,
-            blocked_m, gain_mps, gap_half_m, politeness,
-        )
-        ref = ctypes.c_void_p(ctypes.addressof(tables))
-        lib = self._lib
-        self.advance_bound = functools.partial(lib.advance_chain, ref)
-        self.gather_bound = functools.partial(lib.gather_all, ref)
-        self.lane_pass_bound = functools.partial(lib.lane_change_pass, ref)
-        self.overtake_bound = functools.partial(lib.overtake_pass, ref)
-        self.admit_bound = functools.partial(lib.admit_pass, ref)
-        self.transit_bound = functools.partial(lib.transit_pass, ref)
-        self.decide_bound = functools.partial(lib.decide_pass, ref)
+        bits = (bit_generator, route_bit_generator)
+        tables = self._tables
+        if tables is None:
+            self._tables = tables = _Tables(
+                *(arr.ctypes.data for arr in arrays), bitgen_address(bit_generator),
+                None if route_bit_generator is None else bitgen_address(route_bit_generator),
+                lane_len.shape[0], pairs_buf.shape[0], gate_out.shape[0], *self._params,
+                blocked_m, gain_mps, gap_half_m, politeness,
+            )
+            ref = ctypes.c_void_p(ctypes.addressof(tables))
+            lib = self._lib
+            self.move_bound = functools.partial(lib.move_pass, ref)
+            self.cross_bound = functools.partial(lib.cross_pass, ref)
+            self.advance_bound = functools.partial(lib.advance_chain, ref)
+            self.gather_bound = functools.partial(lib.gather_all, ref)
+            self.lane_pass_bound = functools.partial(lib.lane_change_pass, ref)
+            self.overtake_bound = functools.partial(lib.overtake_pass, ref)
+            self.admit_bound = functools.partial(lib.admit_pass, ref)
+            self.transit_bound = functools.partial(lib.transit_pass, ref)
+            self.decide_bound = functools.partial(lib.decide_pass, ref)
+        else:
+            for name, arr, old in zip(_ARRAY_FIELDS, arrays, self._arrays):
+                if arr is not old:
+                    setattr(tables, name, arr.ctypes.data)
+            for name, new, held in zip(("bitgen", "route_bitgen"), bits, self._bit_generators):
+                if new is not held:
+                    setattr(tables, name, None if new is None else bitgen_address(new))
+            tables.pair_cap = pairs_buf.shape[0]
+        self._arrays = arrays
+        self._bit_generators = bits
 
     def bind_route_generator(self, bit_generator: np.random.BitGenerator) -> None:
         """Have the bound decision pass draw from ``bit_generator`` (kept
         alive while bound); nothing else is re-bound."""
+        assert self._tables is not None
         self._bit_generators = (self._bit_generators[0], bit_generator)
         self._tables.route_bitgen = bitgen_address(bit_generator)
 

@@ -3,8 +3,10 @@
 :class:`ReferenceEngine` is a :class:`~repro.mobility.engine.TrafficEngine`
 stepped by the pre-vectorization seed loops (``_advance_segments``,
 ``_lane_changes``, ``_detect_overtakes``, ``_process_intersections`` and
-``_admit``), kept verbatim: it is the oracle of the production step and the
-baseline of ``benchmarks/bench_irregular.py``, so it must not be optimized.
+``_admit``), kept verbatim but for their event appends, which fill the
+step's :class:`~repro.mobility.events.StepBatch` as the production step's
+do: it is the oracle of the production step and the baseline of
+``benchmarks/bench_irregular.py``, so it must not be optimized.
 ``TrafficEngine(..., vectorized=False)`` builds one.
 
 Everything that does not diverge is shared: spawning, the other queries
@@ -25,7 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..roadnet.graph import DirectedSegment
 from .engine import _ARRIVAL_EPS_M, TrafficEngine
-from .events import OvertakeEvent, StepBatch, TrafficEvent
+from .events import StepBatch
 from .vehicle import Vehicle
 
 __all__ = ["ReferenceEngine"]
@@ -87,13 +89,13 @@ class ReferenceEngine(TrafficEngine):
         self._occupancy[vehicle.edge].remove(vehicle.vid)
 
     def _step_core(self, batch: StepBatch) -> None:
-        self._advance_segments(batch.items)
+        self._advance_segments(batch)
         self._process_intersections(batch)
         self.time_s += self.dt_s
         self.stats.steps += 1
 
     # --------------------------------------- segment dynamics (per vehicle)
-    def _advance_segments(self, events: List[TrafficEvent]) -> None:
+    def _advance_segments(self, batch: StepBatch) -> None:
         """Seed reference implementation, kept verbatim.
 
         Per-vehicle loops with per-step lane rebuilds and sorting — the
@@ -133,7 +135,7 @@ class ReferenceEngine(TrafficEngine):
                     leader = v
 
             if self.allow_overtaking and seg.lanes > 1 and len(vehicles) > 1:
-                self._detect_overtakes(seg, vehicles, before, events)
+                self._detect_overtakes(seg, vehicles, before, batch)
 
     def _lane_changes(self, seg: DirectedSegment, lanes_occ: List[List[Vehicle]]) -> None:
         for lane_vehicles in lanes_occ:
@@ -150,7 +152,7 @@ class ReferenceEngine(TrafficEngine):
         seg: DirectedSegment,
         vehicles: List[Vehicle],
         before: Dict[int, Tuple[float, int]],
-        events: List[TrafficEvent],
+        batch: StepBatch,
     ) -> None:
         after = {v.vid: (v.pos_m, v.vid) for v in vehicles}
         by_vid = {v.vid: v for v in vehicles}
@@ -164,14 +166,7 @@ class ReferenceEngine(TrafficEngine):
                     continue
                 passer, passee = (a, b) if now_a_ahead else (b, a)
                 self.stats.overtakes += 1
-                events.append(
-                    OvertakeEvent(
-                        time_s=self.time_s,
-                        edge=seg.key,
-                        passer=by_vid[passer],
-                        passee=by_vid[passee],
-                    )
-                )
+                batch.add_overtake(seg.key, by_vid[passer], by_vid[passee])
 
     # -------------------------------------------------- intersection crossing
     def _process_intersections(self, batch: StepBatch) -> None:

@@ -62,12 +62,22 @@ class Vehicle:
         :class:`~repro.wireless.messages.StatusDigest`.
     edge:
         Directed segment ``(tail, head)`` the vehicle currently occupies, or
-        ``None`` while it is being inserted/removed.
+        ``None`` once it has left the system.
     lane, pos_m, speed_mps:
         Kinematic state along the current segment.
     previous_node:
-        The intersection the vehicle most recently crossed (used to avoid
-        immediate U-turns and to attribute inbound directions).
+        The intersection the vehicle most recently crossed, its segment's
+        tail (used to avoid immediate U-turns and to attribute inbound
+        directions).
+    waiting_since_s:
+        When the vehicle reached its segment's stop line, or ``None``.
+
+    While a vehicle is inside a vectorized engine, ``edge``, ``lane``,
+    ``previous_node``, ``waiting_since_s``, ``pos_m`` and ``speed_mps``
+    are a lazily synced mirror of the engine's resident columns: the
+    engine refreshes them before any public read (see
+    ``TrafficEngine.vehicles``) and materializes a departing vehicle's
+    final values.
     counted:
         The one-bit "I have been counted" status the paper lets vehicles
         carry and exchange during V2V collaboration.
@@ -98,10 +108,8 @@ class Vehicle:
     previous_node: Optional[object] = None
     waiting_since_s: Optional[float] = None
     #: Index into the engine's resident structure-of-arrays state (vectorized
-    #: engine only; ``-1`` outside it).  While a vehicle is inside a
-    #: vectorized engine, ``pos_m``/``speed_mps`` above are a lazily synced
-    #: mirror of the arrays — the engine refreshes them before any public
-    #: read (see ``TrafficEngine.vehicles``).
+    #: engine only; ``-1`` outside it), whose columns the mobility fields
+    #: above mirror.
     slot: int = -1
 
     # --- carried protocol state ---

@@ -99,11 +99,14 @@ def check_occupancy_state(engine):
     """Recompute a vectorized engine's occupancy state and assert it holds.
 
     The ground truth is each vehicle's ``edge`` (which vehicles are on each
-    edge), ``lane`` and ``slot``, and the resident ``_pos``/``_vid``
+    edge), ``lane`` and ``slot``, read through ``engine.vehicles`` (whose
+    ``edge`` and ``lane`` mirror the slot's ``_edge``/``_lane``, which must
+    hold its edge index and lane), and the resident ``_pos``/``_vid``
     arrays; every other per-edge and per-slot structure must follow from
     them.  Each edge's lanes and ranking are the live ``_lane_len`` prefix
-    of its buffers.  Only the ranking's membership is checked: its order is
-    the overtake scan's, which the golden traces' overtake events pin.  An
+    of its buffers, and each slot sits in its lane's span of its edge's.
+    Only the ranking's membership is checked: its order is the overtake
+    scan's, which the golden traces' overtake events pin.  An
     edge's ``_seq`` values, which order its vehicles by entry for
     ``occupancy()`` and both overtake passes, are distinct placement
     numbers, each below ``_placements``; their order is checked against the
@@ -114,10 +117,15 @@ def check_occupancy_state(engine):
     is all the admission pass reads, on cc and NumPy alike.
     """
     pos, vid, is_head, seq = engine._pos, engine._vid, engine._is_head, engine._seq
-    inside = engine._vehicles.values()
+    inside = engine.vehicles.values()
     on_edge = {seg.key: [] for seg in engine._segs}
     for v in inside:
         on_edge[v.edge].append(v)
+        ei = engine._edge_order[v.edge]
+        assert (engine._edge[v.slot], engine._lane[v.slot]) == (ei, v.lane), v.vid
+        assert v.previous_node == v.edge[0], v.vid
+        lo, hi = engine._bounds_np[ei][v.lane:v.lane + 2].tolist()
+        assert v.slot in engine._lane_store[ei][lo:hi].tolist(), v.vid
     for ei, seg in enumerate(engine._segs):
         where = f"edge {ei} {seg.key}"
         vehicles = on_edge[seg.key]

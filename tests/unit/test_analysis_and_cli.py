@@ -177,6 +177,7 @@ class TestCli:
         decisions = lines[lines.index(kernel[0]) + 1]
         assert decisions.startswith("decisions             : pass ")
         assert "exit 0, other_router " in decisions and "route_miss " in decisions
+        assert decisions.split(", ")[-1].startswith("install ")
 
     def test_parser_rejects_bad_figure(self):
         with pytest.raises(SystemExit):

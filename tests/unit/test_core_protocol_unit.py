@@ -475,3 +475,52 @@ class TestBatchedPipelineDraws:
         proto.process_batch(batch)
         assert proto.exchange.stats.exchanges == 1
         assert proto.stats.labels_installed + proto.stats.labeling_failures == 1
+
+
+class TestOvertakeRows:
+    """A step's overtakes enter its StepBatch as (edge, passer, passee)
+    rows.  ``process_batch`` runs the Alg. 3 handler only for a row whose
+    passer or passee carries a label (without one, ``on_overtake`` changes
+    nothing), and must equal ``handle_events`` over the materialized
+    stream, where every row is an :class:`OvertakeEvent`."""
+
+    @staticmethod
+    def _run(batched, mode=AdjustmentMode.EXACT):
+        proto = make_protocol(adjustment_mode=mode)
+        carrier = make_vehicle(1)
+        # The seed labels its first departure toward 3 (phase 2).
+        proto.handle_events([crossing(carrier, 1, from_node=2, to_node=3)])
+        assert len(carrier.labels) == 1
+        slow, fast, other, third = (make_vehicle(vid) for vid in (2, 3, 4, 5))
+        fast.counted = True
+        batch = StepBatch(5.0)
+        batch.add_overtake((1, 3), carrier, slow)  # Alg. 3 line 7: +1 on the label
+        batch.add_overtake((2, 3), other, third)  # no label: nothing to adjust
+        batch.items.append(batch.add_crossing(other, 3, 2, 1))
+        batch.add_overtake((1, 3), fast, carrier)  # Alg. 3 line 8 (paper mode only)
+        events = list(batch.iter_events())
+        assert [type(e) for e in events] == [OvertakeEvent, OvertakeEvent, CrossingEvent,
+                                             OvertakeEvent]
+        assert events[0] == OvertakeEvent(5.0, (1, 3), carrier, slow)
+        if batched:
+            proto.process_batch(batch)
+        else:
+            proto.handle_events(events)
+        vehicles = (carrier, slow, fast, other, third)
+        return (
+            [lab.adjustment for lab in carrier.labels],
+            [v.counted for v in vehicles],
+            proto.stats.as_dict(),
+            {node: (cp.adjustments, dict(cp.counters)) for node, cp in proto.checkpoints.items()},
+        )
+
+    @pytest.mark.parametrize("mode", [AdjustmentMode.EXACT, AdjustmentMode.PAPER])
+    def test_labelled_rows_run_the_handler_as_handle_events_does(self, mode):
+        batched = self._run(True, mode)
+        assert batched == self._run(False, mode)
+        adjustments, counted, stats, _ = batched
+        exact = mode == AdjustmentMode.EXACT
+        assert adjustments == ([1] if exact else [0])  # paper mode: +1, then -1
+        assert counted[1] == exact and not counted[4]
+        assert stats["corrections_plus"] == 1
+        assert stats["corrections_minus"] == (0 if exact else 1)

@@ -107,12 +107,12 @@ def _cc_kernel():
 #: rows of their width), edge-indexed ones ``n_edges`` and node-indexed
 #: ones ``n_nodes`` (``node_buf`` rows of two, ``out_start`` one more,
 #: ``route_table`` its square); ``route_pool`` is ``n_slots`` long and
-#: ``decide_state`` five cells.
+#: ``decide_state`` seven cells.
 _SLOT_ARRAYS = dict(
     idx_buf=np.intp, pos=np.float64, speed=np.float64, freeflow=np.float64,
     seglen=np.float64, since=np.float64, desired=np.float64, vid=np.int64, seq=np.int64,
-    heads=np.uint8, waitflag=np.uint8, multilane=np.uint8, newly_buf=bool, cand_buf=bool,
-    order_buf=np.int64, kind=np.uint8, plan_cur=np.int64, plan_end=np.int64,
+    edge=np.int64, lane=np.int64, heads=np.uint8, waitflag=np.uint8, multilane=np.uint8,
+    cand_buf=bool, order_buf=np.int64, kind=np.uint8, plan_cur=np.int64, plan_end=np.int64,
     exit_node=np.int64, route_pool=np.int64,
 )
 _ROW_ARRAYS = dict(moves_buf=3, pairs_buf=3, cands_buf=3, rows_buf=6)
@@ -148,7 +148,7 @@ def _bound(n_slots=1, n_edges=1, n_nodes=1, *, bit_generator=None,
                   node_buf=np.zeros((n_nodes, 2), np.int64),
                   out_start=np.zeros(n_nodes + 1, np.int64),
                   route_table=np.zeros(n_nodes * n_nodes, np.int64),
-                  decide_state=np.zeros(5, np.int64))
+                  decide_state=np.zeros(7, np.int64))
     arrays.update(given)
     if bit_generator is None:
         bit_generator = np.random.PCG64(0)
@@ -344,14 +344,13 @@ class TestBridge:
 class TestAdvanceChain:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cc_matches_oracle_bitwise(self, seed):
-        """Positions, speeds, the arrival mask and the waiting marks: an
-        arrival's ``waitflag`` is set and its ``since`` is ``now``."""
+        """Positions, speeds and the waiting marks: an arrival's
+        ``waitflag`` is set and its ``since`` is ``now``, and both count
+        the same arrivals."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
         idx, pos, speed, freeflow, seglen, heads, waitflag = _chain_inputs(rng, n)
         now = float(rng.uniform(0.0, 500.0))
-        newly_a = np.zeros(n, dtype=bool)
-        newly_b = np.zeros(n, dtype=bool)
         pos_a, speed_a = pos.copy(), speed.copy()
         pos_b, speed_b = pos.copy(), speed.copy()
         since = rng.uniform(0.0, 100.0, n)
@@ -359,12 +358,11 @@ class TestAdvanceChain:
         wait_a, wait_b = waitflag.astype(np.uint8), waitflag.astype(np.uint8)
         ref = advance_chain_py(
             idx, pos_a, speed_a, freeflow, seglen, heads.astype(np.uint8),
-            wait_a, since_a, newly_a, now, *_advance_args(),
+            wait_a, since_a, now, *_advance_args(),
         )
         kernel, _ = _bound(
             n, idx_buf=idx, pos=pos_b, speed=speed_b, freeflow=freeflow, seglen=seglen,
             heads=heads.astype(np.uint8), waitflag=wait_b, since=since_b,
-            newly_buf=newly_b,
         )
         got = kernel.advance_bound(n, now)
         assert got == ref
@@ -373,10 +371,11 @@ class TestAdvanceChain:
         # -0.0 vs 0.0 would pass array_equal; the sign bits must agree too
         # (the scalar engine's max(0.0, -0.0) contract).
         assert np.array_equal(np.signbit(speed_a), np.signbit(speed_b))
-        assert np.array_equal(newly_a, newly_b)
         assert np.array_equal(wait_a, wait_b) and np.array_equal(since_a, since_b)
-        arrived = idx[newly_a]
+        arrived = np.flatnonzero(wait_a.astype(bool) & ~waitflag)
         assert ref and arrived.size == ref, "no arrivals — not a real check"
+        at_stop_line = pos_a >= seglen - PARAMS["arrival_eps_m"]
+        assert np.array_equal(arrived, np.flatnonzero(at_stop_line & ~waitflag))
         assert not waitflag[arrived].any() and wait_a[arrived].all()
         expect = since.copy()
         expect[arrived] = now
@@ -660,27 +659,29 @@ class TestLaneOptions:
 def _occupancy_tables(eng):
     """Everything an occupancy transition writes, in comparable form: each
     edge's live lane prefix, bounds, length, capacity and ranking, the
-    occupied-lane counts and scan eligibility, the head flags of the slots
-    on an edge, the resident columns an entry writes (and ``_since``, which
-    the advance does), every vehicle's lane and the engine generator's
-    state."""
+    occupied-lane counts and scan eligibility, the head flags of the
+    vehicles' slots, the resident columns an entry writes (its ``_edge``
+    and ``_lane`` among them, and ``_since``, which the advance does),
+    every vehicle's lane, read through ``engine.vehicles``, and the engine
+    generator's state.  The scripted transitions and passes run outside a
+    step, which is what marks the mirrors stale, so this marks them."""
+    eng._mirrors_stale = True
     edges = []
     for ei, seg in enumerate(eng._segs):
         k = int(eng._lane_len[ei])
         ranking = eng._rank_store[ei][:k].tolist() if seg.lanes > 1 else None
         edges.append((eng._lane_store[ei][:k].tolist(), eng._bounds_np[ei].tolist(),
                       k, int(eng._lane_cap[ei]), ranking))
-    on_edge = sorted(v.slot for v in eng._vehicles.values() if v.edge is not None)
     slots = sorted(v.slot for v in eng._vehicles.values())
-    columns = (eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._seq, eng._ml,
-               eng._wait_flag, eng._since)
+    columns = (eng._pos, eng._speed, eng._freeflow, eng._seglen, eng._seq, eng._edge,
+               eng._lane, eng._ml, eng._wait_flag, eng._since)
     return dict(
         edges=edges,
         occ_lanes=eng._occ_lanes.tolist(),
         rank_elig=eng._rank_elig.tolist(),
-        heads=eng._is_head[on_edge].tolist(),
+        heads=eng._is_head[slots].tolist(),
         columns=[col[slots].tobytes() for col in columns],
-        lanes=sorted((v.vid, v.lane) for v in eng._vehicles.values()),
+        lanes=sorted((v.vid, v.lane) for v in eng.vehicles.values()),
         rng=_state(eng.rng.bit_generator),
     )
 
@@ -745,13 +746,12 @@ class _Twins:
 
     def edge_of(self, vid):
         eng = self.cc
-        return eng._edge_order[eng._vehicles[vid].edge]
+        return int(eng._edge[eng._vehicles[vid].slot])
 
     def leave(self, vid):
         def run(eng):
             vehicle = eng._vehicles[vid]
-            src = eng._edge_order[vehicle.edge]
-            eng._transit(vehicle, src, -1, -1)
+            eng._transit(vehicle, int(eng._edge[vehicle.slot]), -1, -1)
         self.each(run)
 
     def enter(self, vid, edge, pos):
@@ -766,12 +766,12 @@ class _Twins:
 
     def move(self, vid, target):
         self.each(lambda eng: eng._apply_lane_moves(
-            self.edge_of(vid), [(eng._vehicles[vid], target)]))
+            self.edge_of(vid), [(eng._vehicles[vid].slot, target)]))
 
     def put(self, vid, edge, lane, pos):
         """Move vehicle ``vid`` to ``pos`` in ``lane`` of ``edge``."""
         self.relocate(vid, edge, pos)
-        if self.cc._vehicles[vid].lane != lane:
+        if self.cc.vehicles[vid].lane != lane:
             self.move(vid, lane)
 
     def step(self):
@@ -781,11 +781,14 @@ class _Twins:
         return logs[0]
 
     def overtakes(self):
-        """One overtake pass on both, outside a step; its events."""
+        """One overtake pass on both, outside a step, its pairs recorded as
+        a step records them; its events."""
+        from repro.mobility.events import StepBatch
+
         def run(eng):
-            events = []
-            eng._detect_overtakes_fast(events)
-            return [_event_key(e) for e in events]
+            batch = StepBatch(eng.time_s)
+            eng._record_overtakes(batch, eng._overtake_pass())
+            return [_event_key(e) for e in batch.iter_events()]
         logs = self.each(run, both=True)
         assert all(log == logs[0] for log in logs)
         return logs[0]
@@ -910,11 +913,12 @@ class TestOccupancyTransitions:
     def test_resident_growth_rebuilds_the_tables(self, occupancy_state_check):
         twins = _Twins(2)
         tables = twins.cc._kernel._tables
+        pos = twins.cc._pos
         vids = [twins.spawn(origin=origin, destination=(1, 2) if origin != (1, 2) else (0, 0))
                 for _ in range(14) for origin in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2))]
         eng = twins.cc
-        assert eng._capacity > 64
-        assert eng._kernel._tables is not tables
+        assert eng._capacity > 64 and eng._pos is not pos
+        assert eng._kernel._tables is tables  # the struct stays; its fields move
         assert eng._kernel._tables.pos == eng._pos.ctypes.data
         for vid in vids[::9]:
             twins.relocate(vid, _FIRST, 20.0)
@@ -939,9 +943,9 @@ class TestOccupancyTransitions:
         eng = twins.cc
         for _ in range(20):
             twins.relocate(a, _FIRST, 0.0)
-            if eng._vehicles[a].lane == 1:
+            if eng.vehicles[a].lane == 1:
                 break
-        assert eng._vehicles[a].lane == 1
+        assert eng.vehicles[a].lane == 1
         slots = [eng._vehicles[vid].slot for vid in (a, b)]
         assert eng._lane_store[ei][:2].tolist() == slots
 
@@ -977,7 +981,7 @@ class TestLanePass:
                 target = lane + 1 if expect.integers(2) == 0 else lane - 1
             else:
                 target = lane + 1
-            assert eng._vehicles[follower].lane == target
+            assert eng.vehicles[follower].lane == target
         assert _state(eng.rng.bit_generator) == _state(expect.bit_generator)
 
 
@@ -1019,58 +1023,75 @@ class TestOvertakePass:
         reverse their lane blocks at once: 85 pairs, more than the 64 rows a
         64-slot fleet starts with.  One pair on edge 0 comes first, so the
         pass stops after writing it, and carries on after the buffer
-        grows."""
+        grows, which re-binds the pair buffer's fields."""
         twins = _Twins(3)
-        small, big = ((0, 0), (0, 1)), ((1, 0), (1, 1))
-        pair = [twins.spawn() for _ in range(2)]
-        for lane, vid in enumerate(pair):
-            twins.put(vid, small, lane, 60.0 - 10.0 * lane)
-        blocks = [[twins.spawn(origin=(1, 0)) for _ in range(size)] for size in (6, 5, 5)]
-        front = 150.0
-        for lane, block in enumerate(blocks):
-            for vid in block:
-                twins.put(vid, big, lane, front)
-                front -= 8.0
-        assert twins.overtakes() == []
+        small, pair = _reversed_lane_blocks(twins)
         cc = twins.cc
         rows = cc._pairs_buf.shape[0]
-        assert rows == cc._capacity == 64
-
-        def reverse(eng):
-            slot = {vid: eng._vehicles[vid].slot for vid in pair + sum(blocks, [])}
-            eng._pos[[slot[vid] for vid in pair]] = [50.0, 60.0]
-            spots = iter(np.arange(150.0, 0.0, -8.0).tolist())
-            for block in blocks[::-1]:
-                for vid in block:
-                    eng._pos[slot[vid]] = next(spots)
-
-        twins.each(reverse)
         events = twins.overtakes()
         assert events[0] == ("overtake", small, pair[1], pair[0])
         assert len(events) == 1 + 6 * 5 + 6 * 5 + 5 * 5 > rows
         assert cc._pairs_buf.shape[0] > rows
+        _assert_tables_current(cc)
         assert twins.overtakes() == []
 
 
+def _reversed_lane_blocks(twins):
+    """The scene of ``test_pairs_outnumbering_the_buffer_all_come_out``, set
+    up on ``twins``, whose 64-slot fleets have 64-row pair buffers: two
+    vehicles on edge 0 and sixteen on edge 10 in three lane blocks front to
+    back, then every position rewritten so the pair and the blocks are
+    reversed.  Returns edge 0's key and the pair's vids."""
+    small, big = ((0, 0), (0, 1)), ((1, 0), (1, 1))
+    pair = [twins.spawn() for _ in range(2)]
+    for lane, vid in enumerate(pair):
+        twins.put(vid, small, lane, 60.0 - 10.0 * lane)
+    blocks = [[twins.spawn(origin=(1, 0)) for _ in range(size)] for size in (6, 5, 5)]
+    front = 150.0
+    for lane, block in enumerate(blocks):
+        for vid in block:
+            twins.put(vid, big, lane, front)
+            front -= 8.0
+    assert twins.overtakes() == []
+    assert twins.cc._pairs_buf.shape[0] == twins.cc._capacity == 64
+
+    def reverse(eng):
+        slot = {vid: eng._vehicles[vid].slot for vid in pair + sum(blocks, [])}
+        eng._pos[[slot[vid] for vid in pair]] = [50.0, 60.0]
+        spots = iter(np.arange(150.0, 0.0, -8.0).tolist())
+        for block in blocks[::-1]:
+            for vid in block:
+                eng._pos[slot[vid]] = next(spots)
+
+    twins.each(reverse)
+    return small, pair
+
+
 def _recorded_admissions(eng):
-    """Record the rows each call of the engine's admission pass writes,
-    (slot, edge, lane, node) in order, each of which must name its
-    vehicle's edge and lane; returns the list it fills, a list of rows per
-    call.  Install it after the last spawn: growing the fleet re-binds
-    cc's passes over it."""
+    """Record the rows the admission writes in each call of the engine's
+    fused intersection call, (slot, edge, lane, node) in order, each of
+    which must name its vehicle's edge and lane; returns the list it fills,
+    a list of rows per call.  The admission is run first on its own (cc's
+    ``admit_pass`` or ``_admit_pass_np``): it reads the step's state and
+    draws nothing, so the fused call's own admission writes the same
+    rows."""
     calls = []
-    admit = eng._admit_pass
+    admit = eng._kernel.admit_bound if eng._kernel is not None else eng._admit_pass_np
+    cross = eng._cross_pass
 
     def recorded(now):
         m = admit(now)
         rows = [tuple(row[:4]) for row in eng._rows_buf[:m].tolist()]
+        vehicles = {v.slot: v for v in eng.vehicles.values()}
         for slot, edge, lane, _ in rows:
-            vehicle = eng._slot_vehicle[slot]
+            vehicle = vehicles[slot]
             assert (edge, lane) == (eng._edge_order[vehicle.edge], vehicle.lane)
         calls.append(rows)
-        return m
+        got = cross(now)
+        assert got == m or eng._decide_state[engine_module._ROWS] == m
+        return got
 
-    eng._admit_pass = recorded
+    eng._cross_pass = recorded
     return calls
 
 
@@ -1132,20 +1153,20 @@ def _scripted_batch(twins, script):
     """One batch of transitions on both engines: ``script`` holds (vid,
     leaves, enters) rows, ``enters`` an (edge, pos) pair or None.  Each
     engine runs every row's Python half in order, then all the rows in one
-    ``_run_rows`` through its own transit pass, whose returns are recorded
-    and returned, cc's first."""
+    ``_run_rows`` through its own transit pass, under the engine
+    generator's lock as in a step, whose returns are recorded and returned,
+    cc's first."""
 
     def run(eng):
-        rows, moved, log = [], [], []
+        rows, log = [], []
         for vid, leaves, enters in script:
             vehicle = eng._vehicles[vid]
-            src = eng._edge_order[vehicle.edge] if leaves else -1
-            lane = vehicle.lane
+            src = int(eng._edge[vehicle.slot]) if leaves else -1
+            lane = int(eng._lane[vehicle.slot])
             ei, seq = eng._place(vehicle, *enters[0], pos_m=enters[1]) if enters else (-1, -1)
             if src < 0:
                 eng._pos[vehicle.slot] = vehicle.pos_m
             rows.append((vehicle.slot, src, lane, -1, ei, seq))
-            moved.append(vehicle)
         eng._rows_buf[:len(rows)] = rows
         transit = eng._transit_pass
 
@@ -1155,11 +1176,10 @@ def _scripted_batch(twins, script):
 
         eng._transit_pass = recorded
         try:
-            eng._run_rows(0, len(rows))
+            with eng.rng.bit_generator.lock:
+                eng._run_rows(0, len(rows))
         finally:
             eng._transit_pass = transit
-        for vehicle, lane in zip(moved, eng._rows_buf[:len(rows), 2].tolist()):
-            vehicle.lane = lane
         return log
 
     return twins.each(run, both=True)
@@ -1193,7 +1213,7 @@ class TestTransitPass:
         assert _scripted_batch(twins, script) == [[~1, ~3, 5], [5]]
         assert (eng._lane_len[ei], eng._lane_cap[ei]) == (6, 8)
         assert eng._pos[eng._vehicles[spawned].slot] == 12.5
-        assert eng._vehicles[spawned].edge == elsewhere
+        assert eng.vehicles[spawned].edge == elsewhere
         twins.enter(vids[5], elsewhere, 40.0)  # the exited vehicle, back on the road
         for _ in range(3):
             twins.step()
@@ -1311,13 +1331,7 @@ class _Decisions:
         """Give slot ``slot`` router kind ``kind`` and, unless ``plan`` is
         None (no plan installed), the resident plan ``plan`` (nodes)."""
         for eng in self.engines:
-            eng._kind[slot] = kind
-            eng._exit_node[slot] = -1 if exits_at is None else eng._node_index[exits_at]
-            cur = end = -1 if plan is None else 0
-            if plan:
-                cur = eng._store_route(plan) + 1
-                end = cur + len(plan)
-            eng._plan_cur[slot], eng._plan_end[slot] = cur, end
+            _script_route(eng, slot, kind, plan, exits_at)
 
     def routes(self, origin):
         """Fill every route-table entry from ``origin`` as the engine does."""
@@ -1367,6 +1381,19 @@ class _Decisions:
 
     def drawn_like(self, rng):
         assert _state(self.eng._route_rng.bit_generator) == _state(rng.bit_generator)
+
+
+def _script_route(eng, slot, kind, plan=None, exits_at=None):
+    """Give ``eng``'s slot ``slot`` router kind ``kind`` and, unless
+    ``plan`` is None (no plan installed), the resident plan ``plan``
+    (nodes; an empty one has run out)."""
+    eng._kind[slot] = kind
+    eng._exit_node[slot] = -1 if exits_at is None else eng._node_index[exits_at]
+    cur = end = -1 if plan is None else 0
+    if plan:
+        cur = eng._store_route(plan) + 1
+        end = cur + len(plan)
+    eng._plan_cur[slot], eng._plan_end[slot] = cur, end
 
 
 def _backends():
@@ -1539,6 +1566,207 @@ class TestDecidePass:
         else:
             pool = [v for v in rig.net.outbound_neighbors(node) if v != tail]
             assert eng._rows_buf[0, 4] == rig.edge(node, pool[pick])
+
+
+# ------------------------------------------------------------ fused calls
+def _waiting_at(twins, vid, edge, lane=0):
+    """Put vehicle ``vid`` at the stop line of ``lane`` of ``edge``,
+    waiting long enough to be admitted now."""
+    twins.put(vid, edge, lane, twins.cc._segments[edge].length_m)
+
+    def wait(eng):
+        slot = eng._vehicles[vid].slot
+        eng._wait_flag[slot] = True
+        eng._since[slot] = eng.time_s - 1.0
+
+    twins.each(wait)
+
+
+def _fused_state(eng, m):
+    """What a fused call writes besides the occupancy tables: the first
+    ``m`` transition rows, the decision cells, the resident plans and the
+    routing generator's state."""
+    return (eng._rows_buf[:m].tolist(), eng._decide_state.tolist(), eng._plan_cur.tolist(),
+            eng._plan_end.tolist(), _state(eng._route_rng.bit_generator))
+
+
+class TestFusedCalls:
+    """cc's ``move_pass`` and ``cross_pass`` against ``_move_pass_np`` and
+    ``_cross_pass_np`` on twin engines in scripted states, and the engine's
+    resumes after each hand-back: the results, the buffers, the columns and
+    both generators' states must be equal.  Skipped where cc does not load
+    (each twin is built from the pieces the tests above hold to cc's)."""
+
+    def test_move_pass_overflowing_the_pair_buffer(self):
+        twins = _Twins(3)
+        small, pair = _reversed_lane_blocks(twins)
+        got = twins.each(lambda eng: eng._move_pass(eng.time_s, True), both=True)
+        assert got[0] == got[1] and got[0] < 0, got  # ~count: pairs_buf filled
+        count = ~got[0]
+        first = [eng._pairs_buf[:count].tolist() for eng in twins.engines]
+        assert first[0] == first[1] and first[0][0][0] == twins.cc._edge_order[small]
+
+        def resume(eng):
+            from repro.mobility.events import StepBatch
+
+            batch = StepBatch(eng.time_s)
+            eng._record_overtakes(batch, got[0])
+            return [_event_key(e) for e in batch.iter_events()]
+
+        events = twins.each(resume, both=True)
+        assert events[0] == events[1] and len(events[0]) > count
+        assert events[0][:count] == [
+            ("overtake", twins.cc._edge_keys[e], twins.cc._vid[a], twins.cc._vid[b])
+            for e, a, b in first[0]]
+        assert twins.each(lambda eng: eng._move_pass(eng.time_s, False), both=True) == [0, 0]
+        routing = [_state(eng._route_rng.bit_generator) for eng in twins.engines]
+        assert routing[0] == routing[1]
+
+    def test_cross_pass_with_a_route_table_miss_mid_batch(self):
+        """Row 0 is a random turn, row 1 a random waypoint whose plan ran
+        out and whose replan misses the route table, row 2 a trip's plan
+        hop: the decision pass hands row 1 back; Python fills the table and
+        the pass resumes at row 1 with the draw it stashed."""
+        twins = _Twins(3)
+        scene = [(((0, 0), (0, 1)), TURN, None), (((0, 0), (1, 0)), WAYPOINT, []),
+                 (((1, 0), (1, 1)), TRIP, [(1, 2)])]
+        vids = [twins.spawn() for _ in scene]
+        for vid, (edge, kind, plan) in zip(vids, scene):
+            _waiting_at(twins, vid, edge)
+            twins.each(lambda eng: _script_route(eng, eng._vehicles[vid].slot, kind, plan))
+        got = twins.each(lambda eng: eng._cross_pass(eng.time_s), both=True)
+        assert got == [~1, ~1]
+        # Row 0 is decided; rows 1 and 2 have only their admission columns.
+        states = [_fused_state(eng, 1) for eng in twins.engines]
+        assert states[0] == states[1]
+        assert twins.cc._rows_buf[:3, :4].tolist() == twins.engines[1]._rows_buf[:3, :4].tolist()
+        cells = twins.cc._decide_state
+        assert cells[engine_module._WHY] == WHY["miss"] and cells[engine_module._ROW] == 1
+        assert (cells[engine_module._ROWS], cells[engine_module._PHASE]) == (
+            3, engine_module._PHASE_DECIDE)
+        assert twins.each(lambda eng: eng._finish_crossings(1), both=True) == [3, 3]
+        states = [_fused_state(eng, 3) for eng in twins.engines]
+        assert states[0] == states[1]
+        rows = twins.cc._rows_buf[:3].tolist()
+        first = rows[0][5]
+        assert [row[5] for row in rows] == [first, first + 1, first + 2]
+        assert min(row[4] for row in rows) >= 0
+        assert twins.cc.decisions["route_miss"] == 1
+        for vid, (edge, _, _) in zip(vids, scene):  # each crossed out of its edge
+            assert twins.cc.vehicles[vid].edge[0] == edge[1]
+
+    def test_cross_pass_with_a_full_target_edge_mid_batch(self, occupancy_state_check):
+        """Rows 1 and 2 enter edge 12, which holds three vehicles in its
+        four-slot buffers: row 1 fills it, and cc's transit pass hands row 2
+        back, the engine grows the edge and resumes; NumPy grows it in
+        place."""
+        from repro.mobility.intersections import IntersectionPolicy
+
+        twins = _Twins(3)
+        target = ((1, 1), (1, 2))
+        for eng in twins.engines:
+            eng.set_intersection_policy((1, 1), IntersectionPolicy(2, 1.0))
+        for i in range(3):
+            twins.put(twins.spawn(), target, i, 100.0 - 20.0 * i)
+        ei = twins.cc._edge_order[target]
+        assert (twins.cc._lane_len[ei], twins.cc._lane_cap[ei]) == (3, 4)
+        scene = [(((0, 0), (0, 1)), TURN, None), (((0, 1), (1, 1)), TRIP, [(1, 2)]),
+                 (((1, 0), (1, 1)), TRIP, [(1, 2)])]
+        vids = [twins.spawn() for _ in scene]
+        for vid, (edge, kind, plan) in zip(vids, scene):
+            _waiting_at(twins, vid, edge)
+            twins.each(lambda eng: _script_route(eng, eng._vehicles[vid].slot, kind, plan))
+        state = _state(twins.cc.rng.bit_generator)
+        got = [eng._cross_pass(eng.time_s) for eng in twins.engines]  # cc is not done
+        assert got == [~2, 3]
+        cc = twins.cc
+        assert (cc._decide_state[engine_module._ROWS], cc._decide_state[engine_module._PHASE]) \
+            == (3, engine_module._PHASE_TRANSIT)
+        assert (cc._lane_len[ei], cc._lane_cap[ei]) == (4, 4)
+        assert _state(cc.rng.bit_generator) != state  # rows 0 and 1 drew their lanes
+        assert cc._finish_crossings(2) == 3
+        twins.check()
+        states = [_fused_state(eng, 3) for eng in twins.engines]
+        assert states[0] == states[1]
+        assert (cc._lane_len[ei], cc._lane_cap[ei]) == (5, 8)
+        for eng in twins.engines:
+            occupancy_state_check(eng)
+
+
+#: Each array field of the kernel's struct, as the engine attribute bound
+#: to it.
+_ENGINE_ARRAYS = dict(
+    pos="_pos", speed="_speed", freeflow="_freeflow", seglen="_seglen", since="_since",
+    desired="_desired", vid="_vid", seq="_seq", edge="_edge", lane="_lane",
+    heads="_is_head", multilane="_ml", waitflag="_wait_flag", idx="_idx_buf",
+    cand="_cand_buf", moves="_moves_buf", order="_order_buf", pairs="_pairs_buf",
+    cands="_cands_buf", rows="_rows_buf", lane_ptr="_lane_ptr", rank_ptr="_rank_ptr",
+    bounds_ptr="_bounds_ptr", nlanes="_nlanes", lane_len="_lane_len", lane_cap="_lane_cap",
+    occ_lanes="_occ_lanes", rank_elig="_rank_elig", head_node="_head_node",
+    edge_len="_edge_len", edge_limit="_edge_limit", delay="_delay", adm="_adm",
+    node_mark="_node_mark", node_buf="_node_buf", kind="_kind", plan_cur="_plan_cur",
+    plan_end="_plan_end", exit_node="_exit_node", edge_tail="_edge_tail",
+    out_start="_out_start", out_node="_out_node", out_edge="_out_edge",
+    gate_out="_gate_out", route_table="_route_table", route_pool="_route_pool",
+    decide_state="_decide_state",
+)
+
+
+def _assert_tables_current(eng):
+    """Every pointer field of ``eng``'s bound struct holds the current
+    address of its array (or bit generator), and its counts are current."""
+    tables = eng._kernel._tables
+    pointers = [name for name, kind in tables._fields_ if kind is ctypes.c_void_p]
+    assert pointers == [*_ENGINE_ARRAYS, "bitgen", "route_bitgen"]
+    for name, attr in _ENGINE_ARRAYS.items():
+        assert getattr(tables, name) == getattr(eng, attr).ctypes.data, name
+    assert tables.bitgen == kernels.bitgen_address(eng.rng.bit_generator)
+    route = eng._route_rng
+    assert tables.route_bitgen == (None if route is None
+                                   else kernels.bitgen_address(route.bit_generator))
+    assert (tables.n_edges, tables.pair_cap, tables.n_nodes) == (
+        len(eng._segs), eng._pairs_buf.shape[0], eng._n_nodes)
+
+
+class TestBindOnce:
+    """The struct is filled once; a re-bind writes only the fields of the
+    arrays that moved.  After each kind of re-bind (capacity growth,
+    pair-buffer growth, route-pool growth, route reset) every pointer field
+    must hold the current address of its array, and the struct and its
+    bound calls stay."""
+
+    def test_every_field_is_current_after_each_rebind(self):
+        from repro.mobility.demand import DemandConfig, DemandModel
+        from repro.mobility.engine import TrafficEngine
+        from repro.mobility.events import StepBatch
+
+        _cc_kernel()
+        net = grid_network(4, 4, lanes=2)
+        eng = TrafficEngine(net, np.random.default_rng(1))
+        tables, move = eng._kernel._tables, eng._move_pass
+        _assert_tables_current(eng)
+        static = {name: getattr(tables, name) for name in ("head_node", "out_edge", "delay")}
+
+        def moved(attr, grow):
+            before = getattr(eng, attr)
+            grow()
+            assert getattr(eng, attr) is not before, attr
+            _assert_tables_current(eng)
+
+        dm = DemandModel(net, DemandConfig(volume_fraction=1.0), np.random.default_rng(1))
+        moved("_pos", lambda: eng.spawn_initial(dm.initial_fleet()))  # capacity growth
+        assert eng._capacity > 64 and eng._route_rng is not None
+        moved("_pairs_buf", lambda: eng._record_overtakes(StepBatch(eng.time_s), ~0))
+        nodes = range(eng._n_nodes)
+        pairs = iter([(o, d) for o in nodes for d in nodes if o != d])
+        moved("_route_pool", lambda: [eng._resolve_route(*next(pairs)) for _ in range(150)])
+        net.route_cache_limit = eng._n_routes + 1
+        moved("_route_table", lambda: [eng._resolve_route(*next(pairs)) for _ in range(2)])
+        assert eng._n_routes == 1
+        assert eng._kernel._tables is tables and eng._move_pass is move
+        assert static == {name: getattr(tables, name) for name in static}
+        for _ in range(20):
+            eng.step()
 
 
 # ------------------------------------------------------------ fallback

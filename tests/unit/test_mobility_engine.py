@@ -231,6 +231,36 @@ class TestResidentSoA:
                 assert event.time_s == batch.time_s
         assert {CrossingEvent, OvertakeEvent} <= kinds
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["cc", "numpy"])
+    def test_overtakes_are_rows_that_make_the_reference_events(self, two_lane_grid, compiled):
+        """A step's overtakes enter its batch as (edge, passer, passee)
+        rows, on the production engines and the reference alike, and
+        ``iter_events()`` makes them the reference engine's overtake
+        events: the same times, edges, passers and passees, in the same
+        order."""
+        if compiled and not available_backends():
+            pytest.skip(f"cc kernel unavailable here: {fallback_reason()}")
+        logs = []
+        for kwargs in ({"compiled": compiled}, {"vectorized": False}):
+            eng = TrafficEngine(two_lane_grid, np.random.default_rng(21), **kwargs)
+            dm = DemandModel(
+                two_lane_grid, DemandConfig(volume_fraction=1.0), np.random.default_rng(21)
+            )
+            eng.spawn_initial(dm.initial_fleet())
+            log = []
+            for _ in range(300):
+                batch = eng.step_batch()
+                rows = [item for item in batch.items if type(item) is tuple]
+                events = [e for e in batch.iter_events() if isinstance(e, OvertakeEvent)]
+                assert not [item for item in batch.items if isinstance(item, OvertakeEvent)]
+                assert [(e.edge, e.passer, e.passee) for e in events] == rows
+                assert all(v is eng._vehicles[v.vid] for row in rows for v in row[1:])
+                log += [(e.time_s, e.edge, e.passer.vid, e.passee.vid) for e in events]
+            assert len(log) == eng.stats.overtakes
+            logs.append(log)
+        assert len(logs[0]) > 20
+        assert logs[0] == logs[1]
+
     def test_step_batch_plain_crossings_are_indices(self, small_grid, rng):
         eng = make_engine(small_grid)
         dm = DemandModel(small_grid, DemandConfig(volume_fraction=1.0), rng)
@@ -575,6 +605,36 @@ class TestCrossingDecisions:
                                for v in eng.iter_departed()) for eng, _ in runs]
             assert all(d == departed[-1] for d in departed), step
 
+    @pytest.mark.parametrize("make_net", [
+        lambda: grid_network(3, 4, lanes=2, gates_on_border=True),
+        lambda: ring_network(6, one_way=True),
+    ], ids=["gated-two-lane-grid", "one-way-ring"])
+    def test_vehicle_mobility_matches_reference_when_read(self, make_net):
+        """The production engines keep each vehicle's place in resident
+        columns, and ``edge``, ``lane``, ``previous_node``,
+        ``waiting_since_s``, ``pos_m`` and ``speed_mps`` are mirrors synced
+        at a public read: read through ``engine.vehicles`` after every step,
+        they are the reference engine's fields, bit for bit, and so are
+        each departed vehicle's final fields."""
+        def state(v):
+            return (v.vid, v.edge, v.lane, v.previous_node, v.waiting_since_s,
+                    v.pos_m.hex(), v.speed_mps.hex(), v.exited_at_s)
+
+        runs = _lockstep_fleets(make_net, 7)
+        waited, lanes = 0, set()
+        for step in range(300):
+            _step_lockstep(runs)
+            inside = [sorted(state(v) for v in eng.vehicles.values()) for eng, _ in runs]
+            assert all(got == inside[-1] for got in inside), step
+            departed = [sorted(state(v) for v in eng.iter_departed()) for eng, _ in runs]
+            assert all(got == departed[-1] for got in departed), step
+            waited += sum(row[4] is not None for row in inside[-1])
+            lanes.update(row[2] for row in inside[-1])
+        assert waited > 50
+        ref = runs[-1][0]
+        assert bool(ref.departed_vehicles()) == bool(ref.net.gates)
+        assert lanes == ({0, 1} if ref.net.gates else {0})
+
     def test_decision_counts_on_midtown_open(self):
         from repro.scenarios import get_scenario
 
@@ -583,5 +643,6 @@ class TestCrossingDecisions:
         stats = sim.engine.stats
         assert sim.engine.decisions == {
             "pass": 37608, "exit": 365, "other_router": 412, "trip_replan": 0, "route_miss": 335,
+            "install": 680,
         }
         assert stats.crossings + stats.exits - stats.entries == 37608 + 365 + 412
